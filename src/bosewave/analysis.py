@@ -14,7 +14,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dispersion
-from .errors import DomainError, NoInteriorMaximumError
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    NoInteriorMaximumError,
+    SingularDenominatorError,
+)
 
 __all__ = [
     "SweepRow",
@@ -84,9 +89,10 @@ def _seeded_h_grid(h_top: float) -> np.ndarray:
 class _BranchLine:
     """Acoustic-branch tracker along one (theta, B, n) line.
 
-    Seeds u = 1 at large h_b once, then answers point queries with a single
-    polynomial solve by continuing from the nearest previously visited h_b
-    anchor (golden-section refinement stays local, so this is safe).
+    Seeds u = 1 at large h_b once, with one batched solve over the seed
+    grid, then answers point queries with a single solve by continuing from
+    the nearest previously visited h_b anchor (golden-section refinement
+    stays local, so this is safe).
     """
 
     def __init__(self, theta: float, B: float, n: int, h_top: float):
@@ -95,35 +101,27 @@ class _BranchLine:
         self.n = n
         self._anchors_h = []   # log(h_b), descending visit order not required
         self._anchors_u = []
-        u = 1.0 + 0j
         h_b_top = h_top * (1.0 + B)
-        for h_b in _seeded_h_grid(h_b_top):
-            u = self._nearest_root(h_b, u)
+        u = dispersion._follow(_seeded_h_grid(h_b_top), theta, n)[-1]
         self._remember(h_b_top, u)
-
-    def _nearest_root(self, h_b: float, u_ref: complex) -> complex:
-        roots = dispersion.solve_roots(
-            dispersion.assemble_polynomial(h_b, self.theta, self.n))
-        return complex(roots[np.argmin(np.abs(roots - u_ref))])
 
     def _remember(self, h_b: float, u: complex) -> None:
         self._anchors_h.append(math.log(h_b))
         self._anchors_u.append(u)
 
-    def acoustic_u(self, h: float) -> complex:
+    def acoustic_u(self, h: float):
+        """(acoustic u, every root u) at h."""
         h_b = h * (1.0 + self.B)
         k = int(np.argmin(np.abs(np.array(self._anchors_h) - math.log(h_b))))
-        u = self._nearest_root(h_b, self._anchors_u[k])
+        roots = dispersion._eig_roots([h_b], self.theta, self.n)[0]
+        u = complex(roots[np.argmin(np.abs(roots - self._anchors_u[k]))])
         self._remember(h_b, u)
-        return u
+        return u, roots
 
     def lambda_i(self, h: float, branch: str) -> float:
-        h_b = h * (1.0 + self.B)
-        u_ac = self.acoustic_u(h)
+        u_ac, roots = self.acoustic_u(h)
         if branch == "acoustic":
             return dispersion.principal_lambda(u_ac).imag
-        roots = dispersion.solve_roots(
-            dispersion.assemble_polynomial(h_b, self.theta, self.n))
         idx = int(np.argmin(np.abs(roots - u_ac)))
         rest = [dispersion.principal_lambda(u).imag
                 for k, u in enumerate(roots) if k != idx]
@@ -136,9 +134,9 @@ def sweep(theta_list, B_list, h_grid, n: int,
           branch_policy: str = "acoustic") -> SweepTable:
     """Continuation-tracked roots for every (theta, B) line of the h grid.
 
-    Rows are ordered theta-major, then B, then h descending.  Solver
-    failures become explicit rows (branch "error", NaN values) rather than
-    silently dropped.
+    Rows are ordered theta-major, then B, then h descending.  Numerical
+    failures of a point solve become explicit rows (branch "error", NaN
+    values) rather than silently dropped; other exceptions propagate.
     """
     theta_list = list(theta_list)
     B_list = list(B_list)
@@ -153,18 +151,14 @@ def sweep(theta_list, B_list, h_grid, n: int,
     rows = []
     for theta in theta_list:
         for B in B_list:
-            u_prev = 1.0 + 0j
-            seed_grid = _seeded_h_grid(h_grid[0] * (1.0 + B))
-            for h_b in seed_grid:
-                roots = dispersion.solve_roots(
-                    dispersion.assemble_polynomial(h_b, theta, n))
-                u_prev = complex(roots[np.argmin(np.abs(roots - u_prev))])
+            u_prev = dispersion._follow(
+                _seeded_h_grid(h_grid[0] * (1.0 + B)), theta, n)[-1]
             for h in h_grid:
                 h_b = h * (1.0 + B)
                 try:
                     roots = dispersion.solve_roots(
                         dispersion.assemble_polynomial(h_b, theta, n))
-                except Exception:
+                except (ConvergenceError, SingularDenominatorError, DomainError):
                     rows.append(SweepRow(h=h, B=B, theta=theta, n=n,
                                          branch="error", lambda_r=math.nan,
                                          lambda_i=math.nan, residual=math.nan))

@@ -5,16 +5,20 @@ Plane waves D_m = a_m exp(i(kx - wt)) in the linearized kinetic system obey
     (1 + i*h_b - 2*lambda^2 * cos^2[theta+(m-1)pi/n]) a_m
         - (i*h_b/n) * sum_k a_k = 0,         m = 1..n,
 
-with lambda = k*c/(sqrt(2)*omega).  Eliminating the amplitudes gives the
-scalar relation
+with lambda = k*c/(sqrt(2)*omega): A a = u C a with u = lambda^2,
+A = (1 + i*h_b) I - (i*h_b/n) 11^T and C = 2 diag(cos^2[...]).  Eliminating
+the amplitudes gives the scalar relation
 
     1 - (i*h_b/n) * sum_m 1/(1 + i*h_b - 2*lambda^2*cos^2[...]) = 0,
 
-which, after clearing denominators, is a polynomial of degree <= n in
-u = lambda^2.  This module assembles that polynomial, finds all roots,
-classifies branches (the acoustic branch is the one continued from
-lambda = 1 at large h_b, i.e. the hydrodynamic limit), and reconstructs
-mode shapes.
+the secular equation of the diagonal-plus-rank-one matrix A^-1 C, where
+A^-1 = (I + (i*h_b/n) 11^T)/(1 + i*h_b).  So every root is u = 1/mu over
+the eigenvalues mu of A^-1 C, and a grid of h_b values is one stacked
+eigenvalue call; mu ~ 0 is a root at infinity (a velocity perpendicular to
+the wave) and is dropped, and the other roots get guarded Newton steps on
+the rational relation.  The cleared-denominator polynomial of degree <= n
+in u is kept as an independent oracle.  The acoustic branch is the one
+continued from lambda = 1 at large h_b (the hydrodynamic limit).
 
 Conventions: forward wave exp(i(kx - wt)) with real omega > 0, so
 lambda_r >= 0 and lambda_i >= 0 means damped rightward propagation.
@@ -52,7 +56,9 @@ __all__ = [
 ]
 
 TRIM_REL_TOL = 1e-13          # leading-coefficient trim, relative to max |coeff|
-ROOT_RESIDUAL_TOL = 1e-12     # solver target on the normalized polynomial residual
+MU_CUT_REL = 1e-14            # eigenvalue mu = 1/u dropped below this * max |mu|
+NEAR_POLE_REL = 1e-12         # denominator within this of its scale: at a pole
+NEWTON_STEPS = 2              # polish steps on the rational relation
 CONTRACT_RESIDUAL_TOL = 1e-9  # acceptance bound carried by DispersionRoot
 SINGULAR_TOL = 1e-14          # denominator magnitude treated as singular
 AMBIGUITY_TOL = 1e-8          # two roots this close at an endpoint: degenerate
@@ -66,7 +72,7 @@ def _cos2(theta: float, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DispersionPolynomial:
-    """Monic cleared-denominator polynomial in u = lambda^2.
+    """Monic cleared-denominator polynomial in u = lambda^2 (an oracle form).
 
     coeffs are complex, ordered by descending degree, with leading
     coefficients of relative magnitude below TRIM_REL_TOL trimmed away
@@ -156,72 +162,70 @@ def _normalized_poly_residual(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.abs(np.polyval(coeffs, u)) / np.maximum(1.0, np.abs(u)) ** d
 
 
-def _residual_acceptable(coeffs: np.ndarray, u: np.ndarray) -> bool:
-    # spec bound, or the double-precision evaluation floor when the monic
-    # coefficients are huge (near-degenerate angles)
-    d = len(coeffs) - 1
-    pu = np.abs(np.polyval(coeffs, u))
-    au = np.abs(u)
-    bound = ROOT_RESIDUAL_TOL * np.maximum(1.0, au) ** d
-    floor = np.zeros_like(au)
-    for i, c in enumerate(coeffs):
-        floor = floor + abs(c) * au ** (d - i)
-    return bool(np.all(pu <= np.maximum(bound, 64 * np.finfo(float).eps * floor)))
+def _polish(u: np.ndarray, h_b: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Guarded Newton steps on the rational relation f for (K, n) roots u.
+
+    Newton runs on d_j d_k f, d_j and d_k the two denominators nearest zero,
+    so roots next to a pole or on two coinciding poles converge too.  NaN
+    (dropped) roots stay NaN; a root at a pole is left alone; a step longer
+    than a quarter of the distance to the nearest other root is not taken.
+    """
+    n = len(c2)
+    z = 1j * h_b[:, None]
+    gap = np.abs(u[:, :, None] - u[:, None, :]) + np.diag(np.full(n, np.inf))
+    reach = 0.25 * np.fmin.reduce(gap, axis=2)   # fmin skips the NaN roots
+    with np.errstate(all="ignore"):
+        for _ in range(NEWTON_STEPS):
+            d = 1.0 + z[:, :, None] - 2.0 * u[:, :, None] * c2
+            scale = 1.0 + h_b[:, None, None] + 2.0 * np.abs(u[:, :, None]) * c2
+            clear = np.all(np.abs(d) > NEAR_POLE_REL * scale, axis=2)
+            inv = 1.0 / d
+            f = 1.0 - (z / n) * inv.sum(axis=2)
+            fp = -(2.0 * z / n) * (inv * inv * c2).sum(axis=2)
+            j = np.argsort(np.abs(inv), axis=2)[..., -2:]
+            poles = np.take_along_axis(c2 * inv, j, axis=2).sum(axis=2)
+            step = f / (fp - 2.0 * poles * f)
+            u = np.where(clear & (np.abs(step) < reach), u - step, u)
+    return u
 
 
-def _aberth_pass(coeffs: np.ndarray, radius: float, maxiter: int) -> np.ndarray:
-    deg = len(coeffs) - 1
-    dcoeffs = coeffs[:-1] * np.arange(deg, 0, -1)
-    zs = radius * np.exp(1j * (2 * np.pi * np.arange(deg) / deg + 0.4 / deg))
-    for _ in range(maxiter):
-        pz = np.polyval(coeffs, zs)
-        dpz = np.polyval(dcoeffs, zs)
-        newton = np.where(dpz != 0, pz / dpz, 0.1 + 0.1j)
-        diff = zs[:, None] - zs[None, :]
-        np.fill_diagonal(diff, np.inf)
-        denom = 1.0 - newton * np.sum(1.0 / diff, axis=1)
-        w = np.where(denom != 0, newton / denom, newton)
-        zs = zs - w
-        if np.all(np.abs(w) <= 1e-14 * (1.0 + np.abs(zs))):
-            break
-    for _ in range(3):  # Newton polish
-        pz = np.polyval(coeffs, zs)
-        dpz = np.polyval(dcoeffs, zs)
-        zs = zs - np.where(dpz != 0, pz / dpz, 0.0)
-    return zs
+def _eig_roots(h_b, theta: float, n: int) -> list:
+    """Roots u at every h_b of a 1-D grid, one array each, from one eigvals call.
+
+    u = 1/mu over the eigenvalues of the (K, n, n) stack of A^-1 C; mu below
+    MU_CUT_REL of its row's largest |mu| is a root at infinity and dropped.
+    """
+    h_b = np.asarray(h_b, dtype=float)
+    if not np.all(h_b > 0):
+        raise DomainError("h_b must be positive")
+    if n < 2:
+        raise DomainError("n must be >= 2")
+    c2 = _cos2(theta, n)
+    z = 1j * h_b[:, None, None]
+    try:
+        mu = np.linalg.eigvals((np.eye(n) + z / n) * (2.0 * c2 / (1.0 + z)))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigenvalue solve failed: {exc}") from None
+    size = np.abs(mu)
+    keep = size > MU_CUT_REL * size.max(axis=1, keepdims=True)
+    u = np.divide(1.0, mu, out=np.full_like(mu, np.nan), where=keep)
+    return [row[k] for row, k in zip(_polish(u, h_b, c2), keep)]
 
 
 def solve_roots(poly: DispersionPolynomial, maxiter: int = 200) -> np.ndarray:
-    """All roots (with multiplicity) of the dispersion polynomial.
+    """All finite roots u of the dispersion relation at ``poly.params``.
 
-    Aberth-Ehrlich simultaneous iteration seeded on a circle of radius
-    1 + max|coeff|; a second start on a product-of-roots-scaled circle and a
-    companion-eigenvalue fallback cover ill-conditioned degenerate corners.
+    The roots come from (h_b, theta, n), not from the trimmed coefficients:
+    u = 1/mu over the eigenvalues mu of A^-1 C, then NEWTON_STEPS guarded
+    Newton steps on the rational relation (none at a pole).  mu below
+    MU_CUT_REL of the largest |mu| is a root at infinity and is dropped,
+    leaving n roots, or n - 1 when a velocity is perpendicular to the wave.
+    ``maxiter`` is kept for compatibility and unused.
     """
-    coeffs = poly.coeffs
-    deg = len(coeffs) - 1
-    if deg < 1:
+    if poly.degree < 1:
         raise DomainError("polynomial degree must be >= 1")
-    if deg == 1:
-        return np.array([-coeffs[1] / coeffs[0]])
-
-    radii = (1.0 + max(abs(c) for c in coeffs),
-             max(abs(coeffs[-1]) ** (1.0 / deg), 1e-6))
-    for radius in radii:
-        zs = _aberth_pass(coeffs, radius, maxiter)
-        if _residual_acceptable(coeffs, zs):
-            return zs
-    zs = np.roots(coeffs)
-    dcoeffs = coeffs[:-1] * np.arange(deg, 0, -1)
-    for _ in range(5):
-        pz = np.polyval(coeffs, zs)
-        dpz = np.polyval(dcoeffs, zs)
-        zs = zs - np.where(dpz != 0, pz / dpz, 0.0)
-    if _residual_acceptable(coeffs, zs):
-        return zs
-    raise ConvergenceError(
-        "root refinement did not meet the residual bound; perturb h_b by an "
-        "ulp-scale epsilon and retry")
+    h_b, theta, n = poly.params
+    return _eig_roots([h_b], theta, n)[0]
 
 
 def closed_form_n2(h_b: float, theta: float) -> np.ndarray:
@@ -278,7 +282,7 @@ def root_residual(lam: complex, h_b: float, theta: float, n: int) -> float:
     c2 = _cos2(theta, n)
     denoms = 1.0 + 1j * h_b - 2.0 * lam * lam * c2
     scales = 1.0 + h_b + 2.0 * abs(lam) ** 2 * c2
-    if np.all(np.abs(denoms) > 1e-12 * scales):
+    if np.all(np.abs(denoms) > NEAR_POLE_REL * scales):
         return abs(complex(1.0 - (1j * h_b / n) * np.sum(1.0 / denoms)))
     poly = assemble_polynomial(h_b, theta, n)
     return float(_normalized_poly_residual(poly.coeffs, np.array([lam * lam]))[0])
@@ -309,8 +313,14 @@ def _make_root(u: complex, h_b: float, theta: float, n: int, branch: str) -> Dis
                           residual=root_residual(lam, h_b, theta, n))
 
 
-def _solve_u(h_b: float, theta: float, n: int) -> np.ndarray:
-    return solve_roots(assemble_polynomial(h_b, theta, n))
+def _follow(h_b_grid, theta: float, n: int) -> list:
+    """Nearest-root continuation of u = 1 along a grid, from one batched solve."""
+    u = 1.0 + 0j
+    path = []
+    for roots in _eig_roots(h_b_grid, theta, n):
+        u = complex(roots[np.argmin(np.abs(roots - u))])
+        path.append(u)
+    return path
 
 
 def _track_to(h_b: float, theta: float, n: int) -> complex:
@@ -318,12 +328,7 @@ def _track_to(h_b: float, theta: float, n: int) -> complex:
     start = CONTINUATION_START if h_b <= CONTINUATION_START else 10.0 * h_b
     decades = abs(np.log10(start / h_b))
     steps = max(2, int(np.ceil(decades * CONTINUATION_PER_DECADE)) + 1)
-    grid = np.geomspace(start, h_b, steps)
-    u_prev = 1.0 + 0j
-    for hb in grid:
-        roots = _solve_u(hb, theta, n)
-        u_prev = roots[np.argmin(np.abs(roots - u_prev))]
-    return complex(u_prev)
+    return _follow(np.geomspace(start, h_b, steps), theta, n)[-1]
 
 
 def _nearest_with_ambiguity_check(roots: np.ndarray, u_target: complex) -> complex:
@@ -366,7 +371,7 @@ def select_branch(roots, h_b: float, theta: float, n: int, policy: str = "acoust
 
 def acoustic_root(h_b: float, theta: float, n: int) -> DispersionRoot:
     """Acoustic-branch root at a single parameter point."""
-    return select_branch(_solve_u(h_b, theta, n), h_b, theta, n, policy="acoustic")
+    return select_branch(_eig_roots([h_b], theta, n)[0], h_b, theta, n)
 
 
 def continuation_track(theta: float, n: int, B: float, h_grid) -> list:
@@ -382,16 +387,10 @@ def continuation_track(theta: float, n: int, B: float, h_grid) -> list:
         raise DomainError("h_grid must be sorted strictly descending")
     if h_grid[0] < 1e4:
         raise DomainError("h_grid must start at h >= 1e4 for reliable seeding")
+    h_b = h_grid * (1.0 + B)
     out = []
-    u_prev = 1.0 + 0j
-    for h in h_grid:
-        h_b = h * (1.0 + B)
-        try:
-            roots = _solve_u(h_b, theta, n)
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"{exc} (at h = {h:.6g})") from exc
-        u_prev = complex(roots[np.argmin(np.abs(roots - u_prev))])
-        root = _make_root(u_prev, h_b, theta, n, "acoustic")
+    for h, hb, u in zip(h_grid, h_b, _follow(h_b, theta, n)):
+        root = _make_root(u, hb, theta, n, "acoustic")
         if root.lam.imag < -1e-12:
             warnings.warn(
                 f"acoustic lambda_i < 0 at h = {h:.6g} (branch-crossing "

@@ -97,6 +97,33 @@ def test_sweep_pi4_line_is_unit_undamped():
         assert abs(row.lambda_i) < 1e-10
 
 
+def test_sweep_programming_errors_propagate(monkeypatch):
+    real_solve = dsp.solve_roots
+
+    def broken(poly, **kw):
+        if abs(poly.params[0] - 1.0) < 1e-12:
+            raise TypeError("synthetic programming error")
+        return real_solve(poly, **kw)
+
+    monkeypatch.setattr(analysis.dispersion, "solve_roots", broken)
+    with pytest.raises(TypeError):
+        analysis.sweep([0.2], [0.0], [10.0, 1.0, 0.1], 2)
+
+
+def test_branch_line_secondary_query_solves_once(monkeypatch):
+    line = analysis._BranchLine(0.3, 0.0, 3, 1e2)
+    real = dsp._eig_roots
+    calls = []
+
+    def counting(h_b, theta, n):
+        calls.append(len(h_b))
+        return real(h_b, theta, n)
+
+    monkeypatch.setattr(analysis.dispersion, "_eig_roots", counting)
+    assert line.lambda_i(1.0, "secondary") > 0
+    assert calls == [1]
+
+
 def test_sweep_hb_collapse_between_b_values():
     h_grid = np.geomspace(1e-1, 1e1, 11)
     t1 = analysis.sweep([0.3], [0.3], h_grid, 2)

@@ -50,6 +50,18 @@ def test_roots_all_branches(capsys):
     assert lines[2].split(",")[4] == "secondary(1)"
 
 
+def test_roots_all_branches_keeps_every_root_at_large_h(capsys):
+    code, out, _ = run(capsys, "roots", "--h", "1e4", "--theta", "0.3",
+                       "--n", "8", "--branch", "all")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 1 + 8
+    assert [line.split(",")[4] for line in lines[1:]] == \
+        ["acoustic"] + [f"secondary({j})" for j in range(1, 8)]
+    for line in lines[1:]:
+        assert float(line.split(",")[7]) < 1e-9
+
+
 def test_roots_negative_h_exits_1_naming_flag(capsys):
     code, _, err = run(capsys, "roots", "--h", "-1", "--B", "0", "--theta", "0")
     assert code == 1

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bosewave import dispersion as dsp
 from bosewave.errors import (
@@ -105,6 +105,97 @@ def test_oracle_equivalence_property(h_b, theta):
     got = dsp.solve_roots(dsp.assemble_polynomial(h_b, theta, 2))
     want = dsp.closed_form_n2(h_b, theta)
     assert roots_multiset_close(list(got), list(want))
+
+
+# ------------------------------------------------------------- eigen route
+
+DEGENERATE = [(2, 0.0), (3, math.pi / 6), (4, 0.0), (4, math.pi / 4)]
+
+
+def certified(roots, h_b, theta, n):
+    return all(dsp.root_residual(dsp.principal_lambda(u), h_b, theta, n) < 1e-9
+               for u in roots)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("h_b", [1e2, 1e4, 1e6])
+def test_solve_roots_keeps_every_root_at_large_hb(n, h_b):
+    # the trimmed polynomial loses degree here; the roots must not go with it
+    roots = dsp.solve_roots(dsp.assemble_polynomial(h_b, 0.3, n))
+    assert len(roots) == n
+    assert certified(roots, h_b, 0.3, n)
+
+
+@pytest.mark.parametrize("n,theta", DEGENERATE)
+@pytest.mark.parametrize("h_b", [1e-3, 1.0, 1e3, 1e6])
+def test_degenerate_angle_drops_one_root_at_infinity(n, theta, h_b):
+    # exactly one velocity is perpendicular to the wave: its mu is 0
+    roots = dsp.solve_roots(dsp.assemble_polynomial(h_b, theta, n))
+    assert len(roots) == n - 1
+    assert certified(roots, h_b, theta, n)
+
+
+@pytest.mark.parametrize("n,theta", DEGENERATE)
+@pytest.mark.parametrize("offset", [1e-6, -1e-6])
+@pytest.mark.parametrize("h_b", [1e-3, 1.0])
+def test_near_degenerate_angle_keeps_every_root(n, theta, offset, h_b):
+    roots = dsp.solve_roots(dsp.assemble_polynomial(h_b, theta + offset, n))
+    assert len(roots) == n
+    # the returning root is the large one, of order 1 / cos^2 ~ 1e12
+    big = max(roots, key=abs)
+    assert abs(big) > 1e9
+    assert certified([big], h_b, theta + offset, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from([3, 4, 6]),
+       h_b=st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0 ** e),
+       frac=st.floats(min_value=0.01, max_value=0.49))
+def test_eigen_roots_match_companion_roots_at_full_degree(n, h_b, frac):
+    # frac keeps theta off the degenerate angles 0, pi/(2n) and pi/n (mod
+    # pi/n), where np.roots itself loses accuracy
+    theta = frac * math.pi / n
+    poly = dsp.assemble_polynomial(h_b, theta, n)
+    assume(poly.degree == n)
+    assert roots_multiset_close(list(dsp.solve_roots(poly)),
+                                list(np.roots(poly.coeffs)), tol=1e-8)
+
+
+def test_polish_certifies_large_secondaries():
+    # unpolished eigenvalues leave a residual near 1e-8 here
+    roots = dsp.solve_roots(dsp.assemble_polynomial(1e6, 0.6, 3))
+    assert max(dsp.root_residual(dsp.principal_lambda(u), 1e6, 0.6, 3)
+               for u in roots) < 1e-12
+
+
+def test_polish_keeps_close_pair_apart():
+    roots = sorted(dsp.solve_roots(dsp.assemble_polynomial(1e-9, math.pi / 4, 2)),
+                   key=lambda u: u.imag)
+    assert roots[0] == pytest.approx(1.0, abs=1e-15)
+    assert roots[1] == pytest.approx(1.0 + 1e-9j, abs=1e-15)
+
+
+def test_batched_solve_matches_pointwise():
+    h_b = np.geomspace(1e6, 1e-3, 50)
+    for roots, hb in zip(dsp._eig_roots(h_b, 0.3, 4), h_b):
+        single = dsp.solve_roots(dsp.assemble_polynomial(hb, 0.3, 4))
+        np.testing.assert_allclose(roots, single, rtol=1e-14)
+
+
+def test_continuation_is_one_batched_solve(monkeypatch):
+    real = dsp._eig_roots
+    sizes = []
+
+    def counting(h_b, theta, n):
+        sizes.append(len(h_b))
+        return real(h_b, theta, n)
+
+    monkeypatch.setattr(dsp, "_eig_roots", counting)
+    dsp.continuation_track(0.3, 3, 0.0, np.geomspace(1e4, 1e-2, 40))
+    assert sizes == [40]
+    sizes.clear()
+    dsp.select_branch(real(np.array([1.0]), 0.3, 3)[0], 1.0, 0.3, 3)
+    assert len(sizes) == 1 and sizes[0] > 1
 
 
 # ------------------------------------------------------------- closed form
