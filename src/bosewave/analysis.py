@@ -90,9 +90,10 @@ class _BranchLine:
     """Acoustic-branch tracker along one (theta, B, n) line.
 
     Seeds u = 1 at large h_b once, with one batched solve over the seed
-    grid, then answers point queries with a single solve by continuing from
-    the nearest previously visited h_b anchor (golden-section refinement
-    stays local, so this is safe).
+    grid.  A coarse h grid is then one more batched solve (``scan``), and a
+    single point (golden-section refinement) one single-point solve.  Every
+    point continues from the nearest previously visited h_b anchor
+    (golden-section refinement stays local, so this is safe).
     """
 
     def __init__(self, theta: float, B: float, n: int, h_top: float):
@@ -109,34 +110,71 @@ class _BranchLine:
         self._anchors_h.append(math.log(h_b))
         self._anchors_u.append(u)
 
-    def acoustic_u(self, h: float):
-        """(acoustic u, every root u) at h."""
-        h_b = h * (1.0 + self.B)
+    def _visit(self, h_b: float, roots):
+        """(acoustic u, ordered secondaries) among the roots at h_b."""
         k = int(np.argmin(np.abs(np.array(self._anchors_h) - math.log(h_b))))
-        roots = dispersion._eig_roots([h_b], self.theta, self.n)[0]
-        u = complex(roots[np.argmin(np.abs(roots - self._anchors_u[k]))])
+        u, rest = dispersion._split_branches(roots, self._anchors_u[k])
         self._remember(h_b, u)
-        return u, roots
+        return u, rest
+
+    def scan(self, h_grid):
+        """(acoustic, secondary) lambda_i arrays along h_grid, in visit order.
+
+        One batched solve for the whole grid; both branches share it.
+        """
+        h_b = np.asarray(h_grid, dtype=float) * (1.0 + self.B)
+        ac, sec = [], []
+        for hb, roots in zip(h_b, dispersion._eig_roots(h_b, self.theta, self.n)):
+            u, rest = self._visit(hb, roots)
+            ac.append(_branch_lambda_i(u, rest, "acoustic"))
+            sec.append(_branch_lambda_i(u, rest, "secondary"))
+        return np.array(ac), np.array(sec)
 
     def lambda_i(self, h: float, branch: str) -> float:
-        u_ac, roots = self.acoustic_u(h)
-        if branch == "acoustic":
-            return dispersion.principal_lambda(u_ac).imag
-        idx = int(np.argmin(np.abs(roots - u_ac)))
-        rest = [dispersion.principal_lambda(u).imag
-                for k, u in enumerate(roots) if k != idx]
-        if not rest:
-            return math.inf  # branch escaped to infinity at a degenerate angle
-        return max(rest)
+        h_b = h * (1.0 + self.B)
+        roots = dispersion._eig_roots([h_b], self.theta, self.n)[0]
+        return _branch_lambda_i(*self._visit(h_b, roots), branch)
+
+
+def _branch_lambda_i(u_ac: complex, rest: list, branch: str) -> float:
+    """lambda_i of the acoustic root, or of the largest-lambda_i secondary."""
+    if branch == "acoustic":
+        return dispersion.principal_lambda(u_ac).imag
+    if not rest:
+        return math.inf  # branch escaped to infinity at a degenerate angle
+    return dispersion.principal_lambda(rest[0]).imag
+
+
+_NUMERICAL_ERRORS = (ConvergenceError, SingularDenominatorError, DomainError)
+
+
+def _line_roots(h_b: np.ndarray, theta: float, n: int) -> list:
+    """Roots at every h_b of one sweep line, from one batched solve.
+
+    If the batch fails numerically, the points are solved one at a time and
+    each point that fails again gets None.
+    """
+    try:
+        return dispersion._eig_roots(h_b, theta, n)
+    except _NUMERICAL_ERRORS:
+        pass
+    out = []
+    for hb in h_b:
+        try:
+            out.append(dispersion._eig_roots([hb], theta, n)[0])
+        except _NUMERICAL_ERRORS:
+            out.append(None)
+    return out
 
 
 def sweep(theta_list, B_list, h_grid, n: int,
           branch_policy: str = "acoustic") -> SweepTable:
     """Continuation-tracked roots for every (theta, B) line of the h grid.
 
-    Rows are ordered theta-major, then B, then h descending.  Numerical
-    failures of a point solve become explicit rows (branch "error", NaN
-    values) rather than silently dropped; other exceptions propagate.
+    Rows are ordered theta-major, then B, then h descending.  Each line is
+    one batched solve.  Numerical failures of a point solve become explicit
+    rows (branch "error", NaN values) rather than silently dropped; other
+    exceptions propagate.
     """
     theta_list = list(theta_list)
     B_list = list(B_list)
@@ -151,28 +189,23 @@ def sweep(theta_list, B_list, h_grid, n: int,
     rows = []
     for theta in theta_list:
         for B in B_list:
+            h_b_line = h_grid * (1.0 + B)
             u_prev = dispersion._follow(
-                _seeded_h_grid(h_grid[0] * (1.0 + B)), theta, n)[-1]
-            for h in h_grid:
-                h_b = h * (1.0 + B)
-                try:
-                    roots = dispersion.solve_roots(
-                        dispersion.assemble_polynomial(h_b, theta, n))
-                except (ConvergenceError, SingularDenominatorError, DomainError):
+                _seeded_h_grid(h_b_line[0]), theta, n)[-1]
+            for h, h_b, roots in zip(h_grid, h_b_line,
+                                     _line_roots(h_b_line, theta, n)):
+                if roots is None:
                     rows.append(SweepRow(h=h, B=B, theta=theta, n=n,
                                          branch="error", lambda_r=math.nan,
                                          lambda_i=math.nan, residual=math.nan))
                     continue
-                u_prev = complex(roots[np.argmin(np.abs(roots - u_prev))])
+                u_prev, rest = dispersion._split_branches(roots, u_prev)
                 lam = dispersion.principal_lambda(u_prev)
                 rows.append(SweepRow(
                     h=h, B=B, theta=theta, n=n, branch="acoustic",
                     lambda_r=lam.real, lambda_i=lam.imag,
                     residual=dispersion.root_residual(lam, h_b, theta, n)))
                 if branch_policy == "all":
-                    idx = int(np.argmin(np.abs(roots - u_prev)))
-                    rest = [complex(u) for k, u in enumerate(roots) if k != idx]
-                    rest.sort(key=lambda u: -dispersion.principal_lambda(u).imag)
                     for j, u in enumerate(rest, start=1):
                         lam_s = dispersion.principal_lambda(u)
                         rows.append(SweepRow(
@@ -219,7 +252,8 @@ def find_hmax(theta: float, B: float, n: int = 2, branch: str = "acoustic",
         raise DomainError("branch must be 'acoustic' or 'secondary'")
     line = _BranchLine(theta, B, n, hi)
     grid = np.geomspace(hi, lo, SCAN_POINTS)[::-1]   # visit descending, report ascending
-    values = np.array([line.lambda_i(h, branch) for h in grid[::-1]])[::-1]
+    ac, sec = line.scan(grid[::-1])
+    values = (ac if branch == "acoustic" else sec)[::-1]
     k = int(np.argmax(values))
     if values[k] < LAMBDA_I_FLOOR:
         raise NoInteriorMaximumError(
@@ -249,10 +283,8 @@ def localization_length(table: SweepTable) -> SweepTable:
     return SweepTable(rows=tuple(rows))
 
 
-def _max_over_h(f, h_cap: float) -> float:
-    """Maximum of f over h in (0, h_cap]: grid max, refined when interior."""
-    grid = np.geomspace(h_cap * 1e-4, h_cap, SCAN_POINTS)
-    values = np.array([f(h) for h in grid[::-1]])[::-1]   # descending visits
+def _max_over_h(f, grid: np.ndarray, values: np.ndarray) -> float:
+    """Maximum of f over an ascending h grid with known values: refined when interior."""
     if np.any(np.isinf(values)):
         return math.inf
     k = int(np.argmax(values))
@@ -278,11 +310,13 @@ def theta_scan(B: float, n: int, h_cap: float, theta_grid) -> list:
     theta_grid = list(theta_grid)
     if not theta_grid:
         raise DomainError("theta_grid must be nonempty")
+    grid = np.geomspace(h_cap * 1e-4, h_cap, SCAN_POINTS)
     rows = []
     for theta in theta_grid:
         line = _BranchLine(theta, B, n, h_cap)
-        ac = _max_over_h(lambda h: line.lambda_i(h, "acoustic"), h_cap)
-        sec = _max_over_h(lambda h: line.lambda_i(h, "secondary"), h_cap)
+        ac_values, sec_values = (v[::-1] for v in line.scan(grid[::-1]))
+        ac = _max_over_h(lambda h: line.lambda_i(h, "acoustic"), grid, ac_values)
+        sec = _max_over_h(lambda h: line.lambda_i(h, "secondary"), grid, sec_values)
         rows.append(ThetaScanRow(theta=theta, branch="acoustic", max_lambda_i=ac))
         rows.append(ThetaScanRow(theta=theta, branch="secondary", max_lambda_i=sec))
     return rows

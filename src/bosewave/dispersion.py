@@ -58,6 +58,8 @@ __all__ = [
 TRIM_REL_TOL = 1e-13          # leading-coefficient trim, relative to max |coeff|
 MU_CUT_REL = 1e-14            # eigenvalue mu = 1/u dropped below this * max |mu|
 NEAR_POLE_REL = 1e-12         # denominator within this of its scale: at a pole
+CLEAR_POLE_NOISE = 1e-10      # rational-form rounding above this: clear the pole
+EPS = np.finfo(float).eps
 NEWTON_STEPS = 2              # polish steps on the rational relation
 CONTRACT_RESIDUAL_TOL = 1e-9  # acceptance bound carried by DispersionRoot
 SINGULAR_TOL = 1e-14          # denominator magnitude treated as singular
@@ -94,9 +96,9 @@ class DispersionRoot:
 
     lam is the principal lambda (Re >= 0); u = lam^2; branch is "acoustic"
     or "secondary(j)"; residual is the magnitude of the rational dispersion
-    relation at lam, except at points where a resolvent denominator
-    vanishes (possible on secondary branches at degenerate angles), where
-    the normalized polynomial residual is reported instead.
+    relation at lam, except next to a resolvent pole, where rounding swamps
+    that form and the relation with the nearest pole (or nearly coinciding
+    pair of poles) cleared is reported instead (see :func:`root_residual`).
     """
 
     lam: complex
@@ -155,11 +157,6 @@ def assemble_polynomial(h_b: float, theta: float, n: int) -> DispersionPolynomia
     poly = poly[k:] / poly[k]
     return DispersionPolynomial(coeffs=poly, degree=len(poly) - 1,
                                 params=(h_b, theta, n))
-
-
-def _normalized_poly_residual(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    d = len(coeffs) - 1
-    return np.abs(np.polyval(coeffs, u)) / np.maximum(1.0, np.abs(u)) ** d
 
 
 def _polish(u: np.ndarray, h_b: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -272,20 +269,45 @@ def residual(lam: complex, h_b: float, theta: float, n: int) -> complex:
 
 
 def root_residual(lam: complex, h_b: float, theta: float, n: int) -> float:
-    """|residual| with a polynomial fallback where the rational form is singular.
+    """|residual|, with the nearest poles cleared where the rational form is noise.
 
-    Near-singularity is judged relative to each denominator's natural scale
-    (1 + h_b + 2|lam|^2 cos^2): rational evaluation there is dominated by
-    cancellation noise, so the normalized cleared-polynomial residual is the
-    reliable certificate (e.g. the secondary branch at theta = pi/4).
+    Each d_k = 1 + i h_b - 2 lam^2 cos^2 carries a rounding error of about
+    eps * scale_k, scale_k = 1 + h_b + 2|lam|^2 cos^2, so the rational form
+    carries eps (h_b/n) sum_k scale_k/|d_k|^2 of noise.  Where that reaches
+    CLEAR_POLE_NOISE, the relation is multiplied through by the nearest
+    denominator d_j and normalized by its scale:
+
+        |d_j - (i h_b/n)(1 + d_j sum_{k!=j} 1/d_k)| / scale_j.
+
+    If the noise of that form still reaches CLEAR_POLE_NOISE (a second pole
+    nearly coincides, e.g. the secondary root at theta = pi/4 for n = 2),
+    the next-nearest pole is cleared the same way, and so on.
     """
     c2 = _cos2(theta, n)
     denoms = 1.0 + 1j * h_b - 2.0 * lam * lam * c2
     scales = 1.0 + h_b + 2.0 * abs(lam) ** 2 * c2
-    if np.all(np.abs(denoms) > NEAR_POLE_REL * scales):
+    size = np.abs(denoms)
+    if size.min() > 0.0 and (
+            EPS * (h_b / n) * (scales / (size * size)).sum() < CLEAR_POLE_NOISE):
         return abs(complex(1.0 - (1j * h_b / n) * np.sum(1.0 / denoms)))
-    poly = assemble_polynomial(h_b, theta, n)
-    return float(_normalized_poly_residual(poly.coeffs, np.array([lam * lam]))[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_ratio = scales / size               # inf exactly at a pole
+        order = np.argsort(-inv_ratio)          # nearest pole first
+        cleared, weight = 1, 1.0 / inv_ratio[order[0]]   # prod of |d_j|/scale_j
+        while cleared < n:
+            far = order[cleared:]
+            # noise from the error in each remaining d_k and in each cleared d_j
+            spread = inv_ratio[far] + inv_ratio[order[:cleared]].sum()
+            if EPS * (h_b / n) * weight * np.sum(spread / size[far]) < CLEAR_POLE_NOISE:
+                break
+            weight /= inv_ratio[order[cleared]]
+            cleared += 1
+    d = denoms[order[:cleared]]
+    prod = np.prod(d)
+    others = sum(np.prod(np.delete(d, j)) for j in range(cleared))
+    rest = np.sum(1.0 / denoms[order[cleared:]])
+    value = prod - (1j * h_b / n) * (others + prod * rest)
+    return float(abs(value) / np.prod(scales[order[:cleared]]))
 
 
 def mode_shape(lam: complex, h_b: float, theta: float, n: int) -> ModeShape:
@@ -343,6 +365,18 @@ def _nearest_with_ambiguity_check(roots: np.ndarray, u_target: complex) -> compl
     return complex(best)
 
 
+def _split_branches(roots, u_near: complex):
+    """(root nearest u_near, the other roots by descending lambda_i).
+
+    The one place the secondary branches get their order: secondary(j) is
+    the j-th entry of the list.
+    """
+    idx = int(np.argmin(np.abs(roots - u_near)))
+    rest = [complex(u) for k, u in enumerate(roots) if k != idx]
+    rest.sort(key=lambda u: -principal_lambda(u).imag)
+    return complex(roots[idx]), rest
+
+
 def select_branch(roots, h_b: float, theta: float, n: int, policy: str = "acoustic"):
     """Classify roots into the acoustic branch and secondary branches.
 
@@ -360,12 +394,10 @@ def select_branch(roots, h_b: float, theta: float, n: int, policy: str = "acoust
         return _make_root(u_best, h_b, theta, n, "acoustic")
     if policy != "all":
         raise DomainError("policy must be 'acoustic' or 'all'")
+    u_best, rest = _split_branches(roots, u_best)
     out = [_make_root(u_best, h_b, theta, n, "acoustic")]
-    idx_best = int(np.argmin(np.abs(roots - u_best)))
-    rest = [complex(u) for k, u in enumerate(roots) if k != idx_best]
-    rest.sort(key=lambda u: -principal_lambda(u).imag)
     for j, u in enumerate(rest, start=1):
-        out.append(_make_root(complex(u), h_b, theta, n, f"secondary({j})"))
+        out.append(_make_root(u, h_b, theta, n, f"secondary({j})"))
     return out
 
 

@@ -98,14 +98,14 @@ def test_sweep_pi4_line_is_unit_undamped():
 
 
 def test_sweep_programming_errors_propagate(monkeypatch):
-    real_solve = dsp.solve_roots
+    real = dsp._eig_roots
 
-    def broken(poly, **kw):
-        if abs(poly.params[0] - 1.0) < 1e-12:
+    def broken(h_b, theta, n):
+        if np.any(np.abs(np.asarray(h_b) - 1.0) < 1e-12):
             raise TypeError("synthetic programming error")
-        return real_solve(poly, **kw)
+        return real(h_b, theta, n)
 
-    monkeypatch.setattr(analysis.dispersion, "solve_roots", broken)
+    monkeypatch.setattr(analysis.dispersion, "_eig_roots", broken)
     with pytest.raises(TypeError):
         analysis.sweep([0.2], [0.0], [10.0, 1.0, 0.1], 2)
 
@@ -122,6 +122,60 @@ def test_branch_line_secondary_query_solves_once(monkeypatch):
     monkeypatch.setattr(analysis.dispersion, "_eig_roots", counting)
     assert line.lambda_i(1.0, "secondary") > 0
     assert calls == [1]
+
+
+def _count_eig_batches(monkeypatch):
+    real = dsp._eig_roots
+    sizes = []
+
+    def counting(h_b, theta, n):
+        sizes.append(len(h_b))
+        return real(h_b, theta, n)
+
+    monkeypatch.setattr(analysis.dispersion, "_eig_roots", counting)
+    return sizes
+
+
+def test_find_hmax_coarse_grid_is_one_batched_solve(monkeypatch):
+    sizes = _count_eig_batches(monkeypatch)
+    analysis.find_hmax(0.3, -0.2, n=3)
+    # seed grid, the whole coarse grid, then single golden-section points
+    assert sizes[1] == analysis.SCAN_POINTS
+    assert sizes.count(analysis.SCAN_POINTS) == 1
+    assert set(sizes[2:]) == {1}
+
+
+def test_theta_scan_branches_share_one_batch_per_angle(monkeypatch):
+    sizes = _count_eig_batches(monkeypatch)
+    grid = [0.2, math.pi / 4, 0.9]
+    analysis.theta_scan(0.4, 2, 10.0, grid)
+    assert sizes.count(analysis.SCAN_POINTS) == len(grid)
+    big = [k for k, size in enumerate(sizes) if size > 1]
+    # per angle: the seed grid, then the one coarse batch for both branches
+    assert [sizes[k] for k in big] == [sizes[0], analysis.SCAN_POINTS] * len(grid)
+
+
+def test_sweep_line_is_one_batched_solve(monkeypatch):
+    sizes = _count_eig_batches(monkeypatch)
+    h_grid = np.geomspace(1e-2, 1e2, 7)
+    table = analysis.sweep([0.1, 0.5], [0.0, -0.3], h_grid, 3, branch_policy="all")
+    assert len(table) == 2 * 2 * 7 * 3
+    # per (theta, B) line: the seed grid and one batch over the line
+    assert len(sizes) == 8
+    assert sizes[1::2] == [7] * 4
+    assert all(size > 7 for size in sizes[::2])
+
+
+def test_sweep_secondaries_match_select_branch():
+    h, theta, B, n = 0.7, 0.35, 0.2, 4
+    rows = list(analysis.sweep([theta], [B], [h], n, branch_policy="all"))
+    h_b = h * (1.0 + B)
+    roots = dsp.select_branch(dsp._eig_roots([h_b], theta, n)[0], h_b, theta, n,
+                              policy="all")
+    assert [r.branch for r in rows] == [r.branch for r in roots]
+    assert [complex(r.lambda_r, r.lambda_i) for r in rows] == [r.lam for r in roots]
+    line = analysis._BranchLine(theta, B, n, 1e2)
+    assert line.lambda_i(h, "secondary") == roots[1].lambda_i
 
 
 def test_sweep_hb_collapse_between_b_values():
@@ -148,27 +202,19 @@ def test_sweep_empty_inputs_rejected():
 
 
 def test_sweep_failures_become_error_rows(monkeypatch):
-    from bosewave import dispersion as dsp_mod
     from bosewave.errors import ConvergenceError
 
-    real_solve = dsp_mod.solve_roots
-    poisoned = {"armed": False}
+    real = dsp._eig_roots
 
-    def flaky(poly, **kw):
-        h_b = poly.params[0]
-        if poisoned["armed"] and abs(h_b - 1.0) < 1e-12:
+    def flaky(h_b, theta, n):
+        # the line's batch and its point h_b = 1 fail; the seed grid (down to
+        # h_b = 10) and the other points solve
+        if np.any(np.abs(np.asarray(h_b) - 1.0) < 1e-12):
             raise ConvergenceError("synthetic failure")
-        return real_solve(poly, **kw)
+        return real(h_b, theta, n)
 
-    monkeypatch.setattr(analysis.dispersion, "solve_roots", flaky)
-    # arm only after the seeding continuation (which also visits h_b values)
-    table_rows = []
-    poisoned["armed"] = True
-    try:
-        table = analysis.sweep([0.2], [0.0], [10.0, 1.0, 0.1], 2)
-        table_rows = list(table)
-    finally:
-        poisoned["armed"] = False
+    monkeypatch.setattr(analysis.dispersion, "_eig_roots", flaky)
+    table_rows = list(analysis.sweep([0.2], [0.0], [10.0, 1.0, 0.1], 2))
     assert len(table_rows) == 3
     bad = [r for r in table_rows if r.branch == "error"]
     assert len(bad) == 1
@@ -176,6 +222,9 @@ def test_sweep_failures_become_error_rows(monkeypatch):
     assert math.isnan(bad[0].lambda_r)
     good = [r for r in table_rows if r.branch == "acoustic"]
     assert all(r.residual < 1e-9 for r in good)
+    monkeypatch.undo()
+    clean = list(analysis.sweep([0.2], [0.0], [10.0, 1.0, 0.1], 2))
+    assert [table_rows[0], table_rows[2]] == [clean[0], clean[2]]
 
 
 # -------------------------------------------------------- localization length

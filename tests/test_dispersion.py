@@ -272,8 +272,54 @@ def test_residual_singular_denominator_raises():
     lam = dsp.principal_lambda(1 + 1j)
     with pytest.raises(SingularDenominatorError):
         dsp.residual(lam, 1.0, math.pi / 4, 2)
-    # the certification fallback still gives a small polynomial residual
+    # the pole-cleared certificate still certifies it
     assert dsp.root_residual(lam, 1.0, math.pi / 4, 2) < 1e-9
+
+
+# a root between two poles about 5e-5 (relative) apart: the rational form
+# is rounding noise there (secondary(4) read 1.0e-9 before the poles were cleared)
+NEAR_POLE_POINT = (0.6758669065080306, 0.261556510741024, 6)
+
+
+def test_root_residual_certifies_roots_next_to_a_pole():
+    h_b, theta, n = NEAR_POLE_POINT
+    roots = dsp.select_branch(dsp._eig_roots([h_b], theta, n)[0], h_b, theta, n,
+                              policy="all")
+    assert len(roots) == 6
+    assert all(r.residual < 1e-9 for r in roots)
+    assert roots[4].branch == "secondary(4)" and roots[4].residual < 1e-12
+
+
+def test_root_residual_rejects_perturbed_roots_next_to_a_pole():
+    h_b, theta, n = NEAR_POLE_POINT
+    for r in dsp.select_branch(dsp._eig_roots([h_b], theta, n)[0], h_b, theta, n,
+                               policy="all"):
+        assert dsp.root_residual(r.lam * (1.0 + 1e-9), h_b, theta, n) > 1e-9
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-7, -1e-7, 1e-4, 1e-2])
+@pytest.mark.parametrize("h_b", [1e-2, 1.0, 1e2])
+def test_root_residual_certifies_n2_secondary_near_pi4(offset, h_b):
+    theta = math.pi / 4 + offset
+    roots = dsp.select_branch(dsp._eig_roots([h_b], theta, 2)[0], h_b, theta, 2,
+                              policy="all")
+    assert [r.branch for r in roots] == ["acoustic", "secondary(1)"]
+    assert all(r.residual < 1e-9 for r in roots)
+
+
+def test_root_residual_away_from_poles_is_the_rational_form():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        h_b = 10.0 ** rng.uniform(-1, 3)
+        theta = rng.uniform(0.05, math.pi / 2 - 0.05)
+        n = int(rng.integers(2, 7))
+        for u in dsp._eig_roots([h_b], theta, n)[0]:
+            lam = dsp.principal_lambda(u)
+            c2 = np.cos(theta + np.arange(n) * np.pi / n) ** 2
+            d = 1.0 + 1j * h_b - 2.0 * u * c2
+            if np.min(np.abs(d) / (1.0 + h_b + 2.0 * abs(u) * c2)) > 1e-2:
+                assert dsp.root_residual(lam, h_b, theta, n) == abs(
+                    dsp.residual(lam, h_b, theta, n))
 
 
 # --------------------------------------------------------------- mode shape
