@@ -78,14 +78,6 @@ class ThetaScanRow:
     max_lambda_i: float
 
 
-def _seeded_h_grid(h_top: float) -> np.ndarray:
-    """Descending continuation grid from the seeding region down to h_top."""
-    start = max(1e6, 10.0 * h_top)
-    decades = math.log10(start / h_top)
-    steps = max(2, int(math.ceil(decades * dispersion.CONTINUATION_PER_DECADE)) + 1)
-    return np.geomspace(start, h_top, steps)
-
-
 class _BranchLine:
     """Acoustic-branch tracker along one (theta, B, n) line.
 
@@ -100,19 +92,25 @@ class _BranchLine:
         self.theta = theta
         self.B = B
         self.n = n
-        self._anchors_h = []   # log(h_b), descending visit order not required
+        # log(h_b) of the anchors in visit order, in a buffer that doubles
+        # when full, so a visit does not rebuild an array of all anchors
+        self._anchors_h = np.empty(SCAN_POINTS + 1)
         self._anchors_u = []
         h_b_top = h_top * (1.0 + B)
-        u = dispersion._follow(_seeded_h_grid(h_b_top), theta, n)[-1]
+        u = dispersion._track_to(h_b_top, theta, n)
         self._remember(h_b_top, u)
 
     def _remember(self, h_b: float, u: complex) -> None:
-        self._anchors_h.append(math.log(h_b))
+        count = len(self._anchors_u)
+        if count == self._anchors_h.size:
+            self._anchors_h = np.resize(self._anchors_h, 2 * count)
+        self._anchors_h[count] = math.log(h_b)
         self._anchors_u.append(u)
 
     def _visit(self, h_b: float, roots):
         """(acoustic u, ordered secondaries) among the roots at h_b."""
-        k = int(np.argmin(np.abs(np.array(self._anchors_h) - math.log(h_b))))
+        visited = self._anchors_h[:len(self._anchors_u)]
+        k = int(np.argmin(np.abs(visited - math.log(h_b))))
         u, rest = dispersion._split_branches(roots, self._anchors_u[k])
         self._remember(h_b, u)
         return u, rest
@@ -190,8 +188,7 @@ def sweep(theta_list, B_list, h_grid, n: int,
     for theta in theta_list:
         for B in B_list:
             h_b_line = h_grid * (1.0 + B)
-            u_prev = dispersion._follow(
-                _seeded_h_grid(h_b_line[0]), theta, n)[-1]
+            u_prev = dispersion._track_to(h_b_line[0], theta, n)
             for h, h_b, roots in zip(h_grid, h_b_line,
                                      _line_roots(h_b_line, theta, n)):
                 if roots is None:

@@ -12,16 +12,18 @@ Subcommands expose every operation with deterministic text output:
 Exit codes: 0 success, 1 argument/validation error, 2 numerical failure.
 Angles are radians by default; append "deg" for degrees (e.g. --theta 45deg).
 A flat `key = value` config file may supply any long option (without the
-leading dashes); explicit flags take precedence.
+leading dashes); its values are cast and checked like the flags, and
+explicit flags take precedence.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from argparse import ArgumentTypeError
 
 import numpy as np
 
@@ -39,49 +41,23 @@ from .errors import (
 )
 from .model import ModelConfig
 
-__all__ = ["main", "entry", "RunSpec", "emit"]
+__all__ = ["main", "entry", "emit"]
 
 SWEEP_HEADER = ("h", "B", "theta", "n", "branch", "lambda_r", "lambda_i", "residual")
 THETA_SCAN_HEADER = ("theta", "branch", "max_lambda_i")
 VERIFY_SEED = 2718
+DEFAULT_H_GRID = (1e-2, 1e2, 40)         # sweep without --h-range: LO, HI, STEPS
+SWITCHES = ("log", "nonlinear")          # store_true flags; in a config file
+TRUE_WORDS = ("1", "true", "yes", "on")  # these values switch them on
 
 _NUMERICAL_ERRORS = (ConvergenceError, FitError, InstabilityError,
                      PositivityError, NoInteriorMaximumError,
                      BranchAmbiguityError, SingularDenominatorError, CFLError)
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """Full description of one CLI run; output is a pure function of this.
-
-    No hidden state and no randomness without an explicit seed binding: the
-    only stochastic subcommand (`verify`) carries its fixed seed here.
-    """
-
-    subcommand: str
-    params: tuple          # sorted (key, value) bindings, lists as tuples
-    out: str | None
-    format: str
-
-    def __getitem__(self, key):
-        return dict(self.params)[key]
-
-
-def _make_spec(subcommand: str, bindings: dict, out, fmt: str) -> RunSpec:
-    frozen = {k: tuple(v) if isinstance(v, list) else v
-              for k, v in bindings.items()}
-    return RunSpec(subcommand=subcommand,
-                   params=tuple(sorted(frozen.items())),
-                   out=out, format=fmt)
-
-
-class _CLIError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we want exit 1
-        raise _CLIError(message)
+        raise DomainError(message)
 
 
 def _fmt(value) -> str:
@@ -100,7 +76,7 @@ def parse_angle(text: str) -> float:
             return math.radians(float(text[:-3]))
         return float(text)
     except ValueError:
-        raise _CLIError(f"invalid angle {text!r}") from None
+        raise ArgumentTypeError(f"invalid angle {text!r}") from None
 
 
 def _parse_angle_list(text: str):
@@ -111,25 +87,31 @@ def _parse_float_list(text: str):
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise _CLIError(f"invalid number list {text!r}") from None
+        raise ArgumentTypeError(f"invalid number list {text!r}") from None
 
 
-def _parse_range(text: str, log: bool, default_steps: int = 40) -> np.ndarray:
+def _parse_bounds(text: str) -> tuple:
+    """LO:HI as a (lo, hi) float pair; fields after HI are not read."""
+    parts = text.split(":")
+    try:
+        return float(parts[0]), float(parts[1])
+    except (IndexError, ValueError):
+        raise ArgumentTypeError(f"invalid range {text!r}") from None
+
+
+def _parse_range(text: str) -> tuple:
+    """LO:HI[:STEPS] as (lo, hi, steps), 40 steps unless given."""
     parts = text.split(":")
     if len(parts) not in (2, 3):
-        raise _CLIError(f"invalid range {text!r}: expected LO:HI[:STEPS]")
+        raise ArgumentTypeError(f"invalid range {text!r}: expected LO:HI[:STEPS]")
     try:
         lo, hi = float(parts[0]), float(parts[1])
-        steps = int(parts[2]) if len(parts) == 3 else default_steps
+        steps = int(parts[2]) if len(parts) == 3 else DEFAULT_H_GRID[2]
     except ValueError:
-        raise _CLIError(f"invalid range {text!r}") from None
+        raise ArgumentTypeError(f"invalid range {text!r}") from None
     if steps < 2:
-        raise _CLIError("range needs at least 2 steps")
-    if log:
-        if lo <= 0 or hi <= 0:
-            raise _CLIError("log range requires positive bounds")
-        return np.geomspace(lo, hi, steps)
-    return np.linspace(lo, hi, steps)
+        raise ArgumentTypeError("range needs at least 2 steps")
+    return lo, hi, steps
 
 
 def _read_config_file(path: str) -> dict:
@@ -141,26 +123,12 @@ def _read_config_file(path: str) -> dict:
                 if not line:
                     continue
                 if "=" not in line:
-                    raise _CLIError(f"{path}:{lineno}: expected key = value")
+                    raise DomainError(f"{path}:{lineno}: expected key = value")
                 key, _, value = line.partition("=")
                 values[key.strip()] = value.strip()
     except (OSError, UnicodeDecodeError) as exc:
-        raise _CLIError(f"cannot read config file {path}: {exc}") from None
+        raise DomainError(f"cannot read config file {path}: {exc}") from None
     return values
-
-
-def _merged(args, config: dict, key: str, default, cast=None):
-    """Flag value if given, else config-file value, else default."""
-    attr = key.replace("-", "_")
-    value = getattr(args, attr, None)
-    if value is not None:
-        return value
-    if key in config:
-        raw = config[key]
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
-        return cast(raw) if cast else raw
-    return default
 
 
 def emit(rows, fmt: str, path, header=SWEEP_HEADER) -> None:
@@ -192,12 +160,8 @@ def emit(rows, fmt: str, path, header=SWEEP_HEADER) -> None:
 
 
 def _roots_rows(h: float, B: float, theta: float, n: int, policy: str):
-    if h <= 0:
-        raise DomainError("--h must be positive")
-    if B <= -1:
-        raise DomainError("--B must exceed -1")
     h_b = h * (1.0 + B)
-    roots = dispersion.solve_roots(dispersion.assemble_polynomial(h_b, theta, n))
+    roots = dispersion._eig_roots([h_b], theta, n)[0]
     selected = dispersion.select_branch(roots, h_b, theta, n, policy=policy)
     if policy == "acoustic":
         selected = [selected]
@@ -207,128 +171,75 @@ def _roots_rows(h: float, B: float, theta: float, n: int, policy: str):
             for r in selected]
 
 
-def _cmd_roots(args, config) -> int:
-    spec = _make_spec(
-        "roots",
-        {"h": _merged(args, config, "h", None, float),
-         "B": _merged(args, config, "B", 0.0, float),
-         "theta": _merged(args, config, "theta", None, parse_angle),
-         "n": _merged(args, config, "n", 2, int),
-         "branch": _merged(args, config, "branch", "acoustic", str)},
-        _merged(args, config, "out", None, str),
-        _merged(args, config, "format", "csv", str))
-    if spec["h"] is None:
-        raise DomainError("--h is required")
-    if spec["theta"] is None:
-        raise DomainError("--theta is required")
-    if spec["branch"] not in ("acoustic", "all"):
+def _check_point(args) -> None:
+    """--h and --theta given (by flag or config file), --h > 0 and --B > -1."""
+    for key in ("h", "theta"):
+        if getattr(args, key) is None:
+            raise DomainError(f"--{key} is required")
+    if args.h <= 0:
+        raise DomainError("--h must be positive")
+    if args.B <= -1:
+        raise DomainError("--B must exceed -1")
+
+
+def _cmd_roots(args) -> int:
+    _check_point(args)
+    if args.branch not in ("acoustic", "all"):
         raise DomainError("--branch must be acoustic or all")
-    rows = _roots_rows(spec["h"], spec["B"], spec["theta"], spec["n"],
-                       spec["branch"])
-    emit(rows, spec.format, spec.out)
+    emit(_roots_rows(args.h, args.B, args.theta, args.n, args.branch),
+         args.format, args.out)
     return 0
 
 
-def _cmd_sweep(args, config) -> int:
-    # the default grid is log-spaced; an explicit --h-range is linear
-    # unless --log is passed
-    default_log = _merged(args, config, "h-range", None, str) is None
-    spec = _make_spec(
-        "sweep",
-        {"h-range": _merged(args, config, "h-range", "1e-2:1e2:40", str),
-         "log": _merged(args, config, "log", default_log, bool),
-         "theta": _merged(args, config, "theta", [0.0], _parse_angle_list),
-         "B": _merged(args, config, "B", [0.0], _parse_float_list),
-         "n": _merged(args, config, "n", 2, int),
-         "branch": _merged(args, config, "branch", "acoustic", str)},
-        _merged(args, config, "out", None, str),
-        _merged(args, config, "format", "csv", str))
-    h_grid = _parse_range(spec["h-range"], spec["log"])
-    if np.any(h_grid <= 0):
+def _cmd_sweep(args) -> int:
+    # the default grid is log-spaced; an explicit --h-range is linear unless --log
+    lo, hi, steps = args.h_range or DEFAULT_H_GRID
+    log = args.h_range is None if args.log is None else args.log
+    if lo <= 0 or hi <= 0:  # both grids hold their end points
         raise DomainError("--h-range must be positive")
-    if any(b <= -1 for b in spec["B"]):
+    h_grid = (np.geomspace if log else np.linspace)(lo, hi, steps)
+    if any(b <= -1 for b in args.B):
         raise DomainError("--B values must exceed -1")
-    table = analysis.sweep(spec["theta"], spec["B"], h_grid, spec["n"],
-                           branch_policy=spec["branch"])
-    emit(table, spec.format, spec.out)
+    table = analysis.sweep(args.theta, args.B, h_grid, args.n,
+                           branch_policy=args.branch)
+    emit(table, args.format, args.out)
     return 0
 
 
-def _cmd_hmax(args, config) -> int:
-    spec = _make_spec(
-        "hmax",
-        {"theta": _merged(args, config, "theta", None, parse_angle),
-         "B": _merged(args, config, "B", 0.0, float),
-         "n": _merged(args, config, "n", 2, int),
-         "branch": _merged(args, config, "branch", "acoustic", str),
-         "h-range": _merged(args, config, "h-range", "1e-2:1e2", str)},
-        None, "text")
-    if spec["theta"] is None:
+def _cmd_hmax(args) -> int:
+    if args.theta is None:
         raise DomainError("--theta is required")
-    parts = spec["h-range"].split(":")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except (IndexError, ValueError):
-        raise DomainError(f"invalid --h-range: {spec['h-range']!r}") from None
-    peak = analysis.find_hmax(spec["theta"], spec["B"], n=spec["n"],
-                              branch=spec["branch"], h_range=(lo, hi))
+    peak = analysis.find_hmax(args.theta, args.B, n=args.n, branch=args.branch,
+                              h_range=args.h_range)
     sys.stdout.write(f"h_max = {_fmt(peak.h_max)}\n"
                      f"lambda_i_max = {_fmt(peak.lambda_i_max)}\n"
                      f"bracket = {_fmt(peak.bracket[0])} {_fmt(peak.bracket[1])}\n")
     return 0
 
 
-def _cmd_theta_scan(args, config) -> int:
-    spec = _make_spec(
-        "theta-scan",
-        {"B": _merged(args, config, "B", 0.0, float),
-         "n": _merged(args, config, "n", 2, int),
-         "h-cap": _merged(args, config, "h-cap", 10.0, float),
-         "steps": _merged(args, config, "steps", 33, int)},
-        _merged(args, config, "out", None, str),
-        _merged(args, config, "format", "csv", str))
-    if spec["steps"] < 3:
+def _cmd_theta_scan(args) -> int:
+    if args.steps < 3:
         raise DomainError("--steps must be >= 3")
-    grid = np.linspace(0.0, math.pi / 2.0, spec["steps"])
+    grid = np.linspace(0.0, math.pi / 2.0, args.steps)
     grid[np.argmin(np.abs(grid - math.pi / 4.0))] = math.pi / 4.0  # exact
-    rows = analysis.theta_scan(spec["B"], spec["n"], spec["h-cap"], grid)
-    emit(rows, spec.format, spec.out, header=THETA_SCAN_HEADER)
+    rows = analysis.theta_scan(args.B, args.n, args.h_cap, grid)
+    emit(rows, args.format, args.out, header=THETA_SCAN_HEADER)
     return 0
 
 
-def _cmd_simulate(args, config) -> int:
-    spec = _make_spec(
-        "simulate",
-        {"h": _merged(args, config, "h", None, float),
-         "B": _merged(args, config, "B", 0.0, float),
-         "theta": _merged(args, config, "theta", None, parse_angle),
-         "n": _merged(args, config, "n", 2, int),
-         "ppw": _merged(args, config, "ppw", 40, int),
-         "periods": _merged(args, config, "periods", 5, int),
-         "wavelengths": _merged(args, config, "wavelengths", 12, int),
-         "nonlinear": _merged(args, config, "nonlinear", False, bool),
-         "eps": _merged(args, config, "eps", 1e-3, float),
-         "stride": _merged(args, config, "stride", 1, int)},
-        _merged(args, config, "out", None, str), "text")
-    if spec["h"] is None:
-        raise DomainError("--h is required")
-    if spec["theta"] is None:
-        raise DomainError("--theta is required")
-    if spec["h"] <= 0:
-        raise DomainError("--h must be positive")
-    if spec["B"] <= -1:
-        raise DomainError("--B must exceed -1")
-    if spec["eps"] <= 0:
+def _cmd_simulate(args) -> int:
+    _check_point(args)
+    if args.eps <= 0:
         raise DomainError("--eps must be positive")
-    cfg = ModelConfig.from_reduced(n=spec["n"], theta=spec["theta"],
-                                   h=spec["h"], B=spec["B"])
+    if args.stride < 1:
+        raise DomainError("--stride must be >= 1")
+    cfg = ModelConfig.from_reduced(n=args.n, theta=args.theta, h=args.h, B=args.B)
     series = simulate.run_forced(
-        cfg, wavelengths=spec["wavelengths"], points_per_wavelength=spec["ppw"],
-        periods=spec["periods"],
-        mode="nonlinear" if spec["nonlinear"] else "linear", eps=spec["eps"])
+        cfg, wavelengths=args.wavelengths, points_per_wavelength=args.ppw,
+        periods=args.periods, mode="nonlinear" if args.nonlinear else "linear",
+        eps=args.eps)
     fit = simulate.fit_wave(series)
-    root = dispersion.acoustic_root(spec["h"] * (1.0 + spec["B"]),
-                                    cfg.theta, spec["n"])
+    root = dispersion.acoustic_root(args.h * (1.0 + args.B), cfg.theta, args.n)
     lam = fit.lambda_meas
     sys.stdout.write(
         f"k_r = {_fmt(fit.k_r)}\n"
@@ -336,8 +247,8 @@ def _cmd_simulate(args, config) -> int:
         f"lambda_meas = {_fmt(lam.real)} {_fmt(lam.imag)}\n"
         f"lambda_root = {_fmt(root.lam.real)} {_fmt(root.lam.imag)}\n"
         f"rms_residual = {_fmt(fit.rms_residual)}\n")
-    if spec.out is not None:
-        simulate.dump_snapshot(series[-1], spec.out, stride=spec["stride"])
+    if args.out is not None:
+        simulate.dump_snapshot(series[-1], args.out, stride=args.stride)
     return 0
 
 
@@ -417,10 +328,9 @@ def _verify_checks(seed: int = VERIFY_SEED):
     ]
 
 
-def _cmd_verify(args, config) -> int:
-    spec = _make_spec("verify", {"seed": VERIFY_SEED}, None, "text")
+def _cmd_verify(args) -> int:
     failures = 0
-    for name, check in _verify_checks(spec["seed"]):
+    for name, check in _verify_checks(VERIFY_SEED):
         ok = check()
         sys.stdout.write(f"{name}: {'PASS' if ok else 'FAIL'}\n")
         failures += 0 if ok else 1
@@ -428,130 +338,92 @@ def _cmd_verify(args, config) -> int:
     return 0 if failures == 0 else 2
 
 
-def _build_parser() -> _Parser:
+# flags that several subcommands share, with their argparse settings
+_SHARED_FLAGS = {
+    "h": dict(type=float),
+    "B": dict(type=float, default=0.0),
+    "theta": dict(type=parse_angle),
+    "n": dict(type=int, default=2),
+    "branch": dict(default="acoustic", choices=("acoustic", "all")),
+    "out": dict(help="output file (default stdout)"),
+    "format": dict(default="csv", choices=("csv", "json")),
+}
+
+
+@functools.cache
+def _parsers():
+    """(parser, {subcommand: subparser}), built on first use and then shared."""
     parser = _Parser(prog="bosewave", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand")
+    subparsers = {}
 
-    def add_common(p):
-        p.add_argument("--config", default=None, help="flat key = value file")
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--format", default=None, choices=("csv", "json"))
+    def add(name, help, command, shared):
+        p = subparsers[name] = sub.add_parser(name, help=help)
+        p.set_defaults(command=command)
+        p.add_argument("--config", help="flat key = value file")
+        for flag in shared.split():
+            p.add_argument("--" + flag, **_SHARED_FLAGS[flag])
+        return p
 
-    p = sub.add_parser("roots", help="dispersion roots at one parameter point")
-    p.add_argument("--h", default=None)
-    p.add_argument("--B", default=None)
-    p.add_argument("--theta", default=None)
-    p.add_argument("--n", default=None)
-    p.add_argument("--branch", default=None, choices=("acoustic", "all"))
-    add_common(p)
-
-    p = sub.add_parser("sweep", help="dispersion/attenuation table over h")
-    p.add_argument("--h-range", dest="h_range", default=None, metavar="LO:HI:STEPS")
+    add("roots", "dispersion roots at one parameter point", _cmd_roots,
+        "h B theta n branch out format")
+    p = add("sweep", "dispersion/attenuation table over h", _cmd_sweep,
+            "n branch out format")
+    p.add_argument("--h-range", type=_parse_range, metavar="LO:HI:STEPS")
     p.add_argument("--log", action="store_true", default=None)
-    p.add_argument("--theta", default=None, help="comma-separated angles")
-    p.add_argument("--B", default=None, help="comma-separated values")
-    p.add_argument("--n", default=None)
-    p.add_argument("--branch", default=None, choices=("acoustic", "all"))
-    add_common(p)
-
-    p = sub.add_parser("hmax", help="maximum-absorption state")
-    p.add_argument("--theta", default=None)
-    p.add_argument("--B", default=None)
-    p.add_argument("--n", default=None)
-    p.add_argument("--branch", default=None, choices=("acoustic", "secondary"))
-    p.add_argument("--h-range", dest="h_range", default=None, metavar="LO:HI")
-    p.add_argument("--config", default=None)
-
-    p = sub.add_parser("theta-scan", help="max attenuation vs orientation")
-    p.add_argument("--B", default=None)
-    p.add_argument("--n", default=None)
-    p.add_argument("--h-cap", dest="h_cap", default=None)
-    p.add_argument("--steps", default=None)
-    add_common(p)
-
-    p = sub.add_parser("simulate", help="forced kinetic run + wave fit")
-    p.add_argument("--h", default=None)
-    p.add_argument("--B", default=None)
-    p.add_argument("--theta", default=None)
-    p.add_argument("--n", default=None)
-    p.add_argument("--ppw", default=None)
-    p.add_argument("--periods", default=None)
-    p.add_argument("--wavelengths", default=None)
-    p.add_argument("--nonlinear", action="store_true", default=None)
-    p.add_argument("--eps", default=None)
-    p.add_argument("--stride", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("verify", help="oracle cross-check suite")
-    p.add_argument("--config", default=None)
-
-    return parser
+    p.add_argument("--theta", type=_parse_angle_list, default=[0.0],
+                   help="comma-separated angles")
+    p.add_argument("--B", type=_parse_float_list, default=[0.0],
+                   help="comma-separated values")
+    p = add("hmax", "maximum-absorption state", _cmd_hmax, "theta B n")
+    p.add_argument("--branch", default="acoustic", choices=("acoustic", "secondary"))
+    p.add_argument("--h-range", type=_parse_bounds, metavar="LO:HI",
+                   default=analysis.DEFAULT_H_RANGE)
+    p = add("theta-scan", "max attenuation vs orientation", _cmd_theta_scan,
+            "B n out format")
+    p.add_argument("--h-cap", type=float, default=10.0)
+    p.add_argument("--steps", type=int, default=33)
+    p = add("simulate", "forced kinetic run + wave fit", _cmd_simulate,
+            "h B theta n out")
+    for flag, default in (("ppw", 40), ("periods", 5), ("wavelengths", 12), ("stride", 1)):
+        p.add_argument("--" + flag, type=int, default=default)
+    p.add_argument("--nonlinear", action="store_true")
+    p.add_argument("--eps", type=float, default=1e-3)
+    add("verify", "oracle cross-check suite", _cmd_verify, "")
+    return parser, subparsers
 
 
-_COMMANDS = {
-    "roots": _cmd_roots,
-    "sweep": _cmd_sweep,
-    "hmax": _cmd_hmax,
-    "theta-scan": _cmd_theta_scan,
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
-}
+def _parse_with_config(argv, args):
+    """Parse again with the --config file's values as the subcommand's defaults.
 
-_CASTS = {
-    "h": float, "B": None, "theta": None, "n": int, "ppw": int,
-    "periods": int, "wavelengths": int, "eps": float, "stride": int,
-    "steps": int, "h-cap": float, "h-range": str,
-}
-
-
-def _coerce_args(args) -> None:
-    """Cast string-valued flags in place, naming the flag on failure."""
-    for key, cast in _CASTS.items():
-        attr = key.replace("-", "_")
-        value = getattr(args, attr, None)
-        if value is None or cast is None or not isinstance(value, str):
-            continue
-        try:
-            setattr(args, attr, cast(value))
-        except ValueError:
-            raise DomainError(f"invalid value for --{key}: {value!r}") from None
-    if getattr(args, "subcommand", None) in ("roots", "hmax", "simulate"):
-        if isinstance(getattr(args, "theta", None), str):
-            args.theta = parse_angle(args.theta)
-        if isinstance(getattr(args, "B", None), str):
-            try:
-                args.B = float(args.B)
-            except ValueError:
-                raise DomainError(f"invalid value for --B: {args.B!r}") from None
-    if getattr(args, "subcommand", None) == "sweep":
-        if isinstance(getattr(args, "theta", None), str):
-            args.theta = _parse_angle_list(args.theta)
-        if isinstance(getattr(args, "B", None), str):
-            args.B = _parse_float_list(args.B)
-    if getattr(args, "subcommand", None) == "theta-scan":
-        if isinstance(getattr(args, "B", None), str):
-            try:
-                args.B = float(args.B)
-            except ValueError:
-                raise DomainError(f"invalid value for --B: {args.B!r}") from None
+    argparse casts a string default with the flag's type, so a config value
+    is checked like the flag and an explicit flag still wins.  The values go
+    into a parser built for this call, so they never reach the next call.
+    """
+    values = {}
+    for key, value in _read_config_file(args.config).items():
+        dest = key.replace("-", "_")
+        if "_" in key or dest not in vars(args) or dest in ("subcommand", "command"):
+            continue  # not a long option of this subcommand
+        values[dest] = value.lower() in TRUE_WORDS if dest in SWITCHES else value
+    parser, subparsers = _parsers.__wrapped__()  # not the shared one
+    subparsers[args.subcommand].set_defaults(**values)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     """Run the CLI; returns the exit code (0 ok, 1 arguments, 2 numerical)."""
-    parser = _build_parser()
+    parser, _ = _parsers()
     try:
         args = parser.parse_args(argv)
         if args.subcommand is None:
             parser.print_help(sys.stderr)
             return 1
-        config = {}
-        if getattr(args, "config", None):
-            config = _read_config_file(args.config)
-        _coerce_args(args)
-        return _COMMANDS[args.subcommand](args, config)
-    except (_CLIError, DomainError) as exc:
+        if args.config:
+            args = _parse_with_config(argv, args)
+        return args.command(args)
+    except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except _NUMERICAL_ERRORS as exc:

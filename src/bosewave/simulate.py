@@ -263,6 +263,10 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
         raise DomainError("mode must be 'linear' or 'nonlinear'")
     if drive not in ("mode", "uniform"):
         raise DomainError("drive must be 'mode' or 'uniform'")
+    if points_per_wavelength < 1:
+        raise DomainError("points_per_wavelength must be >= 1")
+    if wavelengths < 1:
+        raise DomainError("wavelengths must be >= 1")
     if mode == "linear" and config.n > 2:
         warnings.warn("linear collision form for n > 2 is extrapolated beyond "
                       "the n = 2 derivation", RuntimeWarning, stacklevel=2)
@@ -326,8 +330,7 @@ def _default_fit_window(config: ModelConfig, L: float, dx: float):
     h_b = reduced_params(config).h_b
     margin = 0.0
     roots = dispersion.select_branch(
-        dispersion.solve_roots(dispersion.assemble_polynomial(
-            h_b, config.theta, config.n)),
+        dispersion._eig_roots([h_b], config.theta, config.n)[0],
         h_b, config.theta, config.n, policy="all")
     k_scale = SQRT2 * config.omega / config.c
     ki_ac = k_scale * roots[0].lam.imag

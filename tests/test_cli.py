@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -201,6 +202,32 @@ def test_simulate_run_and_snapshot(tmp_path, capsys):
     assert len(lines) == 2 + math.ceil((8 * 20 + 1) / 4)
 
 
+@pytest.mark.parametrize("flag, value, needle", [
+    ("--ppw", "0", "points_per_wavelength"),
+    ("--ppw", "-3", "points_per_wavelength"),
+    ("--wavelengths", "-1", "wavelengths"),
+])
+def test_simulate_empty_grid_exits_1(capsys, flag, value, needle):
+    code, out, err = run(capsys, "simulate", "--h", "1", "--theta", "0",
+                         flag, value)
+    assert code == 1
+    assert out == ""
+    assert needle in err
+
+
+def test_simulate_stride_checked_before_the_run(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulation ran")
+
+    monkeypatch.setattr(cli.simulate, "run_forced", no_run)
+    code, out, err = run(capsys, "simulate", "--h", "1", "--theta", "0",
+                         "--out", str(tmp_path / "snap.txt"), "--stride", "0")
+    assert code == 1
+    assert out == ""
+    assert "--stride" in err
+    assert not (tmp_path / "snap.txt").exists()
+
+
 def test_simulate_requires_h(capsys):
     code, _, err = run(capsys, "simulate", "--theta", "0")
     assert code == 1
@@ -230,6 +257,145 @@ def test_config_file_bad_line_exits_1(tmp_path, capsys):
                        "--theta", "0")
     assert code == 1
     assert "key = value" in err
+
+
+def write_cfg(tmp_path, text, name="run.cfg"):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def test_config_file_every_sweep_key_matches_flags(tmp_path, capsys):
+    from_cfg, from_flags = tmp_path / "cfg.json", tmp_path / "flags.json"
+    cfg = write_cfg(tmp_path, "h-range = 0.1:10:5\nlog = true\ntheta = 0,0.3\n"
+                    "B = 0,0.5\nn = 3\nbranch = all\nformat = json\n"
+                    f"out = {from_cfg}\n")
+    assert cli.main(["sweep", "--config", cfg]) == 0
+    assert cli.main(["sweep", "--h-range", "0.1:10:5", "--log",
+                     "--theta", "0,0.3", "--B", "0,0.5", "--n", "3",
+                     "--branch", "all", "--format", "json",
+                     "--out", str(from_flags)]) == 0
+    assert capsys.readouterr().out == ""
+    assert len(json.loads(from_cfg.read_text())) == 2 * 2 * 5 * 3
+    assert from_cfg.read_bytes() == from_flags.read_bytes()
+
+
+@pytest.mark.parametrize("value, log", [("1", True), ("true", True),
+                                        ("Yes", True), ("ON", True),
+                                        ("0", False), ("false", False),
+                                        ("no", False), ("off", False)])
+def test_config_file_log_values(tmp_path, capsys, value, log):
+    cfg = write_cfg(tmp_path, f"h-range = 1:100:3\nlog = {value}\n")
+    _, out_cfg, _ = run(capsys, "sweep", "--config", cfg)
+    _, out_flag, _ = run(capsys, "sweep", "--h-range", "1:100:3",
+                         *(["--log"] if log else []))
+    assert out_cfg == out_flag
+    h_column = [line.split(",")[0] for line in out_cfg.splitlines()[1:]]
+    assert h_column == (["100", "10", "1"] if log else ["100", "50.5", "1"])
+
+
+def test_config_file_hmax_h_range(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "theta = 0.3\nh-range = 1e-3:1e3\nn = 3\nB = 0.2\n")
+    code, out_cfg, _ = run(capsys, "hmax", "--config", cfg)
+    _, out_flag, _ = run(capsys, "hmax", "--theta", "0.3", "--h-range",
+                         "1e-3:1e3", "--n", "3", "--B", "0.2")
+    assert code == 0
+    assert out_cfg == out_flag
+    _, out_narrow, _ = run(capsys, "hmax", "--config", cfg, "--h-range", "1e-2:1e2")
+    assert out_narrow != out_cfg
+
+
+def test_config_file_theta_scan_h_cap_and_steps(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "h-cap = 5\nsteps = 5\nB = 0.5\n")
+    code, out_cfg, _ = run(capsys, "theta-scan", "--config", cfg)
+    _, out_flag, _ = run(capsys, "theta-scan", "--h-cap", "5", "--steps", "5",
+                         "--B", "0.5")
+    assert code == 0
+    assert len(out_cfg.splitlines()) == 1 + 2 * 5
+    assert out_cfg == out_flag
+
+
+def test_config_file_simulate_nonlinear_yes_matches_flag(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "nonlinear = yes\nh = 1\ntheta = 0\nppw = 20\n"
+                    "wavelengths = 8\nperiods = 3\neps = 1e-3\n")
+    code, out_cfg, _ = run(capsys, "simulate", "--config", cfg)
+    _, out_flag, _ = run(capsys, "simulate", "--nonlinear", "--h", "1",
+                         "--theta", "0", "--ppw", "20", "--wavelengths", "8",
+                         "--periods", "3", "--eps", "1e-3")
+    _, out_linear, _ = run(capsys, "simulate", "--h", "1", "--theta", "0",
+                           "--ppw", "20", "--wavelengths", "8", "--periods", "3")
+    assert code == 0
+    assert out_cfg == out_flag
+    assert out_cfg != out_linear
+
+
+def test_config_defaults_do_not_leak_into_the_next_call(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "h = 1\ntheta = 0\nB = 0.5\n")
+    _, out_cfg, _ = run(capsys, "roots", "--config", cfg)
+    code, out_plain, _ = run(capsys, "roots", "--h", "1", "--theta", "0")
+    assert float(out_cfg.splitlines()[1].split(",")[1]) == 0.5
+    assert code == 0
+    assert float(out_plain.splitlines()[1].split(",")[1]) == 0.0
+
+
+# (argv, config file text or None, exit code, text stderr must contain)
+ERRORS = [
+    (["roots", "--h", "x", "--theta", "0"], None, 1, "--h"),
+    (["roots", "--h", "-1", "--theta", "0"], None, 1, "--h"),
+    (["roots", "--theta", "0"], None, 1, "--h"),
+    (["roots", "--h", "1"], None, 1, "--theta"),
+    (["roots", "--h", "1", "--theta", "fast"], None, 1, "--theta"),
+    (["roots", "--h", "1", "--theta", "0", "--n", "x"], None, 1, "--n"),
+    (["roots", "--h", "1", "--theta", "0", "--B", "abc"], None, 1, "--B"),
+    (["roots", "--h", "1", "--theta", "0", "--B", "-1"], None, 1, "--B"),
+    (["roots", "--h", "1", "--theta", "0", "--branch", "foo"], None, 1, "--branch"),
+    (["roots", "--h", "1", "--theta", "0", "--format", "xml"], None, 1, "--format"),
+    (["sweep", "--h-range", "oops"], None, 1, "--h-range"),
+    (["sweep", "--h-range", "1:2:1"], None, 1, "--h-range"),
+    (["sweep", "--h-range=0:2:3"], None, 1, "--h-range"),
+    (["sweep", "--theta", "a,b"], None, 1, "--theta"),
+    (["sweep", "--B", "x"], None, 1, "--B"),
+    (["sweep", "--B", "-2"], None, 1, "--B"),
+    (["sweep", "--n", "2.5"], None, 1, "--n"),
+    (["hmax"], None, 1, "--theta"),
+    (["hmax", "--theta", "0", "--h-range", "a:b"], None, 1, "--h-range"),
+    (["hmax", "--theta", PI4], None, 2, "lambda_i"),
+    (["theta-scan", "--steps", "2"], None, 1, "--steps"),
+    (["theta-scan", "--steps", "3.5"], None, 1, "--steps"),
+    (["theta-scan", "--B", "x"], None, 1, "--B"),
+    (["simulate", "--theta", "0"], None, 1, "--h"),
+    (["simulate", "--h", "1", "--theta", "0", "--eps", "0"], None, 1, "--eps"),
+    (["simulate", "--h", "1", "--theta", "0", "--ppw", "x"], None, 1, "--ppw"),
+    (["simulate", "--h", "1", "--theta", "0", "--stride", "0"], None, 1, "--stride"),
+    (["roots", "--h", "1", "--theta", "0"], "just some words\n", 1, "key = value"),
+    (["roots", "--h", "1", "--theta", "0"], "n = 2.5\n", 1, "--n"),
+    (["roots", "--h", "1", "--theta", "0"], "B = x\n", 1, "--B"),
+    (["roots", "--h", "1"], "theta = fast\n", 1, "--theta"),
+    (["sweep"], "h-range = oops\n", 1, "--h-range"),
+    (["theta-scan"], "steps = many\n", 1, "--steps"),
+    (["hmax", "--theta", "0"], "h-range = 1\n", 1, "--h-range"),
+]
+
+
+@pytest.mark.parametrize("argv, config, code, needle", ERRORS,
+                         ids=[" ".join(e[0]) + (f" [{e[1].strip()}]" if e[1] else "")
+                              for e in ERRORS])
+def test_error_exit_code_names_the_flag(tmp_path, capsys, argv, config, code, needle):
+    if config is not None:
+        argv = argv + ["--config", write_cfg(tmp_path, config)]
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert needle in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("h, code", [("1", 0), ("x", 1)])
+def test_entry_exits_with_the_code_of_main(monkeypatch, capsys, h, code):
+    monkeypatch.setattr(sys, "argv", ["bosewave", "roots", "--h", h, "--theta", "0"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == code
 
 
 # ------------------------------------------------------------------- verify

@@ -342,6 +342,15 @@ def test_forced_n3_linear_warns_extrapolated():
         sim.run_forced(cfg, wavelengths=6, periods=2, transient_periods=2)
 
 
+@pytest.mark.parametrize("kw", [{"points_per_wavelength": 0},
+                                {"points_per_wavelength": -3},
+                                {"wavelengths": 0},
+                                {"wavelengths": -1}])
+def test_forced_rejects_empty_grid_before_running(kw):
+    with pytest.raises(DomainError, match=next(iter(kw))):
+        sim.run_forced(make_config(), **kw)
+
+
 # ----------------------------------------------- second-order-form residual
 
 def test_pair_average_dynamics_match_second_order_form():
