@@ -83,55 +83,42 @@ class _BranchLine:
 
     Seeds u = 1 at large h_b once, with one batched solve over the seed
     grid.  A coarse h grid is then one more batched solve (``scan``), and a
-    single point (golden-section refinement) one single-point solve.  Every
-    point continues from the nearest previously visited h_b anchor
-    (golden-section refinement stays local, so this is safe).
+    single point (golden-section refinement) one single-point solve.  Each
+    call continues from the visited h_b nearest its first point, seed and
+    golden-section points included (refinement stays local, so this is
+    safe), then row to row along its grid.
     """
 
     def __init__(self, theta: float, B: float, n: int, h_top: float):
         self.theta = theta
         self.B = B
         self.n = n
-        # log(h_b) of the anchors in visit order, in a buffer that doubles
-        # when full, so a visit does not rebuild an array of all anchors
-        self._anchors_h = np.empty(SCAN_POINTS + 1)
-        self._anchors_u = []
         h_b_top = h_top * (1.0 + B)
-        u = dispersion._track_to(h_b_top, theta, n)
-        self._remember(h_b_top, u)
+        # log(h_b) and acoustic u of every visited point, in visit order
+        self._log_h_b = np.array([math.log(h_b_top)])
+        self._u = [dispersion._track_to(h_b_top, theta, n)]
 
-    def _remember(self, h_b: float, u: complex) -> None:
-        count = len(self._anchors_u)
-        if count == self._anchors_h.size:
-            self._anchors_h = np.resize(self._anchors_h, 2 * count)
-        self._anchors_h[count] = math.log(h_b)
-        self._anchors_u.append(u)
-
-    def _visit(self, h_b: float, roots):
-        """(acoustic u, ordered secondaries) among the roots at h_b."""
-        visited = self._anchors_h[:len(self._anchors_u)]
-        k = int(np.argmin(np.abs(visited - math.log(h_b))))
-        u, rest = dispersion._split_branches(roots, self._anchors_u[k])
-        self._remember(h_b, u)
-        return u, rest
+    def _walk(self, h_b) -> list:
+        """(acoustic u, ordered secondaries) at every h_b, from one batched solve."""
+        rows = dispersion._eig_roots(h_b, self.theta, self.n)
+        k = int(np.argmin(np.abs(self._log_h_b - math.log(h_b[0]))))
+        out = [dispersion._split_branches(roots, j)
+               for roots, j in zip(rows, dispersion._follow(rows, self._u[k]))]
+        self._log_h_b = np.append(self._log_h_b, [math.log(hb) for hb in h_b])
+        self._u.extend(u for u, _ in out)
+        return out
 
     def scan(self, h_grid):
         """(acoustic, secondary) lambda_i arrays along h_grid, in visit order.
 
         One batched solve for the whole grid; both branches share it.
         """
-        h_b = np.asarray(h_grid, dtype=float) * (1.0 + self.B)
-        ac, sec = [], []
-        for hb, roots in zip(h_b, dispersion._eig_roots(h_b, self.theta, self.n)):
-            u, rest = self._visit(hb, roots)
-            ac.append(_branch_lambda_i(u, rest, "acoustic"))
-            sec.append(_branch_lambda_i(u, rest, "secondary"))
-        return np.array(ac), np.array(sec)
+        out = self._walk(np.asarray(h_grid, dtype=float) * (1.0 + self.B))
+        return (np.array([_branch_lambda_i(u, rest, "acoustic") for u, rest in out]),
+                np.array([_branch_lambda_i(u, rest, "secondary") for u, rest in out]))
 
     def lambda_i(self, h: float, branch: str) -> float:
-        h_b = h * (1.0 + self.B)
-        roots = dispersion._eig_roots([h_b], self.theta, self.n)[0]
-        return _branch_lambda_i(*self._visit(h_b, roots), branch)
+        return _branch_lambda_i(*self._walk([h * (1.0 + self.B)])[0], branch)
 
 
 def _branch_lambda_i(u_ac: complex, rest: list, branch: str) -> float:
@@ -141,6 +128,13 @@ def _branch_lambda_i(u_ac: complex, rest: list, branch: str) -> float:
     if not rest:
         return math.inf  # branch escaped to infinity at a degenerate angle
     return dispersion.principal_lambda(rest[0]).imag
+
+
+def _sweep_row(h: float, B: float, theta: float, n: int,
+               root: dispersion.DispersionRoot) -> SweepRow:
+    return SweepRow(h=h, B=B, theta=theta, n=n, branch=root.branch,
+                    lambda_r=root.lam.real, lambda_i=root.lam.imag,
+                    residual=root.residual)
 
 
 _NUMERICAL_ERRORS = (ConvergenceError, SingularDenominatorError, DomainError)
@@ -188,27 +182,20 @@ def sweep(theta_list, B_list, h_grid, n: int,
     for theta in theta_list:
         for B in B_list:
             h_b_line = h_grid * (1.0 + B)
-            u_prev = dispersion._track_to(h_b_line[0], theta, n)
-            for h, h_b, roots in zip(h_grid, h_b_line,
-                                     _line_roots(h_b_line, theta, n)):
-                if roots is None:
+            u_top = dispersion._track_to(h_b_line[0], theta, n)
+            line = _line_roots(h_b_line, theta, n)
+            for h, h_b, roots, k in zip(h_grid, h_b_line, line,
+                                        dispersion._follow(line, u_top)):
+                if k is None:
                     rows.append(SweepRow(h=h, B=B, theta=theta, n=n,
                                          branch="error", lambda_r=math.nan,
                                          lambda_i=math.nan, residual=math.nan))
                     continue
-                u_prev, rest = dispersion._split_branches(roots, u_prev)
-                lam = dispersion.principal_lambda(u_prev)
-                rows.append(SweepRow(
-                    h=h, B=B, theta=theta, n=n, branch="acoustic",
-                    lambda_r=lam.real, lambda_i=lam.imag,
-                    residual=dispersion.root_residual(lam, h_b, theta, n)))
-                if branch_policy == "all":
-                    for j, u in enumerate(rest, start=1):
-                        lam_s = dispersion.principal_lambda(u)
-                        rows.append(SweepRow(
-                            h=h, B=B, theta=theta, n=n, branch=f"secondary({j})",
-                            lambda_r=lam_s.real, lambda_i=lam_s.imag,
-                            residual=dispersion.root_residual(lam_s, h_b, theta, n)))
+                u, rest = dispersion._split_branches(roots, k)
+                if branch_policy == "acoustic":
+                    rest = []
+                rows.extend(_sweep_row(h, B, theta, n, root) for root in
+                            dispersion._label_branches(u, rest, h_b, theta, n))
     return SweepTable(rows=tuple(rows))
 
 

@@ -165,10 +165,7 @@ def _roots_rows(h: float, B: float, theta: float, n: int, policy: str):
     selected = dispersion.select_branch(roots, h_b, theta, n, policy=policy)
     if policy == "acoustic":
         selected = [selected]
-    return [analysis.SweepRow(h=h, B=B, theta=theta, n=n, branch=r.branch,
-                              lambda_r=r.lam.real, lambda_i=r.lam.imag,
-                              residual=r.residual)
-            for r in selected]
+    return [analysis._sweep_row(h, B, theta, n, r) for r in selected]
 
 
 def _check_point(args) -> None:

@@ -335,13 +335,21 @@ def _make_root(u: complex, h_b: float, theta: float, n: int, branch: str) -> Dis
                           residual=root_residual(lam, h_b, theta, n))
 
 
-def _follow(h_b_grid, theta: float, n: int) -> list:
-    """Nearest-root continuation of u = 1 along a grid, from one batched solve."""
-    u = 1.0 + 0j
+def _follow(rows, u: complex) -> list:
+    """Nearest-root continuation from u through rows of already solved roots.
+
+    The one continuation loop: returns the index of the continued root in
+    each row.  A row that is None (a failed solve) gets None, and the path
+    goes on from the last root found.
+    """
     path = []
-    for roots in _eig_roots(h_b_grid, theta, n):
-        u = complex(roots[np.argmin(np.abs(roots - u))])
-        path.append(u)
+    for roots in rows:
+        if roots is None:
+            path.append(None)
+            continue
+        k = int(np.argmin(np.abs(roots - u)))
+        u = roots[k]
+        path.append(k)
     return path
 
 
@@ -350,31 +358,38 @@ def _track_to(h_b: float, theta: float, n: int) -> complex:
     start = CONTINUATION_START if h_b <= CONTINUATION_START else 10.0 * h_b
     decades = abs(np.log10(start / h_b))
     steps = max(2, int(np.ceil(decades * CONTINUATION_PER_DECADE)) + 1)
-    return _follow(np.geomspace(start, h_b, steps), theta, n)[-1]
+    rows = _eig_roots(np.geomspace(start, h_b, steps), theta, n)
+    return complex(rows[-1][_follow(rows, 1.0)[-1]])
 
 
-def _nearest_with_ambiguity_check(roots: np.ndarray, u_target: complex) -> complex:
+def _nearest_with_ambiguity_check(roots: np.ndarray, u_target: complex) -> int:
     order = np.argsort(np.abs(roots - u_target))
-    best = roots[order[0]]
     if len(order) > 1:
-        second = roots[order[1]]
+        best, second = roots[order[0]], roots[order[1]]
         if abs(best - second) < AMBIGUITY_TOL * max(1.0, abs(best)):
             raise BranchAmbiguityError(
                 f"two roots within {AMBIGUITY_TOL} of each other near "
                 f"u = {u_target:.6g}: degenerate crossing")
-    return complex(best)
+    return int(order[0])
 
 
-def _split_branches(roots, u_near: complex):
-    """(root nearest u_near, the other roots by descending lambda_i).
+def _split_branches(roots, k: int):
+    """(root k, the other roots by descending lambda_i).
 
-    The one place the secondary branches get their order: secondary(j) is
-    the j-th entry of the list.
+    The one place the secondary branches get their order; ``_label_branches``
+    names them in that order.
     """
-    idx = int(np.argmin(np.abs(roots - u_near)))
-    rest = [complex(u) for k, u in enumerate(roots) if k != idx]
+    rest = [complex(u) for j, u in enumerate(roots) if j != k]
     rest.sort(key=lambda u: -principal_lambda(u).imag)
-    return complex(roots[idx]), rest
+    return complex(roots[k]), rest
+
+
+def _label_branches(u_ac: complex, rest, h_b: float, theta: float, n: int) -> list:
+    """The acoustic root u_ac, then rest as secondary(1), secondary(2), ..."""
+    out = [_make_root(u_ac, h_b, theta, n, "acoustic")]
+    for j, u in enumerate(rest, start=1):
+        out.append(_make_root(u, h_b, theta, n, f"secondary({j})"))
+    return out
 
 
 def select_branch(roots, h_b: float, theta: float, n: int, policy: str = "acoustic"):
@@ -388,17 +403,12 @@ def select_branch(roots, h_b: float, theta: float, n: int, policy: str = "acoust
     roots = np.asarray(roots, dtype=complex)
     if roots.size == 0:
         raise DomainError("roots must be nonempty")
-    u_ac = _track_to(h_b, theta, n)
-    u_best = _nearest_with_ambiguity_check(roots, u_ac)
+    k = _nearest_with_ambiguity_check(roots, _track_to(h_b, theta, n))
     if policy == "acoustic":
-        return _make_root(u_best, h_b, theta, n, "acoustic")
+        return _make_root(roots[k], h_b, theta, n, "acoustic")
     if policy != "all":
         raise DomainError("policy must be 'acoustic' or 'all'")
-    u_best, rest = _split_branches(roots, u_best)
-    out = [_make_root(u_best, h_b, theta, n, "acoustic")]
-    for j, u in enumerate(rest, start=1):
-        out.append(_make_root(u, h_b, theta, n, f"secondary({j})"))
-    return out
+    return _label_branches(*_split_branches(roots, k), h_b, theta, n)
 
 
 def acoustic_root(h_b: float, theta: float, n: int) -> DispersionRoot:
@@ -420,9 +430,10 @@ def continuation_track(theta: float, n: int, B: float, h_grid) -> list:
     if h_grid[0] < 1e4:
         raise DomainError("h_grid must start at h >= 1e4 for reliable seeding")
     h_b = h_grid * (1.0 + B)
+    rows = _eig_roots(h_b, theta, n)
     out = []
-    for h, hb, u in zip(h_grid, h_b, _follow(h_b, theta, n)):
-        root = _make_root(u, hb, theta, n, "acoustic")
+    for h, hb, roots, k in zip(h_grid, h_b, rows, _follow(rows, 1.0)):
+        root = _make_root(roots[k], hb, theta, n, "acoustic")
         if root.lam.imag < -1e-12:
             warnings.warn(
                 f"acoustic lambda_i < 0 at h = {h:.6g} (branch-crossing "

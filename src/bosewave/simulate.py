@@ -267,6 +267,8 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
         raise DomainError("points_per_wavelength must be >= 1")
     if wavelengths < 1:
         raise DomainError("wavelengths must be >= 1")
+    if periods < 1:
+        raise DomainError("periods must be >= 1")
     if mode == "linear" and config.n > 2:
         warnings.warn("linear collision form for n > 2 is extrapolated beyond "
                       "the n = 2 derivation", RuntimeWarning, stacklevel=2)

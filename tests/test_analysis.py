@@ -178,6 +178,25 @@ def test_sweep_secondaries_match_select_branch():
     assert line.lambda_i(h, "secondary") == roots[1].lambda_i
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_sweep_acoustic_rows_agree_bitwise_with_point_and_track(n):
+    # n >= 4 is left out: there the three paths can land on different
+    # branches (the measured branch swaps of the fixed-step continuation)
+    h_grid = np.geomspace(1e-2, 1e2, 25)
+    thetas, Bs = [0.0, 0.3, math.pi / 8, 0.7], [0.0, 0.5, -0.3]
+    rows = list(analysis.sweep(thetas, Bs, h_grid, n))
+    h_desc = h_grid[::-1]
+    h_track = np.concatenate([np.geomspace(1e6, 2e2, 30), h_desc])
+    for i, (theta, B) in enumerate((t, b) for t in thetas for b in Bs):
+        line = rows[i * len(h_desc):(i + 1) * len(h_desc)]
+        track = dsp.continuation_track(theta, n, B, h_track)[-len(h_desc):]
+        for row, h, tracked in zip(line, h_desc, track):
+            assert (row.theta, row.B, row.h) == (theta, B, h)
+            lam = complex(row.lambda_r, row.lambda_i)
+            assert lam == dsp.acoustic_root(h * (1.0 + B), theta, n).lam
+            assert lam == tracked.lam
+
+
 def test_sweep_hb_collapse_between_b_values():
     h_grid = np.geomspace(1e-1, 1e1, 11)
     t1 = analysis.sweep([0.3], [0.3], h_grid, 2)

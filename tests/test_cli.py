@@ -206,6 +206,7 @@ def test_simulate_run_and_snapshot(tmp_path, capsys):
     ("--ppw", "0", "points_per_wavelength"),
     ("--ppw", "-3", "points_per_wavelength"),
     ("--wavelengths", "-1", "wavelengths"),
+    ("--periods", "0", "periods"),
 ])
 def test_simulate_empty_grid_exits_1(capsys, flag, value, needle):
     code, out, err = run(capsys, "simulate", "--h", "1", "--theta", "0",

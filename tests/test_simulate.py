@@ -345,7 +345,9 @@ def test_forced_n3_linear_warns_extrapolated():
 @pytest.mark.parametrize("kw", [{"points_per_wavelength": 0},
                                 {"points_per_wavelength": -3},
                                 {"wavelengths": 0},
-                                {"wavelengths": -1}])
+                                {"wavelengths": -1},
+                                {"periods": 0},
+                                {"periods": -2}])
 def test_forced_rejects_empty_grid_before_running(kw):
     with pytest.raises(DomainError, match=next(iter(kw))):
         sim.run_forced(make_config(), **kw)
