@@ -173,8 +173,10 @@ def sweep(theta_list, B_list, h_grid, n: int,
     h_grid = np.asarray(sorted(set(float(h) for h in h_grid), reverse=True))
     if len(theta_list) == 0 or len(B_list) == 0 or h_grid.size == 0:
         raise DomainError("theta_list, B_list and h_grid must be nonempty")
-    if np.any(h_grid <= 0):
-        raise DomainError("h_grid must be positive")
+    if not np.all((h_grid > 0) & (h_grid < math.inf)):
+        raise DomainError("h_grid must be positive and finite")
+    if not all(-1 < B < math.inf for B in B_list):
+        raise DomainError("B_list values must satisfy -1 < B < inf")
     if branch_policy not in ("acoustic", "all"):
         raise DomainError("branch_policy must be 'acoustic' or 'all'")
 
@@ -230,8 +232,10 @@ def find_hmax(theta: float, B: float, n: int = 2, branch: str = "acoustic",
     or the branch is unattenuated (e.g. the acoustic branch at theta=pi/4).
     """
     lo, hi = h_range
-    if not (0 < lo < hi):
-        raise DomainError("h_range must satisfy 0 < lo < hi")
+    if not 0 < lo < hi < math.inf:
+        raise DomainError("h_range must satisfy 0 < lo < hi < inf")
+    if not -1 < B < math.inf:
+        raise DomainError("B must satisfy -1 < B < inf")
     if branch not in ("acoustic", "secondary"):
         raise DomainError("branch must be 'acoustic' or 'secondary'")
     line = _BranchLine(theta, B, n, hi)
@@ -289,8 +293,10 @@ def theta_scan(B: float, n: int, h_cap: float, theta_grid) -> list:
     is Im sqrt(1 + i*h_cap*(1+B)), the resonance jump.  Angles where the
     secondary root escapes to infinity report inf.
     """
-    if not h_cap > 0:
-        raise DomainError("h_cap must be positive")
+    if not 0 < h_cap < math.inf:
+        raise DomainError("h_cap must be positive and finite")
+    if not -1 < B < math.inf:
+        raise DomainError("B must satisfy -1 < B < inf")
     theta_grid = list(theta_grid)
     if not theta_grid:
         raise DomainError("theta_grid must be nonempty")

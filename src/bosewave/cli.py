@@ -13,7 +13,9 @@ Exit codes: 0 success, 1 argument/validation error, 2 numerical failure.
 Angles are radians by default; append "deg" for degrees (e.g. --theta 45deg).
 A flat `key = value` config file may supply any long option (without the
 leading dashes); its values are cast and checked like the flags, and
-explicit flags take precedence.
+explicit flags take precedence.  Every number must be finite and in its
+flag's domain (e.g. --h > 0, --B > -1).  A value that starts with '-' and
+is not a plain decimal is attached with '=': --B=-0.5,0.5, --theta=-45deg.
 """
 
 from __future__ import annotations
@@ -28,17 +30,7 @@ from argparse import ArgumentTypeError
 import numpy as np
 
 from . import analysis, dispersion, simulate
-from .errors import (
-    BranchAmbiguityError,
-    CFLError,
-    ConvergenceError,
-    DomainError,
-    FitError,
-    InstabilityError,
-    NoInteriorMaximumError,
-    PositivityError,
-    SingularDenominatorError,
-)
+from .errors import DomainError, NumericalError
 from .model import ModelConfig
 
 __all__ = ["main", "entry", "emit"]
@@ -49,10 +41,6 @@ VERIFY_SEED = 2718
 DEFAULT_H_GRID = (1e-2, 1e2, 40)         # sweep without --h-range: LO, HI, STEPS
 SWITCHES = ("log", "nonlinear")          # store_true flags; in a config file
 TRUE_WORDS = ("1", "true", "yes", "on")  # these values switch them on
-
-_NUMERICAL_ERRORS = (ConvergenceError, FitError, InstabilityError,
-                     PositivityError, NoInteriorMaximumError,
-                     BranchAmbiguityError, SingularDenominatorError, CFLError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,35 +56,53 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _finite(cast, above):
+    """argparse type: a finite `cast` (float or int) value greater than `above`."""
+    bound = f"a finite number > {above:g}" if cast is float else f"an integer >= {above + 1}"
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = math.nan
+        if not above < value < math.inf:
+            raise ArgumentTypeError(f"{text!r} is not {bound}")
+        return value
+    return parse
+
+
+_positive = _finite(float, 0.0)
+
+
 def parse_angle(text: str) -> float:
-    """Angle in radians; a trailing 'deg' marks degrees."""
+    """Finite angle in radians; a trailing 'deg' marks degrees."""
     text = text.strip()
+    degrees = text.lower().endswith("deg")
     try:
-        if text.lower().endswith("deg"):
-            return math.radians(float(text[:-3]))
-        return float(text)
+        value = float(text[:-3] if degrees else text)
     except ValueError:
-        raise ArgumentTypeError(f"invalid angle {text!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ArgumentTypeError(f"invalid angle {text!r}: expected a finite number")
+    return math.radians(value) if degrees else value
 
 
-def _parse_angle_list(text: str):
-    return [parse_angle(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _parse_float_list(text: str):
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ArgumentTypeError(f"invalid number list {text!r}") from None
+def _list_of(parse):
+    """argparse type: one or more comma-separated values, each read by `parse`."""
+    def parse_list(text: str) -> list:
+        values = [parse(tok) for tok in text.split(",") if tok.strip()]
+        if not values:
+            raise ArgumentTypeError(f"expected comma-separated values, got {text!r}")
+        return values
+    return parse_list
 
 
 def _parse_bounds(text: str) -> tuple:
-    """LO:HI as a (lo, hi) float pair; fields after HI are not read."""
+    """LO:HI as a (lo, hi) pair of finite positive floats; fields after HI are not read."""
     parts = text.split(":")
-    try:
-        return float(parts[0]), float(parts[1])
-    except (IndexError, ValueError):
-        raise ArgumentTypeError(f"invalid range {text!r}") from None
+    if len(parts) < 2:
+        raise ArgumentTypeError(f"invalid range {text!r}: expected LO:HI")
+    return _positive(parts[0]), _positive(parts[1])
 
 
 def _parse_range(text: str) -> tuple:
@@ -104,14 +110,8 @@ def _parse_range(text: str) -> tuple:
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise ArgumentTypeError(f"invalid range {text!r}: expected LO:HI[:STEPS]")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-        steps = int(parts[2]) if len(parts) == 3 else DEFAULT_H_GRID[2]
-    except ValueError:
-        raise ArgumentTypeError(f"invalid range {text!r}") from None
-    if steps < 2:
-        raise ArgumentTypeError("range needs at least 2 steps")
-    return lo, hi, steps
+    steps = _finite(int, 1)(parts[2]) if len(parts) == 3 else DEFAULT_H_GRID[2]
+    return (*_parse_bounds(text), steps)
 
 
 def _read_config_file(path: str) -> dict:
@@ -169,14 +169,10 @@ def _roots_rows(h: float, B: float, theta: float, n: int, policy: str):
 
 
 def _check_point(args) -> None:
-    """--h and --theta given (by flag or config file), --h > 0 and --B > -1."""
+    """--h and --theta given, by flag or config file (their types check the values)."""
     for key in ("h", "theta"):
         if getattr(args, key) is None:
             raise DomainError(f"--{key} is required")
-    if args.h <= 0:
-        raise DomainError("--h must be positive")
-    if args.B <= -1:
-        raise DomainError("--B must exceed -1")
 
 
 def _cmd_roots(args) -> int:
@@ -192,11 +188,7 @@ def _cmd_sweep(args) -> int:
     # the default grid is log-spaced; an explicit --h-range is linear unless --log
     lo, hi, steps = args.h_range or DEFAULT_H_GRID
     log = args.h_range is None if args.log is None else args.log
-    if lo <= 0 or hi <= 0:  # both grids hold their end points
-        raise DomainError("--h-range must be positive")
     h_grid = (np.geomspace if log else np.linspace)(lo, hi, steps)
-    if any(b <= -1 for b in args.B):
-        raise DomainError("--B values must exceed -1")
     table = analysis.sweep(args.theta, args.B, h_grid, args.n,
                            branch_policy=args.branch)
     emit(table, args.format, args.out)
@@ -215,8 +207,6 @@ def _cmd_hmax(args) -> int:
 
 
 def _cmd_theta_scan(args) -> int:
-    if args.steps < 3:
-        raise DomainError("--steps must be >= 3")
     grid = np.linspace(0.0, math.pi / 2.0, args.steps)
     grid[np.argmin(np.abs(grid - math.pi / 4.0))] = math.pi / 4.0  # exact
     rows = analysis.theta_scan(args.B, args.n, args.h_cap, grid)
@@ -226,10 +216,6 @@ def _cmd_theta_scan(args) -> int:
 
 def _cmd_simulate(args) -> int:
     _check_point(args)
-    if args.eps <= 0:
-        raise DomainError("--eps must be positive")
-    if args.stride < 1:
-        raise DomainError("--stride must be >= 1")
     cfg = ModelConfig.from_reduced(n=args.n, theta=args.theta, h=args.h, B=args.B)
     series = simulate.run_forced(
         cfg, wavelengths=args.wavelengths, points_per_wavelength=args.ppw,
@@ -264,8 +250,7 @@ def _verify_checks(seed: int = VERIFY_SEED):
         for _ in range(1000):
             h_b = 10.0 ** rng.uniform(-3, 3)
             theta = rng.uniform(0.0, math.pi / 2.0)
-            got = dispersion.solve_roots(
-                dispersion.assemble_polynomial(h_b, theta, 2))
+            got = dispersion._eig_roots([h_b], theta, 2)[0]
             want = dispersion.closed_form_n2(h_b, theta)
             if not _multiset_match(list(got), list(want)):
                 return False
@@ -291,11 +276,9 @@ def _verify_checks(seed: int = VERIFY_SEED):
         for n in (2, 3, 4):
             for theta in np.linspace(1e-3, math.pi / n - 1e-3, 10):
                 h_b = 10.0 ** rng.uniform(-2, 2)
-                base = list(dispersion.solve_roots(
-                    dispersion.assemble_polynomial(h_b, float(theta), n)))
+                base = list(dispersion._eig_roots([h_b], float(theta), n)[0])
                 for other in (theta + math.pi / n, math.pi / n - theta):
-                    roots = list(dispersion.solve_roots(
-                        dispersion.assemble_polynomial(h_b, float(other), n)))
+                    roots = list(dispersion._eig_roots([h_b], float(other), n)[0])
                     if not _multiset_match(base, roots):
                         return False
         return True
@@ -337,10 +320,10 @@ def _cmd_verify(args) -> int:
 
 # flags that several subcommands share, with their argparse settings
 _SHARED_FLAGS = {
-    "h": dict(type=float),
-    "B": dict(type=float, default=0.0),
+    "h": dict(type=_positive),
+    "B": dict(type=_finite(float, -1.0), default=0.0),
     "theta": dict(type=parse_angle),
-    "n": dict(type=int, default=2),
+    "n": dict(type=_finite(int, 1), default=2),
     "branch": dict(default="acoustic", choices=("acoustic", "all")),
     "out": dict(help="output file (default stdout)"),
     "format": dict(default="csv", choices=("csv", "json")),
@@ -369,9 +352,9 @@ def _parsers():
             "n branch out format")
     p.add_argument("--h-range", type=_parse_range, metavar="LO:HI:STEPS")
     p.add_argument("--log", action="store_true", default=None)
-    p.add_argument("--theta", type=_parse_angle_list, default=[0.0],
+    p.add_argument("--theta", type=_list_of(parse_angle), default=[0.0],
                    help="comma-separated angles")
-    p.add_argument("--B", type=_parse_float_list, default=[0.0],
+    p.add_argument("--B", type=_list_of(_finite(float, -1.0)), default=[0.0],
                    help="comma-separated values")
     p = add("hmax", "maximum-absorption state", _cmd_hmax, "theta B n")
     p.add_argument("--branch", default="acoustic", choices=("acoustic", "secondary"))
@@ -379,14 +362,15 @@ def _parsers():
                    default=analysis.DEFAULT_H_RANGE)
     p = add("theta-scan", "max attenuation vs orientation", _cmd_theta_scan,
             "B n out format")
-    p.add_argument("--h-cap", type=float, default=10.0)
-    p.add_argument("--steps", type=int, default=33)
+    p.add_argument("--h-cap", type=_positive, default=10.0)
+    p.add_argument("--steps", type=_finite(int, 2), default=33)
     p = add("simulate", "forced kinetic run + wave fit", _cmd_simulate,
             "h B theta n out")
-    for flag, default in (("ppw", 40), ("periods", 5), ("wavelengths", 12), ("stride", 1)):
-        p.add_argument("--" + flag, type=int, default=default)
+    for flag, default in (("ppw", 40), ("periods", 5), ("wavelengths", 12)):
+        p.add_argument("--" + flag, type=int, default=default)  # run_forced checks them
+    p.add_argument("--stride", type=_finite(int, 0), default=1)
     p.add_argument("--nonlinear", action="store_true")
-    p.add_argument("--eps", type=float, default=1e-3)
+    p.add_argument("--eps", type=_positive, default=1e-3)
     add("verify", "oracle cross-check suite", _cmd_verify, "")
     return parser, subparsers
 
@@ -423,7 +407,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         sys.stderr.write(f"numerical error: {exc}\n")
         return 2
 

@@ -342,3 +342,22 @@ def test_theta_scan_secondary_escapes_at_degenerate_angle():
 def test_theta_scan_bad_cap_rejected():
     with pytest.raises(DomainError):
         analysis.theta_scan(0.0, 2, -1.0, [0.1])
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: analysis.find_hmax(0.0, -1.0), "B"),
+    (lambda: analysis.find_hmax(0.0, math.nan), "B"),
+    (lambda: analysis.find_hmax(0.0, 0.0, h_range=(1.0, math.inf)), "h_range"),
+    (lambda: analysis.theta_scan(-1.0, 2, 10.0, [0.1]), "B"),
+    (lambda: analysis.theta_scan(math.inf, 2, 10.0, [0.1]), "B"),
+    (lambda: analysis.theta_scan(0.0, 2, math.inf, [0.1]), "h_cap"),
+    (lambda: analysis.sweep([0.0], [-1.0], [1.0], 2), "B"),
+    (lambda: analysis.sweep([0.0], [0.0, math.nan], [1.0], 2), "B"),
+    (lambda: analysis.sweep([0.0], [0.0], [1.0, math.inf], 2), "h_grid"),
+    (lambda: analysis.sweep([0.0], [0.0], [1.0, math.nan], 2), "h_grid"),
+], ids=["hmax B=-1", "hmax B=nan", "hmax h_range=1:inf", "theta_scan B=-1",
+        "theta_scan B=inf", "theta_scan h_cap=inf", "sweep B=-1", "sweep B=nan",
+        "sweep h=inf", "sweep h=nan"])
+def test_out_of_domain_or_non_finite_input_raises_domain_error(call, name):
+    with pytest.raises(DomainError, match=name):
+        call()

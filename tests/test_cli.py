@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from bosewave import analysis, cli, dispersion as dsp
+from bosewave import analysis, cli, dispersion as dsp, errors
 
 PI4 = "0.7853981633974483"
 
@@ -375,6 +375,52 @@ ERRORS = [
     (["sweep"], "h-range = oops\n", 1, "--h-range"),
     (["theta-scan"], "steps = many\n", 1, "--steps"),
     (["hmax", "--theta", "0"], "h-range = 1\n", 1, "--h-range"),
+    # every flag's type checks its domain and finiteness, on the command line
+    (["hmax", "--theta", "0", "--B", "-1"], None, 1, "--B"),
+    (["hmax", "--theta", "0", "--B", "-1.5"], None, 1, "--B"),
+    (["hmax", "--theta", "0", "--B", "nan"], None, 1, "--B"),
+    (["hmax", "--theta", "0", "--B", "inf"], None, 1, "--B"),
+    (["hmax", "--theta", "0", "--h-range", "1:inf"], None, 1, "--h-range"),
+    (["hmax", "--theta", "nan"], None, 1, "--theta"),
+    (["hmax", "--theta", "inf"], None, 1, "--theta"),
+    (["sweep", "--h-range", "1:inf:3"], None, 1, "--h-range"),
+    (["sweep", "--h-range", "inf:1:3"], None, 1, "--h-range"),
+    (["sweep", "--h-range", "1:nan:3"], None, 1, "--h-range"),
+    (["sweep", "--h-range", "1:nan:3", "--log"], None, 1, "--h-range"),
+    (["sweep", "--B", "nan"], None, 1, "--B"),
+    (["sweep", "--B", "inf"], None, 1, "--B"),
+    (["sweep", "--B=0.5,-1"], None, 1, "--B"),
+    (["sweep", "--theta", "nan"], None, 1, "--theta"),
+    (["sweep", "--theta", "0,inf"], None, 1, "--theta"),
+    (["sweep", "--n", "1"], None, 1, "--n"),
+    (["sweep", "--theta="], None, 1, "--theta"),
+    (["sweep", "--B=,"], None, 1, "--B"),
+    (["theta-scan", "--B", "nan"], None, 1, "--B"),
+    (["theta-scan", "--B", "-1"], None, 1, "--B"),
+    (["theta-scan", "--B", "inf"], None, 1, "--B"),
+    (["theta-scan", "--h-cap", "inf"], None, 1, "--h-cap"),
+    (["theta-scan", "--h-cap", "nan"], None, 1, "--h-cap"),
+    (["theta-scan", "--h-cap", "0"], None, 1, "--h-cap"),
+    (["roots", "--h", "inf", "--theta", "0"], None, 1, "--h"),
+    (["roots", "--h", "nan", "--theta", "0"], None, 1, "--h"),
+    (["roots", "--h", "1", "--theta", "nan"], None, 1, "--theta"),
+    (["roots", "--h", "1", "--theta", "inf"], None, 1, "--theta"),
+    (["roots", "--h", "1", "--theta", "1e309deg"], None, 1, "--theta"),
+    (["roots", "--h", "1", "--theta", "0", "--B", "inf"], None, 1, "--B"),
+    (["roots", "--h", "1", "--theta", "0", "--n", "1"], None, 1, "--n"),
+    (["simulate", "--h", "1", "--theta", "0", "--eps", "nan"], None, 1, "--eps"),
+    (["simulate", "--h", "1", "--theta", "0", "--eps", "inf"], None, 1, "--eps"),
+    (["simulate", "--h", "inf", "--theta", "0"], None, 1, "--h"),
+    # ... and in a config file
+    (["hmax", "--theta", "0"], "B = -1\n", 1, "--B"),
+    (["hmax"], "theta = nan\n", 1, "--theta"),
+    (["theta-scan"], "h-cap = inf\n", 1, "--h-cap"),
+    (["theta-scan"], "steps = 2\n", 1, "--steps"),
+    (["sweep"], "B = 0,nan\n", 1, "--B"),
+    (["sweep"], "h-range = 1:inf:3\n", 1, "--h-range"),
+    (["roots", "--theta", "0"], "h = nan\n", 1, "--h"),
+    (["simulate", "--h", "1", "--theta", "0"], "eps = inf\n", 1, "--eps"),
+    (["simulate", "--h", "1", "--theta", "0"], "stride = 0\n", 1, "--stride"),
 ]
 
 
@@ -389,6 +435,43 @@ def test_error_exit_code_names_the_flag(tmp_path, capsys, argv, config, code, ne
     assert out == ""
     assert needle in err
     assert "Traceback" not in err
+
+
+NUMERICAL_ERRORS = [
+    (errors.ConvergenceError, RuntimeError),
+    (errors.SingularDenominatorError, ArithmeticError),
+    (errors.BranchAmbiguityError, RuntimeError),
+    (errors.NoInteriorMaximumError, RuntimeError),
+    (errors.CFLError, ValueError),
+    (errors.PositivityError, RuntimeError),
+    (errors.InstabilityError, RuntimeError),
+    (errors.FitError, RuntimeError),
+]
+
+
+def test_numerical_errors_list_is_complete():
+    subclasses = {value for value in vars(errors).values()
+                  if isinstance(value, type) and value is not errors.NumericalError
+                  and issubclass(value, errors.NumericalError)}
+    assert subclasses == {error for error, _ in NUMERICAL_ERRORS}
+
+
+@pytest.mark.parametrize("error, builtin", NUMERICAL_ERRORS,
+                         ids=[e.__name__ for e, _ in NUMERICAL_ERRORS])
+def test_numerical_error_keeps_its_builtin_base_and_exits_2(monkeypatch, capsys,
+                                                            error, builtin):
+    assert issubclass(error, errors.NumericalError)
+    assert issubclass(error, builtin)
+    assert not issubclass(error, errors.DomainError)
+
+    def fail(*args, **kwargs):
+        raise error("injected failure")
+
+    monkeypatch.setattr(cli.dispersion, "_eig_roots", fail)
+    code, out, err = run(capsys, "roots", "--h", "1", "--theta", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "numerical error: injected failure\n"
 
 
 @pytest.mark.parametrize("h, code", [("1", 0), ("x", 1)])
