@@ -94,9 +94,10 @@ class _BranchLine:
         self.B = B
         self.n = n
         h_b_top = h_top * (1.0 + B)
-        # log(h_b) and acoustic u of every visited point, in visit order
-        self._log_h_b = np.array([math.log(h_b_top)])
+        # acoustic u and log(h_b) of every visited point, in visit order;
+        # u first, so that _track_to rejects an h_b that math.log cannot take
         self._u = [dispersion._track_to(h_b_top, theta, n)]
+        self._log_h_b = np.array([math.log(h_b_top)])
 
     def _walk(self, h_b) -> list:
         """(acoustic u, ordered secondaries) at every h_b, from one batched solve."""
@@ -183,8 +184,10 @@ def sweep(theta_list, B_list, h_grid, n: int,
     rows = []
     for theta in theta_list:
         for B in B_list:
+            # the top point first, as a float: past the float range this
+            # raises DomainError before numpy warns about the whole line
+            u_top = dispersion._track_to(float(h_grid[0]) * (1.0 + B), theta, n)
             h_b_line = h_grid * (1.0 + B)
-            u_top = dispersion._track_to(h_b_line[0], theta, n)
             line = _line_roots(h_b_line, theta, n)
             for h, h_b, roots, k in zip(h_grid, h_b_line, line,
                                         dispersion._follow(line, u_top)):
@@ -293,14 +296,15 @@ def theta_scan(B: float, n: int, h_cap: float, theta_grid) -> list:
     is Im sqrt(1 + i*h_cap*(1+B)), the resonance jump.  Angles where the
     secondary root escapes to infinity report inf.
     """
-    if not 0 < h_cap < math.inf:
-        raise DomainError("h_cap must be positive and finite")
+    h_lo = h_cap * 1e-4
+    if not 0 < h_lo < h_cap < math.inf:
+        raise DomainError("h_cap must be finite, with h_cap*1e-4 > 0")
     if not -1 < B < math.inf:
         raise DomainError("B must satisfy -1 < B < inf")
     theta_grid = list(theta_grid)
     if not theta_grid:
         raise DomainError("theta_grid must be nonempty")
-    grid = np.geomspace(h_cap * 1e-4, h_cap, SCAN_POINTS)
+    grid = np.geomspace(h_lo, h_cap, SCAN_POINTS)
     rows = []
     for theta in theta_grid:
         line = _BranchLine(theta, B, n, h_cap)

@@ -97,21 +97,34 @@ def _list_of(parse):
     return parse_list
 
 
+def _field(name: str, parse, text: str):
+    """One field of a range, read by `parse`; an error names the field."""
+    try:
+        return parse(text)
+    except ArgumentTypeError as exc:
+        raise ArgumentTypeError(f"{name} {exc}") from None
+
+
 def _parse_bounds(text: str) -> tuple:
-    """LO:HI as a (lo, hi) pair of finite positive floats; fields after HI are not read."""
+    """LO:HI as finite positive floats with LO < HI; fields after HI are not read."""
     parts = text.split(":")
     if len(parts) < 2:
         raise ArgumentTypeError(f"invalid range {text!r}: expected LO:HI")
-    return _positive(parts[0]), _positive(parts[1])
+    lo, hi = _field("LO", _positive, parts[0]), _field("HI", _positive, parts[1])
+    if not lo < hi:
+        raise ArgumentTypeError(f"invalid range {text!r}: LO must be below HI")
+    return lo, hi
 
 
 def _parse_range(text: str) -> tuple:
-    """LO:HI[:STEPS] as (lo, hi, steps), 40 steps unless given."""
+    """LO:HI[:STEPS] as (lo, hi, steps), 40 steps unless given; HI may be below LO."""
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise ArgumentTypeError(f"invalid range {text!r}: expected LO:HI[:STEPS]")
-    steps = _finite(int, 1)(parts[2]) if len(parts) == 3 else DEFAULT_H_GRID[2]
-    return (*_parse_bounds(text), steps)
+    lo, hi = _field("LO", _positive, parts[0]), _field("HI", _positive, parts[1])
+    steps = (_field("STEPS", _finite(int, 1), parts[2]) if len(parts) == 3
+             else DEFAULT_H_GRID[2])
+    return lo, hi, steps
 
 
 def _read_config_file(path: str) -> dict:

@@ -27,6 +27,7 @@ lambda_r >= 0 and lambda_i >= 0 means damped rightward propagation.
 from __future__ import annotations
 
 import cmath
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -193,8 +194,8 @@ def _eig_roots(h_b, theta: float, n: int) -> list:
     MU_CUT_REL of its row's largest |mu| is a root at infinity and dropped.
     """
     h_b = np.asarray(h_b, dtype=float)
-    if not np.all(h_b > 0):
-        raise DomainError("h_b must be positive")
+    if not np.all((h_b > 0) & (h_b < math.inf)):
+        raise DomainError("h_b must be positive and finite")
     if n < 2:
         raise DomainError("n must be >= 2")
     c2 = _cos2(theta, n)
@@ -355,8 +356,14 @@ def _follow(rows, u: complex) -> list:
 
 def _track_to(h_b: float, theta: float, n: int) -> complex:
     """Continue the acoustic root from u = 1 at large h_b down (or up) to h_b."""
+    h_b = float(h_b)
+    if not 0 < h_b < math.inf:
+        raise DomainError("h_b must be positive and finite")
     start = CONTINUATION_START if h_b <= CONTINUATION_START else 10.0 * h_b
     decades = abs(np.log10(start / h_b))
+    if not decades < math.inf:
+        raise DomainError(f"h_b = {h_b:.6g} is too far from {CONTINUATION_START:g} "
+                          "for a continuation grid in floating point")
     steps = max(2, int(np.ceil(decades * CONTINUATION_PER_DECADE)) + 1)
     rows = _eig_roots(np.geomspace(start, h_b, steps), theta, n)
     return complex(rows[-1][_follow(rows, 1.0)[-1]])

@@ -361,3 +361,18 @@ def test_theta_scan_bad_cap_rejected():
 def test_out_of_domain_or_non_finite_input_raises_domain_error(call, name):
     with pytest.raises(DomainError, match=name):
         call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: analysis.theta_scan(0.0, 2, 1e-320, [0.1]), "h_cap"),
+    (lambda: analysis.theta_scan(0.0, 2, 1e308, [0.1]), "h_b"),
+    (lambda: analysis.theta_scan(1e308, 2, 10.0, [0.1]), "h_b"),
+    (lambda: analysis.find_hmax(0.0, 1e308), "h_b"),
+    (lambda: analysis.find_hmax(0.0, 0.0, h_range=(1.0, 1e308)), "h_b"),
+    (lambda: analysis.sweep([0.0], [1e308], [1.0], 2), "h_b"),
+    (lambda: analysis.sweep([0.0], [0.0], [1e-320], 2), "h_b"),
+], ids=["theta_scan h_cap=1e-320", "theta_scan h_cap=1e308", "theta_scan B=1e308",
+        "hmax B=1e308", "hmax h_range=1:1e308", "sweep B=1e308", "sweep h=1e-320"])
+def test_h_b_grid_outside_the_float_range_raises_domain_error(call, name):
+    with pytest.raises(DomainError, match=name):
+        call()

@@ -495,3 +495,42 @@ def test_verify_passes_and_is_deterministic(capsys):
     names = {line.split(":")[0] for line in lines[:-1]}
     assert "closed-form-oracle" in names
     assert "theta-pi4-identity" in names
+
+
+# (argv, text stderr must contain): finite flag values whose h_b grid or
+# continuation grid cannot be formed in floating point, and range errors
+# that name the faulty part
+RANGE_ERRORS = [
+    (["roots", "--h=1e308", "--theta", "0"], "h_b"),
+    (["roots", "--h=1e-320", "--theta", "0"], "h_b"),
+    (["roots", "--h", "1", "--theta", "0", "--B=1e308"], "h_b"),
+    (["theta-scan", "--steps", "3", "--B=1e308"], "h_b"),
+    (["theta-scan", "--steps", "3", "--h-cap=1e-320"], "h_cap"),
+    (["theta-scan", "--steps", "3", "--h-cap=1e308"], "h_b"),
+    (["sweep", "--B=1e308"], "h_b"),
+    (["sweep", "--h-range=1:1e308:3"], "h_b"),
+    (["sweep", "--h-range=1e-320:1e-310:3", "--log"], "h_b"),
+    (["hmax", "--theta", "0", "--B=1e308"], "h_b"),
+    (["hmax", "--theta", "0", "--h-range=1:1e308"], "h_b"),
+    (["hmax", "--theta", "0", "--h-range", "2:1"], "argument --h-range: invalid range '2:1'"),
+    (["hmax", "--theta", "0", "--h-range", "1:1"], "argument --h-range: invalid range '1:1'"),
+    (["sweep", "--h-range", "1:2:1"], "argument --h-range: STEPS '1'"),
+    (["sweep", "--h-range", "0:2:3"], "argument --h-range: LO '0'"),
+    (["hmax", "--theta", "0", "--h-range", "1:x"], "argument --h-range: HI 'x'"),
+]
+
+
+@pytest.mark.parametrize("argv, needle", RANGE_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in RANGE_ERRORS])
+def test_out_of_range_magnitudes_and_ranges_exit_1_naming_the_part(capsys, argv, needle):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert needle in err
+    assert "Traceback" not in err
+
+
+def test_sweep_still_accepts_a_descending_linear_range(capsys):
+    code, out, _ = run(capsys, "sweep", "--h-range", "2:1:3")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["2", "1.5", "1"]

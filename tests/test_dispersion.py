@@ -479,3 +479,9 @@ def test_theta_normalization_does_not_move_roots():
     other = list(dsp.solve_roots(
         dsp.assemble_polynomial(2.0, 0.35 + math.pi / 3, 3)))
     assert roots_multiset_close(got, other, tol=1e-10)
+
+
+@pytest.mark.parametrize("h_b", [1e308, 1e-320, math.inf, 0.0])
+def test_continuation_grid_out_of_float_range_raises_domain_error(h_b):
+    with pytest.raises(DomainError, match="h_b"):
+        dsp.acoustic_root(h_b, 0.0, 2)

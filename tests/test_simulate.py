@@ -5,7 +5,13 @@ import pytest
 
 from bosewave import dispersion as dsp
 from bosewave import simulate as sim
-from bosewave.errors import CFLError, DomainError, FitError, PositivityError
+from bosewave.errors import (
+    CFLError,
+    DomainError,
+    FitError,
+    InstabilityError,
+    PositivityError,
+)
 from bosewave.model import ModelConfig
 
 SQRT2 = math.sqrt(2.0)
@@ -412,3 +418,113 @@ def test_dump_snapshot_format_and_stride(tmp_path):
     path2 = tmp_path / "snap2.txt"
     sim.dump_snapshot(field, path2, stride=2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+# ------------------------------------------- pair form, propagator, roll
+
+def two_n_row_rhs(cfg, P):
+    """The collision term over all 2n rows, indices cyclic (module docstring)."""
+    n, p2 = cfg.n, 2 * cfg.n
+    g, cS = cfg.gamma, cfg.c * cfg.S
+    N = cfg.N0 * (1.0 + P)
+    pair = np.empty_like(N)
+    for i in range(p2):
+        pair[i] = (N[i] * N[(i + n) % p2] * (1.0 + g * N[(i + 1) % p2])
+                   * (1.0 + g * N[(i + n + 1) % p2]))
+    return ((cS / n) * pair.sum(axis=0) - 2.0 * cS * pair) / cfg.N0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("B", [-0.5, 0.0, 0.7])
+def test_pair_form_rhs_matches_two_n_row_formula(n, B):
+    cfg = make_config(theta=0.3, h=1.2, B=B, n=n)
+    P = np.random.default_rng(n).uniform(-0.5, 0.5, (2 * n, 40))
+    got = sim._nonlinear_rhs(cfg)(P)
+    want = two_n_row_rhs(cfg, P)
+    np.testing.assert_array_equal(got[:n], got[n:])
+    # normwise: gain and loss cancel, so entries near zero carry the
+    # rounding of the O(1) terms
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("bc", ["periodic", "open"])
+def test_step_linear_is_four_stage_rk4_of_the_collision_operator(bc):
+    cfg = make_config(theta=0.3, h=1.5, B=0.4, n=3)
+    n, p2, M, dx, dt = cfg.n, 2 * cfg.n, 50, 0.12, 0.05
+    P = 0.01 * np.random.default_rng(3).standard_normal((p2, M))
+    got = sim.step_linear(make_field(cfg, M=M, dx=dx, P=P), dt, bc=bc).P
+
+    kappa = 2.0 * cfg.c * cfg.S * cfg.N0 * (1.0 + cfg.B)
+    L = np.full((p2, p2), kappa / n) - kappa * (np.eye(p2) + np.roll(np.eye(p2), n, axis=1))
+    Q = sim._advect(P, sim.build_lattice(cfg).x_speeds * dt / dx, bc)
+    k1 = L @ Q
+    k2 = L @ (Q + 0.5 * dt * k1)
+    k3 = L @ (Q + 0.5 * dt * k2)
+    k4 = L @ (Q + dt * k3)
+    want = Q + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def roll_advect(P, courant):
+    """Periodic Beam-Warming update, one np.roll per row and upwind offset."""
+    Q = P.copy()
+    for i in range(P.shape[0]):
+        v = courant[i]
+        if v == 0.0:
+            continue
+        w = abs(v)
+        up1 = np.roll(P[i], 1) if v > 0 else np.roll(P[i], -1)
+        up2 = np.roll(P[i], 2) if v > 0 else np.roll(P[i], -2)
+        Q[i] = P[i] - w * (P[i] - up1) - 0.5 * w * (1 - w) * (P[i] - 2 * up1 + up2)
+    return Q
+
+
+@pytest.mark.parametrize("n, theta", [(2, 0.0), (2, 0.37), (3, 0.2), (3, math.pi / 2)])
+def test_periodic_advection_is_bitwise_the_per_row_roll(n, theta):
+    courant = sim.build_lattice(make_config(theta=theta, n=n)).x_speeds * 0.7
+    assert (courant == 0.0).any() == (theta in (0.0, math.pi / 2))
+    for M in (1, 2, 33):
+        P = np.random.default_rng(M).standard_normal((2 * n, M))
+        np.testing.assert_array_equal(sim._advect(P, courant, "periodic"),
+                                      roll_advect(P, courant))
+
+
+# lambda_meas of four small forced runs (4 wavelengths, 2 periods), captured
+# with the four-stage RK4 and per-row stepping the simulator had before it
+# used the pair form and the one-matrix propagator
+FROZEN_FORCED = [
+    ((2, 0.3, 1.0, 0.2), "linear", 16, 0.8445044509593453 + 0.1296275051234465j),
+    ((2, 0.3, 1.0, 0.2), "nonlinear", 16, 0.8445045039938656 + 0.12962752709435005j),
+    ((3, 0.05, 1.5, -0.3), "linear", 12, 0.8222341660043008 + 0.16947045850322437j),
+    ((3, 0.05, 1.5, -0.3), "nonlinear", 12, 0.7987652827302579 + 0.17441664697212095j),
+]
+
+
+@pytest.mark.filterwarnings("ignore:linear collision form")
+@pytest.mark.parametrize("point, mode, ppw, frozen", FROZEN_FORCED,
+                         ids=[f"n{p[0]}-{m}" for p, m, _, _ in FROZEN_FORCED])
+def test_forced_lambda_meas_frozen(point, mode, ppw, frozen):
+    n, theta, h, B = point
+    series = sim.run_forced(make_config(theta=theta, h=h, B=B, n=n), wavelengths=4,
+                            points_per_wavelength=ppw, periods=2, mode=mode)
+    lam = sim.fit_wave(series).lambda_meas
+    assert abs(lam - frozen) <= 1e-10 * abs(frozen)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan, math.inf])
+def test_forced_rejects_eps_outside_its_domain(monkeypatch, eps):
+    def no_stepping(*args):
+        raise AssertionError("stepped before checking eps")
+
+    monkeypatch.setattr(sim, "_advect", no_stepping)
+    with pytest.raises(DomainError, match="eps"):
+        sim.run_forced(make_config(), wavelengths=4, points_per_wavelength=10,
+                       periods=2, eps=eps)
+
+
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+def test_forced_nan_field_trips_the_instability_guard(monkeypatch, mode):
+    monkeypatch.setattr(sim, "_advect", lambda P, courant, bc: np.full_like(P, math.nan))
+    with pytest.raises(InstabilityError):
+        sim.run_forced(make_config(), wavelengths=4, points_per_wavelength=10,
+                       periods=2, mode=mode)
