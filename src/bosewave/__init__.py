@@ -6,57 +6,13 @@ statistics, computed two independent ways: by solving the complex dispersion
 relation, and by direct kinetic simulation with wavenumber fitting.
 """
 
-from .analysis import (
-    PeakResult,
-    SweepRow,
-    SweepTable,
-    ThetaScanRow,
-    find_hmax,
-    localization_length,
-    sweep,
-    theta_scan,
-)
-from .dispersion import (
-    DispersionPolynomial,
-    DispersionRoot,
-    ModeShape,
-    acoustic_root,
-    assemble_polynomial,
-    closed_form_n2,
-    continuation_track,
-    mode_shape,
-    principal_lambda,
-    residual,
-    root_residual,
-    select_branch,
-    solve_roots,
-)
-from .model import ModelConfig, ReducedParams, reduced_params, validate
-from .simulate import (
-    FitResult,
-    VelocityLattice,
-    WaveField,
-    build_lattice,
-    dump_snapshot,
-    fit_wave,
-    pair_averages,
-    run_forced,
-    step_linear,
-    step_nonlinear,
-)
+from . import analysis, dispersion, model, simulate
+from .analysis import *  # noqa: F401,F403
+from .dispersion import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .simulate import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ModelConfig", "ReducedParams", "validate", "reduced_params",
-    "DispersionPolynomial", "DispersionRoot", "ModeShape",
-    "assemble_polynomial", "solve_roots", "closed_form_n2",
-    "principal_lambda", "residual", "root_residual", "mode_shape",
-    "select_branch", "acoustic_root", "continuation_track",
-    "VelocityLattice", "WaveField", "FitResult", "build_lattice",
-    "step_linear", "step_nonlinear", "run_forced", "fit_wave",
-    "pair_averages", "dump_snapshot",
-    "SweepRow", "SweepTable", "PeakResult", "ThetaScanRow",
-    "sweep", "find_hmax", "localization_length", "theta_scan",
-    "__version__",
-]
+__all__ = [*analysis.__all__, *dispersion.__all__, *model.__all__,
+           *simulate.__all__, "__version__"]

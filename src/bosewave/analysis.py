@@ -96,7 +96,7 @@ class _BranchLine:
         h_b_top = h_top * (1.0 + B)
         # acoustic u and log(h_b) of every visited point, in visit order;
         # u first, so that _track_to rejects an h_b that math.log cannot take
-        self._u = [dispersion._track_to(h_b_top, theta, n)]
+        self._u = [dispersion._track_to(h_b_top, theta, n)[0]]
         self._log_h_b = np.array([math.log(h_b_top)])
 
     def _walk(self, h_b) -> list:
@@ -186,7 +186,7 @@ def sweep(theta_list, B_list, h_grid, n: int,
         for B in B_list:
             # the top point first, as a float: past the float range this
             # raises DomainError before numpy warns about the whole line
-            u_top = dispersion._track_to(float(h_grid[0]) * (1.0 + B), theta, n)
+            u_top, _ = dispersion._track_to(float(h_grid[0]) * (1.0 + B), theta, n)
             h_b_line = h_grid * (1.0 + B)
             line = _line_roots(h_b_line, theta, n)
             for h, h_b, roots, k in zip(h_grid, h_b_line, line,

@@ -174,8 +174,7 @@ def emit(rows, fmt: str, path, header=SWEEP_HEADER) -> None:
 
 def _roots_rows(h: float, B: float, theta: float, n: int, policy: str):
     h_b = h * (1.0 + B)
-    roots = dispersion._eig_roots([h_b], theta, n)[0]
-    selected = dispersion.select_branch(roots, h_b, theta, n, policy=policy)
+    selected = dispersion._branches_at(h_b, theta, n, policy)
     if policy == "acoustic":
         selected = [selected]
     return [analysis._sweep_row(h, B, theta, n, r) for r in selected]

@@ -18,7 +18,9 @@ eigenvalue call; mu ~ 0 is a root at infinity (a velocity perpendicular to
 the wave) and is dropped, and the other roots get guarded Newton steps on
 the rational relation.  The cleared-denominator polynomial of degree <= n
 in u is kept as an independent oracle.  The acoustic branch is the one
-continued from lambda = 1 at large h_b (the hydrodynamic limit).
+continued from lambda = 1 at large h_b (the hydrodynamic limit); a point
+lookup labels the roots of that continuation's last row, the solve at the
+point itself, so it costs one batched solve.
 
 Conventions: forward wave exp(i(kx - wt)) with real omega > 0, so
 lambda_r >= 0 and lambda_i >= 0 means damped rightward propagation.
@@ -354,8 +356,13 @@ def _follow(rows, u: complex) -> list:
     return path
 
 
-def _track_to(h_b: float, theta: float, n: int) -> complex:
-    """Continue the acoustic root from u = 1 at large h_b down (or up) to h_b."""
+def _track_to(h_b: float, theta: float, n: int):
+    """Continue the acoustic root from u = 1 at large h_b down (or up) to h_b.
+
+    Returns (u, roots): the continued root and the grid's last row, which is
+    the solve at h_b itself (geomspace ends exactly on h_b, and each row of
+    the batch is solved on its own), so it holds every root at h_b.
+    """
     h_b = float(h_b)
     if not 0 < h_b < math.inf:
         raise DomainError("h_b must be positive and finite")
@@ -366,7 +373,7 @@ def _track_to(h_b: float, theta: float, n: int) -> complex:
                           "for a continuation grid in floating point")
     steps = max(2, int(np.ceil(decades * CONTINUATION_PER_DECADE)) + 1)
     rows = _eig_roots(np.geomspace(start, h_b, steps), theta, n)
-    return complex(rows[-1][_follow(rows, 1.0)[-1]])
+    return complex(rows[-1][_follow(rows, 1.0)[-1]]), rows[-1]
 
 
 def _nearest_with_ambiguity_check(roots: np.ndarray, u_target: complex) -> int:
@@ -399,6 +406,23 @@ def _label_branches(u_ac: complex, rest, h_b: float, theta: float, n: int) -> li
     return out
 
 
+def _branches_at(h_b: float, theta: float, n: int, policy: str = "acoustic",
+                 roots=None):
+    """Label the roots at h_b about the continued acoustic root.
+
+    The one point lookup: ``roots`` defaults to the last row of the
+    continuation to h_b, so a point costs one batched solve.
+    """
+    u, row = _track_to(h_b, theta, n)
+    roots = row if roots is None else roots
+    k = _nearest_with_ambiguity_check(roots, u)
+    if policy == "acoustic":
+        return _make_root(roots[k], h_b, theta, n, "acoustic")
+    if policy != "all":
+        raise DomainError("policy must be 'acoustic' or 'all'")
+    return _label_branches(*_split_branches(roots, k), h_b, theta, n)
+
+
 def select_branch(roots, h_b: float, theta: float, n: int, policy: str = "acoustic"):
     """Classify roots into the acoustic branch and secondary branches.
 
@@ -410,17 +434,12 @@ def select_branch(roots, h_b: float, theta: float, n: int, policy: str = "acoust
     roots = np.asarray(roots, dtype=complex)
     if roots.size == 0:
         raise DomainError("roots must be nonempty")
-    k = _nearest_with_ambiguity_check(roots, _track_to(h_b, theta, n))
-    if policy == "acoustic":
-        return _make_root(roots[k], h_b, theta, n, "acoustic")
-    if policy != "all":
-        raise DomainError("policy must be 'acoustic' or 'all'")
-    return _label_branches(*_split_branches(roots, k), h_b, theta, n)
+    return _branches_at(h_b, theta, n, policy, roots)
 
 
 def acoustic_root(h_b: float, theta: float, n: int) -> DispersionRoot:
     """Acoustic-branch root at a single parameter point."""
-    return select_branch(_eig_roots([h_b], theta, n)[0], h_b, theta, n)
+    return _branches_at(h_b, theta, n)
 
 
 def continuation_track(theta: float, n: int, B: float, h_grid) -> list:

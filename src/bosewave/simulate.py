@@ -272,6 +272,11 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
     domain-crossing time of the slowest inflow component plus 5 periods
     (at least 10 periods); snapshots then cover the final `periods` periods
     at 32 samples per period.
+
+    The collision limit on dt asks for about 4*pi*h(1+B) steps per period, a
+    count that must be a finite float for dt = T/count to exist: past
+    h(1+B) ~ 1.4e307 (float max / 4*pi) a DomainError is raised before any
+    step.  The run time grows with that count, so large finite h is slow.
     """
     config = validate(config)
     if mode not in ("linear", "nonlinear"):
@@ -300,8 +305,11 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
 
     vmax = float(np.max(np.abs(lattice.x_speeds)))
     dt_max = min(cfl * dx / vmax, COLLISION_DT_LIMIT / _collision_rate(config))
-    steps_per_period = SAMPLES_PER_PERIOD * int(
-        math.ceil(T / (SAMPLES_PER_PERIOD * dt_max)))
+    per_sample = T / (SAMPLES_PER_PERIOD * dt_max)
+    if not SAMPLES_PER_PERIOD * per_sample < math.inf:
+        raise DomainError(f"h = {reduced_params(config).h:.6g}: the time steps "
+                          "per period exceed the float range")
+    steps_per_period = SAMPLES_PER_PERIOD * int(math.ceil(per_sample))
     dt = T / steps_per_period
     stride = steps_per_period // SAMPLES_PER_PERIOD
 
@@ -354,9 +362,7 @@ def _default_fit_window(config: ModelConfig, L: float, dx: float):
     lam_est = hydrodynamic_wavelength(config)
     h_b = reduced_params(config).h_b
     margin = 0.0
-    roots = dispersion.select_branch(
-        dispersion._eig_roots([h_b], config.theta, config.n)[0],
-        h_b, config.theta, config.n, policy="all")
+    roots = dispersion._branches_at(h_b, config.theta, config.n, policy="all")
     k_scale = SQRT2 * config.omega / config.c
     ki_ac = k_scale * roots[0].lam.imag
     for root in roots[1:]:
@@ -468,5 +474,8 @@ def dump_snapshot(field: WaveField, path, stride: int = 1) -> None:
     if hasattr(path, "write"):
         path.write(text)
     else:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="ascii", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {path}: {exc}") from None

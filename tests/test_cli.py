@@ -534,3 +534,28 @@ def test_sweep_still_accepts_a_descending_linear_range(capsys):
     code, out, _ = run(capsys, "sweep", "--h-range", "2:1:3")
     assert code == 0
     assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["2", "1.5", "1"]
+
+
+# ----------------------------------------------------- point lookups, errors
+
+def test_roots_all_branches_is_one_batched_solve(eig_batches, capsys):
+    code, out, _ = run(capsys, "roots", "--h", "1", "--theta", "0.3", "--n", "3",
+                       "--branch", "all")
+    assert code == 0 and len(out.splitlines()) == 1 + 3
+    assert len(eig_batches) == 1 and eig_batches[0] > 1
+
+
+SIMULATE_SMALL = ["simulate", "--h", "1", "--theta", "0", "--ppw", "10",
+                  "--wavelengths", "4", "--periods", "2"]
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (SIMULATE_SMALL + ["--out", "{missing}/snap.txt"], "cannot write"),
+    (["simulate", "--h=1e308", "--theta", "0"], "h = 1e+308"),
+], ids=["unwritable-out", "h-1e308"])
+def test_simulate_faults_exit_1_without_traceback(tmp_path, capsys, argv, needle):
+    argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and needle in err
+    assert "Traceback" not in err

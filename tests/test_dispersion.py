@@ -485,3 +485,48 @@ def test_theta_normalization_does_not_move_roots():
 def test_continuation_grid_out_of_float_range_raises_domain_error(h_b):
     with pytest.raises(DomainError, match="h_b"):
         dsp.acoustic_root(h_b, 0.0, 2)
+
+
+# --------------------------------------------------------- point lookups
+
+def test_acoustic_root_is_one_batched_solve(eig_batches):
+    dsp.acoustic_root(1.0, 0.3, 3)
+    assert len(eig_batches) == 1 and eig_batches[0] > 1
+
+
+def lookup_points(count, seed):
+    """Seeded (h_b, theta, n); one in five on, or 1e-9 / 1e-7 off, a degenerate angle."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.choice([2, 3, 4, 6, 8]))
+        h_b = float(10.0 ** rng.uniform(-4, 7))
+        theta = float(rng.uniform(0.0, math.pi / n))
+        if rng.random() < 0.2:
+            theta = (int(rng.integers(0, 2 * n)) * math.pi / (2 * n)
+                     + float(rng.choice([0.0, 1e-9, -1e-9, 1e-7, -1e-7])))
+        yield h_b, theta, n
+
+
+def outcome(call):
+    try:
+        return repr(call())
+    except Exception as exc:  # the reference's error must be raised too
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("policy", ["acoustic", "all"])
+def test_point_lookup_equals_a_single_point_solve_bitwise(policy):
+    lookup = dsp.acoustic_root if policy == "acoustic" else (
+        lambda h_b, theta, n: dsp._branches_at(h_b, theta, n, "all"))
+    for h_b, theta, n in lookup_points(1000, seed=8):
+        want = outcome(lambda: dsp.select_branch(
+            dsp._eig_roots([h_b], theta, n)[0], h_b, theta, n, policy))
+        assert outcome(lambda: lookup(h_b, theta, n)) == want, (h_b, theta, n)
+
+
+def test_point_lookup_reports_a_degenerate_crossing():
+    from bosewave.errors import BranchAmbiguityError
+    with pytest.raises(BranchAmbiguityError):
+        dsp.acoustic_root(1e-9, math.pi / 4, 2)
+    with pytest.raises(BranchAmbiguityError):
+        dsp._branches_at(1e-9, math.pi / 4, 2, "all")

@@ -420,6 +420,12 @@ def test_dump_snapshot_format_and_stride(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_dump_snapshot_unwritable_path_is_a_domain_error(tmp_path):
+    field = make_field(make_config(), M=4)
+    with pytest.raises(DomainError, match="cannot write"):
+        sim.dump_snapshot(field, tmp_path / "missing" / "snap.txt")
+
+
 # ------------------------------------------- pair form, propagator, roll
 
 def two_n_row_rhs(cfg, P):
@@ -528,3 +534,18 @@ def test_forced_nan_field_trips_the_instability_guard(monkeypatch, mode):
     with pytest.raises(InstabilityError):
         sim.run_forced(make_config(), wavelengths=4, points_per_wavelength=10,
                        periods=2, mode=mode)
+
+
+def test_forced_rejects_a_step_count_past_the_float_range(monkeypatch):
+    def no_stepping(*args):
+        raise AssertionError("stepped before checking the step count")
+
+    monkeypatch.setattr(sim, "_advect", no_stepping)
+    with pytest.raises(DomainError, match=r"h = 1e\+308"):
+        sim.run_forced(make_config(h=1e308), wavelengths=4, points_per_wavelength=10,
+                       periods=2)
+
+
+def test_default_fit_window_is_one_batched_solve(eig_batches):
+    sim._default_fit_window(make_config(theta=0.3, n=3), 40.0, 0.1)
+    assert len(eig_batches) == 1 and eig_batches[0] > 1
