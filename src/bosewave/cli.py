@@ -162,14 +162,8 @@ def emit(rows, fmt: str, path, header=SWEEP_HEADER) -> None:
         raise DomainError("format must be 'csv' or 'json'")
     if path is None:
         sys.stdout.write(text)
-    elif hasattr(path, "write"):
-        path.write(text)
     else:
-        try:
-            with open(path, "w", encoding="ascii", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise DomainError(f"cannot write {path}: {exc}") from None
+        simulate._write_text(text, path)
 
 
 def _roots_rows(h: float, B: float, theta: float, n: int, policy: str):

@@ -25,8 +25,9 @@ second-order upwind (Beam-Warming), stable for Courant numbers up to 2,
 with a first-order one-sided closure at the boundary-adjacent node;
 collisions are integrated with one RK4 substep.  For the linear collision
 operator L that substep is the matrix R = sum_{k=0..4} (dt L)^k / k!, built
-once per forced run (or step_linear call) and applied as R @ P.  Periodic
-advection updates all rows at once; the open boundary keeps a per-row loop.
+once per forced run (or step_linear call) and applied as R @ P.  Advection
+is one gather kernel for both boundaries, built once per forced run (or
+step call).
 Using the same RK4 map for the linear and nonlinear right-hand sides keeps
 the nonlinear stepper linearization-consistent with the linear one to
 O(eps^2) per step.
@@ -118,8 +119,18 @@ def _collision_rate(config: ModelConfig) -> float:
     return 4.0 * config.c * config.S * config.N0 * (1.0 + config.B)
 
 
-def _check_step_pre(field: WaveField, dt: float) -> VelocityLattice:
+def _check_step_pre(field: WaveField, dt: float, bc: str):
+    """Check one step's inputs and return its advection kernel."""
     lattice = build_lattice(field.config)
+    if not 0 < dt < math.inf:
+        raise DomainError(f"dt must satisfy 0 < dt < inf, got {dt!r}")
+    if not 0 < field.dx < math.inf:
+        raise DomainError(f"dx must satisfy 0 < dx < inf, got {field.dx!r}")
+    p2 = 2 * field.config.n
+    shape = np.shape(field.P)
+    if len(shape) != 2 or shape[0] != p2 or shape[1] < 1:
+        raise DomainError(f"P must have shape (2n, M) = ({p2}, M) with M >= 1, "
+                          f"got {shape}")
     vmax = float(np.max(np.abs(lattice.x_speeds)))
     if vmax > 0 and dt * vmax / field.dx > CFL_LIMIT + 1e-12:
         raise CFLError(f"dt*max|x_speed|/dx = {dt * vmax / field.dx:.4g} "
@@ -127,39 +138,39 @@ def _check_step_pre(field: WaveField, dt: float) -> VelocityLattice:
     if dt * _collision_rate(field.config) > COLLISION_DT_LIMIT + 1e-12:
         raise CFLError(f"dt*4cSN0(1+B) = {dt * _collision_rate(field.config):.4g} "
                        f"exceeds {COLLISION_DT_LIMIT}")
-    return lattice
+    return _advection(lattice.x_speeds * dt / field.dx, shape[1], bc)
 
 
-def _advect(P: np.ndarray, courant: np.ndarray, bc: str) -> np.ndarray:
-    """Second-order upwind update of every component; courant is signed."""
-    if bc == "periodic":
-        # the upwind neighbours of all rows at once, from two periodic ghost
-        # cells on each side; zero-speed rows keep P
-        M = P.shape[1]
-        ext = np.take(P, np.arange(-2, M + 2) % M, axis=1)
-        fwd = (courant > 0)[:, None]
-        up1 = np.where(fwd, ext[:, 1:M + 1], ext[:, 3:M + 3])
-        up2 = np.where(fwd, ext[:, :M], ext[:, 4:])
-        w = np.abs(courant)[:, None]
-        Q = P - w * (P - up1) - 0.5 * w * (1 - w) * (P - 2 * up1 + up2)
-        still = courant == 0.0
-        Q[still] = P[still]
-        return Q
-    if bc != "open":
+def _advection(courant: np.ndarray, M: int, bc: str):
+    """Beam-Warming update of all 2n rows of an M-cell field, as advect(P).
+
+    courant is signed.  A boundary condition is a rule for each row's two
+    upwind neighbour indices (LeVeque 2002, ch. 7): periodic wraps them,
+    open clamps them to the grid.  Where a row's two neighbours coincide the
+    curvature weight is zeroed: on an open row these are the upwind end
+    node, which then keeps P, and the node next to it, which is first
+    order.  A zero-speed row is its own neighbour and keeps P.
+    """
+    if bc not in ("periodic", "open"):
         raise DomainError("bc must be 'periodic' or 'open'")
-    Q = P.copy()
-    for i in range(P.shape[0]):
-        v = courant[i]
-        if v > 0:
-            # node 0 is owned by the inflow boundary condition
-            Q[i, 1:] -= v * (P[i, 1:] - P[i, :-1])
-            Q[i, 2:] -= 0.5 * v * (1 - v) * (P[i, 2:] - 2 * P[i, 1:-1] + P[i, :-2])
-        elif v < 0:
-            w = -v
-            # zeroth-order extrapolated ghost at the right end: no change there
-            Q[i, :-1] -= w * (P[i, :-1] - P[i, 1:])
-            Q[i, :-2] -= 0.5 * w * (1 - w) * (P[i, :-2] - 2 * P[i, 1:-1] + P[i, 2:])
-    return Q
+    step = np.sign(courant).astype(np.intp)[:, None]
+    cells = np.arange(M)
+    near, far = cells - step, cells - 2 * step
+    if bc == "periodic":
+        near, far = near % M, far % M
+    else:
+        near, far = near.clip(0, M - 1), far.clip(0, M - 1)
+    w = np.abs(courant)[:, None]
+    cw = np.repeat(0.5 * w * (1 - w), M, axis=1)
+    cw[near == far] = 0.0
+    rows = np.arange(len(courant))[:, None] * M
+    near, far = near + rows, far + rows
+
+    def advect(P: np.ndarray) -> np.ndarray:
+        up1, up2 = P.take(near), P.take(far)
+        return P - w * (P - up1) - cw * (P - 2 * up1 + up2)
+
+    return advect
 
 
 def _rk4(rhs, P: np.ndarray, dt: float) -> np.ndarray:
@@ -209,19 +220,17 @@ def _nonlinear_rhs(config: ModelConfig):
 
 def step_linear(field: WaveField, dt: float, bc: str = "periodic") -> WaveField:
     """One operator-split step of the linearized system."""
-    lattice = _check_step_pre(field, dt)
-    P = _advect(field.P, lattice.x_speeds * dt / field.dx, bc)
-    P = _linear_propagator(field.config, dt) @ P
+    advect = _check_step_pre(field, dt, bc)
+    P = _linear_propagator(field.config, dt) @ advect(field.P)
     return replace(field, P=P, t=field.t + dt)
 
 
 def step_nonlinear(field: WaveField, dt: float, bc: str = "periodic") -> WaveField:
     """One operator-split step of the full quantum kinetic system."""
-    lattice = _check_step_pre(field, dt)
+    advect = _check_step_pre(field, dt, bc)
     if np.any(field.P <= -1.0):
         raise PositivityError("number density N_i = N0(1+P_i) not positive")
-    P = _advect(field.P, lattice.x_speeds * dt / field.dx, bc)
-    P = _rk4(_nonlinear_rhs(field.config), P, dt)
+    P = _rk4(_nonlinear_rhs(field.config), advect(field.P), dt)
     if np.any(P <= -1.0):
         raise PositivityError("positivity lost during nonlinear step "
                               "(amplitude too large for the scheme)")
@@ -332,7 +341,7 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
         R = _linear_propagator(config, dt)
     else:
         rhs = _nonlinear_rhs(config)
-    courant = lattice.x_speeds * dt / dx
+    advect = _advection(lattice.x_speeds * dt / dx, M, "open")
     t_ramp = ramp_periods * T
     drive_amp = 1j * weights[inflow]
     bound = INSTABILITY_FACTOR * eps
@@ -340,8 +349,7 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
     P = np.zeros((2 * config.n, M))
     snapshots: list[WaveField] = []
     for step in range(1, total_steps + 1):
-        P = _advect(P, courant, bc="open")
-        P = R @ P if mode == "linear" else _rk4(rhs, P, dt)
+        P = R @ advect(P) if mode == "linear" else _rk4(rhs, advect(P), dt)
         t = step * dt
         envelope = 0.5 * (1.0 - math.cos(math.pi * t / t_ramp)) if t < t_ramp else 1.0
         P[inflow, 0] = eps * envelope * np.real(
@@ -470,12 +478,16 @@ def dump_snapshot(field: WaveField, path, stride: int = 1) -> None:
         row = [format(x[j], ".17g")] + [format(field.P[i, j], ".17g")
                                         for i in range(p2)]
         lines.append(" ".join(row))
-    text = "\n".join(lines) + "\n"
+    _write_text("\n".join(lines) + "\n", path)
+
+
+def _write_text(text: str, path) -> None:
+    """Write text to a file object, or to the file at path (ASCII, LF line ends)."""
     if hasattr(path, "write"):
         path.write(text)
-    else:
-        try:
-            with open(path, "w", encoding="ascii", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise DomainError(f"cannot write {path}: {exc}") from None
+        return
+    try:
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from None

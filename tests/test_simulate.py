@@ -122,6 +122,20 @@ def test_collision_rate_limit_rejected():
         sim.step_linear(field, 0.05)
 
 
+@pytest.mark.parametrize("step", [sim.step_linear, sim.step_nonlinear],
+                         ids=["linear", "nonlinear"])
+@pytest.mark.parametrize("name, bad", [
+    ("dt", -0.05), ("dt", 0.0), ("dt", math.nan), ("dt", math.inf),
+    ("dx", -0.1), ("dx", 0.0), ("dx", math.nan), ("dx", math.inf),
+    ("P", (6, 16)), ("P", (2, 16)), ("P", (16,)), ("P", (4, 0)),
+])
+def test_step_rejects_inputs_outside_their_domain(step, name, bad):
+    args = {"dt": 0.05, "dx": 0.1, "P": (4, 16)} | {name: bad}
+    field = make_field(make_config(theta=0.3), dx=args["dx"], P=np.zeros(args["P"]))
+    with pytest.raises(DomainError, match=f"^{name} must"):
+        step(field, args["dt"], bc="open")
+
+
 # --------------------------------------------------------- nonlinear steps
 
 def test_equilibrium_is_fixed_point():
@@ -462,7 +476,7 @@ def test_step_linear_is_four_stage_rk4_of_the_collision_operator(bc):
 
     kappa = 2.0 * cfg.c * cfg.S * cfg.N0 * (1.0 + cfg.B)
     L = np.full((p2, p2), kappa / n) - kappa * (np.eye(p2) + np.roll(np.eye(p2), n, axis=1))
-    Q = sim._advect(P, sim.build_lattice(cfg).x_speeds * dt / dx, bc)
+    Q = sim._advection(sim.build_lattice(cfg).x_speeds * dt / dx, M, bc)(P)
     k1 = L @ Q
     k2 = L @ (Q + 0.5 * dt * k1)
     k3 = L @ (Q + 0.5 * dt * k2)
@@ -485,14 +499,44 @@ def roll_advect(P, courant):
     return Q
 
 
-@pytest.mark.parametrize("n, theta", [(2, 0.0), (2, 0.37), (3, 0.2), (3, math.pi / 2)])
-def test_periodic_advection_is_bitwise_the_per_row_roll(n, theta):
-    courant = sim.build_lattice(make_config(theta=theta, n=n)).x_speeds * 0.7
-    assert (courant == 0.0).any() == (theta in (0.0, math.pi / 2))
-    for M in (1, 2, 33):
-        P = np.random.default_rng(M).standard_normal((2 * n, M))
-        np.testing.assert_array_equal(sim._advect(P, courant, "periodic"),
-                                      roll_advect(P, courant))
+def loop_advect_open(P, courant):
+    """Open-boundary Beam-Warming update, one row at a time.
+
+    The upwind end node keeps P (inflow condition or zeroth-order
+    extrapolated ghost) and the node next to it is first order.
+    """
+    Q = P.copy()
+    for i in range(P.shape[0]):
+        v = courant[i]
+        if v > 0:
+            Q[i, 1:] -= v * (P[i, 1:] - P[i, :-1])
+            Q[i, 2:] -= 0.5 * v * (1 - v) * (P[i, 2:] - 2 * P[i, 1:-1] + P[i, :-2])
+        elif v < 0:
+            w = -v
+            Q[i, :-1] -= w * (P[i, :-1] - P[i, 1:])
+            Q[i, :-2] -= 0.5 * w * (1 - w) * (P[i, :-2] - 2 * P[i, 1:-1] + P[i, 2:])
+    return Q
+
+
+@pytest.mark.parametrize("bc, reference", [("periodic", roll_advect),
+                                           ("open", loop_advect_open)],
+                         ids=["periodic", "open"])
+@pytest.mark.parametrize("n, theta", [(2, 0.0), (2, 0.37), (3, 0.2), (3, math.pi / 2),
+                                      (4, 0.0), (4, 0.6), (6, 0.1), (6, math.pi / 2)])
+def test_periodic_advection_is_bitwise_the_per_row_roll(n, theta, bc, reference):
+    speeds = sim.build_lattice(make_config(theta=theta, n=n)).x_speeds
+    assert (speeds == 0.0).any() == (theta in (0.0, math.pi / 2))
+    rng = np.random.default_rng(n)
+    for top in (0.3, 0.9):
+        courant = speeds * (top / np.max(np.abs(speeds)))
+        for M in (1, 2, 3, 33):
+            P = rng.standard_normal((2 * n, M))
+            zeros = rng.random(P.shape) < 0.3
+            P[zeros] = np.copysign(0.0, rng.standard_normal(zeros.sum()))
+            got = sim._advection(courant, M, bc)(P)
+            want = reference(P, courant)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 # lambda_meas of four small forced runs (4 wavelengths, 2 periods), captured
@@ -522,7 +566,7 @@ def test_forced_rejects_eps_outside_its_domain(monkeypatch, eps):
     def no_stepping(*args):
         raise AssertionError("stepped before checking eps")
 
-    monkeypatch.setattr(sim, "_advect", no_stepping)
+    monkeypatch.setattr(sim, "_advection", no_stepping)
     with pytest.raises(DomainError, match="eps"):
         sim.run_forced(make_config(), wavelengths=4, points_per_wavelength=10,
                        periods=2, eps=eps)
@@ -530,7 +574,8 @@ def test_forced_rejects_eps_outside_its_domain(monkeypatch, eps):
 
 @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
 def test_forced_nan_field_trips_the_instability_guard(monkeypatch, mode):
-    monkeypatch.setattr(sim, "_advect", lambda P, courant, bc: np.full_like(P, math.nan))
+    monkeypatch.setattr(sim, "_advection",
+                        lambda courant, M, bc: lambda P: np.full_like(P, math.nan))
     with pytest.raises(InstabilityError):
         sim.run_forced(make_config(), wavelengths=4, points_per_wavelength=10,
                        periods=2, mode=mode)
@@ -540,7 +585,7 @@ def test_forced_rejects_a_step_count_past_the_float_range(monkeypatch):
     def no_stepping(*args):
         raise AssertionError("stepped before checking the step count")
 
-    monkeypatch.setattr(sim, "_advect", no_stepping)
+    monkeypatch.setattr(sim, "_advection", no_stepping)
     with pytest.raises(DomainError, match=r"h = 1e\+308"):
         sim.run_forced(make_config(h=1e308), wavelengths=4, points_per_wavelength=10,
                        periods=2)
