@@ -79,56 +79,48 @@ class ThetaScanRow:
 
 
 class _BranchLine:
-    """Acoustic-branch tracker along one (theta, B, n) line.
+    """Acoustic and largest-lambda_i secondary lambda_i along one (theta, B, n) line.
 
-    Seeds u = 1 at large h_b once, with one batched solve over the seed
-    grid.  A coarse h grid is then one more batched solve (``scan``), and a
-    single point (golden-section refinement) one single-point solve.  Each
-    call continues from the visited h_b nearest its first point, seed and
-    golden-section points included (refinement stays local, so this is
-    safe), then row to row along its grid.
+    The constructor solves the seed grid (u = 1 at large h_b) and the
+    descending coarse h grid as one batch (``dispersion._track_to``) and
+    keeps both branches' lambda_i along the grid in ``grid_lambda_i``.  A
+    single point (golden-section refinement) is one single-point solve,
+    continued from the visited h_b nearest it, coarse and golden-section
+    points included (refinement stays local, so this is safe).
     """
 
-    def __init__(self, theta: float, B: float, n: int, h_top: float):
+    def __init__(self, theta: float, B: float, n: int, grid):
         self.theta = theta
         self.B = B
         self.n = n
-        h_b_top = h_top * (1.0 + B)
-        # acoustic u and log(h_b) of every visited point, in visit order;
-        # u first, so that _track_to rejects an h_b that math.log cannot take
-        self._u = [dispersion._track_to(h_b_top, theta, n)[0]]
-        self._log_h_b = np.array([math.log(h_b_top)])
-
-    def _walk(self, h_b) -> list:
-        """(acoustic u, ordered secondaries) at every h_b, from one batched solve."""
-        rows = dispersion._eig_roots(h_b, self.theta, self.n)
-        k = int(np.argmin(np.abs(self._log_h_b - math.log(h_b[0]))))
-        out = [dispersion._split_branches(roots, j)
-               for roots, j in zip(rows, dispersion._follow(rows, self._u[k]))]
-        self._log_h_b = np.append(self._log_h_b, [math.log(hb) for hb in h_b])
-        self._u.extend(u for u, _ in out)
-        return out
-
-    def scan(self, h_grid):
-        """(acoustic, secondary) lambda_i arrays along h_grid, in visit order.
-
-        One batched solve for the whole grid; both branches share it.
-        """
-        out = self._walk(np.asarray(h_grid, dtype=float) * (1.0 + self.B))
-        return (np.array([_branch_lambda_i(u, rest, "acoustic") for u, rest in out]),
-                np.array([_branch_lambda_i(u, rest, "secondary") for u, rest in out]))
+        with np.errstate(over="ignore"):   # an overflowed top is _track_to's DomainError
+            h_b = np.asarray(grid, dtype=float) * (1.0 + B)
+        rows, path = dispersion._track_to(h_b, theta, n)
+        # acoustic u and log(h_b) of every visited point, in visit order
+        self._u = [complex(roots[k]) for roots, k in zip(rows, path)]
+        self._log_h_b = np.array([math.log(hb) for hb in h_b])
+        self.grid_lambda_i = {
+            branch: np.array([_branch_lambda_i(roots, k, branch)
+                              for roots, k in zip(rows, path)])
+            for branch in ("acoustic", "secondary")}
 
     def lambda_i(self, h: float, branch: str) -> float:
-        return _branch_lambda_i(*self._walk([h * (1.0 + self.B)])[0], branch)
+        h_b = h * (1.0 + self.B)
+        roots = dispersion._eig_roots([h_b], self.theta, self.n)[0]
+        near = int(np.argmin(np.abs(self._log_h_b - math.log(h_b))))
+        (k,) = dispersion._follow([roots], self._u[near])
+        self._log_h_b = np.append(self._log_h_b, math.log(h_b))
+        self._u.append(complex(roots[k]))
+        return _branch_lambda_i(roots, k, branch)
 
 
-def _branch_lambda_i(u_ac: complex, rest: list, branch: str) -> float:
-    """lambda_i of the acoustic root, or of the largest-lambda_i secondary."""
+def _branch_lambda_i(roots, k: int, branch: str) -> float:
+    """lambda_i of root k (acoustic), or the largest lambda_i of the other roots."""
     if branch == "acoustic":
-        return dispersion.principal_lambda(u_ac).imag
-    if not rest:
-        return math.inf  # branch escaped to infinity at a degenerate angle
-    return dispersion.principal_lambda(rest[0]).imag
+        return dispersion.principal_lambda(roots[k]).imag
+    # no other root: the branch escaped to infinity at a degenerate angle
+    return max((dispersion.principal_lambda(u).imag
+                for j, u in enumerate(roots) if j != k), default=math.inf)
 
 
 def _sweep_row(h: float, B: float, theta: float, n: int,
@@ -142,7 +134,7 @@ _NUMERICAL_ERRORS = (ConvergenceError, SingularDenominatorError, DomainError)
 
 
 def _line_roots(h_b: np.ndarray, theta: float, n: int) -> list:
-    """Roots at every h_b of one sweep line, from one batched solve.
+    """Roots at every h_b of one sweep line's batch, from one batched solve.
 
     If the batch fails numerically, the points are solved one at a time and
     each point that fails again gets None.
@@ -164,8 +156,9 @@ def sweep(theta_list, B_list, h_grid, n: int,
           branch_policy: str = "acoustic") -> SweepTable:
     """Continuation-tracked roots for every (theta, B) line of the h grid.
 
-    Rows are ordered theta-major, then B, then h descending.  Each line is
-    one batched solve.  Numerical failures of a point solve become explicit
+    Rows are ordered theta-major, then B, then h descending.  Each line,
+    with the seed grid that continues the acoustic root to its top, is one
+    batched solve.  Numerical failures of a point solve become explicit
     rows (branch "error", NaN values) rather than silently dropped; other
     exceptions propagate.
     """
@@ -184,13 +177,10 @@ def sweep(theta_list, B_list, h_grid, n: int,
     rows = []
     for theta in theta_list:
         for B in B_list:
-            # the top point first, as a float: past the float range this
-            # raises DomainError before numpy warns about the whole line
-            u_top, _ = dispersion._track_to(float(h_grid[0]) * (1.0 + B), theta, n)
-            h_b_line = h_grid * (1.0 + B)
-            line = _line_roots(h_b_line, theta, n)
-            for h, h_b, roots, k in zip(h_grid, h_b_line, line,
-                                        dispersion._follow(line, u_top)):
+            with np.errstate(over="ignore"):   # an overflowed top is _track_to's DomainError
+                h_b_line = h_grid * (1.0 + B)
+            line, path = dispersion._track_to(h_b_line, theta, n, _line_roots)
+            for h, h_b, roots, k in zip(h_grid, h_b_line, line, path):
                 if k is None:
                     rows.append(SweepRow(h=h, B=B, theta=theta, n=n,
                                          branch="error", lambda_r=math.nan,
@@ -241,10 +231,9 @@ def find_hmax(theta: float, B: float, n: int = 2, branch: str = "acoustic",
         raise DomainError("B must satisfy -1 < B < inf")
     if branch not in ("acoustic", "secondary"):
         raise DomainError("branch must be 'acoustic' or 'secondary'")
-    line = _BranchLine(theta, B, n, hi)
     grid = np.geomspace(hi, lo, SCAN_POINTS)[::-1]   # visit descending, report ascending
-    ac, sec = line.scan(grid[::-1])
-    values = (ac if branch == "acoustic" else sec)[::-1]
+    line = _BranchLine(theta, B, n, grid[::-1])
+    values = line.grid_lambda_i[branch][::-1]
     k = int(np.argmax(values))
     if values[k] < LAMBDA_I_FLOOR:
         raise NoInteriorMaximumError(
@@ -307,10 +296,9 @@ def theta_scan(B: float, n: int, h_cap: float, theta_grid) -> list:
     grid = np.geomspace(h_lo, h_cap, SCAN_POINTS)
     rows = []
     for theta in theta_grid:
-        line = _BranchLine(theta, B, n, h_cap)
-        ac_values, sec_values = (v[::-1] for v in line.scan(grid[::-1]))
-        ac = _max_over_h(lambda h: line.lambda_i(h, "acoustic"), grid, ac_values)
-        sec = _max_over_h(lambda h: line.lambda_i(h, "secondary"), grid, sec_values)
-        rows.append(ThetaScanRow(theta=theta, branch="acoustic", max_lambda_i=ac))
-        rows.append(ThetaScanRow(theta=theta, branch="secondary", max_lambda_i=sec))
+        line = _BranchLine(theta, B, n, grid[::-1])
+        for branch in ("acoustic", "secondary"):
+            best = _max_over_h(lambda h: line.lambda_i(h, branch), grid,
+                               line.grid_lambda_i[branch][::-1])
+            rows.append(ThetaScanRow(theta=theta, branch=branch, max_lambda_i=best))
     return rows

@@ -356,24 +356,28 @@ def _follow(rows, u: complex) -> list:
     return path
 
 
-def _track_to(h_b: float, theta: float, n: int):
-    """Continue the acoustic root from u = 1 at large h_b down (or up) to h_b.
+def _track_to(h_b, theta: float, n: int, solve=None):
+    """Continue the acoustic root from u = 1 at large h_b along the grid h_b.
 
-    Returns (u, roots): the continued root and the grid's last row, which is
-    the solve at h_b itself (geomspace ends exactly on h_b, and each row of
-    the batch is solved on its own), so it holds every root at h_b.
+    The one seeded line solve: the seed grid from CONTINUATION_START (or
+    10 * h_b[0] above it) down to h_b[0], without its last point, and h_b
+    are one batch of ``solve`` (``_eig_roots`` unless given), continued
+    from u = 1 with ``_follow``.  Returns (rows, path) along h_b: the roots
+    at every h_b (each row of the batch is solved on its own, so it holds
+    every root there) and the index of the continued root in each row.
     """
-    h_b = float(h_b)
-    if not 0 < h_b < math.inf:
+    top = float(h_b[0])
+    if not 0 < top < math.inf:
         raise DomainError("h_b must be positive and finite")
-    start = CONTINUATION_START if h_b <= CONTINUATION_START else 10.0 * h_b
-    decades = abs(np.log10(start / h_b))
+    start = CONTINUATION_START if top <= CONTINUATION_START else 10.0 * top
+    decades = abs(np.log10(start / top))
     if not decades < math.inf:
-        raise DomainError(f"h_b = {h_b:.6g} is too far from {CONTINUATION_START:g} "
+        raise DomainError(f"h_b = {top:.6g} is too far from {CONTINUATION_START:g} "
                           "for a continuation grid in floating point")
     steps = max(2, int(np.ceil(decades * CONTINUATION_PER_DECADE)) + 1)
-    rows = _eig_roots(np.geomspace(start, h_b, steps), theta, n)
-    return complex(rows[-1][_follow(rows, 1.0)[-1]]), rows[-1]
+    seed = np.geomspace(start, top, steps)[:-1]
+    rows = (solve or _eig_roots)(np.concatenate([seed, h_b]), theta, n)
+    return rows[len(seed):], _follow(rows, 1.0)[len(seed):]
 
 
 def _nearest_with_ambiguity_check(roots: np.ndarray, u_target: complex) -> int:
@@ -410,12 +414,12 @@ def _branches_at(h_b: float, theta: float, n: int, policy: str = "acoustic",
                  roots=None):
     """Label the roots at h_b about the continued acoustic root.
 
-    The one point lookup: ``roots`` defaults to the last row of the
-    continuation to h_b, so a point costs one batched solve.
+    The one point lookup: ``roots`` defaults to the continuation's row at
+    h_b, the solve at h_b itself, so a point costs one batched solve.
     """
-    u, row = _track_to(h_b, theta, n)
+    (row,), (j,) = _track_to([h_b], theta, n)
     roots = row if roots is None else roots
-    k = _nearest_with_ambiguity_check(roots, u)
+    k = _nearest_with_ambiguity_check(roots, complex(row[j]))
     if policy == "acoustic":
         return _make_root(roots[k], h_b, theta, n, "acoustic")
     if policy != "all":

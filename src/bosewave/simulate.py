@@ -257,7 +257,7 @@ def _mode_drive_weights(config: ModelConfig, lattice: VelocityLattice):
     cosines = lattice.x_speeds[:n] / config.c
     fwd = shape.amplitudes * (1.0 + SQRT2 * root.lam * cosines)
     bwd = shape.amplitudes * (1.0 - SQRT2 * root.lam * cosines)
-    return np.concatenate([fwd, bwd]), root
+    return np.concatenate([fwd, bwd])
 
 
 def hydrodynamic_wavelength(config: ModelConfig) -> float:
@@ -279,8 +279,10 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
     Outflow is zeroth-order extrapolated at both ends; zero-speed components
     evolve freely.  The transient discarded before recording covers the
     domain-crossing time of the slowest inflow component plus 5 periods
-    (at least 10 periods); snapshots then cover the final `periods` periods
-    at 32 samples per period.
+    (at least 10 periods) unless `transient_periods` (>= 0) is given;
+    snapshots then cover the final `periods` periods at 32 samples per
+    period.  `cfl`, in (0, CFL_LIMIT], is the Courant number the advective
+    limit on dt allows.
 
     The collision limit on dt asks for about 4*pi*h(1+B) steps per period, a
     count that must be a finite float for dt = T/count to exist: past
@@ -300,6 +302,10 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
         raise DomainError("periods must be >= 1")
     if not 0 < eps < math.inf:
         raise DomainError("eps must satisfy 0 < eps < inf")
+    if not 0 < cfl <= CFL_LIMIT:
+        raise DomainError(f"cfl must satisfy 0 < cfl <= {CFL_LIMIT}")
+    if transient_periods is not None and not transient_periods >= 0:
+        raise DomainError("transient_periods must be >= 0")
     if mode == "linear" and config.n > 2:
         warnings.warn("linear collision form for n > 2 is extrapolated beyond "
                       "the n = 2 derivation", RuntimeWarning, stacklevel=2)
@@ -326,7 +332,7 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
     if not np.any(inflow):
         raise DomainError("no inflow components: theta leaves no positive x-speed")
     if drive == "mode":
-        weights, _ = _mode_drive_weights(config, lattice)
+        weights = _mode_drive_weights(config, lattice)
     else:
         weights = np.where(inflow, 1.0 + 0j, 0.0 + 0j)
     weights = weights / np.max(np.abs(weights[inflow]))

@@ -58,7 +58,7 @@ def test_hmax_bracket_contract():
     peak = analysis.find_hmax(0.0, 0.0, n=2)
     lo, hi = peak.bracket
     assert hi - lo < 1e-4 * peak.h_max
-    line = analysis._BranchLine(0.0, 0.0, 2, 1e2)
+    line = analysis._BranchLine(0.0, 0.0, 2, [1e2])
     assert peak.lambda_i_max >= line.lambda_i(lo, "acoustic") - 1e-12
     assert peak.lambda_i_max >= line.lambda_i(hi, "acoustic") - 1e-12
 
@@ -111,7 +111,7 @@ def test_sweep_programming_errors_propagate(monkeypatch):
 
 
 def test_branch_line_secondary_query_solves_once(monkeypatch):
-    line = analysis._BranchLine(0.3, 0.0, 3, 1e2)
+    line = analysis._BranchLine(0.3, 0.0, 3, [1e2])
     real = dsp._eig_roots
     calls = []
 
@@ -124,46 +124,62 @@ def test_branch_line_secondary_query_solves_once(monkeypatch):
     assert calls == [1]
 
 
-def _count_eig_batches(monkeypatch):
+def _eig_batches(monkeypatch):
+    """The h_b grids of the _eig_roots calls a test makes, in order."""
     real = dsp._eig_roots
-    sizes = []
+    grids = []
 
-    def counting(h_b, theta, n):
-        sizes.append(len(h_b))
+    def recording(h_b, theta, n):
+        grids.append(np.array(h_b, dtype=float))
         return real(h_b, theta, n)
 
-    monkeypatch.setattr(analysis.dispersion, "_eig_roots", counting)
-    return sizes
+    monkeypatch.setattr(analysis.dispersion, "_eig_roots", recording)
+    return grids
+
+
+def _is_seed_then(batch, h_b):
+    """batch is a seed grid from CONTINUATION_START (or 10*h_b[0]) followed by h_b."""
+    top = h_b[0]
+    start = dsp.CONTINUATION_START if top <= dsp.CONTINUATION_START else 10.0 * top
+    return (len(batch) > len(h_b) and batch[0] == start
+            and np.array_equal(batch[-len(h_b):], h_b)
+            and np.all(np.diff(batch[:len(batch) - len(h_b) + 1]) < 0))
 
 
 def test_find_hmax_coarse_grid_is_one_batched_solve(monkeypatch):
-    sizes = _count_eig_batches(monkeypatch)
-    analysis.find_hmax(0.3, -0.2, n=3)
-    # seed grid, the whole coarse grid, then single golden-section points
-    assert sizes[1] == analysis.SCAN_POINTS
-    assert sizes.count(analysis.SCAN_POINTS) == 1
-    assert set(sizes[2:]) == {1}
+    grids = _eig_batches(monkeypatch)
+    theta, B, n = 0.3, -0.2, 3
+    analysis.find_hmax(theta, B, n=n)
+    # one batch (the seed grid, then the whole coarse grid), then single
+    # golden-section points
+    coarse = np.geomspace(1e2, 1e-2, analysis.SCAN_POINTS) * (1.0 + B)
+    assert _is_seed_then(grids[0], coarse)
+    assert len(grids) > 1 and {len(g) for g in grids[1:]} == {1}
 
 
 def test_theta_scan_branches_share_one_batch_per_angle(monkeypatch):
-    sizes = _count_eig_batches(monkeypatch)
-    grid = [0.2, math.pi / 4, 0.9]
-    analysis.theta_scan(0.4, 2, 10.0, grid)
-    assert sizes.count(analysis.SCAN_POINTS) == len(grid)
-    big = [k for k, size in enumerate(sizes) if size > 1]
-    # per angle: the seed grid, then the one coarse batch for both branches
-    assert [sizes[k] for k in big] == [sizes[0], analysis.SCAN_POINTS] * len(grid)
+    grids = _eig_batches(monkeypatch)
+    theta_grid, B, h_cap = [0.2, math.pi / 4, 0.9], 0.4, 10.0
+    analysis.theta_scan(B, 2, h_cap, theta_grid)
+    coarse = np.geomspace(h_cap * 1e-4, h_cap, analysis.SCAN_POINTS)[::-1] * (1.0 + B)
+    big = [k for k, g in enumerate(grids) if len(g) > 1]
+    # per angle: one batch (seed grid, then the coarse grid) for both
+    # branches, then its golden-section points one at a time
+    assert big[0] == 0 and len(big) == len(theta_grid)
+    assert all(_is_seed_then(grids[k], coarse) for k in big)
+    assert {len(g) for k, g in enumerate(grids) if k not in big} == {1}
 
 
 def test_sweep_line_is_one_batched_solve(monkeypatch):
-    sizes = _count_eig_batches(monkeypatch)
+    grids = _eig_batches(monkeypatch)
     h_grid = np.geomspace(1e-2, 1e2, 7)
-    table = analysis.sweep([0.1, 0.5], [0.0, -0.3], h_grid, 3, branch_policy="all")
+    Bs = [0.0, -0.3]
+    table = analysis.sweep([0.1, 0.5], Bs, h_grid, 3, branch_policy="all")
     assert len(table) == 2 * 2 * 7 * 3
-    # per (theta, B) line: the seed grid and one batch over the line
-    assert len(sizes) == 8
-    assert sizes[1::2] == [7] * 4
-    assert all(size > 7 for size in sizes[::2])
+    # per (theta, B) line: one batch, the seed grid and then the line
+    assert len(grids) == 4
+    for g, B in zip(grids, Bs * 2):
+        assert _is_seed_then(g, h_grid[::-1] * (1.0 + B))
 
 
 def test_sweep_secondaries_match_select_branch():
@@ -174,7 +190,7 @@ def test_sweep_secondaries_match_select_branch():
                               policy="all")
     assert [r.branch for r in rows] == [r.branch for r in roots]
     assert [complex(r.lambda_r, r.lambda_i) for r in rows] == [r.lam for r in roots]
-    line = analysis._BranchLine(theta, B, n, 1e2)
+    line = analysis._BranchLine(theta, B, n, [1e2])
     assert line.lambda_i(h, "secondary") == roots[1].lambda_i
 
 
@@ -226,8 +242,9 @@ def test_sweep_failures_become_error_rows(monkeypatch):
     real = dsp._eig_roots
 
     def flaky(h_b, theta, n):
-        # the line's batch and its point h_b = 1 fail; the seed grid (down to
-        # h_b = 10) and the other points solve
+        # the line's one batch (seed grid down to h_b = 10, then the line)
+        # and its point h_b = 1 fail; the seed points and the other points
+        # solve one at a time
         if np.any(np.abs(np.asarray(h_b) - 1.0) < 1e-12):
             raise ConvergenceError("synthetic failure")
         return real(h_b, theta, n)
@@ -373,6 +390,7 @@ def test_out_of_domain_or_non_finite_input_raises_domain_error(call, name):
     (lambda: analysis.sweep([0.0], [0.0], [1e-320], 2), "h_b"),
 ], ids=["theta_scan h_cap=1e-320", "theta_scan h_cap=1e308", "theta_scan B=1e308",
         "hmax B=1e308", "hmax h_range=1:1e308", "sweep B=1e308", "sweep h=1e-320"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_h_b_grid_outside_the_float_range_raises_domain_error(call, name):
     with pytest.raises(DomainError, match=name):
         call()

@@ -522,6 +522,7 @@ RANGE_ERRORS = [
 
 @pytest.mark.parametrize("argv, needle", RANGE_ERRORS,
                          ids=[" ".join(argv) for argv, _ in RANGE_ERRORS])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_out_of_range_magnitudes_and_ranges_exit_1_naming_the_part(capsys, argv, needle):
     code, out, err = run(capsys, *argv)
     assert code == 1

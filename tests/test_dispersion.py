@@ -481,6 +481,50 @@ def test_theta_normalization_does_not_move_roots():
     assert roots_multiset_close(got, other, tol=1e-10)
 
 
+def seed_then_line(h_b, theta, n):
+    """Reference: the seed continuation to h_b[0], then h_b continued from its u.
+
+    Two separate solves, the seed grid and h_b; returns the seed grid without
+    its last point (h_b[0]), the roots of each solve and the line's path.
+    """
+    top = float(h_b[0])
+    start = dsp.CONTINUATION_START if top <= dsp.CONTINUATION_START else 10.0 * top
+    steps = max(2, int(np.ceil(abs(np.log10(start / top))
+                               * dsp.CONTINUATION_PER_DECADE)) + 1)
+    seed_grid = np.geomspace(start, top, steps)
+    seed = dsp._eig_roots(seed_grid, theta, n)
+    u_top = seed[-1][dsp._follow(seed, 1.0)[-1]]
+    line = dsp._eig_roots(h_b, theta, n)
+    return seed_grid[:-1], seed[:-1], line, dsp._follow(line, u_top)
+
+
+@pytest.mark.parametrize("top", [1e-1, 1e2, 1e8])
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_track_to_folds_the_seed_into_the_line_batch_bitwise(n, top):
+    # top = 1e8 seeds at 10 * top instead of CONTINUATION_START; at top =
+    # 0.1 a line continued from u = 1 without the seed lands on another
+    # root for some (theta, B); theta = pi/2 (and 0 for even n) leaves
+    # n - 1 roots, one velocity being perpendicular to the wave
+    for theta in (0.0, 0.3, math.pi / 4, math.pi / 2):
+        for B in (0.0, 0.5, -0.5):
+            h_b = np.geomspace(top, top * 1e-5, 33) * (1.0 + B)
+            seed_grid, seed, line, path = seed_then_line(h_b, theta, n)
+            batches, results = [], []
+
+            def recording(grid, theta, n):
+                batches.append(np.array(grid))
+                results.append(dsp._eig_roots(grid, theta, n))
+                return results[-1]
+
+            rows, got_path = dsp._track_to(h_b, theta, n, recording)
+            assert len(batches) == 1
+            assert batches[0].tobytes() == np.concatenate([seed_grid, h_b]).tobytes()
+            for got, want in zip(results[0], seed + line, strict=True):
+                assert got.tobytes() == want.tobytes(), (theta, B)
+            assert [r.tobytes() for r in rows] == [r.tobytes() for r in line]
+            assert got_path == path, (theta, B)
+
+
 @pytest.mark.parametrize("h_b", [1e308, 1e-320, math.inf, 0.0])
 def test_continuation_grid_out_of_float_range_raises_domain_error(h_b):
     with pytest.raises(DomainError, match="h_b"):

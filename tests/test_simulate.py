@@ -367,8 +367,19 @@ def test_forced_n3_linear_warns_extrapolated():
                                 {"wavelengths": 0},
                                 {"wavelengths": -1},
                                 {"periods": 0},
-                                {"periods": -2}])
-def test_forced_rejects_empty_grid_before_running(kw):
+                                {"periods": -2},
+                                {"cfl": 0.0},
+                                {"cfl": -0.5},
+                                {"cfl": math.nan},
+                                {"cfl": 1.0},
+                                {"cfl": math.inf},
+                                {"transient_periods": -1},
+                                {"transient_periods": -5}])
+def test_forced_rejects_empty_grid_before_running(monkeypatch, kw):
+    def no_stepping(*args):
+        raise AssertionError("stepped before checking the arguments")
+
+    monkeypatch.setattr(sim, "_advection", no_stepping)
     with pytest.raises(DomainError, match=next(iter(kw))):
         sim.run_forced(make_config(), **kw)
 
