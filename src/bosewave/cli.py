@@ -24,6 +24,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from argparse import ArgumentTypeError
 
@@ -220,9 +221,23 @@ def _cmd_theta_scan(args) -> int:
     return 0
 
 
+def _check_writable(path) -> None:
+    """Raise the DomainError of an unwritable path now, before a long run.
+
+    Appending nothing leaves an existing file as it was; a file this check
+    created is removed again.
+    """
+    existed = os.path.lexists(path)
+    simulate._write_text("", path, mode="a")
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_simulate(args) -> int:
     _check_point(args)
     cfg = ModelConfig.from_reduced(n=args.n, theta=args.theta, h=args.h, B=args.B)
+    if args.out is not None:
+        _check_writable(args.out)
     series = simulate.run_forced(
         cfg, wavelengths=args.wavelengths, points_per_wavelength=args.ppw,
         periods=args.periods, mode="nonlinear" if args.nonlinear else "linear",

@@ -290,8 +290,10 @@ def root_residual(lam: complex, h_b: float, theta: float, n: int) -> float:
     denoms = 1.0 + 1j * h_b - 2.0 * lam * lam * c2
     scales = 1.0 + h_b + 2.0 * abs(lam) ** 2 * c2
     size = np.abs(denoms)
-    if size.min() > 0.0 and (
-            EPS * (h_b / n) * (scales / (size * size)).sum() < CLEAR_POLE_NOISE):
+    with np.errstate(over="ignore"):   # |d_k|^2 past the float range: no noise
+        quiet = size.min() > 0.0 and (
+            EPS * (h_b / n) * (scales / (size * size)).sum() < CLEAR_POLE_NOISE)
+    if quiet:
         return abs(complex(1.0 - (1j * h_b / n) * np.sum(1.0 / denoms)))
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_ratio = scales / size               # inf exactly at a pole

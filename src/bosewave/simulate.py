@@ -24,10 +24,12 @@ Scheme: operator split, advection first then collisions.  Advection is
 second-order upwind (Beam-Warming), stable for Courant numbers up to 2,
 with a first-order one-sided closure at the boundary-adjacent node;
 collisions are integrated with one RK4 substep.  For the linear collision
-operator L that substep is the matrix R = sum_{k=0..4} (dt L)^k / k!, built
-once per forced run (or step_linear call) and applied as R @ P.  Advection
-is one gather kernel for both boundaries, built once per forced run (or
-step call).
+operator L that substep is the matrix R = sum_{k=0..4} (dt L)^k / k!,
+applied as R @ P.  Advection is one gather kernel for both boundaries.
+A step's two kernels, advect and collide, come from one builder: a forced
+run builds them once, and step_linear/step_nonlinear reuse them for every
+call with the same (config, dt, dx, M, bc) through a cache of
+KERNEL_CACHE_SIZE entries.  Every step call still checks all its inputs.
 Using the same RK4 map for the linear and nonlinear right-hand sides keeps
 the nonlinear stepper linearization-consistent with the linear one to
 O(eps^2) per step.
@@ -35,9 +37,10 @@ O(eps^2) per step.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,6 +75,7 @@ INSTABILITY_FACTOR = 1e3
 ZERO_SPEED_TOL = 1e-14        # |cos| below this (times c) snaps to an exact zero
 KINETIC_CLEARANCE = 6.0       # e-foldings of the slowest secondary mode to skip
 AMP_FLOOR_RATIO = 1e-2        # fit keeps cells above this fraction of window start
+KERNEL_CACHE_SIZE = 8         # step kernels (and step limits) kept for reuse
 
 
 @dataclass(frozen=True)
@@ -119,9 +123,60 @@ def _collision_rate(config: ModelConfig) -> float:
     return 4.0 * config.c * config.S * config.N0 * (1.0 + config.B)
 
 
-def _check_step_pre(field: WaveField, dt: float, bc: str):
-    """Check one step's inputs and return its advection kernel."""
-    lattice = build_lattice(field.config)
+def _reuse(cached, *key):
+    """cached(*key), or the uncached function where the key cannot be hashed
+    (a 0-d array dt, say)."""
+    try:
+        return cached(*key)
+    except TypeError:
+        try:
+            hash(key)
+        except TypeError:
+            return cached.__wrapped__(*key)
+        raise
+
+
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE, typed=True)
+def _step_limits(config: ModelConfig, field_types: tuple):
+    """max|x_speed| and 4cSN0(1+B) of a validated config, the two dt limits.
+
+    field_types keeps apart configs that compare equal but differ in the
+    type of a field (a float32 S makes a float32 rate).
+    """
+    vmax = float(np.max(np.abs(build_lattice(config).x_speeds)))
+    return vmax, _collision_rate(config)
+
+
+def _step_kernels(config: ModelConfig, dt: float, dx: float, M: int, bc: str,
+                  mode: str):
+    """A step's kernels (advect, collide) for a validated config.
+
+    collide is the linear RK4 matrix applied as R @ P, or one RK4 substep of
+    the nonlinear collision term.  R and the advection weights are read-only.
+    """
+    advect = _advection(build_lattice(config).x_speeds * dt / dx, M, bc)
+    if mode == "linear":
+        R = _linear_propagator(config, dt)
+        R.flags.writeable = False
+        return advect, lambda P: R @ P
+    rhs = _nonlinear_rhs(config)
+    return advect, lambda P: _rk4(rhs, P, dt)
+
+
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE, typed=True)
+def _cached_step_kernels(config, field_types, dt, dx, M, bc, mode):
+    """_step_kernels, reused per key; field_types as in _step_limits."""
+    return _step_kernels(config, dt, dx, M, bc, mode)
+
+
+def _checked_step_kernels(field: WaveField, dt: float, bc: str, mode: str):
+    """Check one step's inputs and return its (advect, collide), reused per key.
+
+    The checks run on every call, in this order: the config, dt, dx, the
+    shape of P, the Courant limit, the collision limit, then bc (in
+    _advection, on a cache miss; a bad bc is never cached).
+    """
+    config = validate(field.config)
     if not 0 < dt < math.inf:
         raise DomainError(f"dt must satisfy 0 < dt < inf, got {dt!r}")
     if not 0 < field.dx < math.inf:
@@ -131,14 +186,16 @@ def _check_step_pre(field: WaveField, dt: float, bc: str):
     if len(shape) != 2 or shape[0] != p2 or shape[1] < 1:
         raise DomainError(f"P must have shape (2n, M) = ({p2}, M) with M >= 1, "
                           f"got {shape}")
-    vmax = float(np.max(np.abs(lattice.x_speeds)))
+    field_types = tuple(map(type, vars(config).values()))
+    vmax, rate = _reuse(_step_limits, config, field_types)
     if vmax > 0 and dt * vmax / field.dx > CFL_LIMIT + 1e-12:
         raise CFLError(f"dt*max|x_speed|/dx = {dt * vmax / field.dx:.4g} "
                        f"exceeds {CFL_LIMIT}")
-    if dt * _collision_rate(field.config) > COLLISION_DT_LIMIT + 1e-12:
-        raise CFLError(f"dt*4cSN0(1+B) = {dt * _collision_rate(field.config):.4g} "
+    if dt * rate > COLLISION_DT_LIMIT + 1e-12:
+        raise CFLError(f"dt*4cSN0(1+B) = {dt * rate:.4g} "
                        f"exceeds {COLLISION_DT_LIMIT}")
-    return _advection(lattice.x_speeds * dt / field.dx, shape[1], bc)
+    return _reuse(_cached_step_kernels, config, field_types, dt, field.dx,
+                  shape[1], bc, mode)
 
 
 def _advection(courant: np.ndarray, M: int, bc: str):
@@ -165,6 +222,9 @@ def _advection(courant: np.ndarray, M: int, bc: str):
     cw[near == far] = 0.0
     rows = np.arange(len(courant))[:, None] * M
     near, far = near + rows, far + rows
+    # the weights are read-only; the indices stay writeable, because take()
+    # copies a read-only index array on every call
+    w.flags.writeable = cw.flags.writeable = False
 
     def advect(P: np.ndarray) -> np.ndarray:
         up1, up2 = P.take(near), P.take(far)
@@ -219,22 +279,29 @@ def _nonlinear_rhs(config: ModelConfig):
 
 
 def step_linear(field: WaveField, dt: float, bc: str = "periodic") -> WaveField:
-    """One operator-split step of the linearized system."""
-    advect = _check_step_pre(field, dt, bc)
-    P = _linear_propagator(field.config, dt) @ advect(field.P)
-    return replace(field, P=P, t=field.t + dt)
+    """One operator-split step of the linearized system.
+
+    The step's kernels are reused for every call with the same
+    (config, dt, dx, M, bc), from a cache of KERNEL_CACHE_SIZE entries.
+    """
+    advect, collide = _checked_step_kernels(field, dt, bc, "linear")
+    return WaveField(P=collide(advect(field.P)), dx=field.dx, t=field.t + dt,
+                     config=field.config)
 
 
 def step_nonlinear(field: WaveField, dt: float, bc: str = "periodic") -> WaveField:
-    """One operator-split step of the full quantum kinetic system."""
-    advect = _check_step_pre(field, dt, bc)
-    if np.any(field.P <= -1.0):
+    """One operator-split step of the full quantum kinetic system.
+
+    Kernels are reused as in step_linear.
+    """
+    advect, collide = _checked_step_kernels(field, dt, bc, "nonlinear")
+    if field.P.min() <= -1.0:     # a NaN passes, as it does in np.any(P <= -1)
         raise PositivityError("number density N_i = N0(1+P_i) not positive")
-    P = _rk4(_nonlinear_rhs(field.config), advect(field.P), dt)
-    if np.any(P <= -1.0):
+    P = collide(advect(field.P))
+    if P.min() <= -1.0:
         raise PositivityError("positivity lost during nonlinear step "
                               "(amplitude too large for the scheme)")
-    return replace(field, P=P, t=field.t + dt)
+    return WaveField(P=P, dx=field.dx, t=field.t + dt, config=field.config)
 
 
 def pair_averages(field: WaveField) -> np.ndarray:
@@ -343,11 +410,7 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
     total_steps = (transient_periods + periods) * steps_per_period
     record_from = transient_periods * steps_per_period
 
-    if mode == "linear":
-        R = _linear_propagator(config, dt)
-    else:
-        rhs = _nonlinear_rhs(config)
-    advect = _advection(lattice.x_speeds * dt / dx, M, "open")
+    advect, collide = _step_kernels(config, dt, dx, M, "open", mode)
     t_ramp = ramp_periods * T
     drive_amp = 1j * weights[inflow]
     bound = INSTABILITY_FACTOR * eps
@@ -355,7 +418,7 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
     P = np.zeros((2 * config.n, M))
     snapshots: list[WaveField] = []
     for step in range(1, total_steps + 1):
-        P = R @ advect(P) if mode == "linear" else _rk4(rhs, advect(P), dt)
+        P = collide(advect(P))
         t = step * dt
         envelope = 0.5 * (1.0 - math.cos(math.pi * t / t_ramp)) if t < t_ramp else 1.0
         P[inflow, 0] = eps * envelope * np.real(
@@ -487,13 +550,16 @@ def dump_snapshot(field: WaveField, path, stride: int = 1) -> None:
     _write_text("\n".join(lines) + "\n", path)
 
 
-def _write_text(text: str, path) -> None:
-    """Write text to a file object, or to the file at path (ASCII, LF line ends)."""
+def _write_text(text: str, path, mode: str = "w") -> None:
+    """Write text to a file object, or to the file at path (ASCII, LF line ends).
+
+    mode "a" appends instead of replacing the file.
+    """
     if hasattr(path, "write"):
         path.write(text)
         return
     try:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
+        with open(path, mode, encoding="ascii", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
         raise DomainError(f"cannot write {path}: {exc}") from None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -184,6 +185,10 @@ def test_theta_scan_table(capsys):
 
 # ----------------------------------------------------------------- simulate
 
+SIMULATE_SMALL = ["simulate", "--h", "1", "--theta", "0", "--ppw", "10",
+                  "--wavelengths", "4", "--periods", "2"]
+
+
 def test_simulate_run_and_snapshot(tmp_path, capsys):
     out = tmp_path / "snap.txt"
     code, stdout, _ = run(capsys, "simulate", "--h", "1", "--B", "0",
@@ -227,6 +232,44 @@ def test_simulate_stride_checked_before_the_run(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert "--stride" in err
     assert not (tmp_path / "snap.txt").exists()
+
+
+def no_run(*args, **kwargs):
+    raise AssertionError("simulation ran")
+
+
+def test_simulate_unwritable_out_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.simulate, "run_forced", no_run)
+    code, out, err = run(capsys, *SIMULATE_SMALL,
+                         "--out", str(tmp_path / "missing" / "snap.txt"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write ")
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_simulate_out_check_leaves_a_writable_path_as_it_was(tmp_path, monkeypatch,
+                                                             existing):
+    monkeypatch.setattr(cli.simulate, "run_forced", no_run)
+    snap = tmp_path / "snap.txt"
+    if existing:
+        snap.write_text("old\n")
+    with pytest.raises(AssertionError, match="simulation ran"):
+        cli.main([*SIMULATE_SMALL, "--out", str(snap)])
+    assert snap.read_text() == "old\n" if existing else not snap.exists()
+
+
+def test_simulate_snapshot_bytes_unchanged_by_the_early_check(tmp_path, capsys):
+    series = cli.simulate.run_forced(
+        cli.ModelConfig.from_reduced(n=2, theta=0.0, h=1.0, B=0.0),
+        wavelengths=4, points_per_wavelength=10, periods=2)
+    want = tmp_path / "want.txt"
+    cli.simulate.dump_snapshot(series[-1], str(want), stride=3)
+    got = tmp_path / "got.txt"
+    got.write_text("stale contents to be replaced\n")
+    code, _, _ = run(capsys, *SIMULATE_SMALL, "--out", str(got), "--stride", "3")
+    assert code == 0
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_simulate_requires_h(capsys):
@@ -546,10 +589,6 @@ def test_roots_all_branches_is_one_batched_solve(eig_batches, capsys):
     assert len(eig_batches) == 1 and eig_batches[0] > 1
 
 
-SIMULATE_SMALL = ["simulate", "--h", "1", "--theta", "0", "--ppw", "10",
-                  "--wavelengths", "4", "--periods", "2"]
-
-
 @pytest.mark.parametrize("argv, needle", [
     (SIMULATE_SMALL + ["--out", "{missing}/snap.txt"], "cannot write"),
     (["simulate", "--h=1e308", "--theta", "0"], "h = 1e+308"),
@@ -560,3 +599,23 @@ def test_simulate_faults_exit_1_without_traceback(tmp_path, capsys, argv, needle
     assert code == 1
     assert err.startswith("error: ") and needle in err
     assert "Traceback" not in err
+
+
+# stdout of each command as printed before root_residual's |d|^2 could
+# overflow silently: the errstate changed no byte
+OVERFLOWING_RESIDUALS = {
+    "roots --h=1e200 --theta 0.3":
+        "53f8f57b7c9d274f0e93484324721836b2bbfdb44b846593afd57a305bf65963",
+    "sweep --B=1e300":
+        "d07035359d69482e8d722e8432585f4110f8ac74427b7b3956b5338a6d858dac",
+    "sweep --h-range=1:1e307:3 --log":
+        "71435bc5b0a411fd1e8644d4c197f4805f6bb6dfcdf33f8b7eba3d6d1cb64291",
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", list(OVERFLOWING_RESIDUALS))
+def test_residual_past_the_float_range_is_quiet_and_unchanged(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == OVERFLOWING_RESIDUALS[command]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -605,3 +606,186 @@ def test_forced_rejects_a_step_count_past_the_float_range(monkeypatch):
 def test_default_fit_window_is_one_batched_solve(eig_batches):
     sim._default_fit_window(make_config(theta=0.3, n=3), 40.0, 0.1)
     assert len(eig_batches) == 1 and eig_batches[0] > 1
+
+
+# ------------------------------------------------------------ kernel reuse
+
+def reference_step(field, dt, bc="periodic", mode="linear"):
+    """One step as taken before kernels were reused: every call checks its
+    inputs and rebuilds the lattice, the advection gather and the collision
+    map, and returns through dataclasses.replace."""
+    lattice = sim.build_lattice(field.config)
+    if not 0 < dt < math.inf:
+        raise DomainError(f"dt must satisfy 0 < dt < inf, got {dt!r}")
+    if not 0 < field.dx < math.inf:
+        raise DomainError(f"dx must satisfy 0 < dx < inf, got {field.dx!r}")
+    p2 = 2 * field.config.n
+    shape = np.shape(field.P)
+    if len(shape) != 2 or shape[0] != p2 or shape[1] < 1:
+        raise DomainError(f"P must have shape (2n, M) = ({p2}, M) with M >= 1, "
+                          f"got {shape}")
+    vmax = float(np.max(np.abs(lattice.x_speeds)))
+    if vmax > 0 and dt * vmax / field.dx > sim.CFL_LIMIT + 1e-12:
+        raise CFLError(f"dt*max|x_speed|/dx = {dt * vmax / field.dx:.4g} "
+                       f"exceeds {sim.CFL_LIMIT}")
+    rate = sim._collision_rate(field.config)
+    if dt * rate > sim.COLLISION_DT_LIMIT + 1e-12:
+        raise CFLError(f"dt*4cSN0(1+B) = {dt * rate:.4g} "
+                       f"exceeds {sim.COLLISION_DT_LIMIT}")
+    advect = sim._advection(lattice.x_speeds * dt / field.dx, shape[1], bc)
+    if mode == "linear":
+        P = sim._linear_propagator(field.config, dt) @ advect(field.P)
+    else:
+        if np.any(field.P <= -1.0):
+            raise PositivityError("number density N_i = N0(1+P_i) not positive")
+        P = sim._rk4(sim._nonlinear_rhs(field.config), advect(field.P), dt)
+        if np.any(P <= -1.0):
+            raise PositivityError("positivity lost during nonlinear step "
+                                  "(amplitude too large for the scheme)")
+    return replace(field, P=P, t=field.t + dt)
+
+
+STEPS = {"linear": sim.step_linear, "nonlinear": sim.step_nonlinear}
+
+
+@pytest.fixture
+def cold_cache():
+    """Empty step-kernel caches before and after the test."""
+    def clear():
+        sim._step_limits.cache_clear()
+        sim._cached_step_kernels.cache_clear()
+
+    clear()
+    yield clear
+    clear()
+
+
+def assert_same_field(got, want):
+    np.testing.assert_array_equal(got.P, want.P)
+    np.testing.assert_array_equal(np.signbit(got.P), np.signbit(want.P))
+    assert (got.dx, got.t, got.config) == (want.dx, want.t, want.config)
+    assert got.config is want.config
+
+
+def random_field(config, M, dx, seed):
+    rng = np.random.default_rng(seed)
+    P = 0.08 * rng.standard_normal((2 * config.n, M)) + 0.03
+    P[rng.random(P.shape) < 0.1] = -0.0
+    return make_field(config, M=M, dx=dx, P=P)
+
+
+@pytest.mark.parametrize("bc", ["periodic", "open"])
+@pytest.mark.parametrize("B", [-0.5, 0.0, 0.7])
+@pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 2])
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_steps_are_bitwise_the_reference_step(cold_cache, n, theta, B, bc):
+    cfg = make_config(theta=theta, h=1.3, B=B, n=n)
+    for mode, step in STEPS.items():
+        got = want = random_field(cfg, M=37, dx=0.12, seed=n)
+        for _ in range(3):   # a cold cache, then two warm calls
+            got, want = step(got, 0.04, bc=bc), reference_step(want, 0.04, bc, mode)
+            assert_same_field(got, want)
+
+
+def test_warm_cache_in_interleaved_order_matches_a_cold_one(cold_cache):
+    keys = [(make_config(theta=th, h=h, B=B, n=n), dt, dx, M, bc)
+            for n, th, h, B in [(2, 0.3, 1.0, 0.0), (3, 0.1, 0.7, 0.4),
+                                (4, 0.6, 1.5, -0.3)]
+            for dt, dx in [(0.04, 0.12), (0.02, 0.12), (0.04, 0.1)]
+            for M, bc in [(16, "periodic"), (9, "open")]]
+    assert len(keys) > sim.KERNEL_CACHE_SIZE
+    order = list(range(len(keys))) * 2
+    np.random.default_rng(4).shuffle(order)
+    for i in order:
+        cfg, dt, dx, M, bc = keys[i]
+        field = random_field(cfg, M, dx, seed=i)
+        for step in STEPS.values():
+            warm = step(field, dt, bc=bc)
+            cold_cache()
+            assert_same_field(warm, step(field, dt, bc=bc))
+
+
+def test_equal_configs_of_other_field_types_get_their_own_kernels(cold_cache):
+    cfg = ModelConfig(n=2, theta=0.3, S=0.25)
+    float32_cfg = replace(cfg, S=np.float32(0.25))
+    assert float32_cfg == cfg
+    for mode, step in STEPS.items():
+        step(make_field(cfg, M=16), 0.05)
+        field = random_field(float32_cfg, 16, 0.1, seed=1)
+        assert_same_field(step(field, 0.05), reference_step(field, 0.05, mode=mode))
+
+
+def test_unhashable_dt_is_stepped_uncached(cold_cache):
+    field = random_field(make_config(theta=0.3), 16, 0.1, seed=2)
+    for mode, step in STEPS.items():
+        assert_same_field(step(field, np.array(0.05)),
+                          reference_step(field, np.array(0.05), mode=mode))
+
+
+@pytest.mark.parametrize("mode", list(STEPS))
+def test_one_key_builds_its_advection_once(cold_cache, monkeypatch, mode):
+    builds = []
+
+    def counting(*args):
+        builds.append(args)
+        return advection(*args)
+
+    advection = sim._advection
+    monkeypatch.setattr(sim, "_advection", counting)
+    field = random_field(make_config(theta=0.3, n=3), 128, 0.12, seed=3)
+    for _ in range(25):
+        field = STEPS[mode](field, 0.04, bc="periodic")
+    assert len(builds) == 1
+
+
+STEP_FAULTS = [
+    *[({name: bad}, f"^{name} must") for name, bad in [
+        ("dt", -0.05), ("dt", 0.0), ("dt", math.nan), ("dt", math.inf),
+        ("dx", -0.1), ("dx", 0.0), ("dx", math.nan), ("dx", math.inf),
+        ("P", (6, 16)), ("P", (2, 16)), ("P", (16,)), ("P", (4, 0))]],
+    ({"bc": "closed"}, "^bc must"),
+    ({"bc": ["open"]}, "^bc must"),
+]
+
+
+@pytest.mark.parametrize("mode", list(STEPS))
+@pytest.mark.parametrize("fault, needle", STEP_FAULTS,
+                         ids=[f"{k}={v}" for (f, _) in STEP_FAULTS for k, v in f.items()])
+def test_step_rejects_the_same_inputs_after_a_valid_step(cold_cache, mode, fault,
+                                                         needle):
+    args = {"dt": 0.05, "dx": 0.1, "P": (4, 16), "bc": "open"}
+    cfg = make_config(theta=0.3)
+    STEPS[mode](make_field(cfg, dx=args["dx"], P=np.zeros(args["P"])), args["dt"],
+                bc=args["bc"])
+    args |= fault
+    field = make_field(cfg, dx=args["dx"], P=np.zeros(args["P"]))
+    with pytest.raises(DomainError, match=needle) as want:
+        reference_step(field, args["dt"], args["bc"], mode)
+    with pytest.raises(DomainError) as got:
+        STEPS[mode](field, args["dt"], bc=args["bc"])
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("mode", list(STEPS))
+@pytest.mark.parametrize("h, dx, dt, good_dt, needle", [
+    (1.0, 0.01, 0.1, 0.005, "x_speed"),      # Courant limit
+    (100.0, 10.0, 0.05, 0.001, "4cSN0"),     # collision limit
+], ids=["courant", "collision"])
+def test_step_limits_hold_after_a_valid_step(cold_cache, mode, h, dx, dt, good_dt,
+                                             needle):
+    field = make_field(make_config(theta=0.0, h=h), dx=dx)
+    STEPS[mode](field, good_dt)
+    with pytest.raises(CFLError, match=needle) as want:
+        reference_step(field, dt, mode=mode)
+    with pytest.raises(CFLError) as got:
+        STEPS[mode](field, dt)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("mode", list(STEPS))
+def test_mutating_a_returned_field_leaves_the_next_step_unchanged(cold_cache, mode):
+    field = random_field(make_config(theta=0.3, n=3), 32, 0.12, seed=5)
+    first = STEPS[mode](field, 0.04)
+    want = first.P.copy()
+    first.P[...] = 0.5
+    assert_same_field(STEPS[mode](field, 0.04), replace(first, P=want))
