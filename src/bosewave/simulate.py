@@ -75,7 +75,7 @@ INSTABILITY_FACTOR = 1e3
 ZERO_SPEED_TOL = 1e-14        # |cos| below this (times c) snaps to an exact zero
 KINETIC_CLEARANCE = 6.0       # e-foldings of the slowest secondary mode to skip
 AMP_FLOOR_RATIO = 1e-2        # fit keeps cells above this fraction of window start
-KERNEL_CACHE_SIZE = 8         # step kernels (and step limits) kept for reuse
+KERNEL_CACHE_SIZE = 4         # step kernels (and step limits) kept for reuse
 
 
 @dataclass(frozen=True)
