@@ -290,10 +290,13 @@ def root_residual(lam: complex, h_b: float, theta: float, n: int) -> float:
     denoms = 1.0 + 1j * h_b - 2.0 * lam * lam * c2
     scales = 1.0 + h_b + 2.0 * abs(lam) ** 2 * c2
     size = np.abs(denoms)
-    with np.errstate(over="ignore"):   # |d_k|^2 past the float range: no noise
-        quiet = size.min() > 0.0 and (
-            EPS * (h_b / n) * (scales / (size * size)).sum() < CLEAR_POLE_NOISE)
-    if quiet:
+    if 1.0 + h_b + 2.0 * abs(lam) ** 2 < 1e154:   # bounds every |d_k|
+        size2 = size * size
+    else:
+        with np.errstate(over="ignore"):   # an infinite |d_k|^2 adds no noise
+            size2 = size * size
+    if size.min() > 0.0 and (
+            EPS * (h_b / n) * (scales / size2).sum() < CLEAR_POLE_NOISE):
         return abs(complex(1.0 - (1j * h_b / n) * np.sum(1.0 / denoms)))
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_ratio = scales / size               # inf exactly at a pole
