@@ -290,7 +290,7 @@ def root_residual(lam: complex, h_b: float, theta: float, n: int) -> float:
     denoms = 1.0 + 1j * h_b - 2.0 * lam * lam * c2
     scales = 1.0 + h_b + 2.0 * abs(lam) ** 2 * c2
     size = np.abs(denoms)
-    if 1.0 + h_b + 2.0 * abs(lam) ** 2 < 1e154:   # bounds every |d_k|
+    if 1.0 + h_b + 2.0 * abs(lam) ** 2 < 1e154:   # >= every |d_k|: no overflow
         size2 = size * size
     else:
         with np.errstate(over="ignore"):   # an infinite |d_k|^2 adds no noise
