@@ -601,8 +601,8 @@ def test_simulate_faults_exit_1_without_traceback(tmp_path, capsys, argv, needle
     assert "Traceback" not in err
 
 
-# stdout of each command as printed before root_residual's |d|^2 could
-# overflow silently: the errstate changed no byte
+# sha256 of each command's stdout, captured while root_residual still warned
+# that its |d_k|^2 overflowed: silencing the warning changed no byte
 OVERFLOWING_RESIDUALS = {
     "roots --h=1e200 --theta 0.3":
         "53f8f57b7c9d274f0e93484324721836b2bbfdb44b846593afd57a305bf65963",
