@@ -12,10 +12,11 @@ Subcommands expose every operation with deterministic text output:
 Exit codes: 0 success, 1 argument/validation error, 2 numerical failure.
 Angles are radians by default; append "deg" for degrees (e.g. --theta 45deg).
 A flat `key = value` config file may supply any long option (without the
-leading dashes); its values are cast and checked like the flags, and
-explicit flags take precedence.  Every number must be finite and in its
-flag's domain (e.g. --h > 0, --B > -1).  A value that starts with '-' and
-is not a plain decimal is attached with '=': --B=-0.5,0.5, --theta=-45deg.
+leading dashes); its values are cast and checked like the flags, `choices`
+included, and explicit flags take precedence.  Every number must be finite
+and in its flag's domain (e.g. --h > 0, --B > -1).  A value that starts
+with '-' and is not a plain decimal is attached with '=': --B=-0.5,0.5,
+--theta=-45deg.
 """
 
 from __future__ import annotations
@@ -184,8 +185,6 @@ def _check_point(args) -> None:
 
 def _cmd_roots(args) -> int:
     _check_point(args)
-    if args.branch not in ("acoustic", "all"):
-        raise DomainError("--branch must be acoustic or all")
     emit(_roots_rows(args.h, args.B, args.theta, args.n, args.branch),
          args.format, args.out)
     return 0
@@ -400,8 +399,10 @@ def _parse_with_config(argv, args):
     """Parse again with the --config file's values as the subcommand's defaults.
 
     argparse casts a string default with the flag's type, so a config value
-    is checked like the flag and an explicit flag still wins.  The values go
-    into a parser built for this call, so they never reach the next call.
+    is checked like the flag and an explicit flag still wins.  argparse checks
+    `choices` on command-line values only, so a config value is then checked
+    against its flag's choices here.  The values go into a parser built for
+    this call, so they never reach the next call.
     """
     values = {}
     for key, value in _read_config_file(args.config).items():
@@ -410,8 +411,16 @@ def _parse_with_config(argv, args):
             continue  # not a long option of this subcommand
         values[dest] = value.lower() in TRUE_WORDS if dest in SWITCHES else value
     parser, subparsers = _parsers.__wrapped__()  # not the shared one
-    subparsers[args.subcommand].set_defaults(**values)
-    return parser.parse_args(argv)
+    subparser = subparsers[args.subcommand]
+    subparser.set_defaults(**values)
+    args = parser.parse_args(argv)
+    for action in subparser._actions:
+        if action.choices is not None and action.dest in values:
+            try:
+                subparser._check_value(action, getattr(args, action.dest))
+            except argparse.ArgumentError as exc:
+                subparser.error(str(exc))
+    return args
 
 
 def main(argv=None) -> int:

@@ -88,7 +88,9 @@ def validate(config: ModelConfig) -> ModelConfig:
 
     theta is reduced to the fundamental interval [0, pi/n); every downstream
     formula depends on it only through cos^2[theta+(m-1)pi/n], so this is
-    exact.  Raises :class:`DomainError` naming the offending field.
+    exact.  A config whose theta is already a Python float in that interval
+    is returned as it is; any other gets a copy with a Python-float theta.
+    Raises :class:`DomainError` naming the offending field.
     """
     if not isinstance(config.n, numbers.Integral) or config.n < 2:
         raise DomainError("n must be an integer >= 2")
@@ -105,6 +107,8 @@ def validate(config: ModelConfig) -> ModelConfig:
     if abs(config.B - config.gamma * config.N0) > 1e-12 * max(1.0, abs(config.B)):
         raise DomainError("B inconsistent with gamma*N0")
     period = theta_period(config.n)
+    if type(config.theta) is float and 0.0 <= config.theta < period:
+        return config
     theta = math.fmod(config.theta, period)
     if theta < 0:
         theta += period

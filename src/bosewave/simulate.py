@@ -28,8 +28,10 @@ operator L that substep is the matrix R = sum_{k=0..4} (dt L)^k / k!,
 applied as R @ P.  Advection is one gather kernel for both boundaries.
 A step's two kernels, advect and collide, come from one builder: a forced
 run builds them once, and step_linear/step_nonlinear reuse them for every
-call with the same (config, dt, dx, M, bc) through a cache of
-KERNEL_CACHE_SIZE entries.  Every step call still checks all its inputs.
+call with the same (config, dt, dx, M, bc) through the one kernel cache, of
+KERNEL_CACHE_SIZE entries.  The builder checks the Courant limit, the
+collision limit and bc before a key is cached, so a cached key has passed
+them; every step call still checks its config, dt, dx and P.
 Using the same RK4 map for the linear and nonlinear right-hand sides keeps
 the nonlinear stepper linearization-consistent with the linear one to
 O(eps^2) per step.
@@ -75,7 +77,7 @@ INSTABILITY_FACTOR = 1e3
 ZERO_SPEED_TOL = 1e-14        # |cos| below this (times c) snaps to an exact zero
 KINETIC_CLEARANCE = 6.0       # e-foldings of the slowest secondary mode to skip
 AMP_FLOOR_RATIO = 1e-2        # fit keeps cells above this fraction of window start
-KERNEL_CACHE_SIZE = 4         # step kernels (and step limits) kept for reuse
+KERNEL_CACHE_SIZE = 4         # step kernels kept for reuse
 
 
 @dataclass(frozen=True)
@@ -137,24 +139,28 @@ def _reuse(cached, *key):
 
 
 @functools.lru_cache(maxsize=KERNEL_CACHE_SIZE, typed=True)
-def _step_limits(config: ModelConfig, field_types: tuple):
-    """max|x_speed| and 4cSN0(1+B) of a validated config, the two dt limits.
+def _step_kernels(config: ModelConfig, field_types: tuple, dt: float, dx: float,
+                  M: int, bc: str, mode: str):
+    """A step's kernels (advect, collide) for a validated config, reused per key.
 
-    field_types keeps apart configs that compare equal but differ in the
-    type of a field (a float32 S makes a float32 rate).
+    A key is built, and cached, only after the Courant limit, the collision
+    limit and bc (in _advection) have passed; they read key fields only, so
+    a cached key has passed them.  field_types only keys the cache: it keeps
+    apart configs that compare equal but differ in the type of a field (a
+    float32 S makes a float32 rate).  collide is the linear RK4 matrix applied as R @ P, or
+    one RK4 substep of the nonlinear collision term.  R and the advection
+    weights are read-only.
     """
-    vmax = float(np.max(np.abs(build_lattice(config).x_speeds)))
-    return vmax, _collision_rate(config)
-
-
-def _step_kernels(config: ModelConfig, dt: float, dx: float, M: int, bc: str,
-                  mode: str):
-    """A step's kernels (advect, collide) for a validated config.
-
-    collide is the linear RK4 matrix applied as R @ P, or one RK4 substep of
-    the nonlinear collision term.  R and the advection weights are read-only.
-    """
-    advect = _advection(build_lattice(config).x_speeds * dt / dx, M, bc)
+    x_speeds = build_lattice(config).x_speeds
+    vmax = float(np.max(np.abs(x_speeds)))
+    if vmax > 0 and dt * vmax / dx > CFL_LIMIT + 1e-12:
+        raise CFLError(f"dt*max|x_speed|/dx = {dt * vmax / dx:.4g} "
+                       f"exceeds {CFL_LIMIT}")
+    rate = _collision_rate(config)
+    if dt * rate > COLLISION_DT_LIMIT + 1e-12:
+        raise CFLError(f"dt*4cSN0(1+B) = {dt * rate:.4g} "
+                       f"exceeds {COLLISION_DT_LIMIT}")
+    advect = _advection(x_speeds * dt / dx, M, bc)
     if mode == "linear":
         R = _linear_propagator(config, dt)
         R.flags.writeable = False
@@ -163,18 +169,12 @@ def _step_kernels(config: ModelConfig, dt: float, dx: float, M: int, bc: str,
     return advect, lambda P: _rk4(rhs, P, dt)
 
 
-@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE, typed=True)
-def _cached_step_kernels(config, field_types, dt, dx, M, bc, mode):
-    """_step_kernels, reused per key; field_types as in _step_limits."""
-    return _step_kernels(config, dt, dx, M, bc, mode)
-
-
 def _checked_step_kernels(field: WaveField, dt: float, bc: str, mode: str):
     """Check one step's inputs and return its (advect, collide), reused per key.
 
-    The checks run on every call, in this order: the config, dt, dx, the
-    shape of P, the Courant limit, the collision limit, then bc (in
-    _advection, on a cache miss; a bad bc is never cached).
+    Every call checks the config, dt, dx and the shape of P, in this order;
+    the Courant limit, the collision limit and bc follow in _step_kernels
+    when a key is built, and a cached key has passed them.
     """
     config = validate(field.config)
     if not 0 < dt < math.inf:
@@ -187,15 +187,8 @@ def _checked_step_kernels(field: WaveField, dt: float, bc: str, mode: str):
         raise DomainError(f"P must have shape (2n, M) = ({p2}, M) with M >= 1, "
                           f"got {shape}")
     field_types = tuple(map(type, vars(config).values()))
-    vmax, rate = _reuse(_step_limits, config, field_types)
-    if vmax > 0 and dt * vmax / field.dx > CFL_LIMIT + 1e-12:
-        raise CFLError(f"dt*max|x_speed|/dx = {dt * vmax / field.dx:.4g} "
-                       f"exceeds {CFL_LIMIT}")
-    if dt * rate > COLLISION_DT_LIMIT + 1e-12:
-        raise CFLError(f"dt*4cSN0(1+B) = {dt * rate:.4g} "
-                       f"exceeds {COLLISION_DT_LIMIT}")
-    return _reuse(_cached_step_kernels, config, field_types, dt, field.dx,
-                  shape[1], bc, mode)
+    return _reuse(_step_kernels, config, field_types, dt, field.dx, shape[1], bc,
+                  mode)
 
 
 def _advection(courant: np.ndarray, M: int, bc: str):
@@ -282,7 +275,9 @@ def step_linear(field: WaveField, dt: float, bc: str = "periodic") -> WaveField:
     """One operator-split step of the linearized system.
 
     The step's kernels are reused for every call with the same
-    (config, dt, dx, M, bc), from a cache of KERNEL_CACHE_SIZE entries.
+    (config, dt, dx, M, bc), from the one kernel cache of KERNEL_CACHE_SIZE
+    entries.  The dt limits and bc are checked when a key is built; a
+    cached key has passed them.
     """
     advect, collide = _checked_step_kernels(field, dt, bc, "linear")
     return WaveField(P=collide(advect(field.P)), dx=field.dx, t=field.t + dt,
@@ -292,7 +287,7 @@ def step_linear(field: WaveField, dt: float, bc: str = "periodic") -> WaveField:
 def step_nonlinear(field: WaveField, dt: float, bc: str = "periodic") -> WaveField:
     """One operator-split step of the full quantum kinetic system.
 
-    Kernels are reused as in step_linear.
+    Kernels are reused, and the dt limits and bc checked, as in step_linear.
     """
     advect, collide = _checked_step_kernels(field, dt, bc, "nonlinear")
     if field.P.min() <= -1.0:     # a NaN passes, as it does in np.any(P <= -1)
@@ -410,7 +405,7 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
     total_steps = (transient_periods + periods) * steps_per_period
     record_from = transient_periods * steps_per_period
 
-    advect, collide = _step_kernels(config, dt, dx, M, "open", mode)
+    advect, collide = _step_kernels.__wrapped__(config, None, dt, dx, M, "open", mode)
     t_ramp = ramp_periods * T
     drive_amp = 1j * weights[inflow]
     bound = INSTABILITY_FACTOR * eps

@@ -349,6 +349,18 @@ def test_config_file_hmax_h_range(tmp_path, capsys):
     assert out_narrow != out_cfg
 
 
+def test_config_file_format_checked_before_the_scan(tmp_path, capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan ran")
+
+    monkeypatch.setattr(cli.analysis, "theta_scan", no_scan)
+    code, out, err = run(capsys, "theta-scan",
+                         "--config", write_cfg(tmp_path, "format = xml\n"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: argument --format: invalid choice: 'xml'")
+
+
 def test_config_file_theta_scan_h_cap_and_steps(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "h-cap = 5\nsteps = 5\nB = 0.5\n")
     code, out_cfg, _ = run(capsys, "theta-scan", "--config", cfg)
@@ -464,6 +476,11 @@ ERRORS = [
     (["roots", "--theta", "0"], "h = nan\n", 1, "--h"),
     (["simulate", "--h", "1", "--theta", "0"], "eps = inf\n", 1, "--eps"),
     (["simulate", "--h", "1", "--theta", "0"], "stride = 0\n", 1, "--stride"),
+    # a config value outside its flag's choices
+    (["sweep"], "branch = foo\n", 1, "--branch"),
+    (["hmax", "--theta", "0"], "branch = all\n", 1, "--branch"),
+    (["roots", "--h", "1", "--theta", "0"], "format = xml\n", 1, "--format"),
+    (["theta-scan"], "format = xml\n", 1, "--format"),
 ]
 
 

@@ -1,5 +1,7 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -75,6 +77,27 @@ def test_validate_is_idempotent_on_theta(theta, n):
     twice = validate(once)
     assert 0.0 <= once.theta < math.pi / n
     assert twice.theta == once.theta
+
+
+def test_validate_returns_a_reduced_config_as_it_is():
+    cfg = ModelConfig(n=3, theta=0.3)
+    assert validate(cfg) is cfg
+
+
+@pytest.mark.parametrize("theta, reduced", [
+    (0, 0.0),
+    (np.float32(0.3), float(np.float32(0.3))),
+    (np.float64(0.3), 0.3),
+    (-0.2, math.pi / 3 - 0.2),
+    (math.pi / 3, 0.0),
+    (7.0, math.fmod(7.0, math.pi / 3)),
+], ids=["int", "float32", "float64", "negative", "period", "above"])
+def test_validate_copies_any_other_theta_as_a_reduced_float(theta, reduced):
+    cfg = ModelConfig(n=3, theta=theta)
+    got = validate(cfg)
+    assert got is not cfg
+    assert got == replace(cfg, theta=reduced)
+    assert type(got.theta) is float
 
 
 def test_from_reduced_statistics_defaults():

@@ -650,11 +650,8 @@ STEPS = {"linear": sim.step_linear, "nonlinear": sim.step_nonlinear}
 
 @pytest.fixture
 def cold_cache():
-    """Empty step-kernel caches before and after the test."""
-    def clear():
-        sim._step_limits.cache_clear()
-        sim._cached_step_kernels.cache_clear()
-
+    """Empty the step-kernel cache before and after the test."""
+    clear = sim._step_kernels.cache_clear
     clear()
     yield clear
     clear()
@@ -724,18 +721,24 @@ def test_unhashable_dt_is_stepped_uncached(cold_cache):
 
 @pytest.mark.parametrize("mode", list(STEPS))
 def test_one_key_builds_its_advection_once(cold_cache, monkeypatch, mode):
-    builds = []
+    builds, lattices = [], []
 
     def counting(*args):
         builds.append(args)
         return advection(*args)
 
-    advection = sim._advection
+    def counting_lattice(config):
+        lattices.append(config)
+        return build_lattice(config)
+
+    advection, build_lattice = sim._advection, sim.build_lattice
     monkeypatch.setattr(sim, "_advection", counting)
+    monkeypatch.setattr(sim, "build_lattice", counting_lattice)
     field = random_field(make_config(theta=0.3, n=3), 128, 0.12, seed=3)
     for _ in range(25):
         field = STEPS[mode](field, 0.04, bc="periodic")
     assert len(builds) == 1
+    assert len(lattices) == 1
 
 
 STEP_FAULTS = [
