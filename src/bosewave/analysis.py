@@ -173,6 +173,8 @@ def sweep(theta_list, B_list, h_grid, n: int,
         raise DomainError("B_list values must satisfy -1 < B < inf")
     if branch_policy not in ("acoustic", "all"):
         raise DomainError("branch_policy must be 'acoustic' or 'all'")
+    for theta in theta_list:
+        dispersion._cos2(theta, n)   # DomainError for a bad n or theta
 
     rows = []
     for theta in theta_list:
@@ -186,11 +188,9 @@ def sweep(theta_list, B_list, h_grid, n: int,
                                          branch="error", lambda_r=math.nan,
                                          lambda_i=math.nan, residual=math.nan))
                     continue
-                u, rest = dispersion._split_branches(roots, k)
-                if branch_policy == "acoustic":
-                    rest = []
                 rows.extend(_sweep_row(h, B, theta, n, root) for root in
-                            dispersion._label_branches(u, rest, h_b, theta, n))
+                            dispersion._label_branches(roots, k, h_b, theta, n,
+                                                       branch_policy))
     return SweepTable(rows=tuple(rows))
 
 

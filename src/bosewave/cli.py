@@ -169,11 +169,8 @@ def emit(rows, fmt: str, path, header=SWEEP_HEADER) -> None:
 
 
 def _roots_rows(h: float, B: float, theta: float, n: int, policy: str):
-    h_b = h * (1.0 + B)
-    selected = dispersion._branches_at(h_b, theta, n, policy)
-    if policy == "acoustic":
-        selected = [selected]
-    return [analysis._sweep_row(h, B, theta, n, r) for r in selected]
+    return [analysis._sweep_row(h, B, theta, n, r)
+            for r in dispersion._branches_at(h * (1.0 + B), theta, n, policy)]
 
 
 def _check_point(args) -> None:

@@ -72,6 +72,11 @@ CONTINUATION_PER_DECADE = 8
 
 
 def _cos2(theta: float, n: int) -> np.ndarray:
+    """cos^2[theta + (m-1)pi/n], m = 1..n; the one check of n and theta."""
+    if not (isinstance(n, (int, np.integer)) and n >= 2):
+        raise DomainError("n must be an integer >= 2")
+    if not math.isfinite(theta):
+        raise DomainError("theta must be finite")
     return np.cos(theta + np.arange(n) * np.pi / n) ** 2
 
 
@@ -132,10 +137,8 @@ def assemble_polynomial(h_b: float, theta: float, n: int) -> DispersionPolynomia
     with d_m(u) = 1 + i*h_b - 2*u*cos^2[theta+(m-1)pi/n].  For n=2 this is
     sin^2(2*theta)*u^2 - (2+i*h_b)*u + (1+i*h_b) up to the monic scaling.
     """
-    if not h_b > 0:
-        raise DomainError("h_b must be positive")
-    if n < 2:
-        raise DomainError("n must be >= 2")
+    if not 0 < h_b < math.inf:
+        raise DomainError("h_b must be positive and finite")
     z = 1j * h_b
     factors = [np.array([-2.0 * c2, 1.0 + z], dtype=complex) for c2 in _cos2(theta, n)]
 
@@ -198,8 +201,6 @@ def _eig_roots(h_b, theta: float, n: int) -> list:
     h_b = np.asarray(h_b, dtype=float)
     if not np.all((h_b > 0) & (h_b < math.inf)):
         raise DomainError("h_b must be positive and finite")
-    if n < 2:
-        raise DomainError("n must be >= 2")
     c2 = _cos2(theta, n)
     z = 1j * h_b[:, None, None]
     try:
@@ -234,8 +235,10 @@ def closed_form_n2(h_b: float, theta: float) -> np.ndarray:
     Uses the numerically stable quadratic formula; collapses to the linear
     root (1+i h_b)/(2+i h_b) when sin^2(2θ) is below the trim tolerance.
     """
-    if not h_b > 0:
-        raise DomainError("h_b must be positive")
+    if not 0 < h_b < math.inf:
+        raise DomainError("h_b must be positive and finite")
+    if not math.isfinite(theta):
+        raise DomainError("theta must be finite")
     z = 1j * h_b
     s = np.sin(2.0 * theta) ** 2
     coeffs = np.array([s, -(2.0 + z), 1.0 + z], dtype=complex)
@@ -396,40 +399,36 @@ def _nearest_with_ambiguity_check(roots: np.ndarray, u_target: complex) -> int:
     return int(order[0])
 
 
-def _split_branches(roots, k: int):
-    """(root k, the other roots by descending lambda_i).
+def _label_branches(roots, k: int, h_b: float, theta: float, n: int,
+                    policy: str) -> list:
+    """Root k as the "acoustic" root; under policy "all" the other roots too.
 
-    The one place the secondary branches get their order; ``_label_branches``
-    names them in that order.
+    The one place roots get their branch labels: under "all" the other
+    roots follow by descending lambda_i as secondary(1), secondary(2), ...
     """
-    rest = [complex(u) for j, u in enumerate(roots) if j != k]
-    rest.sort(key=lambda u: -principal_lambda(u).imag)
-    return complex(roots[k]), rest
-
-
-def _label_branches(u_ac: complex, rest, h_b: float, theta: float, n: int) -> list:
-    """The acoustic root u_ac, then rest as secondary(1), secondary(2), ..."""
-    out = [_make_root(u_ac, h_b, theta, n, "acoustic")]
-    for j, u in enumerate(rest, start=1):
-        out.append(_make_root(u, h_b, theta, n, f"secondary({j})"))
+    if policy not in ("acoustic", "all"):
+        raise DomainError("policy must be 'acoustic' or 'all'")
+    out = [_make_root(roots[k], h_b, theta, n, "acoustic")]
+    if policy == "all":
+        rest = sorted((u for j, u in enumerate(roots) if j != k),
+                      key=lambda u: -principal_lambda(u).imag)
+        out += [_make_root(u, h_b, theta, n, f"secondary({j})")
+                for j, u in enumerate(rest, start=1)]
     return out
 
 
 def _branches_at(h_b: float, theta: float, n: int, policy: str = "acoustic",
-                 roots=None):
-    """Label the roots at h_b about the continued acoustic root.
+                 roots=None) -> list:
+    """The labelled roots at h_b (``_label_branches``), the acoustic one first.
 
-    The one point lookup: ``roots`` defaults to the continuation's row at
+    The one point lookup: the acoustic root is the one nearest the
+    continued root, and ``roots`` defaults to the continuation's row at
     h_b, the solve at h_b itself, so a point costs one batched solve.
     """
     (row,), (j,) = _track_to([h_b], theta, n)
     roots = row if roots is None else roots
     k = _nearest_with_ambiguity_check(roots, complex(row[j]))
-    if policy == "acoustic":
-        return _make_root(roots[k], h_b, theta, n, "acoustic")
-    if policy != "all":
-        raise DomainError("policy must be 'acoustic' or 'all'")
-    return _label_branches(*_split_branches(roots, k), h_b, theta, n)
+    return _label_branches(roots, k, h_b, theta, n, policy)
 
 
 def select_branch(roots, h_b: float, theta: float, n: int, policy: str = "acoustic"):
@@ -443,12 +442,13 @@ def select_branch(roots, h_b: float, theta: float, n: int, policy: str = "acoust
     roots = np.asarray(roots, dtype=complex)
     if roots.size == 0:
         raise DomainError("roots must be nonempty")
-    return _branches_at(h_b, theta, n, policy, roots)
+    selected = _branches_at(h_b, theta, n, policy, roots)
+    return selected[0] if policy == "acoustic" else selected
 
 
 def acoustic_root(h_b: float, theta: float, n: int) -> DispersionRoot:
     """Acoustic-branch root at a single parameter point."""
-    return _branches_at(h_b, theta, n)
+    return _branches_at(h_b, theta, n)[0]
 
 
 def continuation_track(theta: float, n: int, B: float, h_grid) -> list:

@@ -372,9 +372,16 @@ def test_theta_scan_bad_cap_rejected():
     (lambda: analysis.sweep([0.0], [0.0, math.nan], [1.0], 2), "B"),
     (lambda: analysis.sweep([0.0], [0.0], [1.0, math.inf], 2), "h_grid"),
     (lambda: analysis.sweep([0.0], [0.0], [1.0, math.nan], 2), "h_grid"),
+    (lambda: analysis.sweep([0.0], [0.0], [1.0], 1), "n must be an integer"),
+    (lambda: analysis.sweep([0.0], [0.0], [1.0], 2.5), "n must be an integer"),
+    (lambda: analysis.sweep([0.0, math.inf], [0.0], [1.0], 2), "theta"),
+    (lambda: analysis.theta_scan(0.0, 2, 10.0, [math.nan]), "theta"),
+    (lambda: analysis.sweep([0.0], [0.0], [1.0], 2, branch_policy="secondary"),
+     "branch_policy"),
 ], ids=["hmax B=-1", "hmax B=nan", "hmax h_range=1:inf", "theta_scan B=-1",
         "theta_scan B=inf", "theta_scan h_cap=inf", "sweep B=-1", "sweep B=nan",
-        "sweep h=inf", "sweep h=nan"])
+        "sweep h=inf", "sweep h=nan", "sweep n=1", "sweep n=2.5", "sweep theta=inf",
+        "theta_scan theta=nan", "sweep policy=secondary"])
 def test_out_of_domain_or_non_finite_input_raises_domain_error(call, name):
     with pytest.raises(DomainError, match=name):
         call()

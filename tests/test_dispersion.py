@@ -66,6 +66,39 @@ def test_assemble_rejects_bad_params():
         dsp.assemble_polynomial(1.0, 0.0, 1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda theta, n: dsp.acoustic_root(1.0, theta, n),
+    lambda theta, n: dsp.select_branch(np.array([0.6 + 0.2j, 1.0 + 1.0j]), 1.0, theta, n),
+    lambda theta, n: dsp.residual(LAMBDA_H1_T0, 1.0, theta, n),
+    lambda theta, n: dsp.root_residual(LAMBDA_H1_T0, 1.0, theta, n),
+    lambda theta, n: dsp.continuation_track(theta, n, 0.0, [1e4, 1.0]),
+    lambda theta, n: dsp.assemble_polynomial(1.0, theta, n),
+], ids=["acoustic_root", "select_branch", "residual", "root_residual",
+        "continuation_track", "assemble_polynomial"])
+@pytest.mark.filterwarnings("error")
+def test_bad_n_or_theta_raises_domain_error(call):
+    # _cos2 checks n and theta for every dispersion function that takes n
+    for theta, n, message in ((0.3, 1, "n must be an integer >= 2"),
+                              (0.3, 2.5, "n must be an integer >= 2"),
+                              (math.nan, 2, "theta must be finite"),
+                              (math.inf, 2, "theta must be finite")):
+        with pytest.raises(DomainError, match=message):
+            call(theta, n)
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_h_b_or_theta_rejected_by_the_oracles():
+    for call in (lambda: dsp.assemble_polynomial(math.inf, 0.3, 2),
+                 lambda: dsp.assemble_polynomial(math.nan, 0.3, 2),
+                 lambda: dsp.closed_form_n2(math.inf, 0.3),
+                 lambda: dsp.closed_form_n2(math.nan, 0.3)):
+        with pytest.raises(DomainError, match="h_b must be positive and finite"):
+            call()
+    for theta in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="theta must be finite"):
+            dsp.closed_form_n2(1.0, theta)
+
+
 # ------------------------------------------------------------ root solving
 
 def test_solve_factored_quadratic():
@@ -383,6 +416,23 @@ def test_select_acoustic_hydrodynamic():
     roots = dsp.solve_roots(dsp.assemble_polynomial(1e4, 0.0, 2))
     root = dsp.select_branch(roots, 1e4, 0.0, 2, policy="acoustic")
     assert abs(root.lam - 1.0) < 1e-3
+
+
+def test_select_branch_unknown_policy_rejected():
+    roots = dsp.solve_roots(dsp.assemble_polynomial(1.0, 0.3, 2))
+    with pytest.raises(DomainError, match="policy"):
+        dsp.select_branch(roots, 1.0, 0.3, 2, policy="secondary")
+
+
+def test_acoustic_lookups_return_the_first_labelled_root():
+    roots = dsp.solve_roots(dsp.assemble_polynomial(1.0, 0.3, 3))
+    root = dsp.acoustic_root(1.0, 0.3, 3)
+    assert isinstance(root, dsp.DispersionRoot)
+    assert dsp.select_branch(roots, 1.0, 0.3, 3, policy="acoustic") == root
+    first = dsp.select_branch(roots, 1.0, 0.3, 3, policy="all")[0]
+    assert first.branch == root.branch == "acoustic"
+    assert (np.array([first.lam, first.u, first.residual]).tobytes()
+            == np.array([root.lam, root.u, root.residual]).tobytes())
 
 
 def test_select_branch_empty_roots_rejected():
