@@ -182,15 +182,15 @@ def sweep(theta_list, B_list, h_grid, n: int,
             with np.errstate(over="ignore"):   # an overflowed top is _track_to's DomainError
                 h_b_line = h_grid * (1.0 + B)
             line, path = dispersion._track_to(h_b_line, theta, n, _line_roots)
-            for h, h_b, roots, k in zip(h_grid, h_b_line, line, path):
-                if k is None:
+            labelled = dispersion._label_branches(line, path, h_b_line, theta, n,
+                                                  branch_policy)
+            for h, roots in zip(h_grid, labelled):
+                if roots is None:
                     rows.append(SweepRow(h=h, B=B, theta=theta, n=n,
                                          branch="error", lambda_r=math.nan,
                                          lambda_i=math.nan, residual=math.nan))
                     continue
-                rows.extend(_sweep_row(h, B, theta, n, root) for root in
-                            dispersion._label_branches(roots, k, h_b, theta, n,
-                                                       branch_policy))
+                rows.extend(_sweep_row(h, B, theta, n, root) for root in roots)
     return SweepTable(rows=tuple(rows))
 
 

@@ -261,27 +261,108 @@ def principal_lambda(u: complex) -> complex:
     return lam
 
 
+def _denominators(lam, h_b, c2: np.ndarray) -> np.ndarray:
+    """d_k = 1 + i h_b - 2 lam^2 cos^2_k for (R,) arrays lam and h_b: (R, n).
+
+    The one lambda-form builder of the denominators, and the one check of
+    h_b for the functions that take lam.  2 lam^2 is formed on the real and
+    imaginary parts the way Python multiplies complex numbers (numpy's
+    complex multiply can round the last bit differently), so each row is
+    bit for bit the scalar ``1.0 + 1j*h_b - 2.0*lam*lam*c2``.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    h_b = np.asarray(h_b, dtype=float)
+    if not ((h_b > 0) & (h_b < math.inf)).all():
+        raise DomainError("h_b must be positive and finite")
+    a, b = lam.real, lam.imag
+    a2, b2 = 2.0 * a, 2.0 * b
+    re = a2 * a - b2 * b
+    im = a2 * b + b2 * a
+    d = np.empty((len(lam), len(c2)), dtype=complex)
+    d.real = 1.0 - re[:, None] * c2
+    d.imag = h_b[:, None] - im[:, None] * c2
+    return d
+
+
 def residual(lam: complex, h_b: float, theta: float, n: int) -> complex:
     """Left side of the rational dispersion relation, evaluated exactly.
 
     Raises :class:`SingularDenominatorError` if any denominator is within
     1e-14 of zero (e.g. the secondary root at theta = pi/4, n = 2).
     """
-    denoms = 1.0 + 1j * h_b - 2.0 * lam * lam * _cos2(theta, n)
+    (denoms,) = _denominators([lam], [h_b], _cos2(theta, n))
     if np.any(np.abs(denoms) < SINGULAR_TOL):
         raise SingularDenominatorError(
             "resolvent denominator vanishes at this lambda")
     return complex(1.0 - (1j * h_b / n) * np.sum(1.0 / denoms))
 
 
-def root_residual(lam: complex, h_b: float, theta: float, n: int) -> float:
-    """|residual|, with the nearest poles cleared where the rational form is noise.
+def _certify(lam, h_b, theta: float, n: int) -> np.ndarray:
+    """:func:`root_residual` of every (lam, h_b) pair of two (R,) arrays.
 
     Each d_k = 1 + i h_b - 2 lam^2 cos^2 carries a rounding error of about
     eps * scale_k, scale_k = 1 + h_b + 2|lam|^2 cos^2, so the rational form
-    carries eps (h_b/n) sum_k scale_k/|d_k|^2 of noise.  Where that reaches
-    CLEAR_POLE_NOISE, the relation is multiplied through by the nearest
-    denominator d_j and normalized by its scale:
+    carries eps (h_b/n) sum_k scale_k/|d_k|^2 of noise.  Where that stays
+    below CLEAR_POLE_NOISE the value is |residual|, for all rows in one
+    vectorised pass; the other rows clear their nearest poles one at a time
+    (:func:`_clear_poles`).  Each value is bit for bit the evaluation of
+    its root on its own: |lam| and |f| use np.hypot, which is Python's
+    abs(complex), and the denominators come from :func:`_denominators`.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    h_b = np.asarray(h_b, dtype=float)
+    c2 = _cos2(theta, n)
+    denoms = _denominators(lam, h_b, c2)
+    size = np.abs(denoms)
+    # |lam|^2 through libm pow, as Python's abs(lam) ** 2 rounds it (x * x
+    # rounds differently for about one x in a thousand)
+    lam2 = np.float_power(np.hypot(lam.real, lam.imag), 2.0)
+    scales = (1.0 + h_b)[:, None] + (2.0 * lam2)[:, None] * c2
+    h_n = h_b / n
+    # an infinite |d_k|^2 adds no noise; a zero |d_k| makes the noise
+    # infinite and a NaN one makes it NaN, so those rows clear their poles
+    # too, and a certificate that overflows there comes out NaN
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        noise = EPS * h_n * np.add.reduce(scales / (size * size), 1)
+        total = np.add.reduce(1.0 / denoms, 1)
+        # |1 - (i h_b/n) total|, rounded as the complex expression rounds
+        out = np.hypot(1.0 + h_n * total.imag, h_n * total.real)
+        for i in (~(noise < CLEAR_POLE_NOISE)).nonzero()[0]:
+            out[i] = _clear_poles(denoms[i], scales[i], size[i], float(h_b[i]), n)
+    return out
+
+
+def _clear_poles(denoms: np.ndarray, scales: np.ndarray, size: np.ndarray,
+                 h_b: float, n: int) -> float:
+    """One root's residual with its nearest poles cleared (see root_residual).
+
+    Runs inside :func:`_certify`'s errstate.
+    """
+    inv_ratio = scales / size               # inf exactly at a pole
+    order = np.argsort(-inv_ratio)          # nearest pole first
+    cleared, weight = 1, 1.0 / inv_ratio[order[0]]   # prod of |d_j|/scale_j
+    while cleared < n:
+        far = order[cleared:]
+        # noise from the error in each remaining d_k and in each cleared d_j
+        spread = inv_ratio[far] + inv_ratio[order[:cleared]].sum()
+        if EPS * (h_b / n) * weight * np.sum(spread / size[far]) < CLEAR_POLE_NOISE:
+            break
+        weight /= inv_ratio[order[cleared]]
+        cleared += 1
+    d = denoms[order[:cleared]]
+    prod = np.prod(d)
+    others = sum(np.prod(np.delete(d, j)) for j in range(cleared))
+    rest = np.sum(1.0 / denoms[order[cleared:]])
+    value = prod - (1j * h_b / n) * (others + prod * rest)
+    return float(abs(value) / np.prod(scales[order[:cleared]]))
+
+
+def root_residual(lam: complex, h_b: float, theta: float, n: int) -> float:
+    """|residual|, with the nearest poles cleared where the rational form is noise.
+
+    Where the rounding noise of the rational form (see :func:`_certify`)
+    reaches CLEAR_POLE_NOISE, the relation is multiplied through by the
+    nearest denominator d_j and normalized by its scale:
 
         |d_j - (i h_b/n)(1 + d_j sum_{k!=j} 1/d_k)| / scale_j.
 
@@ -289,36 +370,7 @@ def root_residual(lam: complex, h_b: float, theta: float, n: int) -> float:
     nearly coincides, e.g. the secondary root at theta = pi/4 for n = 2),
     the next-nearest pole is cleared the same way, and so on.
     """
-    c2 = _cos2(theta, n)
-    denoms = 1.0 + 1j * h_b - 2.0 * lam * lam * c2
-    scales = 1.0 + h_b + 2.0 * abs(lam) ** 2 * c2
-    size = np.abs(denoms)
-    if 1.0 + h_b + 2.0 * abs(lam) ** 2 < 1e154:   # >= every |d_k|: no overflow
-        size2 = size * size
-    else:
-        with np.errstate(over="ignore"):   # an infinite |d_k|^2 adds no noise
-            size2 = size * size
-    if size.min() > 0.0 and (
-            EPS * (h_b / n) * (scales / size2).sum() < CLEAR_POLE_NOISE):
-        return abs(complex(1.0 - (1j * h_b / n) * np.sum(1.0 / denoms)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_ratio = scales / size               # inf exactly at a pole
-        order = np.argsort(-inv_ratio)          # nearest pole first
-        cleared, weight = 1, 1.0 / inv_ratio[order[0]]   # prod of |d_j|/scale_j
-        while cleared < n:
-            far = order[cleared:]
-            # noise from the error in each remaining d_k and in each cleared d_j
-            spread = inv_ratio[far] + inv_ratio[order[:cleared]].sum()
-            if EPS * (h_b / n) * weight * np.sum(spread / size[far]) < CLEAR_POLE_NOISE:
-                break
-            weight /= inv_ratio[order[cleared]]
-            cleared += 1
-    d = denoms[order[:cleared]]
-    prod = np.prod(d)
-    others = sum(np.prod(np.delete(d, j)) for j in range(cleared))
-    rest = np.sum(1.0 / denoms[order[cleared:]])
-    value = prod - (1j * h_b / n) * (others + prod * rest)
-    return float(abs(value) / np.prod(scales[order[:cleared]]))
+    return float(_certify([lam], [h_b], theta, n)[0])
 
 
 def mode_shape(lam: complex, h_b: float, theta: float, n: int) -> ModeShape:
@@ -328,22 +380,16 @@ def mode_shape(lam: complex, h_b: float, theta: float, n: int) -> ModeShape:
     tolerance); raises :class:`SingularDenominatorError` when a denominator
     magnitude is below 1e-12.
     """
-    if root_residual(lam, h_b, theta, n) >= CONTRACT_RESIDUAL_TOL:
+    if not root_residual(lam, h_b, theta, n) < CONTRACT_RESIDUAL_TOL:
         raise DomainError("lam is not a root of the dispersion relation "
                           "(residual check failed)")
-    denoms = 1.0 + 1j * h_b - 2.0 * lam * lam * _cos2(theta, n)
+    (denoms,) = _denominators([lam], [h_b], _cos2(theta, n))
     if np.any(np.abs(denoms) < 1e-12):
         raise SingularDenominatorError(
             "mode shape undefined: resolvent denominator below 1e-12")
     amps = 1.0 / denoms
     amps = amps / amps[np.argmax(np.abs(amps))]
     return ModeShape(amplitudes=amps)
-
-
-def _make_root(u: complex, h_b: float, theta: float, n: int, branch: str) -> DispersionRoot:
-    lam = principal_lambda(u)
-    return DispersionRoot(lam=lam, u=complex(u), branch=branch,
-                          residual=root_residual(lam, h_b, theta, n))
 
 
 def _follow(rows, u: complex) -> list:
@@ -399,22 +445,37 @@ def _nearest_with_ambiguity_check(roots: np.ndarray, u_target: complex) -> int:
     return int(order[0])
 
 
-def _label_branches(roots, k: int, h_b: float, theta: float, n: int,
-                    policy: str) -> list:
-    """Root k as the "acoustic" root; under policy "all" the other roots too.
+def _label_branches(rows, path, h_b, theta: float, n: int, policy: str) -> list:
+    """The labelled roots of every solved row of a line, certified in one pass.
 
-    The one place roots get their branch labels: under "all" the other
+    The one place roots get their branch labels: in each row, root
+    ``path[j]`` is the "acoustic" root, and under policy "all" the other
     roots follow by descending lambda_i as secondary(1), secondary(2), ...
+    Every root of the line is certified by one :func:`_certify` call.
+    Returns one list of :class:`DispersionRoot` per row, or None where the
+    row has no continued root (``path[j]`` is None).
     """
     if policy not in ("acoustic", "all"):
         raise DomainError("policy must be 'acoustic' or 'all'")
-    out = [_make_root(roots[k], h_b, theta, n, "acoustic")]
-    if policy == "all":
-        rest = sorted((u for j, u in enumerate(roots) if j != k),
-                      key=lambda u: -principal_lambda(u).imag)
-        out += [_make_root(u, h_b, theta, n, f"secondary({j})")
-                for j, u in enumerate(rest, start=1)]
-    return out
+    picked, lams, h_at = [], [], []
+    for roots, k, hb in zip(rows, path, h_b):
+        if k is None:
+            picked.append(None)
+            continue
+        us = [roots[k]]
+        if policy == "all":
+            us += sorted((u for j, u in enumerate(roots) if j != k),
+                         key=lambda u: -principal_lambda(u).imag)
+        picked.append(us)
+        lams += [principal_lambda(u) for u in us]
+        h_at += [hb] * len(us)
+    residuals = iter(_certify(lams, h_at, theta, n).tolist())
+    lam_of = iter(lams)
+    return [None if us is None else [
+        DispersionRoot(lam=next(lam_of), u=complex(u),
+                       branch="acoustic" if j == 0 else f"secondary({j})",
+                       residual=next(residuals))
+        for j, u in enumerate(us)] for us in picked]
 
 
 def _branches_at(h_b: float, theta: float, n: int, policy: str = "acoustic",
@@ -428,7 +489,7 @@ def _branches_at(h_b: float, theta: float, n: int, policy: str = "acoustic",
     (row,), (j,) = _track_to([h_b], theta, n)
     roots = row if roots is None else roots
     k = _nearest_with_ambiguity_check(roots, complex(row[j]))
-    return _label_branches(roots, k, h_b, theta, n, policy)
+    return _label_branches([roots], [k], [h_b], theta, n, policy)[0]
 
 
 def select_branch(roots, h_b: float, theta: float, n: int, policy: str = "acoustic"):
@@ -442,6 +503,8 @@ def select_branch(roots, h_b: float, theta: float, n: int, policy: str = "acoust
     roots = np.asarray(roots, dtype=complex)
     if roots.size == 0:
         raise DomainError("roots must be nonempty")
+    if not np.all(np.isfinite(roots)):
+        raise DomainError("roots must be finite")
     selected = _branches_at(h_b, theta, n, policy, roots)
     return selected[0] if policy == "acoustic" else selected
 
@@ -466,12 +529,11 @@ def continuation_track(theta: float, n: int, B: float, h_grid) -> list:
         raise DomainError("h_grid must start at h >= 1e4 for reliable seeding")
     h_b = h_grid * (1.0 + B)
     rows = _eig_roots(h_b, theta, n)
-    out = []
-    for h, hb, roots, k in zip(h_grid, h_b, rows, _follow(rows, 1.0)):
-        root = _make_root(roots[k], hb, theta, n, "acoustic")
+    out = [root for (root,) in _label_branches(rows, _follow(rows, 1.0), h_b,
+                                               theta, n, "acoustic")]
+    for h, root in zip(h_grid, out):
         if root.lam.imag < -1e-12:
             warnings.warn(
                 f"acoustic lambda_i < 0 at h = {h:.6g} (branch-crossing "
                 "diagnostic)", RuntimeWarning, stacklevel=2)
-        out.append(root)
     return out

@@ -355,6 +355,151 @@ def test_root_residual_away_from_poles_is_the_rational_form():
                     dsp.residual(lam, h_b, theta, n))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("h_b", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_lambda_form_functions_reject_a_bad_h_b(h_b):
+    # they returned NaN (and 0.405 for h_b = -1) before
+    for call in (dsp.root_residual, dsp.residual, dsp.mode_shape):
+        with pytest.raises(DomainError, match="h_b must be positive and finite"):
+            call(LAMBDA_H1_T0, h_b, 0.0, 2)
+    with pytest.raises(DomainError, match="h_b must be positive and finite"):
+        dsp._certify([LAMBDA_H1_T0, LAMBDA_H1_T0], [1.0, h_b], 0.0, 2)
+
+
+# ------------------------------------------------------ batched certificate
+
+def reference_root_residual(lam, h_b, theta, n):
+    """root_residual as it was evaluated one root at a time, before a line's
+    roots were certified in one vectorised pass."""
+    c2 = dsp._cos2(theta, n)
+    denoms = 1.0 + 1j * h_b - 2.0 * lam * lam * c2
+    scales = 1.0 + h_b + 2.0 * abs(lam) ** 2 * c2
+    size = np.abs(denoms)
+    if 1.0 + h_b + 2.0 * abs(lam) ** 2 < 1e154:   # >= every |d_k|: no overflow
+        size2 = size * size
+    else:
+        with np.errstate(over="ignore"):   # an infinite |d_k|^2 adds no noise
+            size2 = size * size
+    if size.min() > 0.0 and (
+            dsp.EPS * (h_b / n) * (scales / size2).sum() < dsp.CLEAR_POLE_NOISE):
+        return abs(complex(1.0 - (1j * h_b / n) * np.sum(1.0 / denoms)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_ratio = scales / size
+        order = np.argsort(-inv_ratio)
+        cleared, weight = 1, 1.0 / inv_ratio[order[0]]
+        while cleared < n:
+            far = order[cleared:]
+            spread = inv_ratio[far] + inv_ratio[order[:cleared]].sum()
+            if (dsp.EPS * (h_b / n) * weight * np.sum(spread / size[far])
+                    < dsp.CLEAR_POLE_NOISE):
+                break
+            weight /= inv_ratio[order[cleared]]
+            cleared += 1
+    d = denoms[order[:cleared]]
+    prod = np.prod(d)
+    others = sum(np.prod(np.delete(d, j)) for j in range(cleared))
+    rest = np.sum(1.0 / denoms[order[cleared:]])
+    value = prod - (1j * h_b / n) * (others + prod * rest)
+    return float(abs(value) / np.prod(scales[order[:cleared]]))
+
+
+def certificate_lines(seed):
+    """Seeded (lams, h_b, theta, n) lines: the roots at 24 h_b each, and
+    the same roots moved by 1e-9 (relative).  theta is 0, pi/4, within
+    1e-9..1e-4 of a k pi/(2n), or uniform; h_b runs from 1e-4 to 1e8, or
+    from 1e100 to 1e300."""
+    rng = np.random.default_rng(seed)
+    for line in range(64):
+        n = int(rng.choice([2, 3, 4, 6, 8]))
+        kind = line % 4
+        if kind == 0:
+            theta = float(rng.choice([0.0, math.pi / 4]))
+        elif kind == 1:
+            theta = (int(rng.integers(0, 2 * n)) * math.pi / (2 * n)
+                     + float(rng.choice([1e-9, -1e-9, 1e-7, -1e-4])))
+        else:
+            theta = float(rng.uniform(0.0, math.pi))
+        lo, hi = (100, 300) if line % 5 == 0 else (-4, 8)
+        h_b = 10.0 ** np.sort(rng.uniform(lo, hi, 24))[::-1]
+        lams, at = [], []
+        for hb, roots in zip(h_b, dsp._eig_roots(h_b, theta, n)):
+            for u in roots:
+                lam = dsp.principal_lambda(u)
+                lams += [lam, lam * (1.0 + 1e-9)]
+                at += [float(hb)] * 2
+        yield lams, at, theta, n
+
+
+def pole_lines():
+    """Roots on or next to a pole: the n = 2 secondary at theta = pi/4
+    (u = 1 + i h_b zeroes both denominators) and near it, and the root
+    between two nearly coinciding poles at NEAR_POLE_POINT."""
+    for offset in (0.0, 1e-12, -1e-9, 1e-7):
+        theta = math.pi / 4 + offset
+        h_b = list(10.0 ** np.linspace(-3, 6, 40))
+        yield ([dsp.principal_lambda(1.0 + 1j * hb) for hb in h_b]
+               + [dsp.principal_lambda(u) for hb in h_b
+                  for u in dsp._eig_roots([hb], theta, 2)[0]],
+               h_b + [hb for hb in h_b for _ in dsp._eig_roots([hb], theta, 2)[0]],
+               theta, 2)
+    h_b, theta, n = NEAR_POLE_POINT
+    lams = [dsp.principal_lambda(u) for u in dsp._eig_roots([h_b], theta, n)[0]]
+    yield lams, [h_b] * len(lams), theta, n
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.filterwarnings("error")
+def test_certify_and_root_residual_equal_the_reference_bitwise(monkeypatch):
+    real, slow = dsp._clear_poles, []
+
+    def counting(*args):
+        slow.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dsp, "_clear_poles", counting)
+    count = 0
+    for lams, h_b, theta, n in [*certificate_lines(seed=14), *pole_lines()]:
+        # next to a degenerate angle at h_b above about 1e160 the reference
+        # warned, where its noise estimate overflowed and where its
+        # certificate came out NaN; _certify returns the same bits quietly
+        with np.errstate(all="ignore"):
+            want = bits([reference_root_residual(lam, hb, theta, n)
+                         for lam, hb in zip(lams, h_b)])
+        assert bits(dsp._certify(lams, h_b, theta, n)) == want, (theta, n)
+        assert bits([dsp.root_residual(lam, hb, theta, n)
+                     for lam, hb in zip(lams, h_b)]) == want, (theta, n)
+        count += len(lams)
+    assert count >= 10_000
+    # both paths ran (each root is certified twice): some roots cleared
+    # their poles, most did not
+    assert 100 < len(slow) < count
+
+
+def test_certify_takes_an_empty_batch():
+    assert dsp._certify([], [], 0.3, 2).shape == (0,)
+
+
+def test_sweep_certifies_each_line_once(monkeypatch):
+    from bosewave import analysis
+
+    real, calls = dsp._certify, []
+
+    def counting(lam, h_b, theta, n):
+        calls.append(len(lam))
+        return real(lam, h_b, theta, n)
+
+    monkeypatch.setattr(dsp, "_certify", counting)
+    for policy, per_point in (("acoustic", 1), ("all", 3)):
+        calls.clear()
+        table = analysis.sweep([0.2, 0.5], [0.0, 0.5, -0.5], [10.0, 1.0, 0.1, 0.01],
+                               3, policy)
+        assert calls == [4 * per_point] * 6
+        assert len(table) == 6 * 4 * per_point
+
+
 # --------------------------------------------------------------- mode shape
 
 def test_mode_shape_symmetric_at_pi4():
@@ -388,6 +533,13 @@ def test_mode_shape_rows_satisfy_eigenproblem():
 def test_mode_shape_requires_a_root():
     with pytest.raises(DomainError):
         dsp.mode_shape(0.5 + 0.5j, 1.0, 0.3, 2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_mode_shape_rejects_a_nan_lambda():
+    # returned all-NaN amplitudes with two RuntimeWarnings before
+    with pytest.raises(DomainError, match="residual check failed"):
+        dsp.mode_shape(complex(math.nan, 0.0), 1.0, 0.3, 2)
 
 
 def test_mode_shape_singular_at_pi4_secondary():
@@ -438,6 +590,14 @@ def test_acoustic_lookups_return_the_first_labelled_root():
 def test_select_branch_empty_roots_rejected():
     with pytest.raises(DomainError):
         dsp.select_branch(np.array([]), 1.0, 0.0, 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan), math.inf])
+def test_select_branch_non_finite_roots_rejected(bad):
+    roots = [0.6 + 0.2j, bad] if isinstance(bad, complex) else [bad, 0.6 + 0.2j]
+    with pytest.raises(DomainError, match="roots must be finite"):
+        dsp.select_branch(np.array(roots, dtype=complex), 1.0, 0.3, 2,
+                          policy="all")
 
 
 def test_select_branch_degenerate_crossing_reported():
