@@ -358,7 +358,6 @@ def test_root_residual_away_from_poles_is_the_rational_form():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("h_b", [0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_lambda_form_functions_reject_a_bad_h_b(h_b):
-    # they returned NaN (and 0.405 for h_b = -1) before
     for call in (dsp.root_residual, dsp.residual, dsp.mode_shape):
         with pytest.raises(DomainError, match="h_b must be positive and finite"):
             call(LAMBDA_H1_T0, h_b, 0.0, 2)
@@ -537,7 +536,6 @@ def test_mode_shape_requires_a_root():
 
 @pytest.mark.filterwarnings("error")
 def test_mode_shape_rejects_a_nan_lambda():
-    # returned all-NaN amplitudes with two RuntimeWarnings before
     with pytest.raises(DomainError, match="residual check failed"):
         dsp.mode_shape(complex(math.nan, 0.0), 1.0, 0.3, 2)
 
