@@ -71,11 +71,19 @@ CONTINUATION_START = 1e6      # h_b where the acoustic branch is seeded at u = 1
 CONTINUATION_PER_DECADE = 8
 
 
-def _cos2(theta: float, n: int) -> np.ndarray:
-    """cos^2[theta + (m-1)pi/n], m = 1..n; the one check of n and theta."""
+def _cos2(theta, n: int) -> np.ndarray:
+    """cos^2[theta + (m-1)pi/n], m = 1..n; the one check of n and theta.
+
+    A scalar theta gives shape (n,); a (K,) array of angles, one per row of
+    a batch, gives shape (K, n).
+    """
     if not (isinstance(n, (int, np.integer)) and n >= 2):
         raise DomainError("n must be an integer >= 2")
-    if not math.isfinite(theta):
+    if np.ndim(theta):
+        theta = np.asarray(theta, dtype=float)[:, None]
+        if not np.isfinite(theta).all():
+            raise DomainError("theta must be finite")
+    elif not math.isfinite(theta):
         raise DomainError("theta must be finite")
     return np.cos(theta + np.arange(n) * np.pi / n) ** 2
 
@@ -165,6 +173,32 @@ def assemble_polynomial(h_b: float, theta: float, n: int) -> DispersionPolynomia
                                 params=(h_b, theta, n))
 
 
+def _secular(u: np.ndarray, h_b: np.ndarray, c2: np.ndarray):
+    """The rational relation f and its derivatives for (K, m) roots u.
+
+    h_b has shape (K,) and c2 shape (n,) or (K, n).  Returns d (K, m, n),
+    with d_k = 1 + i h_b - 2 u cos^2_k, 1/d, and f, f_u = df/du and
+    f_h = df/dh_b, each (K, m):
+
+        f   = 1 - (i h_b/n) sum_k 1/d_k
+        f_u = -(i h_b/n) sum_k 2 cos^2_k/d_k^2
+        f_h = -(i/n) sum_k 1/d_k - (h_b/n) sum_k 1/d_k^2
+
+    The one u-form builder of the denominators.  Callers set the errstate.
+    """
+    n = c2.shape[-1]
+    c2 = c2[..., None, :]
+    z = 1j * h_b[:, None]
+    d = 1.0 + z[:, :, None] - 2.0 * u[:, :, None] * c2
+    inv = 1.0 / d
+    inv2 = inv * inv
+    total = inv.sum(axis=2)
+    f = 1.0 - (z / n) * total
+    f_u = -(2.0 * z / n) * (inv2 * c2).sum(axis=2)
+    f_h = -(1j / n) * total - (h_b[:, None] / n) * inv2.sum(axis=2)
+    return d, inv, f, f_u, f_h
+
+
 def _polish(u: np.ndarray, h_b: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """Guarded Newton steps on the rational relation f for (K, n) roots u.
 
@@ -172,39 +206,45 @@ def _polish(u: np.ndarray, h_b: np.ndarray, c2: np.ndarray) -> np.ndarray:
     so roots next to a pole or on two coinciding poles converge too.  NaN
     (dropped) roots stay NaN; a root at a pole is left alone; a step longer
     than a quarter of the distance to the nearest other root is not taken.
+    c2 has shape (n,), or (K, n) for one angle per row.
     """
-    n = len(c2)
-    z = 1j * h_b[:, None]
+    n = c2.shape[-1]
     gap = np.abs(u[:, :, None] - u[:, None, :]) + np.diag(np.full(n, np.inf))
     reach = 0.25 * np.fmin.reduce(gap, axis=2)   # fmin skips the NaN roots
+    c2_rows = c2[..., None, :]
+    one_h = 1.0 + h_b[:, None, None]
+    row, root = np.arange(len(u))[:, None], np.arange(n)
     with np.errstate(all="ignore"):
         for _ in range(NEWTON_STEPS):
-            d = 1.0 + z[:, :, None] - 2.0 * u[:, :, None] * c2
-            scale = 1.0 + h_b[:, None, None] + 2.0 * np.abs(u[:, :, None]) * c2
-            clear = np.all(np.abs(d) > NEAR_POLE_REL * scale, axis=2)
-            inv = 1.0 / d
-            f = 1.0 - (z / n) * inv.sum(axis=2)
-            fp = -(2.0 * z / n) * (inv * inv * c2).sum(axis=2)
-            j = np.argsort(np.abs(inv), axis=2)[..., -2:]
-            poles = np.take_along_axis(c2 * inv, j, axis=2).sum(axis=2)
+            d, inv, f, fp, _ = _secular(u, h_b, c2)
+            scale = one_h + 2.0 * np.abs(u[:, :, None]) * c2_rows
+            clear = (np.abs(d) > NEAR_POLE_REL * scale).all(axis=2)
+            j = np.argsort(np.abs(inv), axis=2)   # the two nearest poles last
+            weighted = c2_rows * inv
+            poles = weighted[row, root, j[..., -2]] + weighted[row, root, j[..., -1]]
             step = f / (fp - 2.0 * poles * f)
             u = np.where(clear & (np.abs(step) < reach), u - step, u)
     return u
 
 
-def _eig_roots(h_b, theta: float, n: int) -> list:
+def _eig_roots(h_b, theta, n: int) -> list:
     """Roots u at every h_b of a 1-D grid, one array each, from one eigvals call.
 
+    theta is one angle for the whole grid or a (K,) array, one per h_b.
     u = 1/mu over the eigenvalues of the (K, n, n) stack of A^-1 C; mu below
     MU_CUT_REL of its row's largest |mu| is a root at infinity and dropped.
+    Each row is solved on its own, so a row's roots do not depend on the
+    other rows of the batch.
     """
     h_b = np.asarray(h_b, dtype=float)
-    if not np.all((h_b > 0) & (h_b < math.inf)):
+    if not ((h_b > 0) & (h_b < math.inf)).all():
         raise DomainError("h_b must be positive and finite")
     c2 = _cos2(theta, n)
+    if c2.ndim == 2 and len(c2) != len(h_b):
+        raise DomainError("theta must be one angle or one angle per h_b")
     z = 1j * h_b[:, None, None]
     try:
-        mu = np.linalg.eigvals((np.eye(n) + z / n) * (2.0 * c2 / (1.0 + z)))
+        mu = np.linalg.eigvals((np.eye(n) + z / n) * (2.0 * c2[..., None, :] / (1.0 + z)))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue solve failed: {exc}") from None
     size = np.abs(mu)
@@ -404,7 +444,7 @@ def _follow(rows, u: complex) -> list:
         if roots is None:
             path.append(None)
             continue
-        k = int(np.argmin(np.abs(roots - u)))
+        k = int(np.abs(roots - u).argmin())
         u = roots[k]
         path.append(k)
     return path

@@ -58,9 +58,116 @@ def test_hmax_bracket_contract():
     peak = analysis.find_hmax(0.0, 0.0, n=2)
     lo, hi = peak.bracket
     assert hi - lo < 1e-4 * peak.h_max
-    line = analysis._BranchLine(0.0, 0.0, 2, [1e2])
-    assert peak.lambda_i_max >= line.lambda_i(lo, "acoustic") - 1e-12
-    assert peak.lambda_i_max >= line.lambda_i(hi, "acoustic") - 1e-12
+    assert peak.lambda_i_max >= dsp.acoustic_root(lo, 0.0, 2).lambda_i - 1e-12
+    assert peak.lambda_i_max >= dsp.acoustic_root(hi, 0.0, 2).lambda_i - 1e-12
+
+
+def test_hmax_theta0_b0_is_the_exact_peak():
+    # n = 2, theta = 0: u = (1 + ih)/(2 + ih), whose lambda_i peaks at
+    # h = sqrt(20/7) with the value 1/(4 sqrt(3))
+    peak = analysis.find_hmax(0.0, 0.0, n=2)
+    assert peak.h_max == pytest.approx(math.sqrt(20.0 / 7.0), rel=1e-13)
+    assert peak.lambda_i_max == pytest.approx(1.0 / (4.0 * math.sqrt(3.0)), rel=1e-14)
+    lo, hi = peak.bracket
+    assert lo <= peak.h_max <= hi
+    (row, _) = analysis.theta_scan(0.0, 2, 10.0, [0.0])
+    assert row.branch == "acoustic"
+    assert row.max_lambda_i == pytest.approx(1.0 / (4.0 * math.sqrt(3.0)), rel=1e-14)
+
+
+def reference_golden_max(f, a: float, b: float, rel_tol: float):
+    """Golden-section maximization on a log-h axis (the search find_hmax used before)."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    la, lb = math.log(a), math.log(b)
+    lc = lb - inv_phi * (lb - la)
+    ld = la + inv_phi * (lb - la)
+    fc, fd = f(math.exp(lc)), f(math.exp(ld))
+    while (lb - la) > rel_tol:
+        if fc >= fd:
+            lb, ld, fd = ld, lc, fc
+            lc = lb - inv_phi * (lb - la)
+            fc = f(math.exp(lc))
+        else:
+            la, lc, fc = lc, ld, fd
+            ld = la + inv_phi * (lb - la)
+            fd = f(math.exp(ld))
+    h_lo, h_hi = math.exp(la), math.exp(lb)
+    h_best = math.sqrt(h_lo * h_hi)
+    return h_best, f(h_best), (h_lo, h_hi)
+
+
+def test_hmax_is_at_least_a_fine_golden_section_search():
+    rng = np.random.default_rng(15)
+    h_range = (1e-4, 1e4)
+    grid = np.geomspace(*h_range, analysis.SCAN_POINTS)
+    for _ in range(60):
+        n = int(rng.choice([2, 3]))
+        theta, B = rng.uniform(0.0, math.pi / n), rng.uniform(-0.6, 0.8)
+        # the coarse bracket and the acoustic root at its centre, from a sweep
+        rows = list(analysis.sweep([theta], [B], grid, n))[::-1]
+        k = int(np.argmax([row.lambda_i for row in rows]))
+        assert 0 < k < len(grid) - 1
+        u_k = complex(rows[k].lambda_r, rows[k].lambda_i) ** 2
+
+        def lambda_i(h):
+            roots = dsp._eig_roots([h * (1.0 + B)], theta, n)[0]
+            return dsp.principal_lambda(roots[np.argmin(np.abs(roots - u_k))]).imag
+
+        h_ref, li_ref, _ = reference_golden_max(lambda_i, grid[k - 1], grid[k + 1], 1e-13)
+        peak = analysis.find_hmax(theta, B, n=n, h_range=h_range)
+        assert peak.lambda_i_max >= li_ref * (1.0 - 1e-14)
+        assert peak.h_max == pytest.approx(h_ref, rel=1e-7)
+
+
+def reference_branch_lambda_i(roots, k: int, branch: str) -> float:
+    """lambda_i of root k (acoustic), or the largest lambda_i of the other roots.
+
+    The one-row-at-a-time form the coarse peak grids used before.
+    """
+    if branch == "acoustic":
+        return dsp.principal_lambda(roots[k]).imag
+    return max((dsp.principal_lambda(u).imag
+                for j, u in enumerate(roots) if j != k), default=math.inf)
+
+
+def test_coarse_branch_lambda_i_matches_the_row_by_row_form_bitwise():
+    rng = np.random.default_rng(15)
+    count = 0
+    for n in (2, 3, 4, 6, 8):
+        degenerate = [j * math.pi / (2 * n) for j in range(2 * n)] + [math.pi / 4]
+        for theta in degenerate + list(rng.uniform(0.0, math.pi, 4)):
+            h_b = np.geomspace(1e8, 1e-5, 200)
+            rows, path = dsp._track_to(h_b, theta, n)
+            branches = analysis._branch_roots(rows, path, n)
+            for branch, (_, lambda_i) in branches.items():
+                want = [reference_branch_lambda_i(r, k, branch) for r, k in zip(rows, path)]
+                assert np.array(want).tobytes() == lambda_i.tobytes()
+            count += len(rows)
+    assert count >= 10_000
+
+
+@pytest.mark.parametrize("n, theta, B", [(2, 0.0, 0.0), (3, 0.3, -0.3), (6, 0.2, 0.6)])
+def test_slope_matches_a_finite_difference_of_lambda_i(n, theta, B):
+    step = 1e-5
+    for h in np.geomspace(0.1, 10.0, 9):
+        line = analysis._coarse_lines(theta, B, n, h * np.exp([-step, 0.0, step]))
+        for branch in ("acoustic", "secondary"):
+            li, u = line[branch].lambda_i, line[branch].branch_u
+            if math.isinf(li[1]):   # the secondary escaped to infinity at theta = 0
+                assert math.isnan(analysis._slope(u[1:2], np.array([h]), dsp._cos2(theta, n))[0])
+                continue
+            g = analysis._slope(u[1:2], np.array([h * (1.0 + B)]), dsp._cos2(theta, n))
+            assert g[0] == pytest.approx((li[2] - li[0]) / (2 * step), rel=1e-6, abs=1e-9)
+
+
+def test_refine_keeps_the_coarse_peak_where_the_slope_is_not_finite(eig_batches):
+    # no secondary root there (NaN): no slope, so no search and no solve
+    h = np.array([1.0, 2.0, 3.0])
+    line = analysis._Line(theta=0.3, B=0.0, h=h, u=np.full(3, 0.5 + 0.1j),
+                          branch="secondary", branch_u=np.full(3, np.nan + 0j),
+                          lambda_i=np.array([0.1, 0.3, 0.2]))
+    assert analysis._refine([line], 3) == [(2.0, 0.3, (1.0, 3.0))]
+    assert eig_batches == []
 
 
 # ---------------------------------------------------------------------- sweep
@@ -110,27 +217,25 @@ def test_sweep_programming_errors_propagate(monkeypatch):
         analysis.sweep([0.2], [0.0], [10.0, 1.0, 0.1], 2)
 
 
-def test_branch_line_secondary_query_solves_once(monkeypatch):
-    line = analysis._BranchLine(0.3, 0.0, 3, [1e2])
-    real = dsp._eig_roots
-    calls = []
-
-    def counting(h_b, theta, n):
-        calls.append(len(h_b))
-        return real(h_b, theta, n)
-
-    monkeypatch.setattr(analysis.dispersion, "_eig_roots", counting)
-    assert line.lambda_i(1.0, "secondary") > 0
-    assert calls == [1]
+def test_point_secondary_query_solves_once(eig_batches):
+    roots = dsp.solve_roots(dsp.assemble_polynomial(1.0, 0.3, 3))
+    eig_batches.clear()
+    assert dsp.select_branch(roots, 1.0, 0.3, 3, policy="all")[1].lambda_i > 0
+    assert len(eig_batches) == 1
 
 
-def _eig_batches(monkeypatch):
-    """The h_b grids of the _eig_roots calls a test makes, in order."""
+def _eig_batches(monkeypatch, thetas=None):
+    """The h_b grids of the _eig_roots calls a test makes, in order.
+
+    The angle (or per-row angles) of each call is appended to ``thetas``.
+    """
     real = dsp._eig_roots
     grids = []
 
     def recording(h_b, theta, n):
         grids.append(np.array(h_b, dtype=float))
+        if thetas is not None:
+            thetas.append(theta)
         return real(h_b, theta, n)
 
     monkeypatch.setattr(analysis.dispersion, "_eig_roots", recording)
@@ -150,24 +255,40 @@ def test_find_hmax_coarse_grid_is_one_batched_solve(monkeypatch):
     grids = _eig_batches(monkeypatch)
     theta, B, n = 0.3, -0.2, 3
     analysis.find_hmax(theta, B, n=n)
-    # one batch (the seed grid, then the whole coarse grid), then single
-    # golden-section points
+    # one batch (the seed grid, then the whole coarse grid), then at most
+    # 16 refinement batches of the one line's point
     coarse = np.geomspace(1e2, 1e-2, analysis.SCAN_POINTS) * (1.0 + B)
     assert _is_seed_then(grids[0], coarse)
-    assert len(grids) > 1 and {len(g) for g in grids[1:]} == {1}
+    assert 1 <= len(grids) - 1 <= 16 and {len(g) for g in grids[1:]} == {1}
 
 
 def test_theta_scan_branches_share_one_batch_per_angle(monkeypatch):
-    grids = _eig_batches(monkeypatch)
+    thetas = []
+    grids = _eig_batches(monkeypatch, thetas)
     theta_grid, B, h_cap = [0.2, math.pi / 4, 0.9], 0.4, 10.0
     analysis.theta_scan(B, 2, h_cap, theta_grid)
     coarse = np.geomspace(h_cap * 1e-4, h_cap, analysis.SCAN_POINTS)[::-1] * (1.0 + B)
-    big = [k for k, g in enumerate(grids) if len(g) > 1]
     # per angle: one batch (seed grid, then the coarse grid) for both
-    # branches, then its golden-section points one at a time
-    assert big[0] == 0 and len(big) == len(theta_grid)
-    assert all(_is_seed_then(grids[k], coarse) for k in big)
-    assert {len(g) for k, g in enumerate(grids) if k not in big} == {1}
+    # branches; then at most 16 refinement batches shared by all angles,
+    # each holding at most the two branches of every angle, one angle per row
+    L = len(theta_grid)
+    assert all(_is_seed_then(g, coarse) for g in grids[:L])
+    assert thetas[:L] == theta_grid
+    refine = grids[L:]
+    assert 1 <= len(refine) <= 16
+    assert all(1 <= len(g) <= 2 * L for g in refine)
+    assert all(len(t) == len(g) and set(t) <= set(theta_grid)
+               for t, g in zip(thetas[L:], refine))
+
+
+def test_theta_scan_lockstep_equals_one_angle_at_a_time():
+    for B, n in ((0.5, 3), (-0.4, 2)):
+        theta_grid = list(np.linspace(0.0, math.pi / 2, 9))
+        together = analysis.theta_scan(B, n, 10.0, theta_grid)
+        alone = [row for theta in theta_grid
+                 for row in analysis.theta_scan(B, n, 10.0, [theta])]
+        assert [(r.theta, r.branch, float(r.max_lambda_i).hex()) for r in together] == \
+            [(r.theta, r.branch, float(r.max_lambda_i).hex()) for r in alone]
 
 
 def test_sweep_line_is_one_batched_solve(monkeypatch):
@@ -190,8 +311,8 @@ def test_sweep_secondaries_match_select_branch():
                               policy="all")
     assert [r.branch for r in rows] == [r.branch for r in roots]
     assert [complex(r.lambda_r, r.lambda_i) for r in rows] == [r.lam for r in roots]
-    line = analysis._BranchLine(theta, B, n, [1e2])
-    assert line.lambda_i(h, "secondary") == roots[1].lambda_i
+    line = analysis._coarse_lines(theta, B, n, np.array([h]))["secondary"]
+    assert line.lambda_i[0] == roots[1].lambda_i
 
 
 @pytest.mark.parametrize("n", [2, 3])

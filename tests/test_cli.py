@@ -160,6 +160,18 @@ def test_hmax_output(capsys):
     assert float(lines["lambda_i_max"]) == pytest.approx(0.14434, abs=5e-4)
 
 
+@pytest.mark.filterwarnings("error")
+def test_hmax_over_the_whole_float_range_runs_quietly(capsys):
+    # the peak search works in log h, so a range near the float limits is
+    # searched rather than rejected; the value found there is not a
+    # certified root yet (roots at h_b above ~1e10 lose their accuracy)
+    code, out, err = run(capsys, "hmax", "--theta", "0", "--h-range=1e-300:1e300")
+    assert code == 0 and err == ""
+    lines = dict(line.split(" = ") for line in out.strip().splitlines())
+    lo, hi = (float(x) for x in lines["bracket"].split())
+    assert lo <= float(lines["h_max"]) <= hi
+
+
 def test_hmax_degenerate_exits_2(capsys):
     code, _, err = run(capsys, "hmax", "--theta", PI4, "--B", "0")
     assert code == 2

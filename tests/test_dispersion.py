@@ -215,6 +215,40 @@ def test_batched_solve_matches_pointwise():
         np.testing.assert_allclose(roots, single, rtol=1e-14)
 
 
+def test_theta_per_row_batch_matches_one_angle_calls_bitwise():
+    rng = np.random.default_rng(15)
+    for n in (2, 3, 4, 6, 8):
+        h_b = 10.0 ** rng.uniform(-4.0, 8.0, 400)
+        theta = rng.uniform(0.0, math.pi, 400)
+        # degenerate angles: velocities perpendicular to the wave, and pi/4
+        theta[::5] = rng.integers(0, 2 * n, 80) * math.pi / (2 * n)
+        theta[::7] = math.pi / 4
+        for roots, hb, t in zip(dsp._eig_roots(h_b, theta, n), h_b, theta):
+            assert roots.tobytes() == dsp._eig_roots([hb], float(t), n)[0].tobytes()
+
+
+def test_theta_per_row_needs_one_angle_per_h_b():
+    with pytest.raises(DomainError, match="theta"):
+        dsp._eig_roots([1.0, 2.0], [0.1, 0.2, 0.3], 3)
+    with pytest.raises(DomainError, match="theta"):
+        dsp._eig_roots([1.0, 2.0], [0.1, math.nan], 3)
+
+
+@pytest.mark.parametrize("n, theta, h_b", [(2, 0.3, 1.7), (3, 0.2, 0.05), (6, 1.1, 40.0)])
+def test_secular_derivatives_match_finite_differences(n, theta, h_b):
+    c2 = dsp._cos2(theta, n)
+    u = dsp._eig_roots([h_b], theta, n)[0][None, :]
+    _, _, f, f_u, f_h = dsp._secular(u, np.array([h_b]), c2)
+    du, dh = 1e-6 * np.abs(u), 1e-6 * h_b
+    _, _, fu_p, _, _ = dsp._secular(u + du, np.array([h_b]), c2)
+    _, _, fu_m, _, _ = dsp._secular(u - du, np.array([h_b]), c2)
+    _, _, fh_p, _, _ = dsp._secular(u, np.array([h_b + dh]), c2)
+    _, _, fh_m, _, _ = dsp._secular(u, np.array([h_b - dh]), c2)
+    np.testing.assert_allclose(f, 0.0, atol=1e-12)
+    np.testing.assert_allclose(f_u, (fu_p - fu_m) / (2 * du), rtol=1e-6)
+    np.testing.assert_allclose(f_h, (fh_p - fh_m) / (2 * dh), rtol=1e-6)
+
+
 def test_continuation_is_one_batched_solve(monkeypatch):
     real = dsp._eig_roots
     sizes = []
