@@ -9,6 +9,7 @@ exhibits the resonance jump at theta = pi/4.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -85,22 +86,11 @@ class ThetaScanRow:
     max_lambda_i: float
 
 
-@dataclass(frozen=True)
-class _Line:
-    """One branch's lambda_i along one (theta, B) coarse grid, ascending in h.
-
-    u is the acoustic (continued) root at each h and branch_u the branch's
-    own root: the acoustic one, or the largest-lambda_i secondary (NaN
-    where no other root exists).
-    """
-
-    theta: float
-    B: float
-    h: np.ndarray
-    u: np.ndarray
-    branch: str
-    branch_u: np.ndarray
-    lambda_i: np.ndarray
+# One branch's lambda_i along one (theta, B) coarse grid, ascending in h: u
+# is the acoustic (continued) root at each h and branch_u the branch's own
+# root, the acoustic one or the largest-lambda_i secondary (NaN where no
+# other root exists).
+_Line = namedtuple("_Line", "theta B h u branch branch_u lambda_i")
 
 
 def _coarse_lines(theta: float, B: float, n: int, grid: np.ndarray) -> dict:
