@@ -109,10 +109,13 @@ def _coarse_lines(theta: float, B: float, n: int, grid: np.ndarray) -> dict:
 
 
 def _principal(u: np.ndarray) -> np.ndarray:
-    """:func:`dispersion.principal_lambda` of every entry; NaN stays NaN."""
+    """:func:`dispersion.principal_lambda` of every entry; NaN stays NaN.
+
+    np.sqrt already gives Re >= 0, so only Re = 0, Im < 0 flips.
+    """
     with np.errstate(invalid="ignore"):
         lam = np.sqrt(u)
-    return np.where((lam.real < 0) | ((lam.real == 0) & (lam.imag < 0)), -lam, lam)
+    return np.where((lam.real == 0) & (lam.imag < 0), -lam, lam)
 
 
 def _branch_roots(rows, path, n: int) -> dict:
