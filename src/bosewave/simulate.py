@@ -22,16 +22,26 @@ rhs_k = rhs_{k+n} = cS N0 ((2/n) sum_j Q_j - 2 Q_k).
 
 Scheme: operator split, advection first then collisions.  Advection is
 second-order upwind (Beam-Warming), stable for Courant numbers up to 2,
-with a first-order one-sided closure at the boundary-adjacent node;
-collisions are integrated with one RK4 substep.  For the linear collision
-operator L that substep is the matrix R = sum_{k=0..4} (dt L)^k / k!,
-applied as R @ P.  Advection is one gather kernel for both boundaries.
+with a first-order one-sided closure at the boundary-adjacent node; it is
+one gather kernel for both boundaries.  Collisions are integrated with one
+RK4 substep.  For the linear collision operator L that substep is the
+matrix R = sum_{k=0..4} (dt L)^k / k!, applied as R @ P.  The nonlinear
+substep works on the 4n factors of the pair products, Z = [1 + P; b rolled
+to the next pair], kept as one (2, 2, n, M) array.  The rate is G @ Q with
+G = gain*11^T - loss*I, and a stage adds the same shift to both members of
+a pair, so each stage is one matrix product with a precomputed (2n, n)
+lift, one add onto Z and two products giving Q; the four stages' Q are
+combined by one more product, (dt/6)[G, 2G, 2G, G], added to both halves
+of P.  Q is centred on its first row before each product (G @ 1 = 0), so
+equilibrium is an exact fixed point for every n.
 A step's two kernels, advect and collide, come from one builder: a forced
-run builds them once, and step_linear/step_nonlinear reuse them for every
-call with the same (config, dt, dx, M, bc) through the one kernel cache, of
-KERNEL_CACHE_SIZE entries.  The builder checks the Courant limit, the
-collision limit and bc before a key is cached, so a cached key has passed
-them; every step call still checks its config, dt, dx and P.
+run builds them once, on its own lattice, and step_linear/step_nonlinear
+reuse them for every call with the same (config, dt, dx, M, bc) through
+the one kernel cache, of KERNEL_CACHE_SIZE entries.  The builder checks the
+Courant limit, the collision limit and bc before a key is cached, so a
+cached key has passed them; every step call still checks its config, dt,
+dx and P.  Cached kernels hold no scratch arrays: every intermediate is
+allocated per call.
 Using the same RK4 map for the linear and nonlinear right-hand sides keeps
 the nonlinear stepper linearization-consistent with the linear one to
 O(eps^2) per step.
@@ -143,15 +153,24 @@ def _step_kernels(config: ModelConfig, field_types: tuple, dt: float, dx: float,
                   M: int, bc: str, mode: str):
     """A step's kernels (advect, collide) for a validated config, reused per key.
 
-    A key is built, and cached, only after the Courant limit, the collision
-    limit and bc (in _advection) have passed; they read key fields only, so
-    a cached key has passed them.  field_types only keys the cache: it keeps
-    apart configs that compare equal but differ in the type of a field (a
-    float32 S makes a float32 rate).  collide is the linear RK4 matrix applied as R @ P, or
-    one RK4 substep of the nonlinear collision term.  R and the advection
-    weights are read-only.
+    field_types only keys the cache: it keeps apart configs that compare
+    equal but differ in the type of a field (a float32 S makes a float32
+    rate).  A key is cached only after _build_kernels has passed its
+    limits, which read key fields only, so a cached key has passed them.
     """
-    x_speeds = build_lattice(config).x_speeds
+    return _build_kernels(config, build_lattice(config).x_speeds, dt, dx, M, bc,
+                          mode)
+
+
+def _build_kernels(config: ModelConfig, x_speeds: np.ndarray, dt: float,
+                   dx: float, M: int, bc: str, mode: str):
+    """A step's kernels (advect, collide) on the given lattice speeds.
+
+    Checks the Courant limit, the collision limit and bc (in _advection), in
+    this order.  collide is the linear RK4 matrix applied as R @ P, or one
+    RK4 substep of the nonlinear collision term (_collision_substep).  R and
+    the advection weights are read-only.
+    """
     vmax = float(np.max(np.abs(x_speeds)))
     if vmax > 0 and dt * vmax / dx > CFL_LIMIT + 1e-12:
         raise CFLError(f"dt*max|x_speed|/dx = {dt * vmax / dx:.4g} "
@@ -165,8 +184,7 @@ def _step_kernels(config: ModelConfig, field_types: tuple, dt: float, dx: float,
         R = _linear_propagator(config, dt)
         R.flags.writeable = False
         return advect, lambda P: R @ P
-    rhs = _nonlinear_rhs(config)
-    return advect, lambda P: _rk4(rhs, P, dt)
+    return advect, _collision_substep(config, dt)
 
 
 def _checked_step_kernels(field: WaveField, dt: float, bc: str, mode: str):
@@ -210,8 +228,8 @@ def _advection(courant: np.ndarray, M: int, bc: str):
         near, far = near % M, far % M
     else:
         near, far = near.clip(0, M - 1), far.clip(0, M - 1)
-    w = np.abs(courant)[:, None]
-    cw = np.repeat(0.5 * w * (1 - w), M, axis=1)
+    w = np.repeat(np.abs(courant)[:, None], M, axis=1)
+    cw = 0.5 * w * (1 - w)
     cw[near == far] = 0.0
     rows = np.arange(len(courant))[:, None] * M
     near, far = near + rows, far + rows
@@ -220,18 +238,17 @@ def _advection(courant: np.ndarray, M: int, bc: str):
     w.flags.writeable = cw.flags.writeable = False
 
     def advect(P: np.ndarray) -> np.ndarray:
+        # P - w*(P - up1) - cw*(P - 2*up1 + up2), each operation as written,
+        # so the result is bitwise that expression's
         up1, up2 = P.take(near), P.take(far)
-        return P - w * (P - up1) - cw * (P - 2 * up1 + up2)
+        out = np.multiply(w, np.subtract(P, up1))
+        np.subtract(P, out, out=out)
+        np.multiply(up1, 2, out=up1)
+        np.subtract(P, up1, out=up1)
+        np.add(up1, up2, out=up1)
+        return np.subtract(out, np.multiply(cw, up1), out=out)
 
     return advect
-
-
-def _rk4(rhs, P: np.ndarray, dt: float) -> np.ndarray:
-    k1 = rhs(P)
-    k2 = rhs(P + 0.5 * dt * k1)
-    k3 = rhs(P + 0.5 * dt * k2)
-    k4 = rhs(P + dt * k3)
-    return P + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def _linear_propagator(config: ModelConfig, dt: float) -> np.ndarray:
@@ -251,24 +268,51 @@ def _linear_propagator(config: ModelConfig, dt: float) -> np.ndarray:
     return R
 
 
-def _nonlinear_rhs(config: ModelConfig):
-    """Collision term in pair form (module docstring); rows k and k+n are equal."""
+def _collision_substep(config: ModelConfig, dt: float):
+    """One RK4 substep of the nonlinear collision term, as collide(P).
+
+    In pair form (module docstring) the term is G @ Q with
+    G = gain*11^T - loss*I, added to both rows of a pair.  A stage adds its
+    shift s = a*(G @ Q) to both members of each pair of Np = 1 + P, and
+    g N0 s of the next pair to the blocking factors, so one (2n, n) lift
+    [G; g N0 G(next)] moves all 4n factors Z = [Np; b(next)] at once.  Q is
+    centred on its first row before each product: G @ 1 = 0, so the term is
+    unchanged, and it is exactly 0 where all Q_k are equal (equilibrium).
+    Every intermediate is allocated per call.
+    """
     n = config.n
     gN0 = config.gamma * config.N0
     loss = 2.0 * config.c * config.S * config.N0
-    gain = loss / n
+    G = np.full((n, n), loss / n, dtype=float)
+    G[np.diag_indices(n)] -= loss
+    lift = np.vstack([G, gN0 * np.roll(G, -1, axis=0)])
+    half = (0.5 * dt) * lift
+    stages = (half, half, dt * lift)
+    combine = (dt / 6.0) * np.hstack([G, 2 * G, 2 * G, G])
+    for matrix in (*stages, combine):
+        matrix.flags.writeable = False
 
-    def rhs(P):
-        Np = 1.0 + P
-        b = 1.0 + gN0 * Np
-        c = b[:n] * b[n:]
-        Q = Np[:n] * Np[n:]
-        Q[:-1] *= c[1:]       # blocking factors of the next pair, cyclic
-        Q[-1] *= c[0]
-        half = gain * Q.sum(axis=0) - loss * Q
-        return np.concatenate([half, half])
+    def collide(P: np.ndarray) -> np.ndarray:
+        M = P.shape[1]
+        Z = np.empty((2, 2 * n, M))    # [Np; b rolled to the next pair]
+        np.add(P, 1.0, out=Z[0])
+        np.multiply(Z[0, 1:], gN0, out=Z[1, :-1])
+        np.multiply(Z[0, :1], gN0, out=Z[1, -1:])
+        np.add(Z[1], 1.0, out=Z[1])
+        Z = Z.reshape(2, 2, n, M)
+        stage, shifted = Z, np.empty_like(Z)
+        Qc = np.empty((4, n, M))       # the four stages' centred Q
+        for i in range(4):
+            pairs = np.multiply(stage[:, 0], stage[:, 1])
+            Q = np.multiply(pairs[0], pairs[1], out=pairs[0])
+            np.subtract(Q, Q[0], out=Qc[i])
+            if i < 3:
+                shift = stages[i] @ Qc[i]
+                stage = np.add(Z, shift.reshape(2, 1, n, M), out=shifted)
+        step = combine @ Qc.reshape(4 * n, M)
+        return np.add(P.reshape(2, n, M), step).reshape(2 * n, M)
 
-    return rhs
+    return collide
 
 
 def step_linear(field: WaveField, dt: float, bc: str = "periodic") -> WaveField:
@@ -405,7 +449,8 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
     total_steps = (transient_periods + periods) * steps_per_period
     record_from = transient_periods * steps_per_period
 
-    advect, collide = _step_kernels.__wrapped__(config, None, dt, dx, M, "open", mode)
+    advect, collide = _build_kernels(config, lattice.x_speeds, dt, dx, M, "open",
+                                     mode)
     t_ramp = ramp_periods * T
     drive_amp = 1j * weights[inflow]
     bound = INSTABILITY_FACTOR * eps

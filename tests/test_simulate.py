@@ -139,8 +139,11 @@ def test_step_rejects_inputs_outside_their_domain(step, name, bad):
 
 # --------------------------------------------------------- nonlinear steps
 
-def test_equilibrium_is_fixed_point():
-    cfg = make_config(theta=0.2, h=1.0, B=0.5)
+@pytest.mark.parametrize("theta", [0.0, 0.2])
+@pytest.mark.parametrize("B", [-0.3, 0.0, 0.5])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_equilibrium_is_fixed_point(n, B, theta):
+    cfg = make_config(theta=theta, h=1.0, B=B, n=n)
     field = make_field(cfg, M=64)
     out = sim.step_nonlinear(field, 0.05, bc="periodic")
     np.testing.assert_array_equal(out.P, field.P)
@@ -199,21 +202,27 @@ def test_nonlinear_step_linearizes_at_second_order():
     assert np.all(slopes > 1.9)
 
 
-def test_nonlinear_conservation_periodic():
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_nonlinear_conservation_periodic(n):
     rng = np.random.default_rng(31)
-    cfg = make_config(theta=0.3, h=1.0, B=0.5)
+    cfg = make_config(theta=0.3, h=1.0, B=0.5, n=n)
     M, dx, dt = 128, 0.12, 0.04
-    P = 0.08 * rng.standard_normal((4, M)) + 0.05
+    P = 0.08 * rng.standard_normal((2 * n, M)) + 0.05
     field = make_field(cfg, M=M, dx=dx, P=P)
-    lat = sim.build_lattice(cfg)
-    N = cfg.N0 * (1.0 + field.P)
-    mass0 = N.sum()
-    mom0 = (lat.x_speeds[:, None] * N).sum()
+    speeds = sim.build_lattice(cfg).x_speeds[:, None]
+
+    def totals(P):
+        # correctly rounded sums: at n = 6 the net momentum is 0.03 of a
+        # gross 500, and a plain sum's own rounding would be 2e-12 of it
+        N = cfg.N0 * (1.0 + P)
+        return math.fsum(N.ravel()), math.fsum((speeds * N).ravel())
+
+    mass0, mom0 = totals(field.P)
     for _ in range(1000):
         field = sim.step_nonlinear(field, dt, bc="periodic")
-    N = cfg.N0 * (1.0 + field.P)
-    assert abs(N.sum() - mass0) / abs(mass0) < 1e-12
-    assert abs((lat.x_speeds[:, None] * N).sum() - mom0) / max(abs(mom0), 1e-3) < 1e-12
+    mass, mom = totals(field.P)
+    assert abs(mass - mass0) / abs(mass0) < 1e-12
+    assert abs(mom - mom0) / max(abs(mom0), 1e-3) < 1e-12
 
 
 def test_positivity_loss_detected():
@@ -466,17 +475,28 @@ def two_n_row_rhs(cfg, P):
     return ((cS / n) * pair.sum(axis=0) - 2.0 * cS * pair) / cfg.N0
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
 @pytest.mark.parametrize("B", [-0.5, 0.0, 0.7])
 def test_pair_form_rhs_matches_two_n_row_formula(n, B):
-    cfg = make_config(theta=0.3, h=1.2, B=B, n=n)
+    """One collision substep's increment is four-stage RK4 of the 2n-row term."""
+    dt = 0.04
     P = np.random.default_rng(n).uniform(-0.5, 0.5, (2 * n, 40))
-    got = sim._nonlinear_rhs(cfg)(P)
-    want = two_n_row_rhs(cfg, P)
-    np.testing.assert_array_equal(got[:n], got[n:])
-    # normwise: gain and loss cancel, so entries near zero carry the
-    # rounding of the O(1) terms
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    for theta in (0.0, 0.3, math.pi / 2):
+        cfg = make_config(theta=theta, h=1.2, B=B, n=n)
+        collide = sim._collision_substep(cfg, dt)
+        got = collide(P) - P
+        k1 = two_n_row_rhs(cfg, P)
+        k2 = two_n_row_rhs(cfg, P + 0.5 * dt * k1)
+        k3 = two_n_row_rhs(cfg, P + 0.5 * dt * k2)
+        k4 = two_n_row_rhs(cfg, P + dt * k3)
+        want = (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        # both rows of a pair get one increment: bitwise so where the pair
+        # members are equal
+        same = collide(np.vstack([P[:n], P[:n]]))
+        np.testing.assert_array_equal(same[:n], same[n:])
+        # normwise: gain and loss cancel, so entries near zero carry the
+        # rounding of the O(1) terms
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), theta
 
 
 @pytest.mark.parametrize("bc", ["periodic", "open"])
@@ -603,6 +623,72 @@ def test_forced_rejects_a_step_count_past_the_float_range(monkeypatch):
                        periods=2)
 
 
+@pytest.mark.filterwarnings("ignore:linear collision form")
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+def test_a_forced_run_builds_its_lattice_once(monkeypatch, mode):
+    lattices = []
+
+    def counting_lattice(config):
+        lattices.append(config)
+        return build_lattice(config)
+
+    build_lattice = sim.build_lattice
+    monkeypatch.setattr(sim, "build_lattice", counting_lattice)
+    sim.run_forced(make_config(theta=0.3, n=3), wavelengths=4, points_per_wavelength=10,
+                   periods=2, mode=mode)
+    assert len(lattices) == 1
+
+
+@pytest.mark.filterwarnings("ignore:linear collision form")
+def test_linear_forced_run_is_bitwise_the_plain_loop():
+    """A linear forced run, stepped by a loop that spells out the open
+    Beam-Warming update and the RK4 matrix: R @ (P - w(P - up1) - cw(P - 2up1 + up2))."""
+    cfg = make_config(theta=0.3, h=1.0, B=0.2, n=3)
+    ppw, wavelengths, periods, transient, eps = 12, 4, 2, 3, 1e-3
+    series = sim.run_forced(cfg, wavelengths=wavelengths, points_per_wavelength=ppw,
+                            periods=periods, transient_periods=transient, eps=eps)
+
+    speeds = sim.build_lattice(cfg).x_speeds
+    T = 2.0 * math.pi / cfg.omega
+    dx = sim.hydrodynamic_wavelength(cfg) / ppw
+    M = wavelengths * ppw + 1
+    rate = 4.0 * cfg.c * cfg.S * cfg.N0 * (1.0 + cfg.B)
+    dt_max = min(sim.CFL_LIMIT * dx / np.max(np.abs(speeds)),
+                 sim.COLLISION_DT_LIMIT / rate)
+    steps_per_period = 32 * math.ceil(T / (32 * dt_max))
+    dt, stride = T / steps_per_period, steps_per_period // 32
+    courant = speeds * dt / dx
+    step = np.sign(courant).astype(int)[:, None]
+    cells = np.arange(M)
+    near = np.clip(cells - step, 0, M - 1)
+    far = np.clip(cells - 2 * step, 0, M - 1)
+    w = np.abs(courant)[:, None]
+    cw = np.repeat(0.5 * w * (1 - w), M, axis=1)
+    cw[near == far] = 0.0
+    rows = np.arange(2 * cfg.n)[:, None] * M
+    near, far = near + rows, far + rows
+    R = sim._linear_propagator(cfg, dt)
+    inflow = speeds > 0
+    weights = sim._mode_drive_weights(cfg, sim.build_lattice(cfg))
+    drive_amp = 1j * (weights / np.max(np.abs(weights[inflow])))[inflow]
+
+    P = np.zeros((2 * cfg.n, M))
+    want = []
+    for k in range(1, (transient + periods) * steps_per_period + 1):
+        up1, up2 = P.take(near), P.take(far)
+        P = R @ (P - w * (P - up1) - cw * (P - 2 * up1 + up2))
+        t = k * dt
+        envelope = 0.5 * (1.0 - math.cos(math.pi * t / (2 * T))) if t < 2 * T else 1.0
+        P[inflow, 0] = eps * envelope * np.real(drive_amp * np.exp(-1j * cfg.omega * t))
+        if k > transient * steps_per_period and k % stride == 0:
+            want.append((t, P.copy()))
+    assert len(series) == len(want) == 32 * periods
+    for field, (t, P) in zip(series, want):
+        assert field.t == t
+        np.testing.assert_array_equal(field.P, P)
+        np.testing.assert_array_equal(np.signbit(field.P), np.signbit(P))
+
+
 def test_default_fit_window_is_one_batched_solve(eig_batches):
     sim._default_fit_window(make_config(theta=0.3, n=3), 40.0, 0.1)
     assert len(eig_batches) == 1 and eig_batches[0] > 1
@@ -613,7 +699,7 @@ def test_default_fit_window_is_one_batched_solve(eig_batches):
 def reference_step(field, dt, bc="periodic", mode="linear"):
     """One step as taken before kernels were reused: every call checks its
     inputs and rebuilds the lattice, the advection gather and the collision
-    map, and returns through dataclasses.replace."""
+    map (uncached), and returns through dataclasses.replace."""
     lattice = sim.build_lattice(field.config)
     if not 0 < dt < math.inf:
         raise DomainError(f"dt must satisfy 0 < dt < inf, got {dt!r}")
@@ -638,7 +724,7 @@ def reference_step(field, dt, bc="periodic", mode="linear"):
     else:
         if np.any(field.P <= -1.0):
             raise PositivityError("number density N_i = N0(1+P_i) not positive")
-        P = sim._rk4(sim._nonlinear_rhs(field.config), advect(field.P), dt)
+        P = sim._collision_substep(field.config, dt)(advect(field.P))
         if np.any(P <= -1.0):
             raise PositivityError("positivity lost during nonlinear step "
                                   "(amplitude too large for the scheme)")
