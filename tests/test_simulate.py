@@ -641,8 +641,9 @@ def test_a_forced_run_builds_its_lattice_once(monkeypatch, mode):
 
 @pytest.mark.filterwarnings("ignore:linear collision form")
 def test_linear_forced_run_is_bitwise_the_plain_loop():
-    """A linear forced run, stepped by a loop that spells out the open
-    Beam-Warming update and the RK4 matrix: R @ (P - w(P - up1) - cw(P - 2up1 + up2))."""
+    """A linear forced run equals, bitwise, a loop that spells out the open
+    Beam-Warming update and the RK4 matrix:
+    R @ (P - w(P - up1) - cw(P - 2up1 + up2))."""
     cfg = make_config(theta=0.3, h=1.0, B=0.2, n=3)
     ppw, wavelengths, periods, transient, eps = 12, 4, 2, 3, 1e-3
     series = sim.run_forced(cfg, wavelengths=wavelengths, points_per_wavelength=ppw,
