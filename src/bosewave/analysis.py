@@ -111,7 +111,10 @@ def _coarse_lines(theta: float, B: float, n: int, grid: np.ndarray) -> dict:
 def _principal(u: np.ndarray) -> np.ndarray:
     """:func:`dispersion.principal_lambda` of every entry; NaN stays NaN.
 
-    np.sqrt already gives Re >= 0, so only Re = 0, Im < 0 flips.
+    np.sqrt already gives Re >= 0, so only Re = 0, Im < 0 flips.  The value
+    is bit for bit principal_lambda's except where a part of u or of its
+    root is 0 or subnormal, or |u| is near the smallest normal float: there
+    np.sqrt and cmath.sqrt can differ in the last bit.
     """
     with np.errstate(invalid="ignore"):
         lam = np.sqrt(u)
@@ -125,8 +128,9 @@ def _branch_roots(rows, path, n: int) -> dict:
     root ``path[j]`` of row j, the secondary the largest-lambda_i other
     root.  A row with no other root (it escaped to infinity at a degenerate
     angle) has secondary root NaN and lambda_i inf.  lambda_i comes from one
-    pass over the NaN-padded (K, n) roots, bit for bit
-    ``dispersion.principal_lambda(u).imag`` of each root.
+    pass over the NaN-padded (K, n) roots (:func:`_principal`), bit for bit
+    ``dispersion.principal_lambda(u).imag`` of each root outside the cases
+    that _principal names.
     """
     at = np.arange(len(rows))
     padded = np.full((len(rows), n), np.nan, dtype=complex)

@@ -25,6 +25,8 @@ from .errors import DomainError
 
 __all__ = ["ModelConfig", "ReducedParams", "validate", "reduced_params", "theta_period"]
 
+_FLOAT_FIELDS = ("c", "S", "N0", "omega", "gamma", "B")   # validate makes these floats
+
 
 def theta_period(n: int) -> float:
     """Fundamental period of the orientation angle: pi/n."""
@@ -84,12 +86,13 @@ class ReducedParams:
 
 
 def validate(config: ModelConfig) -> ModelConfig:
-    """Check all field domains and return the config with theta normalized.
+    """Check all field domains and return the config in plain Python scalars.
 
-    theta is reduced to the fundamental interval [0, pi/n); every downstream
-    formula depends on it only through cos^2[theta+(m-1)pi/n], so this is
-    exact.  A config whose theta is already a Python float in that interval
-    is returned as it is; any other gets a copy with a Python-float theta.
+    n becomes an int and every other field a float; the conversion of a
+    numpy scalar, a 0-d array or an int is exact.  theta is reduced to the
+    fundamental interval [0, pi/n); every downstream formula depends on it
+    only through cos^2[theta+(m-1)pi/n], so this is exact.  A config already
+    in that form is returned as it is; any other gets a converted copy.
     Raises :class:`DomainError` naming the offending field.
     """
     if not isinstance(config.n, numbers.Integral) or config.n < 2:
@@ -107,14 +110,17 @@ def validate(config: ModelConfig) -> ModelConfig:
     if abs(config.B - config.gamma * config.N0) > 1e-12 * max(1.0, abs(config.B)):
         raise DomainError("B inconsistent with gamma*N0")
     period = theta_period(config.n)
-    if type(config.theta) is float and 0.0 <= config.theta < period:
+    values = [getattr(config, name) for name in _FLOAT_FIELDS]
+    if (type(config.n) is int and type(config.theta) is float
+            and all(type(v) is float for v in values) and 0.0 <= config.theta < period):
         return config
     theta = math.fmod(config.theta, period)
     if theta < 0:
         theta += period
     if theta >= period:  # fmod edge at exactly one period
         theta -= period
-    return replace(config, theta=theta)
+    return replace(config, n=int(config.n), theta=theta,
+                   **dict(zip(_FLOAT_FIELDS, map(float, values))))
 
 
 def reduced_params(config: ModelConfig) -> ReducedParams:

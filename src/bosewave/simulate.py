@@ -37,11 +37,13 @@ equilibrium is an exact fixed point for every n.
 A step's two kernels, advect and collide, come from one builder: a forced
 run builds them once, on its own lattice, and step_linear/step_nonlinear
 reuse them for every call with the same (config, dt, dx, M, bc) through
-the one kernel cache, of KERNEL_CACHE_SIZE entries.  The builder checks the
-Courant limit, the collision limit and bc before a key is cached, so a
-cached key has passed them; every step call still checks its config, dt,
-dx and P.  Cached kernels hold no scratch arrays: every intermediate is
-allocated per call.
+the one kernel cache, of KERNEL_CACHE_SIZE entries.  Cache keys are plain
+Python values: validate makes the config's fields an int and floats, and
+dt and dx are converted to floats, so equal values share one entry.  Every
+step call checks its config, dt, dx, P and bc, before the lookup; the
+builder checks the Courant and collision limits before a key is cached, so
+a cached key has passed them.  Cached kernels hold no scratch arrays: every
+intermediate is allocated per call.
 Using the same RK4 map for the linear and nonlinear right-hand sides keeps
 the nonlinear stepper linearization-consistent with the linear one to
 O(eps^2) per step.
@@ -135,28 +137,15 @@ def _collision_rate(config: ModelConfig) -> float:
     return 4.0 * config.c * config.S * config.N0 * (1.0 + config.B)
 
 
-def _reuse(cached, *key):
-    """cached(*key), or the uncached function where the key cannot be hashed
-    (a 0-d array dt, say)."""
-    try:
-        return cached(*key)
-    except TypeError:
-        try:
-            hash(key)
-        except TypeError:
-            return cached.__wrapped__(*key)
-        raise
-
-
-@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE, typed=True)
-def _step_kernels(config: ModelConfig, field_types: tuple, dt: float, dx: float,
-                  M: int, bc: str, mode: str):
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _step_kernels(config: ModelConfig, dt: float, dx: float, M: int, bc: str,
+                  mode: str):
     """A step's kernels (advect, collide) for a validated config, reused per key.
 
-    field_types only keys the cache: it keeps apart configs that compare
-    equal but differ in the type of a field (a float32 S makes a float32
-    rate).  A key is cached only after _build_kernels has passed its
-    limits, which read key fields only, so a cached key has passed them.
+    Every key field is a plain Python value (validate makes the config's
+    fields int and floats), so equal keys build equal kernels.  A key is
+    cached only after _build_kernels has passed its limits, which read key
+    fields only, so a cached key has passed them.
     """
     return _build_kernels(config, build_lattice(config).x_speeds, dt, dx, M, bc,
                           mode)
@@ -166,10 +155,10 @@ def _build_kernels(config: ModelConfig, x_speeds: np.ndarray, dt: float,
                    dx: float, M: int, bc: str, mode: str):
     """A step's kernels (advect, collide) on the given lattice speeds.
 
-    Checks the Courant limit, the collision limit and bc (in _advection), in
-    this order.  collide is the linear RK4 matrix applied as R @ P, or one
-    RK4 substep of the nonlinear collision term (_collision_substep).  R and
-    the advection weights are read-only.
+    Checks the Courant limit, then the collision limit.  collide is the
+    linear RK4 matrix applied as R @ P, or one RK4 substep of the nonlinear
+    collision term (_collision_substep).  R and the advection weights are
+    read-only.
     """
     vmax = float(np.max(np.abs(x_speeds)))
     if vmax > 0 and dt * vmax / dx > CFL_LIMIT + 1e-12:
@@ -190,9 +179,10 @@ def _build_kernels(config: ModelConfig, x_speeds: np.ndarray, dt: float,
 def _checked_step_kernels(field: WaveField, dt: float, bc: str, mode: str):
     """Check one step's inputs and return its (advect, collide), reused per key.
 
-    Every call checks the config, dt, dx and the shape of P, in this order;
-    the Courant limit, the collision limit and bc follow in _step_kernels
-    when a key is built, and a cached key has passed them.
+    Every call checks the config, dt, dx, the shape of P and bc, in this
+    order, then looks up the key with dt and dx as Python floats; the
+    Courant and collision limits follow in _step_kernels when a key is
+    built, and a cached key has passed them.
     """
     config = validate(field.config)
     if not 0 < dt < math.inf:
@@ -204,23 +194,22 @@ def _checked_step_kernels(field: WaveField, dt: float, bc: str, mode: str):
     if len(shape) != 2 or shape[0] != p2 or shape[1] < 1:
         raise DomainError(f"P must have shape (2n, M) = ({p2}, M) with M >= 1, "
                           f"got {shape}")
-    field_types = tuple(map(type, vars(config).values()))
-    return _reuse(_step_kernels, config, field_types, dt, field.dx, shape[1], bc,
-                  mode)
+    if bc not in ("periodic", "open"):
+        raise DomainError("bc must be 'periodic' or 'open'")
+    return _step_kernels(config, float(dt), float(field.dx), shape[1], bc, mode)
 
 
 def _advection(courant: np.ndarray, M: int, bc: str):
     """Beam-Warming update of all 2n rows of an M-cell field, as advect(P).
 
-    courant is signed.  A boundary condition is a rule for each row's two
-    upwind neighbour indices (LeVeque 2002, ch. 7): periodic wraps them,
-    open clamps them to the grid.  Where a row's two neighbours coincide the
+    courant is signed and bc is "periodic" or "open", which the callers
+    check.  A boundary condition is a rule for each row's two upwind
+    neighbour indices (LeVeque 2002, ch. 7): periodic wraps them, open
+    clamps them to the grid.  Where a row's two neighbours coincide the
     curvature weight is zeroed: on an open row these are the upwind end
     node, which then keeps P, and the node next to it, which is first
     order.  A zero-speed row is its own neighbour and keeps P.
     """
-    if bc not in ("periodic", "open"):
-        raise DomainError("bc must be 'periodic' or 'open'")
     step = np.sign(courant).astype(np.intp)[:, None]
     cells = np.arange(M)
     near, far = cells - step, cells - 2 * step
@@ -320,11 +309,13 @@ def step_linear(field: WaveField, dt: float, bc: str = "periodic") -> WaveField:
 
     The step's kernels are reused for every call with the same
     (config, dt, dx, M, bc), from the one kernel cache of KERNEL_CACHE_SIZE
-    entries.  The dt limits and bc are checked when a key is built; a
-    cached key has passed them.
+    entries, keyed by plain Python values: dt and dx are converted to
+    floats, and t advances by float(dt).  bc is checked on every call,
+    before the lookup; the dt limits are checked when a key is built, and
+    a cached key has passed them.
     """
     advect, collide = _checked_step_kernels(field, dt, bc, "linear")
-    return WaveField(P=collide(advect(field.P)), dx=field.dx, t=field.t + dt,
+    return WaveField(P=collide(advect(field.P)), dx=field.dx, t=field.t + float(dt),
                      config=field.config)
 
 
@@ -340,7 +331,7 @@ def step_nonlinear(field: WaveField, dt: float, bc: str = "periodic") -> WaveFie
     if P.min() <= -1.0:
         raise PositivityError("positivity lost during nonlinear step "
                               "(amplitude too large for the scheme)")
-    return WaveField(P=P, dx=field.dx, t=field.t + dt, config=field.config)
+    return WaveField(P=P, dx=field.dx, t=field.t + float(dt), config=field.config)
 
 
 def pair_averages(field: WaveField) -> np.ndarray:
@@ -435,8 +426,6 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
     stride = steps_per_period // SAMPLES_PER_PERIOD
 
     inflow = lattice.x_speeds > 0
-    if not np.any(inflow):
-        raise DomainError("no inflow components: theta leaves no positive x-speed")
     if drive == "mode":
         weights = _mode_drive_weights(config, lattice)
     else:

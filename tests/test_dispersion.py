@@ -816,3 +816,9 @@ def test_point_lookup_reports_a_degenerate_crossing():
         dsp.acoustic_root(1e-9, math.pi / 4, 2)
     with pytest.raises(BranchAmbiguityError):
         dsp._branches_at(1e-9, math.pi / 4, 2, "all")
+
+
+@pytest.mark.xfail(strict=True, reason="below h_b ~ 1e-26 every point lookup is "
+                   "uncertified (residual 1); ROADMAP item 7")
+def test_point_lookup_is_certified_at_tiny_h_b():
+    assert dsp.acoustic_root(1e-30, 0.3, 2).residual < 1e-9

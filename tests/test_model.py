@@ -84,20 +84,28 @@ def test_validate_returns_a_reduced_config_as_it_is():
     assert validate(cfg) is cfg
 
 
-@pytest.mark.parametrize("theta, reduced", [
-    (0, 0.0),
-    (np.float32(0.3), float(np.float32(0.3))),
-    (np.float64(0.3), 0.3),
-    (-0.2, math.pi / 3 - 0.2),
-    (math.pi / 3, 0.0),
-    (7.0, math.fmod(7.0, math.pi / 3)),
-], ids=["int", "float32", "float64", "negative", "period", "above"])
-def test_validate_copies_any_other_theta_as_a_reduced_float(theta, reduced):
-    cfg = ModelConfig(n=3, theta=theta)
+@pytest.mark.parametrize("field, value, canonical", [
+    ("theta", 0, 0.0),
+    ("theta", np.float32(0.3), float(np.float32(0.3))),
+    ("theta", np.float64(0.3), 0.3),
+    ("theta", -0.2, math.pi / 3 - 0.2),
+    ("theta", math.pi / 3, 0.0),
+    ("theta", 7.0, math.fmod(7.0, math.pi / 3)),
+    ("c", 2, 2.0),
+    ("S", np.float32(0.3), float(np.float32(0.3))),
+    ("N0", np.float64(0.5), 0.5),
+    ("n", np.int64(4), 4),
+], ids=["int", "float32", "float64", "negative", "period", "above",
+        "int-c", "float32-S", "float64-N0", "int64-n"])
+def test_validate_copies_any_other_theta_as_a_reduced_float(field, value, canonical):
+    """Any field not yet a plain Python scalar (n an int, the rest floats,
+    theta in [0, pi/n)) is converted exactly in a copy."""
+    cfg = replace(ModelConfig(n=3, theta=0.3), **{field: value})
     got = validate(cfg)
     assert got is not cfg
-    assert got == replace(cfg, theta=reduced)
-    assert type(got.theta) is float
+    assert got == replace(cfg, **{field: canonical})
+    assert type(got.n) is int
+    assert all(type(v) is float for k, v in vars(got).items() if k != "n")
 
 
 def test_from_reduced_statistics_defaults():

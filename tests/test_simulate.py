@@ -711,6 +711,8 @@ def reference_step(field, dt, bc="periodic", mode="linear"):
     if len(shape) != 2 or shape[0] != p2 or shape[1] < 1:
         raise DomainError(f"P must have shape (2n, M) = ({p2}, M) with M >= 1, "
                           f"got {shape}")
+    if bc not in ("periodic", "open"):
+        raise DomainError("bc must be 'periodic' or 'open'")
     vmax = float(np.max(np.abs(lattice.x_speeds)))
     if vmax > 0 and dt * vmax / field.dx > sim.CFL_LIMIT + 1e-12:
         raise CFLError(f"dt*max|x_speed|/dx = {dt * vmax / field.dx:.4g} "
@@ -789,21 +791,36 @@ def test_warm_cache_in_interleaved_order_matches_a_cold_one(cold_cache):
             assert_same_field(warm, step(field, dt, bc=bc))
 
 
-def test_equal_configs_of_other_field_types_get_their_own_kernels(cold_cache):
+def test_a_float32_config_steps_like_its_float64_twin_from_one_entry(cold_cache):
     cfg = ModelConfig(n=2, theta=0.3, S=0.25)
     float32_cfg = replace(cfg, S=np.float32(0.25))
     assert float32_cfg == cfg
     for mode, step in STEPS.items():
-        step(make_field(cfg, M=16), 0.05)
-        field = random_field(float32_cfg, 16, 0.1, seed=1)
-        assert_same_field(step(field, 0.05), reference_step(field, 0.05, mode=mode))
+        want = step(random_field(cfg, 16, 0.1, seed=1), 0.05)
+        misses = sim._step_kernels.cache_info().misses
+        got = step(random_field(float32_cfg, 16, 0.1, seed=1), 0.05)
+        assert sim._step_kernels.cache_info().misses == misses
+        assert_same_field(got, replace(want, config=got.config))
+        assert got.config is float32_cfg
 
 
-def test_unhashable_dt_is_stepped_uncached(cold_cache):
+def test_a_0d_array_dt_steps_like_the_float_dt_as_a_cache_hit(cold_cache):
     field = random_field(make_config(theta=0.3), 16, 0.1, seed=2)
     for mode, step in STEPS.items():
-        assert_same_field(step(field, np.array(0.05)),
-                          reference_step(field, np.array(0.05), mode=mode))
+        want = step(field, 0.05)
+        hits = sim._step_kernels.cache_info().hits
+        assert_same_field(step(field, np.array(0.05)), want)
+        assert sim._step_kernels.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("mode", list(STEPS))
+def test_a_float32_dt_advances_t_as_a_float64_sum(cold_cache, mode):
+    dt = np.float32(0.05)
+    field, want = make_field(make_config(theta=0.3), M=8), 0.0
+    for _ in range(1000):
+        field, want = STEPS[mode](field, dt), want + float(dt)
+    assert type(field.t) is float
+    assert field.t == want
 
 
 @pytest.mark.parametrize("mode", list(STEPS))
