@@ -18,9 +18,13 @@ eigenvalue call; mu ~ 0 is a root at infinity (a velocity perpendicular to
 the wave) and is dropped, and the other roots get guarded Newton steps on
 the rational relation.  The cleared-denominator polynomial of degree <= n
 in u is kept as an independent oracle.  The acoustic branch is the one
-continued from lambda = 1 at large h_b (the hydrodynamic limit); a point
-lookup labels the roots of that continuation's last row, the solve at the
-point itself, so it costs one batched solve.
+continued from lambda = 1 at large h_b (the hydrodynamic limit).  The
+seed grid runs from h_b = 1e6 down to the line, but only its rows from
+h_b = SEED_H = 100 down are solved: there u = 1 is certified at run time
+to pick the acoustic root, as the one root far nearer u = 1 than any
+other, and where it is not the whole grid is solved.  A point lookup
+labels the roots of that continuation's last row, the solve at the point
+itself, so it usually costs one batched solve.
 
 Conventions: forward wave exp(i(kx - wt)) with real omega > 0, so
 lambda_r >= 0 and lambda_i >= 0 means damped rightward propagation.
@@ -67,8 +71,10 @@ NEWTON_STEPS = 2              # polish steps on the rational relation
 CONTRACT_RESIDUAL_TOL = 1e-9  # acceptance bound carried by DispersionRoot
 SINGULAR_TOL = 1e-14          # denominator magnitude treated as singular
 AMBIGUITY_TOL = 1e-8          # two roots this close at an endpoint: degenerate
-CONTINUATION_START = 1e6      # h_b where the acoustic branch is seeded at u = 1
+CONTINUATION_START = 1e6      # h_b where the acoustic seed grid starts
 CONTINUATION_PER_DECADE = 8
+SEED_H = 100.0                # seed rows above this h_b are solved only if needed
+SEED_RATIO = 1e-2             # seed certificate: bound on nearest/second-nearest |u - 1|
 
 
 def _cos2(theta, n: int) -> np.ndarray:
@@ -450,15 +456,35 @@ def _follow(rows, u: complex) -> list:
     return path
 
 
+def _seeds(roots) -> bool:
+    """Whether u = 1 certifies the acoustic root of a solved row.
+
+    True when the row has exactly one root, or when the root nearest u = 1
+    is nearer than SEED_RATIO times the second-nearest.  False for a failed
+    solve (None), a row without roots, and a NaN distance.
+    """
+    if roots is None or len(roots) == 0:
+        return False
+    if len(roots) == 1:
+        return True
+    near, second = np.sort(np.abs(roots - 1.0))[:2]
+    return bool(near < SEED_RATIO * second)
+
+
 def _track_to(h_b, theta: float, n: int, solve=None):
     """Continue the acoustic root from u = 1 at large h_b along the grid h_b.
 
-    The one seeded line solve: the seed grid from CONTINUATION_START (or
-    10 * h_b[0] above it) down to h_b[0], without its last point, and h_b
-    are one batch of ``solve`` (``_eig_roots`` unless given), continued
-    from u = 1 with ``_follow``.  Returns (rows, path) along h_b: the roots
-    at every h_b (each row of the batch is solved on its own, so it holds
-    every root there) and the index of the continued root in each row.
+    The one seeded line solve.  The seed grid runs from CONTINUATION_START
+    (or 10 * h_b[0] above it) down to h_b[0], without its last point.  Its
+    rows from the first one at or below SEED_H (or h_b[0] itself, if no
+    seed row is that low) and h_b are one batch of ``solve``
+    (``_eig_roots`` unless given), continued from u = 1 with ``_follow``.
+    If u = 1 does not certify the acoustic root of the batch's first row
+    (:func:`_seeds`), the seed rows above it are solved as a second batch
+    and the whole seed grid is continued from u = 1.  Each row is solved
+    on its own, so a row's roots do not depend on the batch.  Returns
+    (rows, path) along h_b: the roots at every h_b and the index of the
+    continued root in each row.
     """
     top = float(h_b[0])
     if not 0 < top < math.inf:
@@ -470,8 +496,13 @@ def _track_to(h_b, theta: float, n: int, solve=None):
                           "for a continuation grid in floating point")
     steps = max(2, int(np.ceil(decades * CONTINUATION_PER_DECADE)) + 1)
     seed = np.geomspace(start, top, steps)[:-1]
-    rows = (solve or _eig_roots)(np.concatenate([seed, h_b]), theta, n)
-    return rows[len(seed):], _follow(rows, 1.0)[len(seed):]
+    solve = solve or _eig_roots
+    cut = int(np.count_nonzero(seed > SEED_H))   # the grid descends
+    rows = solve(np.concatenate([seed[cut:], h_b]), theta, n)
+    if not _seeds(rows[0]):
+        rows, cut = solve(seed[:cut], theta, n) + rows, 0
+    skip = len(seed) - cut
+    return rows[skip:], _follow(rows, 1.0)[skip:]
 
 
 def _nearest_with_ambiguity_check(roots: np.ndarray, u_target: complex) -> int:

@@ -107,7 +107,8 @@ def validate(config: ModelConfig) -> ModelConfig:
         raise DomainError("B must be finite")
     if config.B <= -1.0:
         raise DomainError("B must exceed -1")
-    if abs(config.B - config.gamma * config.N0) > 1e-12 * max(1.0, abs(config.B)):
+    # written so that a NaN gamma fails it too
+    if not abs(config.B - config.gamma * config.N0) <= 1e-12 * max(1.0, abs(config.B)):
         raise DomainError("B inconsistent with gamma*N0")
     period = theta_period(config.n)
     values = [getattr(config, name) for name in _FLOAT_FIELDS]

@@ -310,13 +310,13 @@ def step_linear(field: WaveField, dt: float, bc: str = "periodic") -> WaveField:
     The step's kernels are reused for every call with the same
     (config, dt, dx, M, bc), from the one kernel cache of KERNEL_CACHE_SIZE
     entries, keyed by plain Python values: dt and dx are converted to
-    floats, and t advances by float(dt).  bc is checked on every call,
-    before the lookup; the dt limits are checked when a key is built, and
-    a cached key has passed them.
+    floats, and t advances as float(t) + float(dt).  bc is checked on every
+    call, before the lookup; the dt limits are checked when a key is built,
+    and a cached key has passed them.
     """
     advect, collide = _checked_step_kernels(field, dt, bc, "linear")
-    return WaveField(P=collide(advect(field.P)), dx=field.dx, t=field.t + float(dt),
-                     config=field.config)
+    return WaveField(P=collide(advect(field.P)), dx=field.dx,
+                     t=float(field.t) + float(dt), config=field.config)
 
 
 def step_nonlinear(field: WaveField, dt: float, bc: str = "periodic") -> WaveField:
@@ -331,7 +331,7 @@ def step_nonlinear(field: WaveField, dt: float, bc: str = "periodic") -> WaveFie
     if P.min() <= -1.0:
         raise PositivityError("positivity lost during nonlinear step "
                               "(amplitude too large for the scheme)")
-    return WaveField(P=P, dx=field.dx, t=field.t + float(dt), config=field.config)
+    return WaveField(P=P, dx=field.dx, t=float(field.t) + float(dt), config=field.config)
 
 
 def pair_averages(field: WaveField) -> np.ndarray:

@@ -243,20 +243,25 @@ def _eig_batches(monkeypatch, thetas=None):
 
 
 def _is_seed_then(batch, h_b):
-    """batch is a seed grid from CONTINUATION_START (or 10*h_b[0]) followed by h_b."""
+    """batch is the seed grid's tail from its first row <= SEED_H, then h_b.
+
+    The seed grid runs from CONTINUATION_START (or 10*h_b[0]) down to h_b[0],
+    without its last point.
+    """
     top = h_b[0]
     start = dsp.CONTINUATION_START if top <= dsp.CONTINUATION_START else 10.0 * top
-    return (len(batch) > len(h_b) and batch[0] == start
-            and np.array_equal(batch[-len(h_b):], h_b)
-            and np.all(np.diff(batch[:len(batch) - len(h_b) + 1]) < 0))
+    steps = max(2, int(np.ceil(abs(np.log10(start / top))
+                               * dsp.CONTINUATION_PER_DECADE)) + 1)
+    seed = np.geomspace(start, top, steps)[:-1]
+    return batch.tobytes() == np.concatenate([seed[seed <= dsp.SEED_H], h_b]).tobytes()
 
 
 def test_find_hmax_coarse_grid_is_one_batched_solve(monkeypatch):
     grids = _eig_batches(monkeypatch)
     theta, B, n = 0.3, -0.2, 3
     analysis.find_hmax(theta, B, n=n)
-    # one batch (the seed grid, then the whole coarse grid), then at most
-    # 16 refinement batches of the one line's point
+    # one batch (the seed grid's tail, then the whole coarse grid), then at
+    # most 16 refinement batches of the one line's point
     coarse = np.geomspace(1e2, 1e-2, analysis.SCAN_POINTS) * (1.0 + B)
     assert _is_seed_then(grids[0], coarse)
     assert 1 <= len(grids) - 1 <= 16 and {len(g) for g in grids[1:]} == {1}
@@ -268,7 +273,7 @@ def test_theta_scan_branches_share_one_batch_per_angle(monkeypatch):
     theta_grid, B, h_cap = [0.2, math.pi / 4, 0.9], 0.4, 10.0
     analysis.theta_scan(B, 2, h_cap, theta_grid)
     coarse = np.geomspace(h_cap * 1e-4, h_cap, analysis.SCAN_POINTS)[::-1] * (1.0 + B)
-    # per angle: one batch (seed grid, then the coarse grid) for both
+    # per angle: one batch (seed tail, then the coarse grid) for both
     # branches; then at most 16 refinement batches shared by all angles,
     # each holding at most the two branches of every angle, one angle per row
     L = len(theta_grid)
@@ -297,7 +302,7 @@ def test_sweep_line_is_one_batched_solve(monkeypatch):
     Bs = [0.0, -0.3]
     table = analysis.sweep([0.1, 0.5], Bs, h_grid, 3, branch_policy="all")
     assert len(table) == 2 * 2 * 7 * 3
-    # per (theta, B) line: one batch, the seed grid and then the line
+    # per (theta, B) line: one batch, the seed grid's tail and then the line
     assert len(grids) == 4
     for g, B in zip(grids, Bs * 2):
         assert _is_seed_then(g, h_grid[::-1] * (1.0 + B))

@@ -740,31 +740,103 @@ def seed_then_line(h_b, theta, n):
     return seed_grid[:-1], seed[:-1], line, dsp._follow(line, u_top)
 
 
+class Recording:
+    """A ``solve`` for ``_track_to`` that keeps every grid and its rows."""
+
+    def __init__(self, alter=None):
+        self.batches, self.results, self.alter = [], [], alter
+
+    def __call__(self, grid, theta, n):
+        self.batches.append(np.array(grid))
+        rows = dsp._eig_roots(grid, theta, n)
+        if self.alter is not None:
+            rows = self.alter(self.batches[-1], rows)
+        self.results.append(rows)
+        return rows
+
+
 @pytest.mark.parametrize("top", [1e-1, 1e2, 1e8])
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_track_to_folds_the_seed_into_the_line_batch_bitwise(n, top):
-    # top = 1e8 seeds at 10 * top instead of CONTINUATION_START; at top =
-    # 0.1 a line continued from u = 1 without the seed lands on another
-    # root for some (theta, B); theta = pi/2 (and 0 for even n) leaves
-    # n - 1 roots, one velocity being perpendicular to the wave
+    # the one batch is the seed grid from its first row <= SEED_H, then the
+    # line; at top = 1e2 * (1 + B) the line starts above, at and below
+    # SEED_H (no seed row is then at or below it for B >= 0); top = 1e8
+    # seeds at 10 * top instead of CONTINUATION_START; at top = 0.1 a line
+    # continued from u = 1 without the seed lands on another root for some
+    # (theta, B); theta = pi/2 (and 0 for even n) leaves n - 1 roots, one
+    # velocity being perpendicular to the wave
     for theta in (0.0, 0.3, math.pi / 4, math.pi / 2):
         for B in (0.0, 0.5, -0.5):
             h_b = np.geomspace(top, top * 1e-5, 33) * (1.0 + B)
             seed_grid, seed, line, path = seed_then_line(h_b, theta, n)
-            batches, results = [], []
-
-            def recording(grid, theta, n):
-                batches.append(np.array(grid))
-                results.append(dsp._eig_roots(grid, theta, n))
-                return results[-1]
-
-            rows, got_path = dsp._track_to(h_b, theta, n, recording)
-            assert len(batches) == 1
-            assert batches[0].tobytes() == np.concatenate([seed_grid, h_b]).tobytes()
-            for got, want in zip(results[0], seed + line, strict=True):
+            cut = int(np.count_nonzero(seed_grid > dsp.SEED_H))
+            solve = Recording()
+            rows, got_path = dsp._track_to(h_b, theta, n, solve)
+            assert len(solve.batches) == 1
+            assert solve.batches[0].tobytes() == \
+                np.concatenate([seed_grid[cut:], h_b]).tobytes()
+            for got, want in zip(solve.results[0], seed[cut:] + line, strict=True):
                 assert got.tobytes() == want.tobytes(), (theta, B)
             assert [r.tobytes() for r in rows] == [r.tobytes() for r in line]
             assert got_path == path, (theta, B)
+
+
+def test_short_seed_equals_the_full_seed_on_random_lines_bitwise():
+    # tops from 1e-4 to 1e300, most of them below the seed start; one line
+    # in five on a degenerate angle, where a velocity can be perpendicular
+    # to the wave
+    rng = np.random.default_rng(18)
+    for _ in range(600):
+        n = int(rng.integers(2, 9))
+        theta = float(rng.uniform(0.0, math.pi / n))
+        if rng.random() < 0.2:
+            theta = int(rng.integers(0, 2 * n)) * math.pi / (2 * n)
+        exponent = rng.uniform(-4, 8) if rng.random() < 0.8 else rng.uniform(8, 300)
+        top = float(10.0 ** exponent)
+        h_b = np.geomspace(top, top * 10.0 ** -rng.uniform(0, 6), int(rng.integers(1, 20)))
+        _, _, line, path = seed_then_line(h_b, theta, n)
+        solve = Recording()
+        rows, got_path = dsp._track_to(h_b, theta, n, solve)
+        where = (n, theta, top)
+        assert len(solve.batches) == 1, where   # the certificate held
+        assert [r.tobytes() for r in rows] == [r.tobytes() for r in line], where
+        assert got_path == path, where
+
+
+@pytest.mark.parametrize("failure", ["ambiguous", "failed solve"])
+@pytest.mark.parametrize("top", [1.0, 1e3])
+def test_uncertified_cut_row_falls_back_to_the_full_seed(top, failure):
+    # at top = 1e3 no seed row is <= SEED_H, so the cut row is h_b[0] itself
+    theta, n = 0.3, 4
+    h_b = np.geomspace(top, top * 1e-3, 9)
+    seed_grid = seed_then_line(h_b, theta, n)[0]
+    cut = int(np.count_nonzero(seed_grid > dsp.SEED_H))
+    cut_h = np.concatenate([seed_grid, h_b])[cut]
+
+    def alter(grid, rows):
+        if grid[0] != cut_h:
+            return rows
+        u = rows[0][np.abs(rows[0] - 1.0).argmin()]
+        # a second root twice as far from u = 1, or a failed solve
+        rows[0] = np.append(rows[0], 1.0 + 2.0 * (u - 1.0)) \
+            if failure == "ambiguous" else None
+        return rows
+
+    solve = Recording(alter)
+    rows, path = dsp._track_to(h_b, theta, n, solve)
+    assert [b.tobytes() for b in solve.batches] == [
+        np.concatenate([seed_grid[cut:], h_b]).tobytes(), seed_grid[:cut].tobytes()]
+    full = solve.results[1] + solve.results[0]
+    assert all(r is f for r, f in zip(rows, full[len(seed_grid):], strict=True))
+    assert path == dsp._follow(full, 1.0)[len(seed_grid):]
+    if failure == "failed solve" and top > dsp.SEED_H:
+        assert rows[0] is None and path[0] is None
+
+
+def test_point_lookup_solves_the_short_seed(eig_batches):
+    # 16 seed rows from 100 down to 10**(1/8), then h_b = 1 (49 rows before)
+    dsp.acoustic_root(1.0, 0.3, 8)
+    assert len(eig_batches) == 1 and eig_batches[0] <= 18
 
 
 @pytest.mark.parametrize("h_b", [1e308, 1e-320, math.inf, 0.0])

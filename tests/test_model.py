@@ -47,6 +47,11 @@ def test_inconsistent_b_gamma_n0_rejected():
         validate(ModelConfig(gamma=1.0, N0=1.0, B=0.5))
 
 
+def test_nan_gamma_rejected():
+    with pytest.raises(DomainError, match="inconsistent"):
+        validate(ModelConfig(n=2, theta=0.3, gamma=math.nan, B=0.0))
+
+
 @pytest.mark.parametrize("c,S,N0,omega,B,h,h_b", [
     (1.0, 1.0, 1.0, 4.0, 0.0, 1.0, 1.0),
     (1.0, 1.0, 1.0, 4.0, 0.5, 1.0, 1.5),

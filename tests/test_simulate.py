@@ -824,6 +824,16 @@ def test_a_float32_dt_advances_t_as_a_float64_sum(cold_cache, mode):
 
 
 @pytest.mark.parametrize("mode", list(STEPS))
+def test_a_float32_t_advances_as_a_float64_sum(cold_cache, mode):
+    field = make_field(make_config(theta=0.3), M=8, t=np.float32(0.1))
+    want = float(np.float32(0.1))
+    for _ in range(100):
+        field, want = STEPS[mode](field, 0.05), want + 0.05
+    assert type(field.t) is float
+    assert field.t == want
+
+
+@pytest.mark.parametrize("mode", list(STEPS))
 def test_one_key_builds_its_advection_once(cold_cache, monkeypatch, mode):
     builds, lattices = [], []
 
