@@ -12,11 +12,14 @@ Subcommands expose every operation with deterministic text output:
 Exit codes: 0 success, 1 argument/validation error, 2 numerical failure.
 Angles are radians by default; append "deg" for degrees (e.g. --theta 45deg).
 A flat `key = value` config file may supply any long option (without the
-leading dashes); its values are cast and checked like the flags, `choices`
-included, and explicit flags take precedence.  Every number must be finite
-and in its flag's domain (e.g. --h > 0, --B > -1).  A value that starts
-with '-' and is not a plain decimal is attached with '=': --B=-0.5,0.5,
---theta=-45deg.
+leading dashes).  Each value becomes that flag, placed before the command
+line's flags, so it is cast and checked like a flag, `choices` included,
+and a flag given on the command line wins.  An on/off key (log, nonlinear)
+adds its flag for 1, true, yes or on and nothing otherwise, so `log = off`
+is the same as leaving out --log.  Every number must be finite and in its
+flag's domain (e.g. --h > 0, --B > -1).  A value that starts with '-' and
+is not a plain decimal is attached with '=': --B=-0.5,0.5, --theta=-45deg.
+A warning is printed as one `Category: message` line on stderr.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from argparse import ArgumentTypeError
 
 import numpy as np
@@ -260,14 +264,12 @@ def _verify_checks(seed: int = VERIFY_SEED):
     rng = np.random.default_rng(seed)
 
     def closed_form_oracle():
-        for _ in range(1000):
-            h_b = 10.0 ** rng.uniform(-3, 3)
-            theta = rng.uniform(0.0, math.pi / 2.0)
-            got = dispersion._eig_roots([h_b], theta, 2)[0]
-            want = dispersion.closed_form_n2(h_b, theta)
-            if not _multiset_match(list(got), list(want)):
-                return False
-        return True
+        points = [(10.0 ** rng.uniform(-3, 3), rng.uniform(0.0, math.pi / 2.0))
+                  for _ in range(1000)]
+        h_b, theta = np.array(points).T
+        rows = dispersion._eig_roots(h_b, theta, 2)  # one angle per row
+        return all(_multiset_match(got, dispersion.closed_form_n2(*point))
+                   for got, point in zip(rows, points))
 
     def theta_pi4_identity():
         for B in (-0.5, 0.0, 0.5):
@@ -287,13 +289,13 @@ def _verify_checks(seed: int = VERIFY_SEED):
 
     def theta_symmetry():
         for n in (2, 3, 4):
-            for theta in np.linspace(1e-3, math.pi / n - 1e-3, 10):
-                h_b = 10.0 ** rng.uniform(-2, 2)
-                base = list(dispersion._eig_roots([h_b], float(theta), n)[0])
-                for other in (theta + math.pi / n, math.pi / n - theta):
-                    roots = list(dispersion._eig_roots([h_b], float(other), n)[0])
-                    if not _multiset_match(base, roots):
-                        return False
+            theta = np.linspace(1e-3, math.pi / n - 1e-3, 10)
+            h_b = np.array([10.0 ** rng.uniform(-2, 2) for _ in theta])
+            base = dispersion._eig_roots(h_b, theta, n)
+            for other in (theta + math.pi / n, math.pi / n - theta):
+                rows = dispersion._eig_roots(h_b, other, n)
+                if not all(_multiset_match(a, b) for a, b in zip(base, rows)):
+                    return False
         return True
 
     def hb_collapse():
@@ -345,14 +347,13 @@ _SHARED_FLAGS = {
 
 @functools.cache
 def _parsers():
-    """(parser, {subcommand: subparser}), built on first use and then shared."""
+    """The parser, built on first use and then shared."""
     parser = _Parser(prog="bosewave", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand")
-    subparsers = {}
 
     def add(name, help, command, shared):
-        p = subparsers[name] = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help)
         p.set_defaults(command=command)
         p.add_argument("--config", help="flat key = value file")
         for flag in shared.split():
@@ -385,48 +386,48 @@ def _parsers():
     p.add_argument("--nonlinear", action="store_true")
     p.add_argument("--eps", type=_positive, default=1e-3)
     add("verify", "oracle cross-check suite", _cmd_verify, "")
-    return parser, subparsers
+    return parser
 
 
-def _parse_with_config(argv, args):
-    """Parse again with the --config file's values as the subcommand's defaults.
+def _config_tokens(args) -> list:
+    """The --config file's values as flags of this subcommand, in option order.
 
-    argparse casts a string default with the flag's type, so a config value
-    is checked like the flag and an explicit flag still wins.  argparse checks
-    `choices` on command-line values only, so a config value is then checked
-    against its flag's choices here.  The values go into a parser built for
-    this call, so they never reach the next call.
+    A key names a long option without its dashes; any other key is ignored.
+    A switch is given when its value is one of TRUE_WORDS and left out
+    otherwise, as on the command line.
     """
-    values = {}
-    for key, value in _read_config_file(args.config).items():
-        dest = key.replace("-", "_")
-        if "_" in key or dest not in vars(args) or dest in ("subcommand", "command"):
-            continue  # not a long option of this subcommand
-        values[dest] = value.lower() in TRUE_WORDS if dest in SWITCHES else value
-    parser, subparsers = _parsers.__wrapped__()  # not the shared one
-    subparser = subparsers[args.subcommand]
-    subparser.set_defaults(**values)
-    args = parser.parse_args(argv)
-    for action in subparser._actions:
-        if action.choices is not None and action.dest in values:
-            try:
-                subparser._check_value(action, getattr(args, action.dest))
-            except argparse.ArgumentError as exc:
-                subparser.error(str(exc))
-    return args
+    values = _read_config_file(args.config)
+    tokens = []
+    for dest in vars(args):
+        key = dest.replace("_", "-")
+        if key not in values or dest in ("subcommand", "command"):
+            continue
+        if dest not in SWITCHES:
+            tokens.append(f"--{key}={values[key]}")
+        elif values[key].lower() in TRUE_WORDS:
+            tokens.append(f"--{key}")
+    return tokens
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """One `Category: message` line on stderr, whatever the caller's source."""
+    sys.stderr.write(f"{category.__name__}: {message}\n")
 
 
 def main(argv=None) -> int:
     """Run the CLI; returns the exit code (0 ok, 1 arguments, 2 numerical)."""
-    parser, _ = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parsers()
     try:
         args = parser.parse_args(argv)
         if args.subcommand is None:
             parser.print_help(sys.stderr)
             return 1
-        if args.config:
-            args = _parse_with_config(argv, args)
-        return args.command(args)
+        if args.config:  # config flags first, so a command-line flag wins
+            args = parser.parse_args(argv[:1] + _config_tokens(args) + argv[1:])
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.command(args)
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -284,6 +284,14 @@ def test_simulate_snapshot_bytes_unchanged_by_the_early_check(tmp_path, capsys):
     assert got.read_bytes() == want.read_bytes()
 
 
+def test_simulate_warning_is_one_line_without_a_source_location(capsys):
+    code, _, err = run(capsys, "simulate", "--h", "1", "--theta", "0.3", "--n", "3",
+                       "--ppw", "10", "--wavelengths", "4", "--periods", "2")
+    assert code == 0
+    assert err == ("RuntimeWarning: linear collision form for n > 2 is extrapolated "
+                   "beyond the n = 2 derivation\n")
+
+
 def test_simulate_requires_h(capsys):
     code, _, err = run(capsys, "simulate", "--theta", "0")
     assert code == 1
@@ -348,6 +356,34 @@ def test_config_file_log_values(tmp_path, capsys, value, log):
     assert out_cfg == out_flag
     h_column = [line.split(",")[0] for line in out_cfg.splitlines()[1:]]
     assert h_column == (["100", "10", "1"] if log else ["100", "50.5", "1"])
+
+
+@pytest.mark.parametrize("value", ["off", "0", "false", "no"])
+def test_config_file_log_off_is_the_default_grid(tmp_path, capsys, value):
+    # a switch that is not on adds no flag, so the default grid stays log-spaced
+    code, out_cfg, _ = run(capsys, "sweep", "--config",
+                           write_cfg(tmp_path, f"log = {value}\n"))
+    _, out_plain, _ = run(capsys, "sweep")
+    assert code == 0
+    assert out_cfg == out_plain
+
+
+@pytest.mark.parametrize("line", ["help = 1", "command = x", "subcommand = x"])
+def test_config_file_ignores_keys_that_are_not_long_options(tmp_path, capsys, line):
+    argv = ["roots", "--h", "1", "--theta", "0.3"]
+    code, out_cfg, err = run(capsys, *argv, "--config", write_cfg(tmp_path, line + "\n"))
+    _, out_plain, _ = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out_cfg == out_plain
+
+
+def test_config_value_is_checked_even_where_a_flag_overrides_it(tmp_path, capsys):
+    # config values are flags placed before the command line's, and argparse
+    # checks every flag it reads
+    code, out, err = run(capsys, "sweep", "--branch", "all", "--config",
+                         write_cfg(tmp_path, "branch = foo\n"))
+    assert code == 1 and out == ""
+    assert err.startswith("error: argument --branch: invalid choice: 'foo'")
 
 
 def test_config_file_hmax_h_range(tmp_path, capsys):
@@ -567,6 +603,13 @@ def test_verify_passes_and_is_deterministic(capsys):
     names = {line.split(":")[0] for line in lines[:-1]}
     assert "closed-form-oracle" in names
     assert "theta-pi4-identity" in names
+
+
+def test_verify_solves_its_oracle_points_in_batches(eig_batches, capsys):
+    code, out, _ = run(capsys, "verify")
+    assert code == 0 and out.endswith("all checks passed\n")
+    assert len(eig_batches) <= 60
+    assert max(eig_batches) == 1000  # the closed-form oracle's points
 
 
 # (argv, text stderr must contain): finite flag values whose h_b grid or
