@@ -407,8 +407,11 @@ def localization_length(table: SweepTable) -> SweepTable:
 def theta_scan(B: float, n: int, h_cap: float, theta_grid) -> list:
     """Max-over-h attenuation per orientation, acoustic and secondary branches.
 
-    For each theta the table reports max lambda_i over h in (0, h_cap] on
-    the acoustic branch and on the largest-lambda_i secondary branch.  At
+    For each theta the table reports max lambda_i on the acoustic branch
+    and on the largest-lambda_i secondary branch, over h on
+    [1e-4 * h_cap, h_cap]: a grid of SCAN_POINTS log-spaced points, with
+    an interior maximum refined between its grid neighbours, so no value
+    comes from outside that range.  At
     theta = pi/4 (n = 2) the acoustic value is 0 while the secondary value
     is Im sqrt(1 + i*h_cap*(1+B)), the resonance jump.  Angles where the
     secondary root escapes to infinity report inf.  Each angle's coarse

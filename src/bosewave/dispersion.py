@@ -588,8 +588,12 @@ def acoustic_root(h_b: float, theta: float, n: int) -> DispersionRoot:
 def continuation_track(theta: float, n: int, B: float, h_grid) -> list:
     """Track the acoustic branch down a descending h grid.
 
-    The first (largest) h must be >= 1e4 so the seed u = 1 is reliable; at
-    each later h the root nearest (in u) to the previous one is taken.
+    The line h_b = h_grid * (1 + B) is continued from the certified short
+    seed of :func:`_track_to`, the one seeded line solve, so its rows are
+    the acoustic rows ``sweep`` prints on the same h_b line and the first
+    is ``acoustic_root`` at the top.  At each later h the root nearest (in
+    u) to the previous one is taken.  The first (largest) h must be >= 1e4,
+    as the public contract; the seed does not depend on it.
     Monitors the lambda_i >= 0 convention and warns (does not clamp) on
     violations, which indicate a branch crossing.
     """
@@ -599,9 +603,8 @@ def continuation_track(theta: float, n: int, B: float, h_grid) -> list:
     if h_grid[0] < 1e4:
         raise DomainError("h_grid must start at h >= 1e4 for reliable seeding")
     h_b = h_grid * (1.0 + B)
-    rows = _eig_roots(h_b, theta, n)
-    out = [root for (root,) in _label_branches(rows, _follow(rows, 1.0), h_b,
-                                               theta, n, "acoustic")]
+    rows, path = _track_to(h_b, theta, n)
+    out = [root for (root,) in _label_branches(rows, path, h_b, theta, n, "acoustic")]
     for h, root in zip(h_grid, out):
         if root.lam.imag < -1e-12:
             warnings.warn(

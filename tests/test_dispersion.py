@@ -684,6 +684,53 @@ def test_continuation_requires_descending_seeded_grid():
         dsp.continuation_track(0.0, 2, 0.0, np.array([1e4, 1.0, 10.0]))
 
 
+def test_continuation_starts_at_the_acoustic_root_near_full_blocking():
+    # at B -> -1 the top h_b = 0.1 lies far below SEED_H, where u = 1 alone
+    # picks a secondary root (0.96424 + 0.03207i)
+    B = -0.99999
+    (first, _) = dsp.continuation_track(0.3, 3, B, [1e4, 1.0])
+    assert first.lam == dsp.acoustic_root(1e4 * (1.0 + B), 0.3, 3).lam
+
+
+def test_continuation_top_out_of_float_range_raises_the_lookup_error():
+    with pytest.raises(DomainError, match="h_b") as lookup:
+        dsp.acoustic_root(1e308, 0.3, 2)
+    with pytest.raises(DomainError) as line:
+        dsp.continuation_track(0.3, 2, 0.0, [1e308, 1.0])
+    assert str(line.value) == str(lookup.value)
+
+
+@pytest.mark.filterwarnings("ignore:acoustic lambda_i < 0")
+def test_continuation_equals_sweep_and_acoustic_root_on_random_lines_bitwise():
+    # tops h from 1e4 to 1e8 (one line in twenty up to 1e300); half the
+    # lines nearly blocked, B within 1e-7..1 of -1, so their top h_b can
+    # lie far below SEED_H
+    from bosewave import analysis
+    from bosewave.errors import BranchAmbiguityError
+    rng = np.random.default_rng(20)
+    for _ in range(400):
+        n = int(rng.choice([2, 3, 4, 6, 8]))
+        theta = float(rng.uniform(0.0, math.pi / n))
+        if rng.random() < 0.2:
+            theta = int(rng.integers(0, 2 * n)) * math.pi / (2 * n)
+        B = (-1.0 + 10.0 ** rng.uniform(-7, 0) if rng.random() < 0.5
+             else float(rng.uniform(-0.5, 2.0)))
+        exponent = rng.uniform(4, 8) if rng.random() < 0.95 else rng.uniform(8, 300)
+        top = float(10.0 ** exponent)
+        h_grid = np.geomspace(top, top * 10.0 ** -rng.uniform(1, 8),
+                              int(rng.integers(2, 16)))
+        where = (n, theta, B, top)
+        track = dsp.continuation_track(theta, n, B, h_grid)
+        rows = analysis.sweep([theta], [B], h_grid, n).rows
+        assert [(r.lam.real, r.lam.imag, r.residual) for r in track] == \
+            [(r.lambda_r, r.lambda_i, r.residual) for r in rows], where
+        try:
+            lookup = dsp.acoustic_root(float(h_grid[0] * (1.0 + B)), theta, n)
+        except BranchAmbiguityError:
+            continue
+        assert track[0].lam == lookup.lam, where
+
+
 # ------------------------------------------------------ spec invariants
 
 @pytest.mark.parametrize("n", [2, 3, 4])
