@@ -88,8 +88,8 @@ class ThetaScanRow:
 
 # One branch's lambda_i along one (theta, B) coarse grid, ascending in h: u
 # is the acoustic (continued) root at each h and branch_u the branch's own
-# root, the acoustic one or the largest-lambda_i secondary (NaN where no
-# other root exists).
+# root, the acoustic one or the largest-lambda_i secondary (NaN, with
+# lambda_i inf, where no other root exists).
 _Line = namedtuple("_Line", "theta B h u branch branch_u lambda_i")
 
 
@@ -101,50 +101,10 @@ def _coarse_lines(theta: float, B: float, n: int, grid: np.ndarray) -> dict:
     """
     with np.errstate(over="ignore"):   # an overflowed top is _track_to's DomainError
         h_b = grid[::-1] * (1.0 + B)
-    rows, path = dispersion._track_to(h_b, theta, n)
-    branches = _branch_roots(rows, path, n)
-    u = branches["acoustic"][0][::-1]
-    return {branch: _Line(theta, B, grid, u, branch, bu[::-1], li[::-1])
-            for branch, (bu, li) in branches.items()}
-
-
-def _principal(u: np.ndarray) -> np.ndarray:
-    """:func:`dispersion.principal_lambda` of every entry; NaN stays NaN.
-
-    np.sqrt already gives Re >= 0, so only Re = 0, Im < 0 flips.  The value
-    is bit for bit principal_lambda's except where a part of u or of its
-    root is 0 or subnormal, or |u| is near the smallest normal float: there
-    np.sqrt and cmath.sqrt can differ in the last bit.
-    """
-    with np.errstate(invalid="ignore"):
-        lam = np.sqrt(u)
-    return np.where((lam.real == 0) & (lam.imag < 0), -lam, lam)
-
-
-def _branch_roots(rows, path, n: int) -> dict:
-    """Each row's root and lambda_i on both branches.
-
-    Returns {branch: (root, lambda_i)}, each (K,): the acoustic branch is
-    root ``path[j]`` of row j, the secondary the largest-lambda_i other
-    root.  A row with no other root (it escaped to infinity at a degenerate
-    angle) has secondary root NaN and lambda_i inf.  lambda_i comes from one
-    pass over the NaN-padded (K, n) roots (:func:`_principal`), bit for bit
-    ``dispersion.principal_lambda(u).imag`` of each root outside the cases
-    that _principal names.
-    """
-    at = np.arange(len(rows))
-    padded = np.full((len(rows), n), np.nan, dtype=complex)
-    padded[np.arange(n) < np.array([len(r) for r in rows])[:, None]] = np.concatenate(rows)
-    lam_i = _principal(padded).imag
-    k = np.array(path)
-    others = lam_i.copy()
-    others[at, k] = np.nan
-    j = np.argmax(np.where(np.isnan(others), -np.inf, others), axis=1)
-    none = np.isnan(others[at, j])
-    return {
-        "acoustic": (padded[at, k], lam_i[at, k]),
-        "secondary": (np.where(none, np.nan, padded[at, j]),
-                      np.where(none, np.inf, others[at, j]))}
+    u, lam = dispersion._order(*dispersion._track_to(h_b, theta, n))
+    u, lam_i = u[::-1], np.where(np.isnan(u), np.inf, lam.imag)[::-1]
+    return {branch: _Line(theta, B, grid, u[:, 0], branch, u[:, j], lam_i[:, j])
+            for j, branch in enumerate(("acoustic", "secondary"))}
 
 
 def _sweep_row(h: float, B: float, theta: float, n: int,
@@ -157,22 +117,22 @@ def _sweep_row(h: float, B: float, theta: float, n: int,
 _NUMERICAL_ERRORS = (ConvergenceError, SingularDenominatorError, DomainError)
 
 
-def _line_roots(h_b: np.ndarray, theta: float, n: int) -> list:
-    """Roots at every h_b of one sweep line's batch, from one batched solve.
+def _line_roots(h_b: np.ndarray, theta: float, n: int) -> np.ndarray:
+    """(K, n) roots at every h_b of one sweep line's batch, from one batched solve.
 
     If the batch fails numerically, the points are solved one at a time and
-    each point that fails again gets None.
+    each point that fails again gets an all-NaN row.
     """
     try:
         return dispersion._eig_roots(h_b, theta, n)
     except _NUMERICAL_ERRORS:
         pass
-    out = []
-    for hb in h_b:
+    out = np.full((len(h_b), n), np.nan, dtype=complex)
+    for row, hb in zip(out, h_b):
         try:
-            out.append(dispersion._eig_roots([hb], theta, n)[0])
+            row[:] = dispersion._eig_roots([hb], theta, n)[0]
         except _NUMERICAL_ERRORS:
-            out.append(None)
+            pass
     return out
 
 
@@ -227,7 +187,7 @@ def _slope(u: np.ndarray, h_b: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """
     with np.errstate(all="ignore"):
         _, _, _, f_u, f_h = dispersion._secular(u[:, None], h_b, c2)
-        return (h_b * (-f_h[:, 0] / f_u[:, 0]) / (2.0 * _principal(u))).imag
+        return (h_b * (-f_h[:, 0] / f_u[:, 0]) / (2.0 * dispersion._principal(u))).imag
 
 
 class _Search:
@@ -308,7 +268,8 @@ def _refine(lines: list, n: int) -> list:
     """
     theta = np.array([line.theta for line in lines])
     B = np.array([line.B for line in lines])
-    acoustic = np.array([line.branch == "acoustic" for line in lines])
+    # each line's column of dispersion._order: 0 acoustic, 1 secondary
+    column = np.array([int(line.branch == "secondary") for line in lines])
     c2 = dispersion._cos2(theta, n)
     ks = [int(np.argmax(line.lambda_i)) for line in lines]
 
@@ -337,12 +298,12 @@ def _refine(lines: list, n: int) -> list:
         h_new = np.exp(x)
         h_b = h_new * (1.0 + B[at])
         solved = dispersion._eig_roots(h_b, theta[at], n)
-        path = [dispersion._follow([roots], searches[i].near_u(x_i))[0]
+        path = [dispersion._follow(roots[None], searches[i].near_u(x_i))[0]
                 for roots, i, x_i in zip(solved, step, x)]
-        branches = _branch_roots(solved, path, n)
-        (u_new, li_ac), (u_sec, li_sec) = branches["acoustic"], branches["secondary"]
-        u_branch = np.where(acoustic[at], u_new, u_sec)
-        li_new = np.where(acoustic[at], li_ac, li_sec)
+        u_all, lam = dispersion._order(solved, path)
+        pick = np.arange(len(at)), column[at]
+        u_new, u_branch = u_all[:, 0], u_all[pick]
+        li_new = np.where(np.isnan(u_branch), np.inf, lam[pick].imag)
         g_new = _slope(u_branch, h_b, c2[at])
         for i, *point in zip(step, x, g_new, h_new, u_new, li_new):
             searches[i].update(point)

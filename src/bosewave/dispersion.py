@@ -233,14 +233,14 @@ def _polish(u: np.ndarray, h_b: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return u
 
 
-def _eig_roots(h_b, theta, n: int) -> list:
-    """Roots u at every h_b of a 1-D grid, one array each, from one eigvals call.
+def _eig_roots(h_b, theta, n: int) -> np.ndarray:
+    """Roots u at every h_b of a 1-D grid, one (K, n) array from one eigvals call.
 
     theta is one angle for the whole grid or a (K,) array, one per h_b.
     u = 1/mu over the eigenvalues of the (K, n, n) stack of A^-1 C; mu below
-    MU_CUT_REL of its row's largest |mu| is a root at infinity and dropped.
-    Each row is solved on its own, so a row's roots do not depend on the
-    other rows of the batch.
+    MU_CUT_REL of its row's largest |mu| is a root at infinity, dropped: its
+    entry is NaN.  Each row is solved on its own, so a row's roots do not
+    depend on the other rows of the batch.
     """
     h_b = np.asarray(h_b, dtype=float)
     if not ((h_b > 0) & (h_b < math.inf)).all():
@@ -256,7 +256,7 @@ def _eig_roots(h_b, theta, n: int) -> list:
     size = np.abs(mu)
     keep = size > MU_CUT_REL * size.max(axis=1, keepdims=True)
     u = np.divide(1.0, mu, out=np.full_like(mu, np.nan), where=keep)
-    return [row[k] for row, k in zip(_polish(u, h_b, c2), keep)]
+    return _polish(u, h_b, c2)
 
 
 def solve_roots(poly: DispersionPolynomial, maxiter: int = 200) -> np.ndarray:
@@ -272,7 +272,8 @@ def solve_roots(poly: DispersionPolynomial, maxiter: int = 200) -> np.ndarray:
     if poly.degree < 1:
         raise DomainError("polynomial degree must be >= 1")
     h_b, theta, n = poly.params
-    return _eig_roots([h_b], theta, n)[0]
+    (roots,) = _eig_roots([h_b], theta, n)
+    return roots[~np.isnan(roots)]
 
 
 def closed_form_n2(h_b: float, theta: float) -> np.ndarray:
@@ -439,36 +440,38 @@ def mode_shape(lam: complex, h_b: float, theta: float, n: int) -> ModeShape:
 
 
 def _follow(rows, u: complex) -> list:
-    """Nearest-root continuation from u through rows of already solved roots.
+    """Nearest-root continuation from u through a (K, n) array of solved roots.
 
     The one continuation loop: returns the index of the continued root in
-    each row.  A row that is None (a failed solve) gets None, and the path
-    goes on from the last root found.
+    each row.  A NaN root is dropped and never picked; an all-NaN row (a
+    failed solve) gets None, and the path goes on from the last root found.
     """
+    dropped = np.isnan(rows)
+    rows = np.where(dropped, np.inf, rows)   # at an infinite distance
     path = []
-    for roots in rows:
-        if roots is None:
-            path.append(None)
-            continue
+    for roots, gone in zip(rows, dropped.tolist()):
         k = int(np.abs(roots - u).argmin())
+        if gone[k]:   # every live distance overflowed too, or the row is all NaN
+            if all(gone):
+                path.append(None)
+                continue
+            k = gone.index(False)
         u = roots[k]
         path.append(k)
     return path
 
 
 def _seeds(roots) -> bool:
-    """Whether u = 1 certifies the acoustic root of a solved row.
+    """Whether u = 1 certifies the acoustic root of one solved (n,) row.
 
-    True when the row has exactly one root, or when the root nearest u = 1
-    is nearer than SEED_RATIO times the second-nearest.  False for a failed
-    solve (None), a row without roots, and a NaN distance.
+    True when the row has exactly one live (non-NaN) root, or when the root
+    nearest u = 1 is nearer than SEED_RATIO times the second-nearest.  False
+    for an all-NaN row (a failed solve).
     """
-    if roots is None or len(roots) == 0:
+    near = np.sort(np.abs(roots - 1.0))   # the NaN of dropped roots sorts last
+    if np.isnan(near[0]):
         return False
-    if len(roots) == 1:
-        return True
-    near, second = np.sort(np.abs(roots - 1.0))[:2]
-    return bool(near < SEED_RATIO * second)
+    return bool(np.isnan(near[1]) or near[0] < SEED_RATIO * near[1])
 
 
 def _track_to(h_b, theta: float, n: int, solve=None):
@@ -483,8 +486,9 @@ def _track_to(h_b, theta: float, n: int, solve=None):
     (:func:`_seeds`), the seed rows above it are solved as a second batch
     and the whole seed grid is continued from u = 1.  Each row is solved
     on its own, so a row's roots do not depend on the batch.  Returns
-    (rows, path) along h_b: the roots at every h_b and the index of the
-    continued root in each row.
+    (rows, path) along h_b: the (len(h_b), n) roots, NaN where dropped or
+    where a solve failed, and the index of the continued root in each row
+    (None in an all-NaN row).
     """
     top = float(h_b[0])
     if not 0 < top < math.inf:
@@ -500,7 +504,7 @@ def _track_to(h_b, theta: float, n: int, solve=None):
     cut = int(np.count_nonzero(seed > SEED_H))   # the grid descends
     rows = solve(np.concatenate([seed[cut:], h_b]), theta, n)
     if not _seeds(rows[0]):
-        rows, cut = solve(seed[:cut], theta, n) + rows, 0
+        rows, cut = np.concatenate([solve(seed[:cut], theta, n), rows]), 0
     skip = len(seed) - cut
     return rows[skip:], _follow(rows, 1.0)[skip:]
 
@@ -516,37 +520,63 @@ def _nearest_with_ambiguity_check(roots: np.ndarray, u_target: complex) -> int:
     return int(order[0])
 
 
+def _principal(u: np.ndarray) -> np.ndarray:
+    """:func:`principal_lambda` of every entry; NaN stays NaN.
+
+    np.sqrt already gives Re >= 0, so only Re = 0, Im < 0 flips.  That it
+    is bit for bit principal_lambda on the roots the program labels is
+    checked by test_labelled_lambda_is_principal_lambda_bitwise.
+    """
+    with np.errstate(invalid="ignore"):
+        lam = np.sqrt(u)
+    np.negative(lam, out=lam, where=(lam.real == 0) & (lam.imag < 0))
+    return lam
+
+
+def _order(rows, path) -> tuple:
+    """Each row's roots and lambda in label order: (u, lam), each (K, n).
+
+    The one ordering of a row's roots: root ``path[j]`` of row j (the
+    continued, acoustic one) first, then the others by descending lambda_i,
+    ties in column order, and the dropped (NaN) roots last.  Column 1 is
+    the largest-lambda_i secondary root.  A row whose path is None is all
+    NaN and stays so.
+    """
+    lam = _principal(rows)
+    at = np.arange(len(rows))
+    key = -lam.imag                     # NaN sorts last
+    key[at, [0 if k is None else k for k in path]] = -np.inf
+    order = key.argsort(axis=1, kind="stable")
+    at = at[:, None]
+    return rows[at, order], lam[at, order]
+
+
 def _label_branches(rows, path, h_b, theta: float, n: int, policy: str) -> list:
     """The labelled roots of every solved row of a line, certified in one pass.
 
-    The one place roots get their branch labels: in each row, root
-    ``path[j]`` is the "acoustic" root, and under policy "all" the other
-    roots follow by descending lambda_i as secondary(1), secondary(2), ...
-    Every root of the line is certified by one :func:`_certify` call.
-    Returns one list of :class:`DispersionRoot` per row, or None where the
-    row has no continued root (``path[j]`` is None).
+    The one place roots get their branch labels: in each row of the (K, m)
+    roots, root ``path[j]`` is the "acoustic" root, and under policy "all"
+    the other live roots follow in :func:`_order` as secondary(1),
+    secondary(2), ...  Every labelled root of the line is certified by one
+    :func:`_certify` call.  Returns one list of :class:`DispersionRoot` per
+    row, or None where the row has no continued root (``path[j]`` is None).
     """
     if policy not in ("acoustic", "all"):
         raise DomainError("policy must be 'acoustic' or 'all'")
-    picked, lams, h_at = [], [], []
-    for roots, k, hb in zip(rows, path, h_b):
-        if k is None:
-            picked.append(None)
-            continue
-        us = [roots[k]]
-        if policy == "all":
-            us += sorted((u for j, u in enumerate(roots) if j != k),
-                         key=lambda u: -principal_lambda(u).imag)
-        picked.append(us)
-        lams += [principal_lambda(u) for u in us]
-        h_at += [hb] * len(us)
+    u, lam = _order(rows, path)
+    if policy == "acoustic":
+        u, lam = u[:, :1], lam[:, :1]
+    live = ~np.isnan(u)
+    counts = live.sum(axis=1)
+    lams = lam[live]
+    h_at = np.asarray(h_b, dtype=float).repeat(counts)
     residuals = iter(_certify(lams, h_at, theta, n).tolist())
-    lam_of = iter(lams)
-    return [None if us is None else [
-        DispersionRoot(lam=next(lam_of), u=complex(u),
+    us, lams = iter(u[live].tolist()), iter(lams.tolist())
+    return [None if k is None else [
+        DispersionRoot(lam=next(lams), u=next(us),
                        branch="acoustic" if j == 0 else f"secondary({j})",
                        residual=next(residuals))
-        for j, u in enumerate(us)] for us in picked]
+        for j in range(count)] for k, count in zip(path, counts.tolist())]
 
 
 def _branches_at(h_b: float, theta: float, n: int, policy: str = "acoustic",
@@ -560,7 +590,7 @@ def _branches_at(h_b: float, theta: float, n: int, policy: str = "acoustic",
     (row,), (j,) = _track_to([h_b], theta, n)
     roots = row if roots is None else roots
     k = _nearest_with_ambiguity_check(roots, complex(row[j]))
-    return _label_branches([roots], [k], [h_b], theta, n, policy)[0]
+    return _label_branches(roots[None], [k], [h_b], theta, n, policy)[0]
 
 
 def select_branch(roots, h_b: float, theta: float, n: int, policy: str = "acoustic"):
@@ -602,7 +632,8 @@ def continuation_track(theta: float, n: int, B: float, h_grid) -> list:
         raise DomainError("h_grid must be sorted strictly descending")
     if h_grid[0] < 1e4:
         raise DomainError("h_grid must start at h >= 1e4 for reliable seeding")
-    h_b = h_grid * (1.0 + B)
+    with np.errstate(over="ignore"):   # an overflowed top is _track_to's DomainError
+        h_b = h_grid * (1.0 + B)
     rows, path = _track_to(h_b, theta, n)
     out = [root for (root,) in _label_branches(rows, path, h_b, theta, n, "acoustic")]
     for h, root in zip(h_grid, out):

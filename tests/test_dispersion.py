@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -456,7 +457,7 @@ def certificate_lines(seed):
         h_b = 10.0 ** np.sort(rng.uniform(lo, hi, 24))[::-1]
         lams, at = [], []
         for hb, roots in zip(h_b, dsp._eig_roots(h_b, theta, n)):
-            for u in roots:
+            for u in roots[~np.isnan(roots)]:
                 lam = dsp.principal_lambda(u)
                 lams += [lam, lam * (1.0 + 1e-9)]
                 at += [float(hb)] * 2
@@ -482,6 +483,27 @@ def pole_lines():
 
 def bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def test_labelled_lambda_is_principal_lambda_bitwise():
+    # the array square root of dispersion._order against cmath.sqrt; one
+    # line in three at a degenerate angle k pi/(4n), where roots are dropped
+    rng = np.random.default_rng(21)
+    count = 0
+    for line in range(300):
+        n = int(rng.choice([2, 3, 4, 6, 8]))
+        theta = (int(rng.integers(0, 4 * n)) * math.pi / (4 * n) if line % 3 == 0
+                 else float(rng.uniform(0.0, math.pi)))
+        h_b = 10.0 ** np.sort(rng.uniform(-40, 300, 40))[::-1]
+        rows = dsp._eig_roots(h_b, theta, n)
+        for roots in dsp._label_branches(rows, dsp._follow(rows, 1.0), h_b, theta, n,
+                                         "all"):
+            for root in roots:
+                want = dsp.principal_lambda(root.u)
+                assert bits([root.lam.real, root.lam.imag]) == \
+                    bits([want.real, want.imag]), (root.u, n, theta)
+                count += 1
+    assert count >= 15_000   # above h_b ~ 1e14 most rows keep one root
 
 
 @pytest.mark.filterwarnings("error")
@@ -700,6 +722,14 @@ def test_continuation_top_out_of_float_range_raises_the_lookup_error():
     assert str(line.value) == str(lookup.value)
 
 
+def test_continuation_line_that_overflows_raises_without_a_warning():
+    # the top h_b = 1e308 * (1 + B) overflows to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="h_b"):
+            dsp.continuation_track(0.3, 2, 1.0, [1e308, 1.0])
+
+
 @pytest.mark.filterwarnings("ignore:acoustic lambda_i < 0")
 def test_continuation_equals_sweep_and_acoustic_root_on_random_lines_bitwise():
     # tops h from 1e4 to 1e8 (one line in twenty up to 1e300); half the
@@ -822,7 +852,8 @@ def test_track_to_folds_the_seed_into_the_line_batch_bitwise(n, top):
             assert len(solve.batches) == 1
             assert solve.batches[0].tobytes() == \
                 np.concatenate([seed_grid[cut:], h_b]).tobytes()
-            for got, want in zip(solve.results[0], seed[cut:] + line, strict=True):
+            for got, want in zip(solve.results[0], np.concatenate([seed[cut:], line]),
+                                 strict=True):
                 assert got.tobytes() == want.tobytes(), (theta, B)
             assert [r.tobytes() for r in rows] == [r.tobytes() for r in line]
             assert got_path == path, (theta, B)
@@ -863,21 +894,42 @@ def test_uncertified_cut_row_falls_back_to_the_full_seed(top, failure):
     def alter(grid, rows):
         if grid[0] != cut_h:
             return rows
-        u = rows[0][np.abs(rows[0] - 1.0).argmin()]
-        # a second root twice as far from u = 1, or a failed solve
-        rows[0] = np.append(rows[0], 1.0 + 2.0 * (u - 1.0)) \
-            if failure == "ambiguous" else None
+        distance = np.abs(rows[0] - 1.0)
+        if failure == "ambiguous":   # a second root twice as far from u = 1
+            u = rows[0][distance.argmin()]
+            rows[0, distance.argmax()] = 1.0 + 2.0 * (u - 1.0)
+        else:                        # a failed solve
+            rows[0] = np.nan
         return rows
 
     solve = Recording(alter)
     rows, path = dsp._track_to(h_b, theta, n, solve)
     assert [b.tobytes() for b in solve.batches] == [
         np.concatenate([seed_grid[cut:], h_b]).tobytes(), seed_grid[:cut].tobytes()]
-    full = solve.results[1] + solve.results[0]
-    assert all(r is f for r, f in zip(rows, full[len(seed_grid):], strict=True))
+    full = np.concatenate([solve.results[1], solve.results[0]])
+    assert rows.tobytes() == full[len(seed_grid):].tobytes()
     assert path == dsp._follow(full, 1.0)[len(seed_grid):]
     if failure == "failed solve" and top > dsp.SEED_H:
-        assert rows[0] is None and path[0] is None
+        assert np.isnan(rows[0]).all() and path[0] is None
+
+
+def test_follow_never_picks_a_dropped_root():
+    nan = complex(math.nan)
+    rows = np.array([
+        [nan, 3.0, 2.0],           # np.argmin would pick the NaN of column 0
+        [nan, nan, nan],           # a failed solve
+        [1.0, nan, 2.5],           # nearer u = 2.0, the last root found, than 1.2
+        [nan, -1.5e308 - 1.5e308j, nan],   # every live distance overflows
+    ])
+    assert dsp._follow(rows, 1.2) == [2, None, 2, 1]
+
+
+def test_seeds_reads_dropped_roots():
+    nan = complex(math.nan)
+    assert dsp._seeds(np.array([nan, 1.5 + 0.5j, nan]))   # exactly one live root
+    assert not dsp._seeds(np.full(3, nan))                 # a failed solve
+    assert dsp._seeds(np.array([nan, 2.0, 1.001]))
+    assert not dsp._seeds(np.array([1.2, nan, 1.1]))
 
 
 def test_point_lookup_solves_the_short_seed(eig_batches):
@@ -924,8 +976,9 @@ def test_point_lookup_equals_a_single_point_solve_bitwise(policy):
     lookup = dsp.acoustic_root if policy == "acoustic" else (
         lambda h_b, theta, n: dsp._branches_at(h_b, theta, n, "all"))
     for h_b, theta, n in lookup_points(1000, seed=8):
+        (row,) = dsp._eig_roots([h_b], theta, n)
         want = outcome(lambda: dsp.select_branch(
-            dsp._eig_roots([h_b], theta, n)[0], h_b, theta, n, policy))
+            row[~np.isnan(row)], h_b, theta, n, policy))
         assert outcome(lambda: lookup(h_b, theta, n)) == want, (h_b, theta, n)
 
 
