@@ -97,21 +97,33 @@ def _coarse_lines(theta: float, B: float, n: int, grid: np.ndarray) -> dict:
     """The acoustic and secondary :class:`_Line` of one ascending h grid.
 
     The seed grid and the grid, visited descending, are one batch
-    (``dispersion._track_to``); both branches come from that batch.
+    (``dispersion._track_to``) along h_b = ``dispersion._line(grid, B)``,
+    which checks B; both branches come from that batch.
     """
-    with np.errstate(over="ignore"):   # an overflowed top is _track_to's DomainError
-        h_b = grid[::-1] * (1.0 + B)
+    h_b = dispersion._line(grid[::-1], B)
     u, lam = dispersion._order(*dispersion._track_to(h_b, theta, n))
     u, lam_i = u[::-1], np.where(np.isnan(u), np.inf, lam.imag)[::-1]
     return {branch: _Line(theta, B, grid, u[:, 0], branch, u[:, j], lam_i[:, j])
             for j, branch in enumerate(("acoustic", "secondary"))}
 
 
-def _sweep_row(h: float, B: float, theta: float, n: int,
-               root: dispersion.DispersionRoot) -> SweepRow:
-    return SweepRow(h=h, B=B, theta=theta, n=n, branch=root.branch,
-                    lambda_r=root.lam.real, lambda_i=root.lam.imag,
-                    residual=root.residual)
+def _sweep_rows(h_grid, B: float, theta: float, n: int, counts, lam, residual) -> list:
+    """The :class:`SweepRow` of every labelled root of one line, built once.
+
+    counts, lam and residual are columns of ``dispersion._label_branches``:
+    counts[j] roots at h_grid[j], in label order.  A point with no root
+    (count 0: its solve failed) gets one "error" row of NaN values.
+    """
+    rows, at = [], 0
+    for h, count in zip(h_grid, counts):
+        if count == 0:
+            rows.append(SweepRow(h=h, B=B, theta=theta, n=n, branch="error",
+                                 lambda_r=math.nan, lambda_i=math.nan, residual=math.nan))
+        rows += [SweepRow(h=h, B=B, theta=theta, n=n, branch=dispersion._branch_name(j),
+                          lambda_r=lam[at + j].real, lambda_i=lam[at + j].imag,
+                          residual=residual[at + j]) for j in range(count)]
+        at += count
+    return rows
 
 
 _NUMERICAL_ERRORS = (ConvergenceError, SingularDenominatorError, DomainError)
@@ -142,9 +154,10 @@ def sweep(theta_list, B_list, h_grid, n: int,
 
     Rows are ordered theta-major, then B, then h descending.  Each line,
     with the seed grid that continues the acoustic root to its top, is one
-    batched solve.  Numerical failures of a point solve become explicit
-    rows (branch "error", NaN values) rather than silently dropped; other
-    exceptions propagate.
+    batched solve.  Every B is checked (``dispersion._line``: -1 < B < inf)
+    before any solve.  A point whose solve fails numerically, in the line's
+    batch and again on its own, becomes one explicit row (branch "error",
+    NaN values) rather than being dropped; other exceptions propagate.
     """
     theta_list = list(theta_list)
     B_list = list(B_list)
@@ -153,8 +166,7 @@ def sweep(theta_list, B_list, h_grid, n: int,
         raise DomainError("theta_list, B_list and h_grid must be nonempty")
     if not np.all((h_grid > 0) & (h_grid < math.inf)):
         raise DomainError("h_grid must be positive and finite")
-    if not all(-1 < B < math.inf for B in B_list):
-        raise DomainError("B_list values must satisfy -1 < B < inf")
+    h_b_lines = [dispersion._line(h_grid, B) for B in B_list]
     if branch_policy not in ("acoustic", "all"):
         raise DomainError("branch_policy must be 'acoustic' or 'all'")
     for theta in theta_list:
@@ -162,19 +174,11 @@ def sweep(theta_list, B_list, h_grid, n: int,
 
     rows = []
     for theta in theta_list:
-        for B in B_list:
-            with np.errstate(over="ignore"):   # an overflowed top is _track_to's DomainError
-                h_b_line = h_grid * (1.0 + B)
-            line, path = dispersion._track_to(h_b_line, theta, n, _line_roots)
-            labelled = dispersion._label_branches(line, path, h_b_line, theta, n,
-                                                  branch_policy)
-            for h, roots in zip(h_grid, labelled):
-                if roots is None:
-                    rows.append(SweepRow(h=h, B=B, theta=theta, n=n,
-                                         branch="error", lambda_r=math.nan,
-                                         lambda_i=math.nan, residual=math.nan))
-                    continue
-                rows.extend(_sweep_row(h, B, theta, n, root) for root in roots)
+        for B, h_b in zip(B_list, h_b_lines):
+            solved = dispersion._track_to(h_b, theta, n, _line_roots)
+            counts, lam, _, residual = dispersion._label_branches(
+                *solved, h_b, theta, n, branch_policy)
+            rows += _sweep_rows(h_grid, B, theta, n, counts, lam, residual)
     return SweepTable(rows=tuple(rows))
 
 
@@ -277,7 +281,7 @@ def _refine(lines: list, n: int) -> list:
         return np.array([getattr(line, name)[k - 1:k + 2] for line, k in zip(lines, ks)])
 
     h, u, li = around("h"), around("u"), around("lambda_i")
-    g = _slope(around("branch_u").ravel(), (h * (1.0 + B)[:, None]).ravel(),
+    g = _slope(around("branch_u").ravel(), dispersion._line(h, B[:, None]).ravel(),
                np.repeat(c2, 3, axis=0)).reshape(-1, 3)
 
     def end(i, j):
@@ -296,7 +300,7 @@ def _refine(lines: list, n: int) -> list:
         at = np.array(list(step))
         x = np.array(list(step.values()))
         h_new = np.exp(x)
-        h_b = h_new * (1.0 + B[at])
+        h_b = dispersion._line(h_new, B[at])
         solved = dispersion._eig_roots(h_b, theta[at], n)
         path = [dispersion._follow(roots[None], searches[i].near_u(x_i))[0]
                 for roots, i, x_i in zip(solved, step, x)]
@@ -327,12 +331,19 @@ def find_hmax(theta: float, B: float, n: int = 2, branch: str = "acoustic",
     bracket to a few ulps of log h.  Raises
     :class:`NoInteriorMaximumError` when lambda_i is monotone on the range
     or the branch is unattenuated (e.g. the acoustic branch at theta=pi/4).
+    h_range must be a (lo, hi) pair with 0 < lo < hi < inf, and branch
+    "acoustic" or "secondary"; B (-1 < B < inf) is checked after them, where
+    the coarse grid forms its h_b (``dispersion._line``).
     """
+    try:
+        h_range = np.asarray(h_range, dtype=float)
+    except (TypeError, ValueError):
+        h_range = None
+    if np.shape(h_range) != (2,):
+        raise DomainError("h_range must be a (lo, hi) pair")
     lo, hi = h_range
     if not 0 < lo < hi < math.inf:
         raise DomainError("h_range must satisfy 0 < lo < hi < inf")
-    if not -1 < B < math.inf:
-        raise DomainError("B must satisfy -1 < B < inf")
     if branch not in ("acoustic", "secondary"):
         raise DomainError("branch must be 'acoustic' or 'secondary'")
     grid = np.geomspace(hi, lo, SCAN_POINTS)[::-1]   # visit descending, report ascending
@@ -377,13 +388,13 @@ def theta_scan(B: float, n: int, h_cap: float, theta_grid) -> list:
     is Im sqrt(1 + i*h_cap*(1+B)), the resonance jump.  Angles where the
     secondary root escapes to infinity report inf.  Each angle's coarse
     grid is one batched solve; the interior maxima of all angles are
-    refined together (:func:`_refine`).
+    refined together (:func:`_refine`).  h_cap and a nonempty theta_grid
+    are checked first; B (-1 < B < inf) is checked where the first coarse
+    grid forms its h_b (``dispersion._line``).
     """
     h_lo = h_cap * 1e-4
     if not 0 < h_lo < h_cap < math.inf:
         raise DomainError("h_cap must be finite, with h_cap*1e-4 > 0")
-    if not -1 < B < math.inf:
-        raise DomainError("B must satisfy -1 < B < inf")
     theta_grid = list(theta_grid)
     if not theta_grid:
         raise DomainError("theta_grid must be nonempty")

@@ -169,8 +169,8 @@ def emit(rows, fmt: str, path, header=SWEEP_HEADER) -> None:
 
 
 def _roots_rows(h: float, B: float, theta: float, n: int, policy: str):
-    return [analysis._sweep_row(h, B, theta, n, r)
-            for r in dispersion._branches_at(h * (1.0 + B), theta, n, policy)]
+    lam, _, residual = dispersion._branches_at(dispersion._line(h, B), theta, n, policy)
+    return analysis._sweep_rows([h], B, theta, n, [len(lam)], lam, residual)
 
 
 def _check_point(args) -> None:
@@ -239,7 +239,7 @@ def _cmd_simulate(args) -> int:
         periods=args.periods, mode="nonlinear" if args.nonlinear else "linear",
         eps=args.eps)
     fit = simulate.fit_wave(series)
-    root = dispersion.acoustic_root(args.h * (1.0 + args.B), cfg.theta, args.n)
+    root = dispersion.acoustic_root(dispersion._line(args.h, args.B), cfg.theta, args.n)
     lam = fit.lambda_meas
     sys.stdout.write(
         f"k_r = {_fmt(fit.k_r)}\n"

@@ -509,6 +509,20 @@ def _track_to(h_b, theta: float, n: int, solve=None):
     return rows[skip:], _follow(rows, 1.0)[skip:]
 
 
+def _line(h, B):
+    """h_b = h (1 + B) along an h grid (or at one h): the one check of B.
+
+    Every line forms its h_b here: ``sweep``, the coarse peak grids and
+    their refinement, ``continuation_track`` and the CLI points.  B may be
+    an array that broadcasts against h.  An h_b that overflows comes out
+    inf, without a warning, for :func:`_track_to` to reject.
+    """
+    if not np.all((B > -1) & (B < math.inf)):
+        raise DomainError("B must satisfy -1 < B < inf")
+    with np.errstate(over="ignore"):
+        return np.multiply(h, 1.0 + B)
+
+
 def _nearest_with_ambiguity_check(roots: np.ndarray, u_target: complex) -> int:
     order = np.argsort(np.abs(roots - u_target))
     if len(order) > 1:
@@ -551,15 +565,23 @@ def _order(rows, path) -> tuple:
     return rows[at, order], lam[at, order]
 
 
-def _label_branches(rows, path, h_b, theta: float, n: int, policy: str) -> list:
-    """The labelled roots of every solved row of a line, certified in one pass.
+def _branch_name(j: int) -> str:
+    """The label of a row's j-th root in label order: "acoustic", then "secondary(j)"."""
+    return "acoustic" if j == 0 else f"secondary({j})"
+
+
+def _label_branches(rows, path, h_b, theta: float, n: int, policy: str) -> tuple:
+    """The labelled roots of every solved row of a line, as plain columns.
 
     The one place roots get their branch labels: in each row of the (K, m)
     roots, root ``path[j]`` is the "acoustic" root, and under policy "all"
-    the other live roots follow in :func:`_order` as secondary(1),
-    secondary(2), ...  Every labelled root of the line is certified by one
-    :func:`_certify` call.  Returns one list of :class:`DispersionRoot` per
-    row, or None where the row has no continued root (``path[j]`` is None).
+    the other live roots follow in :func:`_order`, named by
+    :func:`_branch_name`.  Every labelled root of the line is certified by
+    one :func:`_certify` call.  Returns (counts, lam, u, residual): the
+    number of labelled roots of each row (0 where ``path[j]`` is None, no
+    root was continued), then the lambda, u and certificate of every
+    labelled root as flat lists, row by row in label order.  No record is
+    built here; each public record is built once from these columns.
     """
     if policy not in ("acoustic", "all"):
         raise DomainError("policy must be 'acoustic' or 'all'")
@@ -568,29 +590,23 @@ def _label_branches(rows, path, h_b, theta: float, n: int, policy: str) -> list:
         u, lam = u[:, :1], lam[:, :1]
     live = ~np.isnan(u)
     counts = live.sum(axis=1)
-    lams = lam[live]
-    h_at = np.asarray(h_b, dtype=float).repeat(counts)
-    residuals = iter(_certify(lams, h_at, theta, n).tolist())
-    us, lams = iter(u[live].tolist()), iter(lams.tolist())
-    return [None if k is None else [
-        DispersionRoot(lam=next(lams), u=next(us),
-                       branch="acoustic" if j == 0 else f"secondary({j})",
-                       residual=next(residuals))
-        for j in range(count)] for k, count in zip(path, counts.tolist())]
+    lam = lam[live]
+    residual = _certify(lam, np.asarray(h_b, dtype=float).repeat(counts), theta, n)
+    return counts.tolist(), lam.tolist(), u[live].tolist(), residual.tolist()
 
 
 def _branches_at(h_b: float, theta: float, n: int, policy: str = "acoustic",
-                 roots=None) -> list:
-    """The labelled roots at h_b (``_label_branches``), the acoustic one first.
+                 roots=None) -> tuple:
+    """One row's columns of :func:`_label_branches` at h_b: (lam, u, residual).
 
-    The one point lookup: the acoustic root is the one nearest the
+    The one point lookup: the acoustic root, first, is the one nearest the
     continued root, and ``roots`` defaults to the continuation's row at
     h_b, the solve at h_b itself, so a point costs one batched solve.
     """
     (row,), (j,) = _track_to([h_b], theta, n)
     roots = row if roots is None else roots
     k = _nearest_with_ambiguity_check(roots, complex(row[j]))
-    return _label_branches(roots[None], [k], [h_b], theta, n, policy)[0]
+    return _label_branches(roots[None], [k], [h_b], theta, n, policy)[1:]
 
 
 def select_branch(roots, h_b: float, theta: float, n: int, policy: str = "acoustic"):
@@ -606,20 +622,24 @@ def select_branch(roots, h_b: float, theta: float, n: int, policy: str = "acoust
         raise DomainError("roots must be nonempty")
     if not np.all(np.isfinite(roots)):
         raise DomainError("roots must be finite")
-    selected = _branches_at(h_b, theta, n, policy, roots)
+    lam, u, res = _branches_at(h_b, theta, n, policy, roots)
+    selected = [DispersionRoot(lam=lam[j], u=u[j], branch=_branch_name(j), residual=res[j])
+                for j in range(len(lam))]
     return selected[0] if policy == "acoustic" else selected
 
 
 def acoustic_root(h_b: float, theta: float, n: int) -> DispersionRoot:
     """Acoustic-branch root at a single parameter point."""
-    return _branches_at(h_b, theta, n)[0]
+    (lam,), (u,), (res,) = _branches_at(h_b, theta, n)
+    return DispersionRoot(lam=lam, u=u, branch="acoustic", residual=res)
 
 
 def continuation_track(theta: float, n: int, B: float, h_grid) -> list:
     """Track the acoustic branch down a descending h grid.
 
-    The line h_b = h_grid * (1 + B) is continued from the certified short
-    seed of :func:`_track_to`, the one seeded line solve, so its rows are
+    The line h_b = h_grid * (1 + B) (:func:`_line`, so B must satisfy
+    -1 < B < inf) is continued from the certified short seed of
+    :func:`_track_to`, the one seeded line solve, so its rows are
     the acoustic rows ``sweep`` prints on the same h_b line and the first
     is ``acoustic_root`` at the top.  At each later h the root nearest (in
     u) to the previous one is taken.  The first (largest) h must be >= 1e4,
@@ -632,10 +652,10 @@ def continuation_track(theta: float, n: int, B: float, h_grid) -> list:
         raise DomainError("h_grid must be sorted strictly descending")
     if h_grid[0] < 1e4:
         raise DomainError("h_grid must start at h >= 1e4 for reliable seeding")
-    with np.errstate(over="ignore"):   # an overflowed top is _track_to's DomainError
-        h_b = h_grid * (1.0 + B)
-    rows, path = _track_to(h_b, theta, n)
-    out = [root for (root,) in _label_branches(rows, path, h_b, theta, n, "acoustic")]
+    h_b = _line(h_grid, B)
+    _, lam, u, res = _label_branches(*_track_to(h_b, theta, n), h_b, theta, n, "acoustic")
+    out = [DispersionRoot(lam=lam_j, u=u_j, branch="acoustic", residual=res_j)
+           for lam_j, u_j, res_j in zip(lam, u, res)]
     for h, root in zip(h_grid, out):
         if root.lam.imag < -1e-12:
             warnings.warn(

@@ -467,14 +467,11 @@ def _default_fit_window(config: ModelConfig, L: float, dx: float):
     """Window start clears the inlet ramp and the secondary-mode transients."""
     lam_est = hydrodynamic_wavelength(config)
     h_b = reduced_params(config).h_b
-    margin = 0.0
-    roots = dispersion._branches_at(h_b, config.theta, config.n, policy="all")
-    k_scale = SQRT2 * config.omega / config.c
-    ki_ac = k_scale * roots[0].lam.imag
-    for root in roots[1:]:
-        k_i = k_scale * root.lam.imag
-        if k_i > max(ki_ac, 1e-12):
-            margin = max(margin, KINETIC_CLEARANCE / k_i)
+    lam, _, _ = dispersion._branches_at(h_b, config.theta, config.n, policy="all")
+    k_i = [SQRT2 * config.omega / config.c * lam_j.imag for lam_j in lam]
+    # the acoustic root is first; each secondary decaying faster needs a clearance
+    margin = max([KINETIC_CLEARANCE / k for k in k_i[1:] if k > max(k_i[0], 1e-12)],
+                 default=0.0)
     x_lo = max(1.5 * lam_est, lam_est + margin)
     x_lo = min(x_lo, L - 2.0 * dx - 3.0 * lam_est)  # keep >= 3 wavelengths
     x_lo = max(x_lo, lam_est)

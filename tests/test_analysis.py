@@ -48,6 +48,13 @@ def test_hmax_bad_range_rejected():
         analysis.find_hmax(0.0, 0.0, h_range=(1.0, 0.1))
 
 
+@pytest.mark.parametrize("h_range", [(1e-2, 1e2, 3), (1.0,), 1.0, None, "1:10",
+                                     ("a", "b"), ((1e-2, 1e2),)])
+def test_hmax_range_that_is_not_a_pair_names_h_range(h_range):
+    with pytest.raises(DomainError, match="h_range"):
+        analysis.find_hmax(0.0, 0.0, h_range=h_range)
+
+
 def test_hmax_deterministic():
     a = analysis.find_hmax(0.1, 0.3, n=2)
     b = analysis.find_hmax(0.1, 0.3, n=2)
@@ -340,6 +347,33 @@ def test_sweep_acoustic_rows_agree_bitwise_with_point_and_track(n):
             lam = complex(row.lambda_r, row.lambda_i)
             assert lam == dsp.acoustic_root(h * (1.0 + B), theta, n).lam
             assert lam == tracked.lam
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sweep_all_rows_agree_bitwise_with_the_point_lookup(n):
+    # every labelled root, secondaries included: branch, lambda and the
+    # residual certificate of each row equal the lookup's at that h_b; a
+    # third of the angles are the degenerate k pi/(4n)
+    h_grid = np.geomspace(1e-2, 1e2, 25)
+    thetas = list(dict.fromkeys([0.0, 0.3, math.pi / 8, 0.7]
+                                + [k * math.pi / (4 * n) for k in range(4 * n)]))
+    Bs = [0.0, 0.5, -0.3]
+    rows = list(analysis.sweep(thetas, Bs, h_grid, n, branch_policy="all"))
+    got = {}
+    for row in rows:
+        got.setdefault((row.theta, row.B, row.h), []).append(
+            (row.branch, *bits([row.lambda_r, row.lambda_i, row.residual])))
+    assert len(got) == len(thetas) * len(Bs) * len(h_grid)
+    for (theta, B, h), labelled in got.items():
+        h_b = h * (1.0 + B)
+        roots = dsp.solve_roots(dsp.assemble_polynomial(h_b, theta, n))
+        want = [(r.branch, *bits([r.lam.real, r.lam.imag, r.residual]))
+                for r in dsp.select_branch(roots, h_b, theta, n, "all")]
+        assert labelled == want, (theta, B, h)
 
 
 def test_sweep_hb_collapse_between_b_values():

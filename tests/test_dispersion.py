@@ -496,13 +496,12 @@ def test_labelled_lambda_is_principal_lambda_bitwise():
                  else float(rng.uniform(0.0, math.pi)))
         h_b = 10.0 ** np.sort(rng.uniform(-40, 300, 40))[::-1]
         rows = dsp._eig_roots(h_b, theta, n)
-        for roots in dsp._label_branches(rows, dsp._follow(rows, 1.0), h_b, theta, n,
-                                         "all"):
-            for root in roots:
-                want = dsp.principal_lambda(root.u)
-                assert bits([root.lam.real, root.lam.imag]) == \
-                    bits([want.real, want.imag]), (root.u, n, theta)
-                count += 1
+        _, lams, us, _ = dsp._label_branches(rows, dsp._follow(rows, 1.0), h_b, theta,
+                                             n, "all")
+        for lam, u in zip(lams, us):
+            want = dsp.principal_lambda(u)
+            assert bits([lam.real, lam.imag]) == bits([want.real, want.imag]), (u, n, theta)
+            count += 1
     assert count >= 15_000   # above h_b ~ 1e14 most rows keep one root
 
 
@@ -728,6 +727,14 @@ def test_continuation_line_that_overflows_raises_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="h_b"):
             dsp.continuation_track(0.3, 2, 1.0, [1e308, 1.0])
+
+
+@pytest.mark.parametrize("B", [-2.0, -1.0, math.nan, math.inf])
+def test_continuation_checks_b_like_every_line(B):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="B must satisfy"):
+            dsp.continuation_track(0.3, 2, B, [1e4, 1.0])
 
 
 @pytest.mark.filterwarnings("ignore:acoustic lambda_i < 0")
@@ -973,8 +980,12 @@ def outcome(call):
 
 @pytest.mark.parametrize("policy", ["acoustic", "all"])
 def test_point_lookup_equals_a_single_point_solve_bitwise(policy):
-    lookup = dsp.acoustic_root if policy == "acoustic" else (
-        lambda h_b, theta, n: dsp._branches_at(h_b, theta, n, "all"))
+    def labelled(h_b, theta, n):   # the lookup's columns as select_branch's records
+        lam, u, res = dsp._branches_at(h_b, theta, n, "all")
+        return [dsp.DispersionRoot(lam[j], u[j], "acoustic" if j == 0 else f"secondary({j})",
+                                   res[j]) for j in range(len(lam))]
+
+    lookup = dsp.acoustic_root if policy == "acoustic" else labelled
     for h_b, theta, n in lookup_points(1000, seed=8):
         (row,) = dsp._eig_roots([h_b], theta, n)
         want = outcome(lambda: dsp.select_branch(
