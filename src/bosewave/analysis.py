@@ -15,12 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dispersion
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    NoInteriorMaximumError,
-    SingularDenominatorError,
-)
+from .errors import ConvergenceError, DomainError, NoInteriorMaximumError
 
 __all__ = [
     "SweepRow",
@@ -86,25 +81,24 @@ class ThetaScanRow:
     max_lambda_i: float
 
 
-# One branch's lambda_i along one (theta, B) coarse grid, ascending in h: u
-# is the acoustic (continued) root at each h and branch_u the branch's own
-# root, the acoustic one or the largest-lambda_i secondary (NaN, with
-# lambda_i inf, where no other root exists).
-_Line = namedtuple("_Line", "theta B h u branch branch_u lambda_i")
+# The coarse lines of every angle along one ascending h grid: u and
+# lambda_i are columns 0 and 1 of ``dispersion._order`` at each (angle, h),
+# shape (L, K, 2): the acoustic (continued) root and the largest-lambda_i
+# secondary one (NaN, with lambda_i inf, where no other root exists).
+_Lines = namedtuple("_Lines", "theta B h u lambda_i")
 
 
-def _coarse_lines(theta: float, B: float, n: int, grid: np.ndarray) -> dict:
-    """The acoustic and secondary :class:`_Line` of one ascending h grid.
+def _coarse_lines(theta_list, B: float, n: int, grid: np.ndarray) -> _Lines:
+    """The acoustic and secondary columns of every angle along one ascending h grid.
 
-    The seed grid and the grid, visited descending, are one batch
-    (``dispersion._track_to``) along h_b = ``dispersion._line(grid, B)``,
-    which checks B; both branches come from that batch.
+    For each angle, the seed grid and the grid, visited descending, are one
+    batch (``dispersion._track_to``) along h_b = ``dispersion._line(grid, B)``,
+    which checks B; both columns come from that batch.
     """
     h_b = dispersion._line(grid[::-1], B)
-    u, lam = dispersion._order(*dispersion._track_to(h_b, theta, n))
-    u, lam_i = u[::-1], np.where(np.isnan(u), np.inf, lam.imag)[::-1]
-    return {branch: _Line(theta, B, grid, u[:, 0], branch, u[:, j], lam_i[:, j])
-            for j, branch in enumerate(("acoustic", "secondary"))}
+    solved = [dispersion._order(*dispersion._track_to(h_b, theta, n)) for theta in theta_list]
+    u, lam = (np.array(part)[:, ::-1, :2] for part in zip(*solved))
+    return _Lines(np.array(theta_list), B, grid, u, np.where(np.isnan(u), np.inf, lam.imag))
 
 
 def _sweep_rows(h_grid, B: float, theta: float, n: int, counts, lam, residual) -> list:
@@ -126,24 +120,21 @@ def _sweep_rows(h_grid, B: float, theta: float, n: int, counts, lam, residual) -
     return rows
 
 
-_NUMERICAL_ERRORS = (ConvergenceError, SingularDenominatorError, DomainError)
-
-
 def _line_roots(h_b: np.ndarray, theta: float, n: int) -> np.ndarray:
     """(K, n) roots at every h_b of one sweep line's batch, from one batched solve.
 
-    If the batch fails numerically, the points are solved one at a time and
-    each point that fails again gets an all-NaN row.
+    If the batch's eigenvalue solve fails (ConvergenceError), the points are
+    solved one at a time and each point that fails again gets an all-NaN row.
     """
     try:
         return dispersion._eig_roots(h_b, theta, n)
-    except _NUMERICAL_ERRORS:
+    except ConvergenceError:
         pass
     out = np.full((len(h_b), n), np.nan, dtype=complex)
     for row, hb in zip(out, h_b):
         try:
             row[:] = dispersion._eig_roots([hb], theta, n)[0]
-        except _NUMERICAL_ERRORS:
+        except ConvergenceError:
             pass
     return out
 
@@ -154,8 +145,10 @@ def sweep(theta_list, B_list, h_grid, n: int,
 
     Rows are ordered theta-major, then B, then h descending.  Each line,
     with the seed grid that continues the acoustic root to its top, is one
-    batched solve.  Every B is checked (``dispersion._line``: -1 < B < inf)
-    before any solve.  A point whose solve fails numerically, in the line's
+    batched solve.  Every line's h_b is formed and checked
+    (``dispersion._line``) before any solve: B must satisfy -1 < B < inf,
+    and an h whose h_b = h (1 + B) underflows to 0 raises DomainError.  A
+    point whose eigenvalue solve fails (ConvergenceError), in the line's
     batch and again on its own, becomes one explicit row (branch "error",
     NaN values) rather than being dropped; other exceptions propagate.
     """
@@ -255,33 +248,33 @@ class _Search:
         return point[2], point[4], (self.lo[2], self.hi[2])
 
 
-def _refine(lines: list, n: int) -> list:
-    """(h_max, lambda_i_max, bracket) of every line's coarse peak, refined in lockstep.
+def _refine(lines: _Lines, at: np.ndarray, column: np.ndarray, n: int) -> list:
+    """(h_max, lambda_i_max, bracket) of each given line's coarse peak, refined in lockstep.
 
-    Each line's coarse argmax k is interior.  Its peak is the root of the
-    slope g = dlambda_i/dlog h (:func:`_slope`) on [k-1, k] or [k, k+1],
-    whichever carries the sign change + to -, found by :class:`_Search`
-    in log h.  Every step is one theta-per-row ``_eig_roots`` batch of the
-    lines still searching; each point is continued from the visited h
-    nearest it, the nearer end of its bracket.  A search ends when its
-    bracket is a few ulps wide (PEAK_LOG_TOL), when its next point repeats
-    an end, or at a zero or non-finite slope; REFINE_MAX_STEPS steps raise
-    ConvergenceError.  A line whose slope at the grid points has no such
-    sign change, or is not finite, keeps its coarse argmax, with the
-    bracket [k-1, k+1]; so does a line whose search ends below it.
+    Line i is column ``column[i]`` (0 acoustic, 1 secondary) of angle
+    ``at[i]`` of ``lines``, and its coarse argmax k is interior.  Its peak
+    is the root of the slope g = dlambda_i/dlog h (:func:`_slope`) on
+    [k-1, k] or [k, k+1], whichever carries the sign change + to -, found
+    by :class:`_Search` in log h.  Every step is one theta-per-row
+    ``_eig_roots`` batch of the lines still searching; each point is
+    continued from the visited h nearest it, the nearer end of its
+    bracket.  A search ends when its bracket is a few ulps wide
+    (PEAK_LOG_TOL), when its next point repeats an end, or at a zero or
+    non-finite slope; REFINE_MAX_STEPS steps raise ConvergenceError.  A
+    line whose slope at the grid points has no such sign change, or is not
+    finite, keeps its coarse argmax, with the bracket [k-1, k+1]; so does a
+    line whose search ends below it.
     """
-    theta = np.array([line.theta for line in lines])
-    B = np.array([line.B for line in lines])
-    # each line's column of dispersion._order: 0 acoustic, 1 secondary
-    column = np.array([int(line.branch == "secondary") for line in lines])
+    theta = lines.theta[at]
     c2 = dispersion._cos2(theta, n)
-    ks = [int(np.argmax(line.lambda_i)) for line in lines]
+    li = lines.lambda_i[at, :, column]
+    window = li.argmax(axis=1)[:, None] + np.arange(-1, 2)   # coarse k-1, k, k+1
 
-    def around(name):   # each line's coarse values at k-1, k, k+1
-        return np.array([getattr(line, name)[k - 1:k + 2] for line, k in zip(lines, ks)])
+    def around(values):   # (lines, K) values, cut to each line's window
+        return np.take_along_axis(values, window, axis=1)
 
-    h, u, li = around("h"), around("u"), around("lambda_i")
-    g = _slope(around("branch_u").ravel(), dispersion._line(h, B[:, None]).ravel(),
+    h, u, li = lines.h[window], around(lines.u[at, :, 0]), around(li)
+    g = _slope(around(lines.u[at, :, column]).ravel(), dispersion._line(h, lines.B).ravel(),
                np.repeat(c2, 3, axis=0)).reshape(-1, 3)
 
     def end(i, j):
@@ -297,25 +290,25 @@ def _refine(lines: list, n: int) -> list:
         step = {i: x for i, s in searches.items() if (x := s.propose()) is not None}
         if not step:
             break
-        at = np.array(list(step))
+        live = np.array(list(step))
         x = np.array(list(step.values()))
         h_new = np.exp(x)
-        h_b = dispersion._line(h_new, B[at])
-        solved = dispersion._eig_roots(h_b, theta[at], n)
+        h_b = dispersion._line(h_new, lines.B)
+        solved = dispersion._eig_roots(h_b, theta[live], n)
         path = [dispersion._follow(roots[None], searches[i].near_u(x_i))[0]
                 for roots, i, x_i in zip(solved, step, x)]
         u_all, lam = dispersion._order(solved, path)
-        pick = np.arange(len(at)), column[at]
+        pick = np.arange(len(live)), column[live]
         u_new, u_branch = u_all[:, 0], u_all[pick]
         li_new = np.where(np.isnan(u_branch), np.inf, lam[pick].imag)
-        g_new = _slope(u_branch, h_b, c2[at])
+        g_new = _slope(u_branch, h_b, c2[live])
         for i, *point in zip(step, x, g_new, h_new, u_new, li_new):
             searches[i].update(point)
     else:
         raise ConvergenceError(
             f"peak refinement did not converge in {REFINE_MAX_STEPS} steps")
     out = []
-    for i in range(len(lines)):
+    for i in range(len(at)):
         coarse = (h[i, 1], li[i, 1], (h[i, 0], h[i, 2]))
         found = searches[i].best() if i in searches else coarse
         out.append(found if found[1] >= coarse[1] else coarse)
@@ -347,8 +340,9 @@ def find_hmax(theta: float, B: float, n: int = 2, branch: str = "acoustic",
     if branch not in ("acoustic", "secondary"):
         raise DomainError("branch must be 'acoustic' or 'secondary'")
     grid = np.geomspace(hi, lo, SCAN_POINTS)[::-1]   # visit descending, report ascending
-    line = _coarse_lines(theta, B, n, grid)[branch]
-    values = line.lambda_i
+    lines = _coarse_lines([theta], B, n, grid)
+    column = np.array([("acoustic", "secondary").index(branch)])
+    values = lines.lambda_i[0, :, column[0]]
     k = int(np.argmax(values))
     if values[k] < LAMBDA_I_FLOOR:
         raise NoInteriorMaximumError(
@@ -356,7 +350,7 @@ def find_hmax(theta: float, B: float, n: int = 2, branch: str = "acoustic",
     if k == 0 or k == len(grid) - 1:
         raise NoInteriorMaximumError(
             "lambda_i is monotone on the range: no interior maximum")
-    ((h_max, lambda_i_max, bracket),) = _refine([line], n)
+    ((h_max, lambda_i_max, bracket),) = _refine(lines, np.zeros(1, int), column, n)
     return PeakResult(h_max=h_max, lambda_i_max=lambda_i_max, bracket=bracket)
 
 
@@ -388,9 +382,10 @@ def theta_scan(B: float, n: int, h_cap: float, theta_grid) -> list:
     is Im sqrt(1 + i*h_cap*(1+B)), the resonance jump.  Angles where the
     secondary root escapes to infinity report inf.  Each angle's coarse
     grid is one batched solve; the interior maxima of all angles are
-    refined together (:func:`_refine`).  h_cap and a nonempty theta_grid
-    are checked first; B (-1 < B < inf) is checked where the first coarse
-    grid forms its h_b (``dispersion._line``).
+    refined together (:func:`_refine`), and each row is built once, after
+    them.  h_cap and a nonempty theta_grid are checked first; B
+    (-1 < B < inf) is checked where the coarse grid forms its h_b
+    (``dispersion._line``).
     """
     h_lo = h_cap * 1e-4
     if not 0 < h_lo < h_cap < math.inf:
@@ -398,24 +393,13 @@ def theta_scan(B: float, n: int, h_cap: float, theta_grid) -> list:
     theta_grid = list(theta_grid)
     if not theta_grid:
         raise DomainError("theta_grid must be nonempty")
-    grid = np.geomspace(h_lo, h_cap, SCAN_POINTS)
-    rows, interior = [], []
-    for theta in theta_grid:
-        lines = _coarse_lines(theta, B, n, grid)
-        for branch in ("acoustic", "secondary"):
-            values = lines[branch].lambda_i
-            k = int(np.argmax(values))
-            if np.any(np.isinf(values)):
-                best = math.inf
-            elif values[k] < LAMBDA_I_FLOOR:
-                best = 0.0
-            elif k == 0 or k == len(grid) - 1:
-                best = float(values[k])
-            else:
-                best = None
-                interior.append((len(rows), lines[branch]))
-            rows.append(ThetaScanRow(theta=theta, branch=branch, max_lambda_i=best))
-    peaks = _refine([line for _, line in interior], n) if interior else []
-    for (j, _), (_, best, _) in zip(interior, peaks):
-        rows[j] = replace(rows[j], max_lambda_i=best)
-    return rows
+    lines = _coarse_lines(theta_grid, B, n, np.geomspace(h_lo, h_cap, SCAN_POINTS))
+    k = lines.lambda_i.argmax(axis=1)   # (L, 2): each angle's two columns
+    peak = np.take_along_axis(lines.lambda_i, k[:, None], axis=1)[:, 0]
+    escaped, flat = np.isinf(lines.lambda_i).any(axis=1), peak < LAMBDA_I_FLOOR
+    best = np.where(escaped, math.inf, np.where(flat, 0.0, peak))
+    at, column = np.nonzero(~escaped & ~flat & (k > 0) & (k < SCAN_POINTS - 1))
+    best[at, column] = [lam for _, lam, _ in _refine(lines, at, column, n)]
+    return [ThetaScanRow(theta=theta, branch=branch, max_lambda_i=value)
+            for theta, pair in zip(theta_grid, best.tolist())
+            for branch, value in zip(("acoustic", "secondary"), pair)]

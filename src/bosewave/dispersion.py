@@ -515,12 +515,16 @@ def _line(h, B):
     Every line forms its h_b here: ``sweep``, the coarse peak grids and
     their refinement, ``continuation_track`` and the CLI points.  B may be
     an array that broadcasts against h.  An h_b that overflows comes out
-    inf, without a warning, for :func:`_track_to` to reject.
+    inf, without a warning, for :func:`_track_to` to reject; one that
+    underflows to 0 raises DomainError here.
     """
     if not np.all((B > -1) & (B < math.inf)):
         raise DomainError("B must satisfy -1 < B < inf")
     with np.errstate(over="ignore"):
-        return np.multiply(h, 1.0 + B)
+        h_b = np.multiply(h, 1.0 + B)
+    if np.any(h_b == 0):
+        raise DomainError("h_b must be positive and finite")
+    return h_b
 
 
 def _nearest_with_ambiguity_check(roots: np.ndarray, u_target: complex) -> int:

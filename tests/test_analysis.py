@@ -148,10 +148,10 @@ def test_coarse_branch_lambda_i_matches_the_row_by_row_form_bitwise():
         for theta in degenerate + list(rng.uniform(0.0, math.pi, 4)):
             h_b = np.geomspace(1e8, 1e-5, 200)
             rows, path = dsp._track_to(h_b, theta, n)
-            lines = analysis._coarse_lines(theta, 0.0, n, h_b[::-1])
-            for branch, line in lines.items():
+            lines = analysis._coarse_lines([theta], 0.0, n, h_b[::-1])
+            for j, branch in enumerate(("acoustic", "secondary")):
                 want = [reference_branch_lambda_i(r, k, branch) for r, k in zip(rows, path)]
-                assert np.array(want).tobytes() == line.lambda_i[::-1].tobytes()
+                assert np.array(want).tobytes() == lines.lambda_i[0, ::-1, j].tobytes()
             count += len(rows)
     assert count >= 10_000
 
@@ -160,9 +160,9 @@ def test_coarse_branch_lambda_i_matches_the_row_by_row_form_bitwise():
 def test_slope_matches_a_finite_difference_of_lambda_i(n, theta, B):
     step = 1e-5
     for h in np.geomspace(0.1, 10.0, 9):
-        line = analysis._coarse_lines(theta, B, n, h * np.exp([-step, 0.0, step]))
-        for branch in ("acoustic", "secondary"):
-            li, u = line[branch].lambda_i, line[branch].branch_u
+        lines = analysis._coarse_lines([theta], B, n, h * np.exp([-step, 0.0, step]))
+        for j in (0, 1):   # the acoustic and the secondary column
+            li, u = lines.lambda_i[0, :, j], lines.u[0, :, j]
             g = analysis._slope(u[1:2], np.array([h * (1.0 + B)]), dsp._cos2(theta, n))
             if math.isinf(li[1]):   # the secondary escaped to infinity at theta = 0
                 assert math.isnan(g[0])
@@ -172,12 +172,21 @@ def test_slope_matches_a_finite_difference_of_lambda_i(n, theta, B):
 
 def test_refine_keeps_the_coarse_peak_where_the_slope_is_not_finite(eig_batches):
     # no secondary root there (NaN): no slope, so no search and no solve
-    h = np.array([1.0, 2.0, 3.0])
-    line = analysis._Line(theta=0.3, B=0.0, h=h, u=np.full(3, 0.5 + 0.1j),
-                          branch="secondary", branch_u=np.full(3, np.nan + 0j),
-                          lambda_i=np.array([0.1, 0.3, 0.2]))
-    assert analysis._refine([line], 3) == [(2.0, 0.3, (1.0, 3.0))]
+    u = np.stack([np.full(3, 0.5 + 0.1j), np.full(3, np.nan + 0j)], axis=-1)
+    lambda_i = np.stack([np.full(3, 0.05), [0.1, 0.3, 0.2]], axis=-1)
+    lines = analysis._Lines(theta=np.array([0.3]), B=0.0, h=np.array([1.0, 2.0, 3.0]),
+                            u=u[None], lambda_i=lambda_i[None])
+    assert analysis._refine(lines, np.array([0]), np.array([1]), 3) == [(2.0, 0.3, (1.0, 3.0))]
     assert eig_batches == []
+
+
+def test_theta_scan_of_flat_and_edge_lines_is_one_coarse_batch(eig_batches):
+    # at pi/4 the acoustic line is flat (0) and the secondary peaks at the
+    # grid's top edge: nothing to refine, so the coarse batch is the only one
+    rows = analysis.theta_scan(0.5, 2, 10.0, [math.pi / 4])
+    assert [r.max_lambda_i for r in rows] == [
+        0.0, pytest.approx(np.sqrt(1 + 1j * 10.0 * 1.5).imag, rel=1e-12)]
+    assert len(eig_batches) == 1
 
 
 # ---------------------------------------------------------------------- sweep
@@ -326,8 +335,8 @@ def test_sweep_secondaries_match_select_branch():
                               policy="all")
     assert [r.branch for r in rows] == [r.branch for r in roots]
     assert [complex(r.lambda_r, r.lambda_i) for r in rows] == [r.lam for r in roots]
-    line = analysis._coarse_lines(theta, B, n, np.array([h]))["secondary"]
-    assert line.lambda_i[0] == roots[1].lambda_i
+    lines = analysis._coarse_lines([theta], B, n, np.array([h]))
+    assert lines.lambda_i[0, 0, 1] == roots[1].lambda_i
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -558,8 +567,11 @@ def test_out_of_domain_or_non_finite_input_raises_domain_error(call, name):
     (lambda: analysis.find_hmax(0.0, 0.0, h_range=(1.0, 1e308)), "h_b"),
     (lambda: analysis.sweep([0.0], [1e308], [1.0], 2), "h_b"),
     (lambda: analysis.sweep([0.0], [0.0], [1e-320], 2), "h_b"),
+    # the lowest h_b = 5e-324 * 0.1 rounds to 0
+    (lambda: analysis.sweep([0.0], [-0.9], np.geomspace(5e-324, 1e-300, 3), 2), "h_b"),
 ], ids=["theta_scan h_cap=1e-320", "theta_scan h_cap=1e308", "theta_scan B=1e308",
-        "hmax B=1e308", "hmax h_range=1:1e308", "sweep B=1e308", "sweep h=1e-320"])
+        "hmax B=1e308", "hmax h_range=1:1e308", "sweep B=1e308", "sweep h=1e-320",
+        "sweep h_b underflows to 0"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_h_b_grid_outside_the_float_range_raises_domain_error(call, name):
     with pytest.raises(DomainError, match=name):
