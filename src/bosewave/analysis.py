@@ -92,24 +92,27 @@ def _coarse_lines(theta_list, B: float, n: int, grid: np.ndarray) -> _Lines:
     """The acoustic and secondary columns of every angle along one ascending h grid.
 
     For each angle, the seed grid and the grid, visited descending, are one
-    batch (``dispersion._track_to``) along h_b = ``dispersion._line(grid, B)``,
-    which checks B; both columns come from that batch.
+    batch (a one-line ``dispersion._track_to`` call) along
+    h_b = ``dispersion._line(grid, B)``, which checks B; both columns come
+    from that batch.
     """
-    h_b = dispersion._line(grid[::-1], B)
-    solved = [dispersion._order(*dispersion._track_to(h_b, theta, n)) for theta in theta_list]
+    h_b = dispersion._line(grid[::-1], B)[None]
+    tracked = (dispersion._track_to(h_b, theta, n) for theta in theta_list)
+    solved = [dispersion._order(rows[0], paths[0]) for rows, paths in tracked]
     u, lam = (np.array(part)[:, ::-1, :2] for part in zip(*solved))
     return _Lines(np.array(theta_list), B, grid, u, np.where(np.isnan(u), np.inf, lam.imag))
 
 
-def _sweep_rows(h_grid, B: float, theta: float, n: int, counts, lam, residual) -> list:
-    """The :class:`SweepRow` of every labelled root of one line, built once.
+def _sweep_rows(points, n: int, counts, lam, residual) -> list:
+    """The :class:`SweepRow` of every labelled root of some points, built once.
 
-    counts, lam and residual are columns of ``dispersion._label_branches``:
-    counts[j] roots at h_grid[j], in label order.  A point with no root
-    (count 0: its solve failed) gets one "error" row of NaN values.
+    points holds the (h, B, theta) of each point; counts, lam and residual
+    are columns of ``dispersion._label_branches``: counts[j] roots at
+    points[j], in label order.  A point with no root (count 0: its solve
+    failed) gets one "error" row of NaN values.
     """
     rows, at = [], 0
-    for h, count in zip(h_grid, counts):
+    for (h, B, theta), count in zip(points, counts):
         if count == 0:
             rows.append(SweepRow(h=h, B=B, theta=theta, n=n, branch="error",
                                  lambda_r=math.nan, lambda_i=math.nan, residual=math.nan))
@@ -121,7 +124,7 @@ def _sweep_rows(h_grid, B: float, theta: float, n: int, counts, lam, residual) -
 
 
 def _line_roots(h_b: np.ndarray, theta: float, n: int) -> np.ndarray:
-    """(K, n) roots at every h_b of one sweep line's batch, from one batched solve.
+    """(K, n) roots at every h_b of one angle's sweep batch, from one batched solve.
 
     If the batch's eigenvalue solve fails (ConvergenceError), the points are
     solved one at a time and each point that fails again gets an all-NaN row.
@@ -143,14 +146,17 @@ def sweep(theta_list, B_list, h_grid, n: int,
           branch_policy: str = "acoustic") -> SweepTable:
     """Continuation-tracked roots for every (theta, B) line of the h grid.
 
-    Rows are ordered theta-major, then B, then h descending.  Each line,
-    with the seed grid that continues the acoustic root to its top, is one
-    batched solve.  Every line's h_b is formed and checked
-    (``dispersion._line``) before any solve: B must satisfy -1 < B < inf,
-    and an h whose h_b = h (1 + B) underflows to 0 raises DomainError.  A
-    point whose eigenvalue solve fails (ConvergenceError), in the line's
-    batch and again on its own, becomes one explicit row (branch "error",
-    NaN values) rather than being dropped; other exceptions propagate.
+    Rows are ordered theta-major, then B, then h descending, and hold h, B
+    and theta as Python floats.  All lines of one theta, each with the
+    seed grid that continues the acoustic root to its top, are one batched
+    solve (``dispersion._track_to``), and their roots are labelled and
+    certified together (``dispersion._label_branches``).  Every line's h_b
+    is formed and checked (``dispersion._line``) before any solve: B must
+    satisfy -1 < B < inf, and an h whose h_b = h (1 + B) underflows to 0
+    raises DomainError.  A point whose eigenvalue solve fails
+    (ConvergenceError), in its angle's batch and again on its own, becomes
+    one explicit row (branch "error", NaN values) rather than being
+    dropped; other exceptions propagate.
     """
     theta_list = list(theta_list)
     B_list = list(B_list)
@@ -159,31 +165,39 @@ def sweep(theta_list, B_list, h_grid, n: int,
         raise DomainError("theta_list, B_list and h_grid must be nonempty")
     if not np.all((h_grid > 0) & (h_grid < math.inf)):
         raise DomainError("h_grid must be positive and finite")
-    h_b_lines = [dispersion._line(h_grid, B) for B in B_list]
+    h_b = np.array([dispersion._line(h_grid, B) for B in B_list])
     if branch_policy not in ("acoustic", "all"):
         raise DomainError("branch_policy must be 'acoustic' or 'all'")
     for theta in theta_list:
         dispersion._cos2(theta, n)   # DomainError for a bad n or theta
 
+    h_list, B_list = h_grid.tolist(), [float(B) for B in B_list]
     rows = []
-    for theta in theta_list:
-        for B, h_b in zip(B_list, h_b_lines):
-            solved = dispersion._track_to(h_b, theta, n, _line_roots)
-            counts, lam, _, residual = dispersion._label_branches(
-                *solved, h_b, theta, n, branch_policy)
-            rows += _sweep_rows(h_grid, B, theta, n, counts, lam, residual)
+    for theta in map(float, theta_list):
+        solved, paths = dispersion._track_to(h_b, theta, n, _line_roots)
+        counts, lam, _, residual = dispersion._label_branches(
+            solved.reshape(-1, n), [k for path in paths for k in path], h_b.ravel(),
+            theta, n, branch_policy)
+        points = [(h, B, theta) for B in B_list for h in h_list]
+        rows += _sweep_rows(points, n, counts, lam, residual)
     return SweepTable(rows=tuple(rows))
 
 
 def _slope(u: np.ndarray, h_b: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """g = dlambda_i/dlog h_b along the branch through each root u, (K,) each.
 
-    g = Im(h_b u' / (2 lambda)), with u' = du/dh_b = -f_h/f_u from
-    ``dispersion._secular``; NaN or inf where that does not exist in
-    floating point.
+    g = Im(h_b u' / (2 lambda)), with u' = du/dh_b = -f_h/f_u: f_u comes
+    from ``dispersion._secular``, and f_h = df/dh_b is formed here from its
+    1/d_k as
+
+        f_h = -(i/n) sum_k 1/d_k - (h_b/n) sum_k 1/d_k^2.
+
+    NaN or inf where g does not exist in floating point.
     """
     with np.errstate(all="ignore"):
-        _, _, _, f_u, f_h = dispersion._secular(u[:, None], h_b, c2)
+        _, inv, _, f_u = dispersion._secular(u[:, None], h_b, c2)
+        n = c2.shape[-1]
+        f_h = -(1j / n) * inv.sum(axis=2) - (h_b[:, None] / n) * (inv * inv).sum(axis=2)
         return (h_b * (-f_h[:, 0] / f_u[:, 0]) / (2.0 * dispersion._principal(u))).imag
 
 

@@ -28,6 +28,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import os
 import sys
 import warnings
@@ -56,6 +57,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(value) -> str:
     return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+@functools.cache
+def _csv_template(types: tuple) -> str:
+    """The %-format of a CSV row whose values have these types: each its `_fmt`."""
+    return ",".join("%.17g" if issubclass(t, float) else "%s" for t in types)
 
 
 def _finite(cast, above):
@@ -150,12 +157,19 @@ def emit(rows, fmt: str, path, header=SWEEP_HEADER) -> None:
     """Write a table as CSV (17 significant digits) or JSON.
 
     Output is byte-identical for identical inputs: fixed header, fixed float
-    formatting, newline-terminated rows, no locale dependence.
+    formatting, newline-terminated rows, no locale dependence.  A CSV row is
+    one %-format call on its fields, read by one ``operator.attrgetter``;
+    the template, "%.17g" for a float and "%s" otherwise, is cached per
+    tuple of value types, so each row is the comma join of its `_fmt`
+    values, byte for byte.
     """
     if fmt == "csv":
+        get = operator.attrgetter(*header)
+        fields = get if len(header) > 1 else lambda row: (get(row),)
         lines = [",".join(header)]
         for row in rows:
-            lines.append(",".join(_fmt(getattr(row, key)) for key in header))
+            values = fields(row)
+            lines.append(_csv_template(tuple(map(type, values))) % values)
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         records = [{key: getattr(row, key) for key in header} for row in rows]
@@ -170,7 +184,7 @@ def emit(rows, fmt: str, path, header=SWEEP_HEADER) -> None:
 
 def _roots_rows(h: float, B: float, theta: float, n: int, policy: str):
     lam, _, residual = dispersion._branches_at(dispersion._line(h, B), theta, n, policy)
-    return analysis._sweep_rows([h], B, theta, n, [len(lam)], lam, residual)
+    return analysis._sweep_rows([(h, B, theta)], n, [len(lam)], lam, residual)
 
 
 def _check_point(args) -> None:

@@ -180,29 +180,27 @@ def assemble_polynomial(h_b: float, theta: float, n: int) -> DispersionPolynomia
 
 
 def _secular(u: np.ndarray, h_b: np.ndarray, c2: np.ndarray):
-    """The rational relation f and its derivatives for (K, m) roots u.
+    """The rational relation f and its u-derivative for (K, m) roots u.
 
     h_b has shape (K,) and c2 shape (n,) or (K, n).  Returns d (K, m, n),
-    with d_k = 1 + i h_b - 2 u cos^2_k, 1/d, and f, f_u = df/du and
-    f_h = df/dh_b, each (K, m):
+    with d_k = 1 + i h_b - 2 u cos^2_k, 1/d, and f and f_u = df/du, each
+    (K, m):
 
         f   = 1 - (i h_b/n) sum_k 1/d_k
         f_u = -(i h_b/n) sum_k 2 cos^2_k/d_k^2
-        f_h = -(i/n) sum_k 1/d_k - (h_b/n) sum_k 1/d_k^2
 
-    The one u-form builder of the denominators.  Callers set the errstate.
+    The one u-form builder of the denominators; the one user of
+    f_h = df/dh_b, ``analysis._slope``, forms it from 1/d.  Callers set the
+    errstate.
     """
     n = c2.shape[-1]
     c2 = c2[..., None, :]
     z = 1j * h_b[:, None]
     d = 1.0 + z[:, :, None] - 2.0 * u[:, :, None] * c2
     inv = 1.0 / d
-    inv2 = inv * inv
-    total = inv.sum(axis=2)
-    f = 1.0 - (z / n) * total
-    f_u = -(2.0 * z / n) * (inv2 * c2).sum(axis=2)
-    f_h = -(1j / n) * total - (h_b[:, None] / n) * inv2.sum(axis=2)
-    return d, inv, f, f_u, f_h
+    f = 1.0 - (z / n) * inv.sum(axis=2)
+    f_u = -(2.0 * z / n) * (inv * inv * c2).sum(axis=2)
+    return d, inv, f, f_u
 
 
 def _polish(u: np.ndarray, h_b: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -222,7 +220,7 @@ def _polish(u: np.ndarray, h_b: np.ndarray, c2: np.ndarray) -> np.ndarray:
     row, root = np.arange(len(u))[:, None], np.arange(n)
     with np.errstate(all="ignore"):
         for _ in range(NEWTON_STEPS):
-            d, inv, f, fp, _ = _secular(u, h_b, c2)
+            d, inv, f, fp = _secular(u, h_b, c2)
             scale = one_h + 2.0 * np.abs(u[:, :, None]) * c2_rows
             clear = (np.abs(d) > NEAR_POLE_REL * scale).all(axis=2)
             j = np.argsort(np.abs(inv), axis=2)   # the two nearest poles last
@@ -475,38 +473,52 @@ def _seeds(roots) -> bool:
 
 
 def _track_to(h_b, theta: float, n: int, solve=None):
-    """Continue the acoustic root from u = 1 at large h_b along the grid h_b.
+    """Continue the acoustic root from u = 1 at large h_b along each line of h_b.
 
-    The one seeded line solve.  The seed grid runs from CONTINUATION_START
-    (or 10 * h_b[0] above it) down to h_b[0], without its last point.  Its
-    rows from the first one at or below SEED_H (or h_b[0] itself, if no
-    seed row is that low) and h_b are one batch of ``solve``
-    (``_eig_roots`` unless given), continued from u = 1 with ``_follow``.
-    If u = 1 does not certify the acoustic root of the batch's first row
-    (:func:`_seeds`), the seed rows above it are solved as a second batch
-    and the whole seed grid is continued from u = 1.  Each row is solved
-    on its own, so a row's roots do not depend on the batch.  Returns
-    (rows, path) along h_b: the (len(h_b), n) roots, NaN where dropped or
-    where a solve failed, and the index of the continued root in each row
-    (None in an all-NaN row).
+    The one seeded solve.  h_b is an (L, K) array: L lines of K points on
+    the one angle theta.  A line's seed grid runs from CONTINUATION_START
+    (or 10 * its top above it) down to its top h_b[l, 0], without its last
+    point.  Each line's seed rows from the first one at or below SEED_H (or
+    its top, if no seed row is that low), then the line itself, in line
+    order, are one batch of ``solve`` (``_eig_roots`` unless given).  The
+    lines where u = 1 does not certify the acoustic root of their first
+    solved row (:func:`_seeds`) get their seed rows above it solved as one
+    second batch, and continue from u = 1 down their whole seed grid.  Each
+    line is continued on its own with ``_follow``, and each row is solved on
+    its own, so a line's rows and path do not depend on the other lines.
+    Returns (rows, paths): the (L, K, n) roots, NaN where dropped or where a
+    solve failed, and for each line the index of the continued root in each
+    row (None in an all-NaN row).
     """
-    top = float(h_b[0])
-    if not 0 < top < math.inf:
-        raise DomainError("h_b must be positive and finite")
-    start = CONTINUATION_START if top <= CONTINUATION_START else 10.0 * top
-    decades = abs(np.log10(start / top))
-    if not decades < math.inf:
-        raise DomainError(f"h_b = {top:.6g} is too far from {CONTINUATION_START:g} "
-                          "for a continuation grid in floating point")
-    steps = max(2, int(np.ceil(decades * CONTINUATION_PER_DECADE)) + 1)
-    seed = np.geomspace(start, top, steps)[:-1]
+    h_b = np.asarray(h_b, dtype=float)
+    size = h_b.shape[1]
+    seeds, cuts = [], []
+    for top in h_b[:, 0].tolist():
+        if not 0 < top < math.inf:
+            raise DomainError("h_b must be positive and finite")
+        start = CONTINUATION_START if top <= CONTINUATION_START else 10.0 * top
+        decades = abs(np.log10(start / top))
+        if not decades < math.inf:
+            raise DomainError(f"h_b = {top:.6g} is too far from {CONTINUATION_START:g} "
+                              "for a continuation grid in floating point")
+        steps = max(2, int(np.ceil(decades * CONTINUATION_PER_DECADE)) + 1)
+        seeds.append(np.geomspace(start, top, steps)[:-1])
+        cuts.append(int(np.count_nonzero(seeds[-1] > SEED_H)))   # the grid descends
     solve = solve or _eig_roots
-    cut = int(np.count_nonzero(seed > SEED_H))   # the grid descends
-    rows = solve(np.concatenate([seed[cut:], h_b]), theta, n)
-    if not _seeds(rows[0]):
-        rows, cut = np.concatenate([solve(seed[:cut], theta, n), rows]), 0
-    skip = len(seed) - cut
-    return rows[skip:], _follow(rows, 1.0)[skip:]
+    batch = solve(np.concatenate([part for seed, cut, line in zip(seeds, cuts, h_b)
+                                  for part in (seed[cut:], line)]), theta, n)
+    lines, at = [], 0
+    for seed, cut in zip(seeds, cuts):
+        lines.append(batch[at:at + len(seed) - cut + size])
+        at += len(seed) - cut + size
+    redo = [i for i, rows in enumerate(lines) if not _seeds(rows[0])]
+    if redo:
+        upper, at = solve(np.concatenate([seeds[i][:cuts[i]] for i in redo]), theta, n), 0
+        for i in redo:
+            lines[i] = np.concatenate([upper[at:at + cuts[i]], lines[i]])
+            at += cuts[i]
+    paths = [_follow(rows, 1.0)[-size:] for rows in lines]
+    return np.array([rows[-size:] for rows in lines]), paths
 
 
 def _line(h, B):
@@ -607,7 +619,8 @@ def _branches_at(h_b: float, theta: float, n: int, policy: str = "acoustic",
     continued root, and ``roots`` defaults to the continuation's row at
     h_b, the solve at h_b itself, so a point costs one batched solve.
     """
-    (row,), (j,) = _track_to([h_b], theta, n)
+    rows, ((j,),) = _track_to([[h_b]], theta, n)
+    row = rows[0, 0]
     roots = row if roots is None else roots
     k = _nearest_with_ambiguity_check(roots, complex(row[j]))
     return _label_branches(roots[None], [k], [h_b], theta, n, policy)[1:]
@@ -643,7 +656,7 @@ def continuation_track(theta: float, n: int, B: float, h_grid) -> list:
 
     The line h_b = h_grid * (1 + B) (:func:`_line`, so B must satisfy
     -1 < B < inf) is continued from the certified short seed of
-    :func:`_track_to`, the one seeded line solve, so its rows are
+    :func:`_track_to`, the one seeded solve, so its rows are
     the acoustic rows ``sweep`` prints on the same h_b line and the first
     is ``acoustic_root`` at the top.  At each later h the root nearest (in
     u) to the previous one is taken.  The first (largest) h must be >= 1e4,
@@ -657,7 +670,8 @@ def continuation_track(theta: float, n: int, B: float, h_grid) -> list:
     if h_grid[0] < 1e4:
         raise DomainError("h_grid must start at h >= 1e4 for reliable seeding")
     h_b = _line(h_grid, B)
-    _, lam, u, res = _label_branches(*_track_to(h_b, theta, n), h_b, theta, n, "acoustic")
+    (rows,), (path,) = _track_to(h_b[None], theta, n)
+    _, lam, u, res = _label_branches(rows, path, h_b, theta, n, "acoustic")
     out = [DispersionRoot(lam=lam_j, u=u_j, branch="acoustic", residual=res_j)
            for lam_j, u_j, res_j in zip(lam, u, res)]
     for h, root in zip(h_grid, out):

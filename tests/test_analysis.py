@@ -147,7 +147,7 @@ def test_coarse_branch_lambda_i_matches_the_row_by_row_form_bitwise():
         degenerate = [j * math.pi / (2 * n) for j in range(2 * n)] + [math.pi / 4]
         for theta in degenerate + list(rng.uniform(0.0, math.pi, 4)):
             h_b = np.geomspace(1e8, 1e-5, 200)
-            rows, path = dsp._track_to(h_b, theta, n)
+            (rows,), (path,) = dsp._track_to(h_b[None], theta, n)
             lines = analysis._coarse_lines([theta], 0.0, n, h_b[::-1])
             for j, branch in enumerate(("acoustic", "secondary")):
                 want = [reference_branch_lambda_i(r, k, branch) for r, k in zip(rows, path)]
@@ -261,8 +261,8 @@ def _eig_batches(monkeypatch, thetas=None):
     return grids
 
 
-def _is_seed_then(batch, h_b):
-    """batch is the seed grid's tail from its first row <= SEED_H, then h_b.
+def _seed_then(h_b):
+    """The seed grid's tail from its first row <= SEED_H, then h_b.
 
     The seed grid runs from CONTINUATION_START (or 10*h_b[0]) down to h_b[0],
     without its last point.
@@ -272,7 +272,12 @@ def _is_seed_then(batch, h_b):
     steps = max(2, int(np.ceil(abs(np.log10(start / top))
                                * dsp.CONTINUATION_PER_DECADE)) + 1)
     seed = np.geomspace(start, top, steps)[:-1]
-    return batch.tobytes() == np.concatenate([seed[seed <= dsp.SEED_H], h_b]).tobytes()
+    return np.concatenate([seed[seed <= dsp.SEED_H], h_b])
+
+
+def _is_seed_then(batch, h_b):
+    """batch is the seed grid's tail from its first row <= SEED_H, then h_b."""
+    return batch.tobytes() == _seed_then(h_b).tobytes()
 
 
 def test_find_hmax_coarse_grid_is_one_batched_solve(monkeypatch):
@@ -321,10 +326,12 @@ def test_sweep_line_is_one_batched_solve(monkeypatch):
     Bs = [0.0, -0.3]
     table = analysis.sweep([0.1, 0.5], Bs, h_grid, 3, branch_policy="all")
     assert len(table) == 2 * 2 * 7 * 3
-    # per (theta, B) line: one batch, the seed grid's tail and then the line
-    assert len(grids) == 4
-    for g, B in zip(grids, Bs * 2):
-        assert _is_seed_then(g, h_grid[::-1] * (1.0 + B))
+    # per theta: one batch, each line's seed grid tail and then the line,
+    # in B order
+    assert len(grids) == 2
+    want = np.concatenate([_seed_then(h_grid[::-1] * (1.0 + B)) for B in Bs])
+    for g in grids:
+        assert g.tobytes() == want.tobytes()
 
 
 def test_sweep_secondaries_match_select_branch():

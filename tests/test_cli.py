@@ -148,6 +148,39 @@ def test_emit_seventeen_significant_digits(tmp_path):
     assert float(body.split(",")[5]) == 2 / 3
 
 
+def test_emit_csv_is_the_fmt_join_bytewise(tmp_path):
+    from collections import namedtuple
+
+    Row = namedtuple("Row", "a b c d")
+    values = [1.5, np.float64(1 / 3), 7, np.int64(-3), "acoustic", None, 0.0, -0.0,
+              math.inf, -math.inf, math.nan, 5e-324, 1e308, np.float64(-0.0),
+              np.float64(math.nan), True, "50%", 1 / 3]
+    rng = np.random.default_rng(24)
+    rows = [Row(*(values[k] for k in rng.integers(0, len(values), 4))) for _ in range(300)]
+    rows += [Row(*values[i:i + 4]) for i in range(0, len(values) - 3)]
+    for header in (Row._fields, ("c",), ("d", "a", "d")):
+        path = tmp_path / "mixed.csv"
+        cli.emit(rows, "csv", str(path), header=header)
+        want = [",".join(header)] + [",".join(cli._fmt(getattr(row, key)) for key in header)
+                                     for row in rows]
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+
+
+def test_sweep_rows_match_roots_rows_in_value_and_type():
+    # numpy angles, B values and grid: each row still holds Python floats
+    theta, B, n = np.float64(0.3), np.float64(0.5), 3
+    for h in (0.25, 1.0, 40.0):
+        for policy in ("acoustic", "all"):
+            swept = list(analysis.sweep(np.array([theta]), np.array([B]), np.array([h]),
+                                        n, branch_policy=policy))
+            point = cli._roots_rows(h, float(B), float(theta), n, policy)
+            assert swept == point
+            for got, want in zip(swept, point, strict=True):
+                assert [type(v) for v in vars(got).values()] == \
+                    [type(v) for v in vars(want).values()]
+                assert (type(got.h), type(got.B), type(got.theta)) == (float, float, float)
+
+
 # --------------------------------------------------------------------- hmax
 
 def test_hmax_output(capsys):

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from bosewave import dispersion as dsp
 from bosewave.errors import (
+    ConvergenceError,
     DomainError,
     NoInteriorMaximumError,  # noqa: F401  (re-exported path check)
     SingularDenominatorError,
@@ -239,12 +240,14 @@ def test_theta_per_row_needs_one_angle_per_h_b():
 def test_secular_derivatives_match_finite_differences(n, theta, h_b):
     c2 = dsp._cos2(theta, n)
     u = dsp._eig_roots([h_b], theta, n)[0][None, :]
-    _, _, f, f_u, f_h = dsp._secular(u, np.array([h_b]), c2)
+    _, inv, f, f_u = dsp._secular(u, np.array([h_b]), c2)
+    # f_h = df/dh_b as analysis._slope forms it from 1/d
+    f_h = -(1j / n) * inv.sum(axis=2) - (h_b / n) * (inv * inv).sum(axis=2)
     du, dh = 1e-6 * np.abs(u), 1e-6 * h_b
-    _, _, fu_p, _, _ = dsp._secular(u + du, np.array([h_b]), c2)
-    _, _, fu_m, _, _ = dsp._secular(u - du, np.array([h_b]), c2)
-    _, _, fh_p, _, _ = dsp._secular(u, np.array([h_b + dh]), c2)
-    _, _, fh_m, _, _ = dsp._secular(u, np.array([h_b - dh]), c2)
+    _, _, fu_p, _ = dsp._secular(u + du, np.array([h_b]), c2)
+    _, _, fu_m, _ = dsp._secular(u - du, np.array([h_b]), c2)
+    _, _, fh_p, _ = dsp._secular(u, np.array([h_b + dh]), c2)
+    _, _, fh_m, _ = dsp._secular(u, np.array([h_b - dh]), c2)
     np.testing.assert_allclose(f, 0.0, atol=1e-12)
     np.testing.assert_allclose(f_u, (fu_p - fu_m) / (2 * du), rtol=1e-6)
     np.testing.assert_allclose(f_h, (fh_p - fh_m) / (2 * dh), rtol=1e-6)
@@ -550,7 +553,8 @@ def test_sweep_certifies_each_line_once(monkeypatch):
         calls.clear()
         table = analysis.sweep([0.2, 0.5], [0.0, 0.5, -0.5], [10.0, 1.0, 0.1, 0.01],
                                3, policy)
-        assert calls == [4 * per_point] * 6
+        # one call per angle, holding every root of its three lines
+        assert calls == [3 * 4 * per_point] * 2
         assert len(table) == 6 * 4 * per_point
 
 
@@ -855,7 +859,7 @@ def test_track_to_folds_the_seed_into_the_line_batch_bitwise(n, top):
             seed_grid, seed, line, path = seed_then_line(h_b, theta, n)
             cut = int(np.count_nonzero(seed_grid > dsp.SEED_H))
             solve = Recording()
-            rows, got_path = dsp._track_to(h_b, theta, n, solve)
+            (rows,), (got_path,) = dsp._track_to(h_b[None], theta, n, solve)
             assert len(solve.batches) == 1
             assert solve.batches[0].tobytes() == \
                 np.concatenate([seed_grid[cut:], h_b]).tobytes()
@@ -881,7 +885,7 @@ def test_short_seed_equals_the_full_seed_on_random_lines_bitwise():
         h_b = np.geomspace(top, top * 10.0 ** -rng.uniform(0, 6), int(rng.integers(1, 20)))
         _, _, line, path = seed_then_line(h_b, theta, n)
         solve = Recording()
-        rows, got_path = dsp._track_to(h_b, theta, n, solve)
+        (rows,), (got_path,) = dsp._track_to(h_b[None], theta, n, solve)
         where = (n, theta, top)
         assert len(solve.batches) == 1, where   # the certificate held
         assert [r.tobytes() for r in rows] == [r.tobytes() for r in line], where
@@ -910,7 +914,7 @@ def test_uncertified_cut_row_falls_back_to_the_full_seed(top, failure):
         return rows
 
     solve = Recording(alter)
-    rows, path = dsp._track_to(h_b, theta, n, solve)
+    (rows,), (path,) = dsp._track_to(h_b[None], theta, n, solve)
     assert [b.tobytes() for b in solve.batches] == [
         np.concatenate([seed_grid[cut:], h_b]).tobytes(), seed_grid[:cut].tobytes()]
     full = np.concatenate([solve.results[1], solve.results[0]])
@@ -918,6 +922,112 @@ def test_uncertified_cut_row_falls_back_to_the_full_seed(top, failure):
     assert path == dsp._follow(full, 1.0)[len(seed_grid):]
     if failure == "failed solve" and top > dsp.SEED_H:
         assert np.isnan(rows[0]).all() and path[0] is None
+
+
+def track_alone(h_b, theta, n, solve=None):
+    """Each line of h_b through its own one-line ``_track_to`` call."""
+    rows, paths = [], []
+    for line in h_b:
+        (r,), (p,) = dsp._track_to(line[None], theta, n, solve)
+        rows.append(r)
+        paths.append(p)
+    return np.array(rows), paths
+
+
+def assert_same_lines(got, want):
+    (rows, paths), (want_rows, want_paths) = got, want
+    assert rows.shape == want_rows.shape
+    assert rows.tobytes() == want_rows.tobytes()
+    assert paths == want_paths
+
+
+def record_follow(monkeypatch) -> list:
+    """The bytes of the rows each ``_follow`` call continues through, in order."""
+    real, followed = dsp._follow, []
+
+    def follow(rows, u):
+        followed.append(rows.tobytes())
+        return real(rows, u)
+
+    monkeypatch.setattr(dsp, "_follow", follow)
+    return followed
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_track_to_lines_equal_one_line_calls_bitwise(n, monkeypatch):
+    # tops below SEED_H, between SEED_H and CONTINUATION_START, and above
+    # it (seeded at 10 * top); theta = pi/2 leaves a velocity perpendicular
+    # to the wave, so each row has n - 1 roots and one NaN
+    followed = record_follow(monkeypatch)
+    h_b = np.outer([0.01, 1.0, 3e3, 1e8], np.geomspace(1.0, 1e-4, 17))
+    for theta in (0.3, math.pi / 4, math.pi / 2):
+        solve = Recording()
+        together = dsp._track_to(h_b, theta, n, solve)
+        assert len(solve.batches) == 1
+        followed_together = followed[:]
+        followed.clear()
+        # each line is continued through the seed rows and line it has alone
+        assert_same_lines(together, track_alone(h_b, theta, n))
+        assert followed == followed_together
+        followed.clear()
+        if theta == math.pi / 2:
+            assert (np.isnan(together[0]).sum(axis=2) == 1).all()
+
+
+def test_track_to_falls_back_to_the_full_seed_for_its_uncertified_lines_only(monkeypatch):
+    # lines 1 and 3 are forced through the fallback; their seed grids have
+    # different numbers of rows above SEED_H
+    theta, n = 0.3, 4
+    h_b = np.outer([1.0, 3.0, 1e3, 1e4], np.geomspace(1.0, 1e-3, 9))
+    forced = set()
+    for line in h_b[1::2]:
+        probe = Recording()
+        dsp._track_to(line[None], theta, n, probe)
+        forced.add(probe.results[0][0].tobytes())   # the line's first solved row
+    real = dsp._seeds
+    monkeypatch.setattr(dsp, "_seeds", lambda roots: roots.tobytes() not in forced and real(roots))
+    followed = record_follow(monkeypatch)
+    alone = []
+    for line in h_b:
+        solve = Recording()
+        dsp._track_to(line[None], theta, n, solve)
+        alone.append(solve.batches)
+    assert [len(b) for b in alone] == [1, 2, 1, 2]
+    assert len(alone[1][1]) != len(alone[3][1])
+    followed_alone = followed[:]
+    followed.clear()
+    solve = Recording()
+    together = dsp._track_to(h_b, theta, n, solve)
+    # the second batch holds the upper seed rows of lines 1 and 3 alone,
+    # and each line is continued through the rows it has alone
+    assert [b.tobytes() for b in solve.batches] == [
+        np.concatenate([b[0] for b in alone]).tobytes(),
+        np.concatenate([alone[1][1], alone[3][1]]).tobytes()]
+    assert followed == followed_alone
+    assert_same_lines(together, track_alone(h_b, theta, n))
+
+
+def test_track_to_lines_with_a_failed_solve_equal_one_line_calls_bitwise(monkeypatch):
+    from bosewave import analysis
+
+    theta, n = 0.4, 3
+    h_b = np.outer([0.5, 2.0, 1e3], np.geomspace(1.0, 1e-3, 9))
+    # a failed point inside line 1, and the top of line 2, its first solved
+    # row (no seed row is at or below SEED_H), which then needs the full seed
+    bad = {h_b[1, 4], h_b[2, 0]}
+    real = dsp._eig_roots
+
+    def failing(grid, theta, n):
+        if bad & set(np.asarray(grid).tolist()):
+            raise ConvergenceError("eigenvalue solve failed")
+        return real(grid, theta, n)
+
+    monkeypatch.setattr(dsp, "_eig_roots", failing)
+    rows, paths = together = dsp._track_to(h_b, theta, n, analysis._line_roots)
+    assert np.isnan(rows[1, 4]).all() and paths[1][4] is None
+    assert np.isnan(rows[2, 0]).all() and paths[2][0] is None
+    assert np.isnan(rows).all(axis=2).sum() == 2
+    assert_same_lines(together, track_alone(h_b, theta, n, analysis._line_roots))
 
 
 def test_follow_never_picks_a_dropped_root():
