@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -109,17 +110,20 @@ def _sweep_rows(points, n: int, counts, lam, residual) -> list:
     points holds the (h, B, theta) of each point; counts, lam and residual
     are columns of ``dispersion._label_branches``: counts[j] roots at
     points[j], in label order.  A point with no root (count 0: its solve
-    failed) gets one "error" row of NaN values.
+    failed) gets one "error" row of NaN values.  The branch names are
+    formed once, and each point's rows are built positionally by one
+    ``map`` over the columns.
     """
+    names = [dispersion._branch_name(j) for j in range(max(counts, default=0))]
+    lambda_r, lambda_i = [z.real for z in lam], [z.imag for z in lam]
     rows, at = [], 0
     for (h, B, theta), count in zip(points, counts):
         if count == 0:
-            rows.append(SweepRow(h=h, B=B, theta=theta, n=n, branch="error",
-                                 lambda_r=math.nan, lambda_i=math.nan, residual=math.nan))
-        rows += [SweepRow(h=h, B=B, theta=theta, n=n, branch=dispersion._branch_name(j),
-                          lambda_r=lam[at + j].real, lambda_i=lam[at + j].imag,
-                          residual=residual[at + j]) for j in range(count)]
-        at += count
+            rows.append(SweepRow(h, B, theta, n, "error", math.nan, math.nan, math.nan))
+        end = at + count
+        rows += map(SweepRow, repeat(h), repeat(B), repeat(theta), repeat(n), names,
+                    lambda_r[at:end], lambda_i[at:end], residual[at:end])
+        at = end
     return rows
 
 
@@ -270,9 +274,10 @@ def _refine(lines: _Lines, at: np.ndarray, column: np.ndarray, n: int) -> list:
     is the root of the slope g = dlambda_i/dlog h (:func:`_slope`) on
     [k-1, k] or [k, k+1], whichever carries the sign change + to -, found
     by :class:`_Search` in log h.  Every step is one theta-per-row
-    ``_eig_roots`` batch of the lines still searching; each point is
-    continued from the visited h nearest it, the nearer end of its
-    bracket.  A search ends when its bracket is a few ulps wide
+    ``_eig_roots`` batch of the lines still searching, and one
+    ``dispersion._nearest`` call picks, in each row of it, the root nearest
+    the acoustic u at the visited h nearest that point, the nearer end of
+    its bracket.  A search ends when its bracket is a few ulps wide
     (PEAK_LOG_TOL), when its next point repeats an end, or at a zero or
     non-finite slope; REFINE_MAX_STEPS steps raise ConvergenceError.  A
     line whose slope at the grid points has no such sign change, or is not
@@ -309,9 +314,8 @@ def _refine(lines: _Lines, at: np.ndarray, column: np.ndarray, n: int) -> list:
         h_new = np.exp(x)
         h_b = dispersion._line(h_new, lines.B)
         solved = dispersion._eig_roots(h_b, theta[live], n)
-        path = [dispersion._follow(roots[None], searches[i].near_u(x_i))[0]
-                for roots, i, x_i in zip(solved, step, x)]
-        u_all, lam = dispersion._order(solved, path)
+        near = dispersion._nearest(solved, [[searches[i].near_u(x_i)] for i, x_i in zip(step, x)])
+        u_all, lam = dispersion._order(solved, near[:, 0].tolist())
         pick = np.arange(len(live)), column[live]
         u_new, u_branch = u_all[:, 0], u_all[pick]
         li_new = np.where(np.isnan(u_branch), np.inf, lam[pick].imag)
@@ -414,6 +418,6 @@ def theta_scan(B: float, n: int, h_cap: float, theta_grid) -> list:
     best = np.where(escaped, math.inf, np.where(flat, 0.0, peak))
     at, column = np.nonzero(~escaped & ~flat & (k > 0) & (k < SCAN_POINTS - 1))
     best[at, column] = [lam for _, lam, _ in _refine(lines, at, column, n)]
-    return [ThetaScanRow(theta=theta, branch=branch, max_lambda_i=value)
+    return [ThetaScanRow(theta, branch, value)
             for theta, pair in zip(theta_grid, best.tolist())
             for branch, value in zip(("acoustic", "secondary"), pair)]

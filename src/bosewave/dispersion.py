@@ -36,6 +36,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -155,20 +156,16 @@ def assemble_polynomial(h_b: float, theta: float, n: int) -> DispersionPolynomia
         raise DomainError("h_b must be positive and finite")
     z = 1j * h_b
     factors = [np.array([-2.0 * c2, 1.0 + z], dtype=complex) for c2 in _cos2(theta, n)]
-
-    def product_skipping(skip):
-        p = np.array([1.0 + 0j])
-        for m, f in enumerate(factors):
-            if m != skip:
-                p = np.convolve(p, f)
-        return p
-
-    poly = product_skipping(None)
+    prefix = [np.array([1.0 + 0j])]   # prefix[m]: the product of factors[:m]
+    for f in factors:
+        prefix.append(np.convolve(prefix[-1], f))
     tail = None
     for m in range(n):
-        pm = product_skipping(m)
+        pm = prefix[m]   # the product skipping factor m, built left to right
+        for f in factors[m + 1:]:
+            pm = np.convolve(pm, f)
         tail = pm if tail is None else np.polyadd(tail, pm)
-    poly = np.polyadd(poly, -(z / n) * tail)
+    poly = np.polyadd(prefix[n], -(z / n) * tail)
 
     scale = np.max(np.abs(poly))
     k = 0
@@ -437,24 +434,51 @@ def mode_shape(lam: complex, h_b: float, theta: float, n: int) -> ModeShape:
     return ModeShape(amplitudes=amps)
 
 
+def _nearest(rows, u) -> np.ndarray:
+    """The index of the root nearest each u in its row of an (L, n) array of roots.
+
+    The one nearest-root pick.  u is an (L, m) array, m values per row, and
+    the picks have its shape.  A NaN root is dropped, at an infinite
+    distance, and never picked: where the nearest distance lands on one
+    (every live distance overflowed too) the row's first live root is
+    taken, and an all-NaN row (a failed solve) gets 0, which ``_order``
+    reads as it reads None.  A NaN u (a dropped root, in :func:`_follow`'s
+    table) gets a pick that is never read.
+    """
+    gone = np.isnan(rows)
+    u = np.asarray(u)[:, :, None]
+    # inf - inf for a dropped root against a dropped u; overflowing distances
+    with np.errstate(invalid="ignore", over="ignore"):
+        picks = np.abs(np.where(gone, np.inf, rows)[:, None, :] - u).argmin(axis=2)
+    if gone.any():
+        dropped = gone[np.arange(len(rows))[:, None], picks]
+        picks = np.where(dropped, gone.argmin(axis=1)[:, None], picks)
+    return picks
+
+
 def _follow(rows, u: complex) -> list:
     """Nearest-root continuation from u through a (K, n) array of solved roots.
 
-    The one continuation loop: returns the index of the continued root in
-    each row.  A NaN root is dropped and never picked; an all-NaN row (a
-    failed solve) gets None, and the path goes on from the last root found.
+    The one continuation: returns the index of the continued root in each
+    row, None in an all-NaN row (a failed solve), after which the path goes
+    on from the last root found.  One :func:`_nearest` pass gives, for
+    every root of each row (and for u, before the first row), the index
+    of the nearest root of the next row; the path then walks that (K, n)
+    table.  Only a row after an all-NaN one is matched with u, the last
+    root found, on its own.
     """
-    dropped = np.isnan(rows)
-    rows = np.where(dropped, np.inf, rows)   # at an infinite distance
-    path = []
-    for roots, gone in zip(rows, dropped.tolist()):
-        k = int(np.abs(roots - u).argmin())
-        if gone[k]:   # every live distance overflowed too, or the row is all NaN
-            if all(gone):
-                path.append(None)
-                continue
-            k = gone.index(False)
-        u = roots[k]
+    before = np.concatenate(([np.full(rows.shape[1], u, dtype=complex)], rows))[:-1]
+    table = _nearest(rows, before).tolist()
+    path, k = [], 0   # the first row of `before` is u, n times
+    for j, (picks, empty) in enumerate(zip(table, np.isnan(rows).all(axis=1).tolist())):
+        if empty:
+            if j and k is not None:
+                u = rows[j - 1, k]
+            k = None
+        elif k is None:
+            k = _nearest(rows[j:j + 1], [[u]]).item()
+        else:
+            k = picks[k]
         path.append(k)
     return path
 
@@ -640,15 +664,14 @@ def select_branch(roots, h_b: float, theta: float, n: int, policy: str = "acoust
     if not np.all(np.isfinite(roots)):
         raise DomainError("roots must be finite")
     lam, u, res = _branches_at(h_b, theta, n, policy, roots)
-    selected = [DispersionRoot(lam=lam[j], u=u[j], branch=_branch_name(j), residual=res[j])
-                for j in range(len(lam))]
+    selected = [DispersionRoot(lam[j], u[j], _branch_name(j), res[j]) for j in range(len(lam))]
     return selected[0] if policy == "acoustic" else selected
 
 
 def acoustic_root(h_b: float, theta: float, n: int) -> DispersionRoot:
     """Acoustic-branch root at a single parameter point."""
     (lam,), (u,), (res,) = _branches_at(h_b, theta, n)
-    return DispersionRoot(lam=lam, u=u, branch="acoustic", residual=res)
+    return DispersionRoot(lam, u, "acoustic", res)
 
 
 def continuation_track(theta: float, n: int, B: float, h_grid) -> list:
@@ -672,8 +695,7 @@ def continuation_track(theta: float, n: int, B: float, h_grid) -> list:
     h_b = _line(h_grid, B)
     (rows,), (path,) = _track_to(h_b[None], theta, n)
     _, lam, u, res = _label_branches(rows, path, h_b, theta, n, "acoustic")
-    out = [DispersionRoot(lam=lam_j, u=u_j, branch="acoustic", residual=res_j)
-           for lam_j, u_j, res_j in zip(lam, u, res)]
+    out = list(map(DispersionRoot, lam, u, repeat("acoustic"), res))
     for h, root in zip(h_grid, out):
         if root.lam.imag < -1e-12:
             warnings.warn(

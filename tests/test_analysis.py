@@ -180,6 +180,55 @@ def test_refine_keeps_the_coarse_peak_where_the_slope_is_not_finite(eig_batches)
     assert eig_batches == []
 
 
+def test_refine_picks_each_step_with_one_nearest_call(monkeypatch):
+    # each refinement step is one theta-per-row batch, and the root nearest
+    # each line's visited u is picked by one _nearest call on that batch,
+    # as a one-row continuation from that u picks it
+    solved, picked = [], []
+    real_eig, real_nearest = dsp._eig_roots, dsp._nearest
+
+    def eig_roots(h_b, theta, n):
+        rows = real_eig(h_b, theta, n)
+        if np.ndim(theta):   # a refinement step, one angle per row
+            solved.append(rows)
+        return rows
+
+    def nearest(rows, u):
+        picks = real_nearest(rows, u)
+        if any(rows is batch for batch in solved):   # not a _follow table or restart
+            picked.append((rows, u, picks))
+        return picks
+
+    monkeypatch.setattr(dsp, "_eig_roots", eig_roots)
+    monkeypatch.setattr(dsp, "_nearest", nearest)
+    analysis.theta_scan(0.5, 3, 10.0, np.linspace(0.05, 0.5, 5))
+    assert len(solved) > 5 and len(picked) == len(solved)
+    for rows, (seen, u, picks) in zip(solved, picked):
+        assert seen is rows and np.shape(u) == picks.shape == (len(rows), 1)
+        assert picks[:, 0].tolist() == [dsp._follow(r[None], u_l)[0] for r, (u_l,) in zip(rows, u)]
+
+
+def test_sweep_rows_equal_rows_built_by_keyword():
+    # the positional rows, error row included, against the keyword form
+    points = [(2.0, 0.5, 0.3), (1.0, 0.5, 0.3), (0.5, 0.5, 0.3), (0.25, 0.5, 0.3)]
+    counts = [3, 0, 2, 1]
+    lam = [1 + 0.1j, 0.5 + 0.2j, 0.3 + 0.3j, 0.9 + 0.05j, 0.4 + 0.4j, 0.8 + 0.01j]
+    residual = [1e-16, 2e-16, 3e-16, 4e-16, 5e-16, 6e-16]
+    want, at = [], 0
+    for (h, B, theta), count in zip(points, counts):
+        if count == 0:
+            want.append(analysis.SweepRow(h=h, B=B, theta=theta, n=3, branch="error",
+                                          lambda_r=math.nan, lambda_i=math.nan,
+                                          residual=math.nan))
+        want += [analysis.SweepRow(h=h, B=B, theta=theta, n=3,
+                                   branch="acoustic" if j == 0 else f"secondary({j})",
+                                   lambda_r=lam[at + j].real, lambda_i=lam[at + j].imag,
+                                   residual=residual[at + j]) for j in range(count)]
+        at += count
+    assert repr(analysis._sweep_rows(points, 3, counts, lam, residual)) == repr(want)
+    assert repr(analysis._sweep_rows(points[1:2], 3, [0], [], [])) == repr(want[3:4])
+
+
 def test_theta_scan_of_flat_and_edge_lines_is_one_coarse_batch(eig_batches):
     # at pi/4 the acoustic line is flat (0) and the secondary peaks at the
     # grid's top edge: nothing to refine, so the coarse batch is the only one

@@ -68,6 +68,47 @@ def test_assemble_rejects_bad_params():
         dsp.assemble_polynomial(1.0, 0.0, 1)
 
 
+def assemble_nested(h_b, theta, n):
+    """Reference: the cleared polynomial with each skip-one product rebuilt from [1].
+
+    The nested loop ``assemble_polynomial`` ran before it continued the
+    left-to-right prefix products; returns the untrimmed coefficients.
+    """
+    z = 1j * h_b
+    factors = [np.array([-2.0 * c2, 1.0 + z], dtype=complex) for c2 in dsp._cos2(theta, n)]
+
+    def product_skipping(skip):
+        p = np.array([1.0 + 0j])
+        for m, f in enumerate(factors):
+            if m != skip:
+                p = np.convolve(p, f)
+        return p
+
+    tail = None
+    for m in range(n):
+        pm = product_skipping(m)
+        tail = pm if tail is None else np.polyadd(tail, pm)
+    return np.polyadd(product_skipping(None), -(z / n) * tail)
+
+
+def test_assemble_polynomial_equals_the_nested_product_bytewise():
+    # one triple in three at a degenerate angle k pi/(4n), where leading
+    # coefficients cancel and are trimmed
+    rng = np.random.default_rng(25)
+    for i in range(3000):
+        n = int(rng.integers(2, 10))
+        theta = (int(rng.integers(0, 8 * n)) * math.pi / (4 * n) if i % 3 == 0
+                 else float(rng.uniform(-math.pi, math.pi)))
+        h_b = float(10.0 ** rng.uniform(-8, 12))
+        poly = dsp.assemble_polynomial(h_b, theta, n)
+        want = assemble_nested(h_b, theta, n)
+        scale = np.max(np.abs(want))
+        k = 0
+        while k < len(want) - 1 and abs(want[k]) < dsp.TRIM_REL_TOL * scale:
+            k += 1
+        assert poly.coeffs.tobytes() == (want[k:] / want[k]).tobytes(), (h_b, theta, n)
+
+
 @pytest.mark.parametrize("call", [
     lambda theta, n: dsp.acoustic_root(1.0, theta, n),
     lambda theta, n: dsp.select_branch(np.array([0.6 + 0.2j, 1.0 + 1.0j]), 1.0, theta, n),
@@ -676,6 +717,87 @@ def test_dispersion_root_u_is_lambda_squared():
 
 
 # ------------------------------------------------------------- continuation
+
+def follow_row_by_row(rows, u):
+    """Reference: the row-by-row loop ``_follow`` ran before its pick table."""
+    dropped = np.isnan(rows)
+    rows = np.where(dropped, np.inf, rows)   # at an infinite distance
+    path = []
+    for roots, gone in zip(rows, dropped.tolist()):
+        k = int(np.abs(roots - u).argmin())
+        if gone[k]:   # every live distance overflowed too, or the row is all NaN
+            if all(gone):
+                path.append(None)
+                continue
+            k = gone.index(False)
+        u = roots[k]
+        path.append(k)
+    return path
+
+
+def random_root_rows(rng, K: int, n: int) -> np.ndarray:
+    """(K, n) roots: O(1), of magnitude 1e-300 to 1e300, or at +-1e308 (1 + i).
+
+    At +-1e308 (1 + i) a distance between roots of opposite sign overflows,
+    so every live distance of a row can be inf.  Some roots are dropped
+    (NaN), and the first, a middle and the last row may be all NaN.
+    """
+    kind = rng.integers(3)
+    if kind == 0:
+        rows = rng.normal(size=(K, n)) + 1j * rng.normal(size=(K, n))
+    elif kind == 1:
+        size = 10.0 ** rng.uniform(-300, 300, (K, n))
+        rows = size * np.exp(2j * np.pi * rng.random((K, n)))
+    else:
+        sign = rng.choice([-1.0, 1.0], (K, n))
+        rows = np.empty((K, n), dtype=complex)
+        rows.real = sign * 1e308 * (1.0 + 0.5 * rng.random((K, n)))
+        rows.imag = sign * 1e308 * (1.0 + 0.5 * rng.random((K, n)))
+    rows[rng.random((K, n)) < rng.choice([0.0, 0.2, 0.5])] = np.nan
+    for row in (0, K // 2, K - 1):
+        if K and rng.random() < 0.2:
+            rows[row] = np.nan
+    return rows
+
+
+def test_follow_equals_the_row_by_row_loop():
+    # every K from 0 to 80 with every n from 2 to 8; the pick table runs
+    # inf - inf (two dropped roots) and overflowing distances, quietly
+    rng = np.random.default_rng(25)
+    restarts = overflowed = 0
+    for i in range(3402):
+        K, n = i % 81, 2 + i % 7
+        rows = random_root_rows(rng, K, n)
+        u = complex(*rng.normal(size=2)) if rng.random() < 0.5 else 1.0
+        with np.errstate(all="ignore"):
+            want = follow_row_by_row(rows, u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = dsp._follow(rows, u)
+        assert path == want, (i, K, n)
+        assert all(type(k) is int for k in path if k is not None)
+        restarts += None in want[:-1]
+        overflowed += bool((np.abs(rows.real) >= 1e308).any())
+    assert restarts > 100 and overflowed > 500
+
+
+def test_nearest_on_one_row_lines_equals_the_row_by_row_loop():
+    # an all-NaN row, which the loop marks None, gets 0, as _order reads None
+    rng = np.random.default_rng(26)
+    for i in range(300):
+        n = 2 + i % 7
+        rows = random_root_rows(rng, 40, n)
+        rows[rng.random(40) < 0.1] = np.nan
+        u = rng.normal(size=40) + 1j * rng.normal(size=40)
+        with np.errstate(all="ignore"):
+            want = [follow_row_by_row(row[None], u_l)[0] for row, u_l in zip(rows, u)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            picks = dsp._nearest(rows, u[:, None])
+        assert picks.shape == (40, 1)
+        assert picks[:, 0].tolist() == [0 if k is None else k for k in want]
+        assert [k is None for k in want] == np.isnan(rows).all(axis=1).tolist()
+
 
 def test_continuation_matches_closed_form_oracle():
     h_grid = np.array([1e4, 10.0, 1.0])
