@@ -17,14 +17,25 @@ the eigenvalues mu of A^-1 C, and a grid of h_b values is one stacked
 eigenvalue call; mu ~ 0 is a root at infinity (a velocity perpendicular to
 the wave) and is dropped, and the other roots get guarded Newton steps on
 the rational relation.  The cleared-denominator polynomial of degree <= n
-in u is kept as an independent oracle.  The acoustic branch is the one
-continued from lambda = 1 at large h_b (the hydrodynamic limit).  The
-seed grid runs from h_b = 1e6 down to the line, but only its rows from
-h_b = SEED_H = 100 down are solved: there u = 1 is certified at run time
-to pick the acoustic root, as the one root far nearer u = 1 than any
-other, and where it is not the whole grid is solved.  A point lookup
-labels the roots of that continuation's last row, the solve at the point
-itself, so it usually costs one batched solve.
+in u is kept as an independent oracle.
+
+The acoustic branch is the one continued from lambda = 1 as h_b -> inf
+(the hydrodynamic limit).  Above h_b = 4 it is the root of smallest |u|
+(the top-of-line rule).  With nu = (1 + i h_b)/u and w_k = 2 cos^2_k,
+every root solves R(nu) = sum_k w_k/(nu - w_k) = n/(i h_b).  On the
+circle nu = 2 e^{i phi}, with a_k = w_k/2 <= 1,
+
+    Re(e^{i phi} R) = sum_k a_k (1 - a_k cos phi)/(1 - 2 a_k cos phi + a_k^2)
+                   >= sum_k a_k/2 = n/4,
+
+so |R| >= n/4 > n/h_b there once h_b > 4.  By Rouche's theorem exactly one
+root then has |nu| > 2, that is |u| < |1 + i h_b|/2, and no root crosses
+that circle as h_b falls from inf to 4, so it is the root continued from
+u = 1.  The seed grid runs from h_b = CONTINUATION_START down to the line,
+but only its rows from h_b = SEED_H = 10 down are solved, each line
+continued from u = 0 at its first solved row.  A point lookup labels the
+roots of that continuation's last row, the solve at the point itself, so
+it costs one batched solve.
 
 Conventions: forward wave exp(i(kx - wt)) with real omega > 0, so
 lambda_r >= 0 and lambda_i >= 0 means damped rightward propagation.
@@ -74,8 +85,7 @@ SINGULAR_TOL = 1e-14          # denominator magnitude treated as singular
 AMBIGUITY_TOL = 1e-8          # two roots this close at an endpoint: degenerate
 CONTINUATION_START = 1e6      # h_b where the acoustic seed grid starts
 CONTINUATION_PER_DECADE = 8
-SEED_H = 100.0                # seed rows above this h_b are solved only if needed
-SEED_RATIO = 1e-2             # seed certificate: bound on nearest/second-nearest |u - 1|
+SEED_H = 10.0                 # seed rows above this h_b are not solved
 
 
 def _cos2(theta, n: int) -> np.ndarray:
@@ -461,10 +471,11 @@ def _follow(rows, u: complex) -> list:
 
     The one continuation: returns the index of the continued root in each
     row, None in an all-NaN row (a failed solve), after which the path goes
-    on from the last root found.  One :func:`_nearest` pass gives, for
-    every root of each row (and for u, before the first row), the index
-    of the nearest root of the next row; the path then walks that (K, n)
-    table.  Only a row after an all-NaN one is matched with u, the last
+    on from the last root found (from u if none was found yet).  From u = 0
+    the first pick is the row's root of smallest |u|.  One :func:`_nearest`
+    pass gives, for every root of each row (and for u, before the first
+    row), the index of the nearest root of the next row; the path then
+    walks that (K, n) table.  Only a row after an all-NaN one is matched with u, the last
     root found, on its own.
     """
     before = np.concatenate(([np.full(rows.shape[1], u, dtype=complex)], rows))[:-1]
@@ -483,41 +494,29 @@ def _follow(rows, u: complex) -> list:
     return path
 
 
-def _seeds(roots) -> bool:
-    """Whether u = 1 certifies the acoustic root of one solved (n,) row.
-
-    True when the row has exactly one live (non-NaN) root, or when the root
-    nearest u = 1 is nearer than SEED_RATIO times the second-nearest.  False
-    for an all-NaN row (a failed solve).
-    """
-    near = np.sort(np.abs(roots - 1.0))   # the NaN of dropped roots sorts last
-    if np.isnan(near[0]):
-        return False
-    return bool(np.isnan(near[1]) or near[0] < SEED_RATIO * near[1])
-
-
 def _track_to(h_b, theta: float, n: int, solve=None):
-    """Continue the acoustic root from u = 1 at large h_b along each line of h_b.
+    """Continue the acoustic root down each line of h_b from its top-of-line pick.
 
     The one seeded solve.  h_b is an (L, K) array: L lines of K points on
     the one angle theta.  A line's seed grid runs from CONTINUATION_START
     (or 10 * its top above it) down to its top h_b[l, 0], without its last
-    point.  Each line's seed rows from the first one at or below SEED_H (or
-    its top, if no seed row is that low), then the line itself, in line
-    order, are one batch of ``solve`` (``_eig_roots`` unless given).  The
-    lines where u = 1 does not certify the acoustic root of their first
-    solved row (:func:`_seeds`) get their seed rows above it solved as one
-    second batch, and continue from u = 1 down their whole seed grid.  Each
-    line is continued on its own with ``_follow``, and each row is solved on
-    its own, so a line's rows and path do not depend on the other lines.
-    Returns (rows, paths): the (L, K, n) roots, NaN where dropped or where a
-    solve failed, and for each line the index of the continued root in each
-    row (None in an all-NaN row).
+    point, and only its rows at or below SEED_H are kept.  Those rows, then
+    the line itself, in line order, are one batch of ``solve``
+    (``_eig_roots`` unless given).  Each line is continued on its own with
+    ``_follow`` from u = 0, so its first pick is its first solved row's root
+    of smallest |u|.  That row lies above h_b = 4, where the acoustic root
+    is the one root with |u| < |1 + i h_b|/2 (the top-of-line rule, see the
+    module docstring); a line whose first solved row failed goes on from
+    u = 0 at its next row.  Each row is solved on its own, so a line's rows
+    and path do not depend on the other lines.  Returns (rows, paths): the
+    (L, K, n) roots, NaN where dropped or where a solve failed, and for
+    each line the index of the continued root in each row (None in an
+    all-NaN row).
     """
     h_b = np.asarray(h_b, dtype=float)
     size = h_b.shape[1]
-    seeds, cuts = [], []
-    for top in h_b[:, 0].tolist():
+    parts = []
+    for top, line in zip(h_b[:, 0].tolist(), h_b):
         if not 0 < top < math.inf:
             raise DomainError("h_b must be positive and finite")
         start = CONTINUATION_START if top <= CONTINUATION_START else 10.0 * top
@@ -526,22 +525,14 @@ def _track_to(h_b, theta: float, n: int, solve=None):
             raise DomainError(f"h_b = {top:.6g} is too far from {CONTINUATION_START:g} "
                               "for a continuation grid in floating point")
         steps = max(2, int(np.ceil(decades * CONTINUATION_PER_DECADE)) + 1)
-        seeds.append(np.geomspace(start, top, steps)[:-1])
-        cuts.append(int(np.count_nonzero(seeds[-1] > SEED_H)))   # the grid descends
-    solve = solve or _eig_roots
-    batch = solve(np.concatenate([part for seed, cut, line in zip(seeds, cuts, h_b)
-                                  for part in (seed[cut:], line)]), theta, n)
+        seed = np.geomspace(start, top, steps)[:-1]
+        parts += [seed[seed <= SEED_H], line]
+    batch = (solve or _eig_roots)(np.concatenate(parts), theta, n)
     lines, at = [], 0
-    for seed, cut in zip(seeds, cuts):
-        lines.append(batch[at:at + len(seed) - cut + size])
-        at += len(seed) - cut + size
-    redo = [i for i, rows in enumerate(lines) if not _seeds(rows[0])]
-    if redo:
-        upper, at = solve(np.concatenate([seeds[i][:cuts[i]] for i in redo]), theta, n), 0
-        for i in redo:
-            lines[i] = np.concatenate([upper[at:at + cuts[i]], lines[i]])
-            at += cuts[i]
-    paths = [_follow(rows, 1.0)[-size:] for rows in lines]
+    for tail in parts[::2]:
+        lines.append(batch[at:at + len(tail) + size])
+        at += len(tail) + size
+    paths = [_follow(rows, 0.0)[-size:] for rows in lines]
     return np.array([rows[-size:] for rows in lines]), paths
 
 
@@ -678,8 +669,9 @@ def continuation_track(theta: float, n: int, B: float, h_grid) -> list:
     """Track the acoustic branch down a descending h grid.
 
     The line h_b = h_grid * (1 + B) (:func:`_line`, so B must satisfy
-    -1 < B < inf) is continued from the certified short seed of
-    :func:`_track_to`, the one seeded solve, so its rows are
+    -1 < B < inf) is continued from the short seed of :func:`_track_to`,
+    the one seeded solve, whose first row lies above h_b = 4 where the
+    acoustic root is the root of smallest |u|, so its rows are
     the acoustic rows ``sweep`` prints on the same h_b line and the first
     is ``acoustic_root`` at the top.  At each later h the root nearest (in
     u) to the previous one is taken.  The first (largest) h must be >= 1e4,

@@ -63,8 +63,10 @@ class ModelConfig:
         for B < 0 and gamma = 0 (classical) for B = 0; N0 is then fixed by
         B = gamma*N0 (N0 = 1 in the classical case) and S by h = 4*c*S*N0/omega.
         """
-        if h <= 0:
-            raise DomainError("h must be positive")
+        if not 0 < h < math.inf:
+            raise DomainError("h must satisfy 0 < h < inf")
+        if not -1 < B < math.inf:
+            raise DomainError("B must satisfy -1 < B < inf")
         if B > 0:
             gamma, N0 = 1.0, B
         elif B < 0:

@@ -965,16 +965,17 @@ class Recording:
         return rows
 
 
-@pytest.mark.parametrize("top", [1e-1, 1e2, 1e8])
+@pytest.mark.parametrize("top", [1e-1, 5.0, 1e1, 1e2, 1e8])
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_track_to_folds_the_seed_into_the_line_batch_bitwise(n, top):
     # the one batch is the seed grid from its first row <= SEED_H, then the
-    # line; at top = 1e2 * (1 + B) the line starts above, at and below
-    # SEED_H (no seed row is then at or below it for B >= 0); top = 1e8
-    # seeds at 10 * top instead of CONTINUATION_START; at top = 0.1 a line
-    # continued from u = 1 without the seed lands on another root for some
-    # (theta, B); theta = pi/2 (and 0 for even n) leaves n - 1 roots, one
-    # velocity being perpendicular to the wave
+    # line; at top = 1e1 * (1 + B) the line starts above, at and below
+    # SEED_H (no seed row is then at or below it for B >= 0), and at
+    # top = 5 * (1 + B) between h_b = 4 and SEED_H or, for B = -0.5, below
+    # 4; top = 1e8 seeds at 10 * top instead of CONTINUATION_START; at
+    # top = 0.1 a line continued from u = 1 without the seed lands on
+    # another root for some (theta, B); theta = pi/2 (and 0 for even n)
+    # leaves n - 1 roots, one velocity being perpendicular to the wave
     for theta in (0.0, 0.3, math.pi / 4, math.pi / 2):
         for B in (0.0, 0.5, -0.5):
             h_b = np.geomspace(top, top * 1e-5, 33) * (1.0 + B)
@@ -993,9 +994,10 @@ def test_track_to_folds_the_seed_into_the_line_batch_bitwise(n, top):
 
 
 def test_short_seed_equals_the_full_seed_on_random_lines_bitwise():
-    # tops from 1e-4 to 1e300, most of them below the seed start; one line
-    # in five on a degenerate angle, where a velocity can be perpendicular
-    # to the wave
+    # the pick of smallest |u| at the first row <= SEED_H against the whole
+    # seed grid continued from u = 1; tops from 1e-4 to 1e300, most of them
+    # below the seed start; one line in five on a degenerate angle, where a
+    # velocity can be perpendicular to the wave
     rng = np.random.default_rng(18)
     for _ in range(600):
         n = int(rng.integers(2, 9))
@@ -1009,41 +1011,9 @@ def test_short_seed_equals_the_full_seed_on_random_lines_bitwise():
         solve = Recording()
         (rows,), (got_path,) = dsp._track_to(h_b[None], theta, n, solve)
         where = (n, theta, top)
-        assert len(solve.batches) == 1, where   # the certificate held
+        assert len(solve.batches) == 1, where
         assert [r.tobytes() for r in rows] == [r.tobytes() for r in line], where
         assert got_path == path, where
-
-
-@pytest.mark.parametrize("failure", ["ambiguous", "failed solve"])
-@pytest.mark.parametrize("top", [1.0, 1e3])
-def test_uncertified_cut_row_falls_back_to_the_full_seed(top, failure):
-    # at top = 1e3 no seed row is <= SEED_H, so the cut row is h_b[0] itself
-    theta, n = 0.3, 4
-    h_b = np.geomspace(top, top * 1e-3, 9)
-    seed_grid = seed_then_line(h_b, theta, n)[0]
-    cut = int(np.count_nonzero(seed_grid > dsp.SEED_H))
-    cut_h = np.concatenate([seed_grid, h_b])[cut]
-
-    def alter(grid, rows):
-        if grid[0] != cut_h:
-            return rows
-        distance = np.abs(rows[0] - 1.0)
-        if failure == "ambiguous":   # a second root twice as far from u = 1
-            u = rows[0][distance.argmin()]
-            rows[0, distance.argmax()] = 1.0 + 2.0 * (u - 1.0)
-        else:                        # a failed solve
-            rows[0] = np.nan
-        return rows
-
-    solve = Recording(alter)
-    (rows,), (path,) = dsp._track_to(h_b[None], theta, n, solve)
-    assert [b.tobytes() for b in solve.batches] == [
-        np.concatenate([seed_grid[cut:], h_b]).tobytes(), seed_grid[:cut].tobytes()]
-    full = np.concatenate([solve.results[1], solve.results[0]])
-    assert rows.tobytes() == full[len(seed_grid):].tobytes()
-    assert path == dsp._follow(full, 1.0)[len(seed_grid):]
-    if failure == "failed solve" and top > dsp.SEED_H:
-        assert np.isnan(rows[0]).all() and path[0] is None
 
 
 def track_alone(h_b, theta, n, solve=None):
@@ -1096,46 +1066,14 @@ def test_track_to_lines_equal_one_line_calls_bitwise(n, monkeypatch):
             assert (np.isnan(together[0]).sum(axis=2) == 1).all()
 
 
-def test_track_to_falls_back_to_the_full_seed_for_its_uncertified_lines_only(monkeypatch):
-    # lines 1 and 3 are forced through the fallback; their seed grids have
-    # different numbers of rows above SEED_H
-    theta, n = 0.3, 4
-    h_b = np.outer([1.0, 3.0, 1e3, 1e4], np.geomspace(1.0, 1e-3, 9))
-    forced = set()
-    for line in h_b[1::2]:
-        probe = Recording()
-        dsp._track_to(line[None], theta, n, probe)
-        forced.add(probe.results[0][0].tobytes())   # the line's first solved row
-    real = dsp._seeds
-    monkeypatch.setattr(dsp, "_seeds", lambda roots: roots.tobytes() not in forced and real(roots))
-    followed = record_follow(monkeypatch)
-    alone = []
-    for line in h_b:
-        solve = Recording()
-        dsp._track_to(line[None], theta, n, solve)
-        alone.append(solve.batches)
-    assert [len(b) for b in alone] == [1, 2, 1, 2]
-    assert len(alone[1][1]) != len(alone[3][1])
-    followed_alone = followed[:]
-    followed.clear()
-    solve = Recording()
-    together = dsp._track_to(h_b, theta, n, solve)
-    # the second batch holds the upper seed rows of lines 1 and 3 alone,
-    # and each line is continued through the rows it has alone
-    assert [b.tobytes() for b in solve.batches] == [
-        np.concatenate([b[0] for b in alone]).tobytes(),
-        np.concatenate([alone[1][1], alone[3][1]]).tobytes()]
-    assert followed == followed_alone
-    assert_same_lines(together, track_alone(h_b, theta, n))
-
-
 def test_track_to_lines_with_a_failed_solve_equal_one_line_calls_bitwise(monkeypatch):
     from bosewave import analysis
 
     theta, n = 0.4, 3
     h_b = np.outer([0.5, 2.0, 1e3], np.geomspace(1.0, 1e-3, 9))
     # a failed point inside line 1, and the top of line 2, its first solved
-    # row (no seed row is at or below SEED_H), which then needs the full seed
+    # row (no seed row is at or below SEED_H), after which line 2 goes on
+    # from u = 0 at its next row
     bad = {h_b[1, 4], h_b[2, 0]}
     real = dsp._eig_roots
 
@@ -1150,6 +1088,9 @@ def test_track_to_lines_with_a_failed_solve_equal_one_line_calls_bitwise(monkeyp
     assert np.isnan(rows[2, 0]).all() and paths[2][0] is None
     assert np.isnan(rows).all(axis=2).sum() == 2
     assert_same_lines(together, track_alone(h_b, theta, n, analysis._line_roots))
+    # line 2 goes on as the line of its later points would alone
+    (tail,), (tail_path,) = dsp._track_to(h_b[2:, 1:], theta, n, analysis._line_roots)
+    assert rows[2, 1:].tobytes() == tail.tobytes() and paths[2][1:] == tail_path
 
 
 def test_follow_never_picks_a_dropped_root():
@@ -1163,18 +1104,52 @@ def test_follow_never_picks_a_dropped_root():
     assert dsp._follow(rows, 1.2) == [2, None, 2, 1]
 
 
-def test_seeds_reads_dropped_roots():
-    nan = complex(math.nan)
-    assert dsp._seeds(np.array([nan, 1.5 + 0.5j, nan]))   # exactly one live root
-    assert not dsp._seeds(np.full(3, nan))                 # a failed solve
-    assert dsp._seeds(np.array([nan, 2.0, 1.001]))
-    assert not dsp._seeds(np.array([1.2, nan, 1.1]))
-
-
 def test_point_lookup_solves_the_short_seed(eig_batches):
-    # 16 seed rows from 100 down to 10**(1/8), then h_b = 1 (49 rows before)
+    # 8 seed rows from 10 down to 10**(1/8), then h_b = 1 (49 rows in the
+    # whole seed grid)
     dsp.acoustic_root(1.0, 0.3, 8)
-    assert len(eig_batches) == 1 and eig_batches[0] <= 18
+    assert eig_batches == [9]
+
+
+def secular_r(nu, theta, n):
+    """R(nu) = sum_k w_k/(nu - w_k), w_k = 2 cos^2_k, at every nu and theta: (T, P)."""
+    w = 2.0 * dsp._cos2(np.atleast_1d(theta), n)[:, None, :]
+    return (w / (np.asarray(nu)[None, :, None] - w)).sum(axis=2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 17])
+def test_secular_sum_is_at_least_n_over_4_on_the_circle(n):
+    # the top-of-line lemma: Re(e^{i phi} R) >= n/4 on nu = 2 e^{i phi};
+    # phi = 0 is left out, where a velocity parallel to the wave puts its
+    # pole w_k = 2 on the circle; the angles include every degenerate one
+    rng = np.random.default_rng(40 + n)
+    phi = 2.0 * np.pi * (np.arange(4096) + 0.5) / 4096
+    nu = 2.0 * np.exp(1j * phi)
+    theta = np.concatenate([np.linspace(0.0, math.pi / n, 8 * n + 1),
+                            rng.uniform(0.0, math.pi, 64)])
+    r = secular_r(nu, theta, n)
+    assert (np.abs(r) >= (1.0 - 1e-12) * n / 4).all()
+    # next to the pole at nu = 2 the real part carries the rounding of |R|
+    slack = 1e-12 * n / 4 + 1e-14 * np.abs(r)
+    assert ((np.exp(1j * phi) * r).real >= n / 4 - slack).all()
+
+
+def test_secular_bound_is_reached_at_n_2_theta_0():
+    (r,) = secular_r([-2.0], 0.0, 2)
+    assert abs(r[0]) == pytest.approx(0.5, rel=1e-15)
+
+
+def test_one_root_lies_below_half_of_one_plus_i_h_b_above_h_b_4():
+    # so above h_b = 4 the acoustic root is the root of smallest |u|
+    rng = np.random.default_rng(41)
+    for n in (2, 3, 4, 5, 6, 8, 17):
+        h_b = 10.0 ** rng.uniform(math.log10(4.0), 6.0, 400)
+        h_b[0] = np.nextafter(4.0, 5.0)
+        theta = rng.uniform(0.0, math.pi / n, 400)
+        theta[::5] = rng.integers(0, 2 * n, 80) * math.pi / (2 * n)
+        rows = dsp._eig_roots(h_b, theta, n)
+        inside = np.abs(rows) < np.abs(1.0 + 1j * h_b)[:, None] / 2   # NaN: False
+        assert (inside.sum(axis=1) == 1).all(), n
 
 
 @pytest.mark.parametrize("h_b", [1e308, 1e-320, math.inf, 0.0])

@@ -125,5 +125,9 @@ def test_from_reduced_statistics_defaults():
 
 
 def test_from_reduced_rejects_nonpositive_h():
-    with pytest.raises(DomainError, match="h"):
-        ModelConfig.from_reduced(2, 0.0, h=-1.0, B=0.0)
+    # a NaN or infinite h or B is named, not reported through the S it makes
+    for h, B, field in [(-1.0, 0.0, "h"), (math.nan, 0.0, "h"), (math.inf, 0.0, "h"),
+                        (1.0, math.inf, "B"), (1.0, -math.inf, "B"),
+                        (1.0, math.nan, "B"), (1.0, -1.0, "B")]:
+        with pytest.raises(DomainError, match=f"^{field} must satisfy"):
+            ModelConfig.from_reduced(2, 0.3, h=h, B=B)
