@@ -83,9 +83,10 @@ class ThetaScanRow:
 
 
 # The coarse lines of every angle along one ascending h grid: u and
-# lambda_i are columns 0 and 1 of ``dispersion._order`` at each (angle, h),
-# shape (L, K, 2): the acoustic (continued) root and the largest-lambda_i
-# secondary one (NaN, with lambda_i inf, where no other root exists).
+# lambda_i are columns 0 and 1 of the label-ordered rows of
+# ``dispersion._track_to`` at each (angle, h), shape (L, K, 2): the acoustic
+# (continued) root and the largest-lambda_i secondary one (NaN, with
+# lambda_i inf, where no other root exists).
 _Lines = namedtuple("_Lines", "theta B h u lambda_i")
 
 
@@ -98,9 +99,8 @@ def _coarse_lines(theta_list, B: float, n: int, grid: np.ndarray) -> _Lines:
     from that batch.
     """
     h_b = dispersion._line(grid[::-1], B)[None]
-    tracked = (dispersion._track_to(h_b, theta, n) for theta in theta_list)
-    solved = [dispersion._order(rows[0], paths[0]) for rows, paths in tracked]
-    u, lam = (np.array(part)[:, ::-1, :2] for part in zip(*solved))
+    tracked = [dispersion._track_to(h_b, theta, n) for theta in theta_list]
+    u, lam = (np.concatenate(part)[:, ::-1, :2] for part in zip(*tracked))
     return _Lines(np.array(theta_list), B, grid, u, np.where(np.isnan(u), np.inf, lam.imag))
 
 
@@ -178,10 +178,8 @@ def sweep(theta_list, B_list, h_grid, n: int,
     h_list, B_list = h_grid.tolist(), [float(B) for B in B_list]
     rows = []
     for theta in map(float, theta_list):
-        solved, paths = dispersion._track_to(h_b, theta, n, _line_roots)
-        counts, lam, _, residual = dispersion._label_branches(
-            solved.reshape(-1, n), [k for path in paths for k in path], h_b.ravel(),
-            theta, n, branch_policy)
+        u, lam = dispersion._track_to(h_b, theta, n, _line_roots)
+        counts, lam, _, residual = dispersion._label_branches(u, lam, h_b, theta, n, branch_policy)
         points = [(h, B, theta) for B in B_list for h in h_list]
         rows += _sweep_rows(points, n, counts, lam, residual)
     return SweepTable(rows=tuple(rows))

@@ -187,15 +187,15 @@ def _roots_rows(h: float, B: float, theta: float, n: int, policy: str):
     return analysis._sweep_rows([(h, B, theta)], n, [len(lam)], lam, residual)
 
 
-def _check_point(args) -> None:
-    """--h and --theta given, by flag or config file (their types check the values)."""
-    for key in ("h", "theta"):
+def _check_point(args, *keys) -> None:
+    """The flags ``keys`` given, by flag or config file (their types check the values)."""
+    for key in keys:
         if getattr(args, key) is None:
             raise DomainError(f"--{key} is required")
 
 
 def _cmd_roots(args) -> int:
-    _check_point(args)
+    _check_point(args, "h", "theta")
     emit(_roots_rows(args.h, args.B, args.theta, args.n, args.branch),
          args.format, args.out)
     return 0
@@ -213,8 +213,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_hmax(args) -> int:
-    if args.theta is None:
-        raise DomainError("--theta is required")
+    _check_point(args, "theta")
     peak = analysis.find_hmax(args.theta, args.B, n=args.n, branch=args.branch,
                               h_range=args.h_range)
     sys.stdout.write(f"h_max = {_fmt(peak.h_max)}\n"
@@ -244,7 +243,7 @@ def _check_writable(path) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    _check_point(args)
+    _check_point(args, "h", "theta")
     cfg = ModelConfig.from_reduced(n=args.n, theta=args.theta, h=args.h, B=args.B)
     if args.out is not None:
         _check_writable(args.out)

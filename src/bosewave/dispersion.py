@@ -31,11 +31,11 @@ circle nu = 2 e^{i phi}, with a_k = w_k/2 <= 1,
 so |R| >= n/4 > n/h_b there once h_b > 4.  By Rouche's theorem exactly one
 root then has |nu| > 2, that is |u| < |1 + i h_b|/2, and no root crosses
 that circle as h_b falls from inf to 4, so it is the root continued from
-u = 1.  The seed grid runs from h_b = CONTINUATION_START down to the line,
-but only its rows from h_b = SEED_H = 10 down are solved, each line
-continued from u = 0 at its first solved row.  A point lookup labels the
-roots of that continuation's last row, the solve at the point itself, so
-it costs one batched solve.
+u = 1.  So each line is continued from u = 0 at its top if that lies
+above h_b = 4, and otherwise at the last row above 4 of a seed grid that
+runs from h_b = CONTINUATION_START down to it.  A point lookup labels
+that continuation's last row, the solve at the point itself: one batched
+solve, of the point's own row alone above h_b = 4.
 
 Conventions: forward wave exp(i(kx - wt)) with real omega > 0, so
 lambda_r >= 0 and lambda_i >= 0 means damped rightward propagation.
@@ -85,7 +85,6 @@ SINGULAR_TOL = 1e-14          # denominator magnitude treated as singular
 AMBIGUITY_TOL = 1e-8          # two roots this close at an endpoint: degenerate
 CONTINUATION_START = 1e6      # h_b where the acoustic seed grid starts
 CONTINUATION_PER_DECADE = 8
-SEED_H = 10.0                 # seed rows above this h_b are not solved
 
 
 def _cos2(theta, n: int) -> np.ndarray:
@@ -494,24 +493,23 @@ def _follow(rows, u: complex) -> list:
     return path
 
 
-def _track_to(h_b, theta: float, n: int, solve=None):
-    """Continue the acoustic root down each line of h_b from its top-of-line pick.
+def _track_to(h_b, theta: float, n: int, solve=None) -> tuple:
+    """The roots of each line of h_b in label order, continued from its top-of-line pick.
 
     The one seeded solve.  h_b is an (L, K) array: L lines of K points on
     the one angle theta.  A line's seed grid runs from CONTINUATION_START
     (or 10 * its top above it) down to its top h_b[l, 0], without its last
-    point, and only its rows at or below SEED_H are kept.  Those rows, then
-    the line itself, in line order, are one batch of ``solve``
+    point.  A line whose top lies above h_b = 4 solves no seed row; any
+    other solves the seed rows from the last one above 4 down.  Those rows,
+    then the line itself, in line order, are one batch of ``solve``
     (``_eig_roots`` unless given).  Each line is continued on its own with
-    ``_follow`` from u = 0, so its first pick is its first solved row's root
-    of smallest |u|.  That row lies above h_b = 4, where the acoustic root
-    is the one root with |u| < |1 + i h_b|/2 (the top-of-line rule, see the
-    module docstring); a line whose first solved row failed goes on from
-    u = 0 at its next row.  Each row is solved on its own, so a line's rows
-    and path do not depend on the other lines.  Returns (rows, paths): the
-    (L, K, n) roots, NaN where dropped or where a solve failed, and for
-    each line the index of the continued root in each row (None in an
-    all-NaN row).
+    ``_follow`` from u = 0, so its first pick is its first solved row's
+    root of smallest |u|: that row lies above h_b = 4, where this is the
+    acoustic root (the top-of-line rule, see the module docstring).  A line
+    whose first solved row failed goes on from u = 0 at its next row.  Each
+    row is solved on its own, so a line's roots do not depend on the other
+    lines.  Returns (u, lam), each (L, K, n): every row in :func:`_order`,
+    the continued root first, NaN where dropped or where a solve failed.
     """
     h_b = np.asarray(h_b, dtype=float)
     size = h_b.shape[1]
@@ -525,15 +523,16 @@ def _track_to(h_b, theta: float, n: int, solve=None):
             raise DomainError(f"h_b = {top:.6g} is too far from {CONTINUATION_START:g} "
                               "for a continuation grid in floating point")
         steps = max(2, int(np.ceil(decades * CONTINUATION_PER_DECADE)) + 1)
-        seed = np.geomspace(start, top, steps)[:-1]
-        parts += [seed[seed <= SEED_H], line]
+        seed = np.geomspace(start, top, steps)   # its last point is the top
+        parts += [seed[:-1][seed[1:] <= 4.0], line]   # from the last row above 4
     batch = (solve or _eig_roots)(np.concatenate(parts), theta, n)
-    lines, at = [], 0
+    rows, path, at = [], [], 0
     for tail in parts[::2]:
-        lines.append(batch[at:at + len(tail) + size])
-        at += len(tail) + size
-    paths = [_follow(rows, 0.0)[-size:] for rows in lines]
-    return np.array([rows[-size:] for rows in lines]), paths
+        line = batch[at:at + len(tail) + size]
+        rows.append(line[-size:])
+        path += _follow(line, 0.0)[-size:]
+        at += len(line)
+    return tuple(part.reshape(len(h_b), size, -1) for part in _order(np.concatenate(rows), path))
 
 
 def _line(h, B):
@@ -601,26 +600,25 @@ def _branch_name(j: int) -> str:
     return "acoustic" if j == 0 else f"secondary({j})"
 
 
-def _label_branches(rows, path, h_b, theta: float, n: int, policy: str) -> tuple:
-    """The labelled roots of every solved row of a line, as plain columns.
+def _label_branches(u, lam, h_b, theta: float, n: int, policy: str) -> tuple:
+    """The labelled roots of every row of one angle, as plain columns.
 
-    The one place roots get their branch labels: in each row of the (K, m)
-    roots, root ``path[j]`` is the "acoustic" root, and under policy "all"
-    the other live roots follow in :func:`_order`, named by
-    :func:`_branch_name`.  Every labelled root of the line is certified by
-    one :func:`_certify` call.  Returns (counts, lam, u, residual): the
-    number of labelled roots of each row (0 where ``path[j]`` is None, no
-    root was continued), then the lambda, u and certificate of every
-    labelled root as flat lists, row by row in label order.  No record is
-    built here; each public record is built once from these columns.
+    The one place roots get their branch labels: u and lam are (..., n)
+    rows in :func:`_order`, one per entry of h_b, and each row's first
+    root is the "acoustic" one; under policy "all" the other live roots
+    follow, named by :func:`_branch_name`.  Every labelled root is
+    certified by one :func:`_certify` call.  Returns (counts, lam, u,
+    residual): the number of labelled roots of each row (0 where no root
+    was continued), then the lambda, u and certificate of every labelled
+    root as flat lists, row by row in label order.  No record is built
+    here; each public record is built once from these columns.
     """
     if policy not in ("acoustic", "all"):
         raise DomainError("policy must be 'acoustic' or 'all'")
-    u, lam = _order(rows, path)
     if policy == "acoustic":
-        u, lam = u[:, :1], lam[:, :1]
+        u, lam = u[..., :1], lam[..., :1]
     live = ~np.isnan(u)
-    counts = live.sum(axis=1)
+    counts = live.sum(axis=-1).ravel()
     lam = lam[live]
     residual = _certify(lam, np.asarray(h_b, dtype=float).repeat(counts), theta, n)
     return counts.tolist(), lam.tolist(), u[live].tolist(), residual.tolist()
@@ -630,15 +628,15 @@ def _branches_at(h_b: float, theta: float, n: int, policy: str = "acoustic",
                  roots=None) -> tuple:
     """One row's columns of :func:`_label_branches` at h_b: (lam, u, residual).
 
-    The one point lookup: the acoustic root, first, is the one nearest the
-    continued root, and ``roots`` defaults to the continuation's row at
-    h_b, the solve at h_b itself, so a point costs one batched solve.
+    The one point lookup: the continued root is column 0 of the
+    continuation's row at h_b, the solve at h_b itself (one batched solve),
+    and the acoustic root, first, is the root of ``roots`` (that row unless
+    given) nearest it.
     """
-    rows, ((j,),) = _track_to([[h_b]], theta, n)
-    row = rows[0, 0]
-    roots = row if roots is None else roots
-    k = _nearest_with_ambiguity_check(roots, complex(row[j]))
-    return _label_branches(roots[None], [k], [h_b], theta, n, policy)[1:]
+    (u,), (lam,) = _track_to([[h_b]], theta, n)
+    k = _nearest_with_ambiguity_check(u[0] if roots is None else roots, complex(u[0, 0]))
+    ordered = (u, lam) if roots is None else _order(roots[None], [k])
+    return _label_branches(*ordered, [h_b], theta, n, policy)[1:]
 
 
 def select_branch(roots, h_b: float, theta: float, n: int, policy: str = "acoustic"):
@@ -669,13 +667,12 @@ def continuation_track(theta: float, n: int, B: float, h_grid) -> list:
     """Track the acoustic branch down a descending h grid.
 
     The line h_b = h_grid * (1 + B) (:func:`_line`, so B must satisfy
-    -1 < B < inf) is continued from the short seed of :func:`_track_to`,
-    the one seeded solve, whose first row lies above h_b = 4 where the
-    acoustic root is the root of smallest |u|, so its rows are
-    the acoustic rows ``sweep`` prints on the same h_b line and the first
-    is ``acoustic_root`` at the top.  At each later h the root nearest (in
-    u) to the previous one is taken.  The first (largest) h must be >= 1e4,
-    as the public contract; the seed does not depend on it.
+    -1 < B < inf) is continued by :func:`_track_to`, the one seeded solve;
+    its column 0 holds the acoustic rows ``sweep`` prints on the same h_b
+    line, the first being ``acoustic_root`` at the top.  At each later h
+    the root nearest (in u) to the previous one is taken.  The first
+    (largest) h must be >= 1e4, as the public contract; the continuation
+    does not depend on it.
     Monitors the lambda_i >= 0 convention and warns (does not clamp) on
     violations, which indicate a branch crossing.
     """
@@ -685,8 +682,8 @@ def continuation_track(theta: float, n: int, B: float, h_grid) -> list:
     if h_grid[0] < 1e4:
         raise DomainError("h_grid must start at h >= 1e4 for reliable seeding")
     h_b = _line(h_grid, B)
-    (rows,), (path,) = _track_to(h_b[None], theta, n)
-    _, lam, u, res = _label_branches(rows, path, h_b, theta, n, "acoustic")
+    u, lam = _track_to(h_b[None], theta, n)
+    _, lam, u, res = _label_branches(u, lam, h_b, theta, n, "acoustic")
     out = list(map(DispersionRoot, lam, u, repeat("acoustic"), res))
     for h, root in zip(h_grid, out):
         if root.lam.imag < -1e-12:

@@ -362,6 +362,14 @@ def hydrodynamic_wavelength(config: ModelConfig) -> float:
     return 2.0 * math.pi * config.c / (SQRT2 * config.omega)
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """DomainError naming ``name`` unless value is a Python or numpy integer >= least."""
+    if not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}")
+
+
 def run_forced(config: ModelConfig, wavelengths: int = 12,
                points_per_wavelength: int = 40, periods: int = 5,
                mode: str = "linear", eps: float = 1e-3,
@@ -391,18 +399,15 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
         raise DomainError("mode must be 'linear' or 'nonlinear'")
     if drive not in ("mode", "uniform"):
         raise DomainError("drive must be 'mode' or 'uniform'")
-    if points_per_wavelength < 1:
-        raise DomainError("points_per_wavelength must be >= 1")
-    if wavelengths < 1:
-        raise DomainError("wavelengths must be >= 1")
-    if periods < 1:
-        raise DomainError("periods must be >= 1")
+    _check_count("points_per_wavelength", points_per_wavelength, 1)
+    _check_count("wavelengths", wavelengths, 1)
+    _check_count("periods", periods, 1)
     if not 0 < eps < math.inf:
         raise DomainError("eps must satisfy 0 < eps < inf")
     if not 0 < cfl <= CFL_LIMIT:
         raise DomainError(f"cfl must satisfy 0 < cfl <= {CFL_LIMIT}")
-    if transient_periods is not None and not transient_periods >= 0:
-        raise DomainError("transient_periods must be >= 0")
+    if transient_periods is not None:
+        _check_count("transient_periods", transient_periods, 0)
     if mode == "linear" and config.n > 2:
         warnings.warn("linear collision form for n > 2 is extrapolated beyond "
                       "the n = 2 derivation", RuntimeWarning, stacklevel=2)
@@ -558,8 +563,7 @@ def dump_snapshot(field: WaveField, path, stride: int = 1) -> None:
 
     The header documents the parameters; the cell stride subsamples rows.
     """
-    if stride < 1:
-        raise DomainError("stride must be >= 1")
+    _check_count("stride", stride, 1)
     cfg = field.config
     p2, M = field.P.shape
     x = np.arange(M) * field.dx

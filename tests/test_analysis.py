@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bosewave import analysis, dispersion as dsp
-from bosewave.errors import DomainError, NoInteriorMaximumError
+from bosewave.errors import ConvergenceError, DomainError, NoInteriorMaximumError
 
 # frozen from a dense scan of the closed form u = (1+ih)/(2+ih):
 # argmax_h Im sqrt(u) and its value (the value is exactly 1/(4*sqrt(3)))
@@ -147,7 +147,9 @@ def test_coarse_branch_lambda_i_matches_the_row_by_row_form_bitwise():
         degenerate = [j * math.pi / (2 * n) for j in range(2 * n)] + [math.pi / 4]
         for theta in degenerate + list(rng.uniform(0.0, math.pi, 4)):
             h_b = np.geomspace(1e8, 1e-5, 200)
-            (rows,), (path,) = dsp._track_to(h_b[None], theta, n)
+            # the top lies above h_b = 4: continued from u = 0, unseeded
+            rows = dsp._eig_roots(h_b, theta, n)
+            path = dsp._follow(rows, 0.0)
             lines = analysis._coarse_lines([theta], 0.0, n, h_b[::-1])
             for j, branch in enumerate(("acoustic", "secondary")):
                 want = [reference_branch_lambda_i(r, k, branch) for r, k in zip(rows, path)]
@@ -227,6 +229,20 @@ def test_sweep_rows_equal_rows_built_by_keyword():
         at += count
     assert repr(analysis._sweep_rows(points, 3, counts, lam, residual)) == repr(want)
     assert repr(analysis._sweep_rows(points[1:2], 3, [0], [], [])) == repr(want[3:4])
+
+
+def test_eigvals_failure_is_a_convergence_error_and_error_rows(monkeypatch):
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    with pytest.raises(ConvergenceError, match="^eigenvalue solve failed: Eigenvalues"):
+        dsp._eig_roots([1.0], 0.3, 2)
+    # the batch fails, then every point on its own
+    rows = list(analysis.sweep([0.3], [0.0, -0.9], [10.0, 1.0], 3, "all"))
+    assert [(r.B, r.h, r.branch) for r in rows] == \
+        [(B, h, "error") for B in (0.0, -0.9) for h in (10.0, 1.0)]
+    assert all(math.isnan(r.lambda_r) and math.isnan(r.residual) for r in rows)
 
 
 def test_theta_scan_of_flat_and_edge_lines_is_one_coarse_batch(eig_batches):
@@ -311,21 +327,23 @@ def _eig_batches(monkeypatch, thetas=None):
 
 
 def _seed_then(h_b):
-    """The seed grid's tail from its first row <= SEED_H, then h_b.
+    """The seed grid's tail from its last row above h_b = 4, then h_b.
 
     The seed grid runs from CONTINUATION_START (or 10*h_b[0]) down to h_b[0],
-    without its last point.
+    without its last point; a top h_b[0] above 4 takes no seed row.
     """
     top = h_b[0]
-    start = dsp.CONTINUATION_START if top <= dsp.CONTINUATION_START else 10.0 * top
+    if top > 4.0:
+        return h_b
+    start = dsp.CONTINUATION_START
     steps = max(2, int(np.ceil(abs(np.log10(start / top))
                                * dsp.CONTINUATION_PER_DECADE)) + 1)
     seed = np.geomspace(start, top, steps)[:-1]
-    return np.concatenate([seed[seed <= dsp.SEED_H], h_b])
+    return np.concatenate([seed[seed > 4.0][-1:], seed[seed <= 4.0], h_b])
 
 
 def _is_seed_then(batch, h_b):
-    """batch is the seed grid's tail from its first row <= SEED_H, then h_b."""
+    """batch is the seed grid's tail from its last row above h_b = 4, then h_b."""
     return batch.tobytes() == _seed_then(h_b).tobytes()
 
 
@@ -470,9 +488,9 @@ def test_sweep_failures_become_error_rows(monkeypatch):
     real = dsp._eig_roots
 
     def flaky(h_b, theta, n):
-        # the line's one batch (seed grid down to h_b = 10, then the line)
-        # and its point h_b = 1 fail; the seed points and the other points
-        # solve one at a time
+        # the line's one batch (its top h_b = 10 lies above 4, so it holds
+        # no seed row) and its point h_b = 1 fail; the other points solve
+        # one at a time
         if np.any(np.abs(np.asarray(h_b) - 1.0) < 1e-12):
             raise ConvergenceError("synthetic failure")
         return real(h_b, theta, n)
@@ -606,10 +624,13 @@ def test_theta_scan_bad_cap_rejected():
     (lambda: analysis.theta_scan(0.0, 2, 10.0, [math.nan]), "theta"),
     (lambda: analysis.sweep([0.0], [0.0], [1.0], 2, branch_policy="secondary"),
      "branch_policy"),
+    (lambda: analysis.find_hmax(0.0, 0.0, branch="all"), "branch"),
+    (lambda: analysis.theta_scan(0.0, 2, 10.0, []), "theta_grid"),
 ], ids=["hmax B=-1", "hmax B=nan", "hmax h_range=1:inf", "theta_scan B=-1",
         "theta_scan B=inf", "theta_scan h_cap=inf", "sweep B=-1", "sweep B=nan",
         "sweep h=inf", "sweep h=nan", "sweep n=1", "sweep n=2.5", "sweep theta=inf",
-        "theta_scan theta=nan", "sweep policy=secondary"])
+        "theta_scan theta=nan", "sweep policy=secondary", "hmax branch=all",
+        "theta_scan empty grid"])
 def test_out_of_domain_or_non_finite_input_raises_domain_error(call, name):
     with pytest.raises(DomainError, match=name):
         call()
@@ -632,3 +653,10 @@ def test_out_of_domain_or_non_finite_input_raises_domain_error(call, name):
 def test_h_b_grid_outside_the_float_range_raises_domain_error(call, name):
     with pytest.raises(DomainError, match=name):
         call()
+
+
+def test_refine_raises_convergence_error_after_its_step_budget(monkeypatch):
+    # the acoustic n = 2 peak at theta = 0 needs more than one step
+    monkeypatch.setattr(analysis, "REFINE_MAX_STEPS", 1)
+    with pytest.raises(ConvergenceError, match="did not converge in 1 steps"):
+        analysis.find_hmax(0.0, 0.0)

@@ -138,6 +138,11 @@ def test_emit_empty_table_header_only(tmp_path):
     assert path.read_text() == "h,B,theta,n,branch,lambda_r,lambda_i,residual\n"
 
 
+def test_emit_rejects_an_unknown_format():
+    with pytest.raises(errors.DomainError, match="format must be 'csv' or 'json'"):
+        cli.emit([], "xml", None)
+
+
 def test_emit_seventeen_significant_digits(tmp_path):
     path = tmp_path / "row.csv"
     row = analysis.SweepRow(h=1 / 3, B=0.0, theta=0.0, n=2, branch="acoustic",
@@ -345,6 +350,16 @@ def test_config_file_supplies_defaults_flags_win(tmp_path, capsys):
     assert code == 0
     fields = out_flag.strip().splitlines()[1].split(",")
     assert float(fields[1]) == 0.0
+
+
+@pytest.mark.parametrize("content", [None, b"h = \xff\n"], ids=["missing", "not-utf8"])
+def test_config_file_unreadable_exits_1(tmp_path, capsys, content):
+    path = tmp_path / "bosewave.cfg"
+    if content is not None:
+        path.write_bytes(content)
+    code, out, err = run(capsys, "roots", "--h", "1", "--theta", "0", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read config file {path}: ")
 
 
 def test_config_file_bad_line_exits_1(tmp_path, capsys):

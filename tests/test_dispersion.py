@@ -540,8 +540,8 @@ def test_labelled_lambda_is_principal_lambda_bitwise():
                  else float(rng.uniform(0.0, math.pi)))
         h_b = 10.0 ** np.sort(rng.uniform(-40, 300, 40))[::-1]
         rows = dsp._eig_roots(h_b, theta, n)
-        _, lams, us, _ = dsp._label_branches(rows, dsp._follow(rows, 1.0), h_b, theta,
-                                             n, "all")
+        _, lams, us, _ = dsp._label_branches(*dsp._order(rows, dsp._follow(rows, 1.0)),
+                                             h_b, theta, n, "all")
         for lam, u in zip(lams, us):
             want = dsp.principal_lambda(u)
             assert bits([lam.real, lam.imag]) == bits([want.real, want.imag]), (u, n, theta)
@@ -832,7 +832,7 @@ def test_continuation_requires_descending_seeded_grid():
 
 
 def test_continuation_starts_at_the_acoustic_root_near_full_blocking():
-    # at B -> -1 the top h_b = 0.1 lies far below SEED_H, where u = 1 alone
+    # at B -> -1 the top h_b = 0.1 lies far below h_b = 4, where u = 1 alone
     # picks a secondary root (0.96424 + 0.03207i)
     B = -0.99999
     (first, _) = dsp.continuation_track(0.3, 3, B, [1e4, 1.0])
@@ -867,7 +867,7 @@ def test_continuation_checks_b_like_every_line(B):
 def test_continuation_equals_sweep_and_acoustic_root_on_random_lines_bitwise():
     # tops h from 1e4 to 1e8 (one line in twenty up to 1e300); half the
     # lines nearly blocked, B within 1e-7..1 of -1, so their top h_b can
-    # lie far below SEED_H
+    # lie far below h_b = 4
     from bosewave import analysis
     from bosewave.errors import BranchAmbiguityError
     rng = np.random.default_rng(20)
@@ -965,14 +965,21 @@ class Recording:
         return rows
 
 
-@pytest.mark.parametrize("top", [1e-1, 5.0, 1e1, 1e2, 1e8])
+def assert_in_label_order(got, line, path, where=None):
+    """got, a one-line ``_track_to`` result, is ``_order`` of the line's rows and path."""
+    (u,), (lam,) = got
+    want_u, want_lam = dsp._order(line, path)
+    assert u.tobytes() == want_u.tobytes(), where
+    assert lam.tobytes() == want_lam.tobytes(), where
+
+
+@pytest.mark.parametrize("top", [1e-1, 4.0, 5.0, 1e1, 1e2, 1e8])
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_track_to_folds_the_seed_into_the_line_batch_bitwise(n, top):
-    # the one batch is the seed grid from its first row <= SEED_H, then the
-    # line; at top = 1e1 * (1 + B) the line starts above, at and below
-    # SEED_H (no seed row is then at or below it for B >= 0), and at
-    # top = 5 * (1 + B) between h_b = 4 and SEED_H or, for B = -0.5, below
-    # 4; top = 1e8 seeds at 10 * top instead of CONTINUATION_START; at
+    # the one batch is the seed grid from its last row above h_b = 4 (none
+    # for a top above 4), then the line; at top = 4 * (1 + B) the line
+    # starts at, above and below 4, and at top = 5 * (1 + B) above it or,
+    # for B = -0.5, below it; top = 1e8 lies above CONTINUATION_START; at
     # top = 0.1 a line continued from u = 1 without the seed lands on
     # another root for some (theta, B); theta = pi/2 (and 0 for even n)
     # leaves n - 1 roots, one velocity being perpendicular to the wave
@@ -980,24 +987,25 @@ def test_track_to_folds_the_seed_into_the_line_batch_bitwise(n, top):
         for B in (0.0, 0.5, -0.5):
             h_b = np.geomspace(top, top * 1e-5, 33) * (1.0 + B)
             seed_grid, seed, line, path = seed_then_line(h_b, theta, n)
-            cut = int(np.count_nonzero(seed_grid > dsp.SEED_H))
+            cut = (len(seed_grid) if h_b[0] > 4.0
+                   else int(np.count_nonzero(seed_grid > 4.0)) - 1)
             solve = Recording()
-            (rows,), (got_path,) = dsp._track_to(h_b[None], theta, n, solve)
+            got = dsp._track_to(h_b[None], theta, n, solve)
             assert len(solve.batches) == 1
             assert solve.batches[0].tobytes() == \
                 np.concatenate([seed_grid[cut:], h_b]).tobytes()
-            for got, want in zip(solve.results[0], np.concatenate([seed[cut:], line]),
-                                 strict=True):
-                assert got.tobytes() == want.tobytes(), (theta, B)
-            assert [r.tobytes() for r in rows] == [r.tobytes() for r in line]
-            assert got_path == path, (theta, B)
+            for got_rows, want in zip(solve.results[0], np.concatenate([seed[cut:], line]),
+                                      strict=True):
+                assert got_rows.tobytes() == want.tobytes(), (theta, B)
+            assert_in_label_order(got, line, path, (theta, B))
 
 
 def test_short_seed_equals_the_full_seed_on_random_lines_bitwise():
-    # the pick of smallest |u| at the first row <= SEED_H against the whole
-    # seed grid continued from u = 1; tops from 1e-4 to 1e300, most of them
-    # below the seed start; one line in five on a degenerate angle, where a
-    # velocity can be perpendicular to the wave
+    # the pick of smallest |u| at the first solved row, the last one above
+    # h_b = 4 (the line's top if above 4), against the whole seed grid
+    # continued from u = 1, in label order; tops from 1e-4 to 1e300, most
+    # of them below the seed start; one line in five on a degenerate angle,
+    # where a velocity can be perpendicular to the wave
     rng = np.random.default_rng(18)
     for _ in range(600):
         n = int(rng.integers(2, 9))
@@ -1009,28 +1017,22 @@ def test_short_seed_equals_the_full_seed_on_random_lines_bitwise():
         h_b = np.geomspace(top, top * 10.0 ** -rng.uniform(0, 6), int(rng.integers(1, 20)))
         _, _, line, path = seed_then_line(h_b, theta, n)
         solve = Recording()
-        (rows,), (got_path,) = dsp._track_to(h_b[None], theta, n, solve)
+        got = dsp._track_to(h_b[None], theta, n, solve)
         where = (n, theta, top)
         assert len(solve.batches) == 1, where
-        assert [r.tobytes() for r in rows] == [r.tobytes() for r in line], where
-        assert got_path == path, where
+        assert_in_label_order(got, line, path, where)
 
 
 def track_alone(h_b, theta, n, solve=None):
     """Each line of h_b through its own one-line ``_track_to`` call."""
-    rows, paths = [], []
-    for line in h_b:
-        (r,), (p,) = dsp._track_to(line[None], theta, n, solve)
-        rows.append(r)
-        paths.append(p)
-    return np.array(rows), paths
+    lines = [dsp._track_to(line[None], theta, n, solve) for line in h_b]
+    return tuple(np.concatenate(part) for part in zip(*lines))
 
 
 def assert_same_lines(got, want):
-    (rows, paths), (want_rows, want_paths) = got, want
-    assert rows.shape == want_rows.shape
-    assert rows.tobytes() == want_rows.tobytes()
-    assert paths == want_paths
+    for part, want_part in zip(got, want, strict=True):
+        assert part.shape == want_part.shape
+        assert part.tobytes() == want_part.tobytes()
 
 
 def record_follow(monkeypatch) -> list:
@@ -1047,9 +1049,9 @@ def record_follow(monkeypatch) -> list:
 
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_track_to_lines_equal_one_line_calls_bitwise(n, monkeypatch):
-    # tops below SEED_H, between SEED_H and CONTINUATION_START, and above
-    # it (seeded at 10 * top); theta = pi/2 leaves a velocity perpendicular
-    # to the wave, so each row has n - 1 roots and one NaN
+    # tops below h_b = 4, between 4 and CONTINUATION_START, and above it;
+    # theta = pi/2 leaves a velocity perpendicular to the wave, so each row
+    # has n - 1 roots and one NaN
     followed = record_follow(monkeypatch)
     h_b = np.outer([0.01, 1.0, 3e3, 1e8], np.geomspace(1.0, 1e-4, 17))
     for theta in (0.3, math.pi / 4, math.pi / 2):
@@ -1072,8 +1074,8 @@ def test_track_to_lines_with_a_failed_solve_equal_one_line_calls_bitwise(monkeyp
     theta, n = 0.4, 3
     h_b = np.outer([0.5, 2.0, 1e3], np.geomspace(1.0, 1e-3, 9))
     # a failed point inside line 1, and the top of line 2, its first solved
-    # row (no seed row is at or below SEED_H), after which line 2 goes on
-    # from u = 0 at its next row
+    # row (its top lies above h_b = 4, so no seed row is solved), after
+    # which line 2 goes on from u = 0 at its next row
     bad = {h_b[1, 4], h_b[2, 0]}
     real = dsp._eig_roots
 
@@ -1083,14 +1085,14 @@ def test_track_to_lines_with_a_failed_solve_equal_one_line_calls_bitwise(monkeyp
         return real(grid, theta, n)
 
     monkeypatch.setattr(dsp, "_eig_roots", failing)
-    rows, paths = together = dsp._track_to(h_b, theta, n, analysis._line_roots)
-    assert np.isnan(rows[1, 4]).all() and paths[1][4] is None
-    assert np.isnan(rows[2, 0]).all() and paths[2][0] is None
-    assert np.isnan(rows).all(axis=2).sum() == 2
+    u, lam = together = dsp._track_to(h_b, theta, n, analysis._line_roots)
+    assert np.isnan(u[1, 4]).all() and np.isnan(lam[1, 4]).all()
+    assert np.isnan(u[2, 0]).all() and np.isnan(lam[2, 0]).all()
+    assert np.isnan(u).all(axis=2).sum() == 2
     assert_same_lines(together, track_alone(h_b, theta, n, analysis._line_roots))
     # line 2 goes on as the line of its later points would alone
-    (tail,), (tail_path,) = dsp._track_to(h_b[2:, 1:], theta, n, analysis._line_roots)
-    assert rows[2, 1:].tobytes() == tail.tobytes() and paths[2][1:] == tail_path
+    tail = dsp._track_to(h_b[2:, 1:], theta, n, analysis._line_roots)
+    assert_same_lines((u[2:, 1:], lam[2:, 1:]), tail)
 
 
 def test_follow_never_picks_a_dropped_root():
@@ -1105,10 +1107,12 @@ def test_follow_never_picks_a_dropped_root():
 
 
 def test_point_lookup_solves_the_short_seed(eig_batches):
-    # 8 seed rows from 10 down to 10**(1/8), then h_b = 1 (49 rows in the
-    # whole seed grid)
+    # 5 seed rows from 10**(5/8) ~ 4.2, the last above h_b = 4, down to
+    # 10**(1/8), then h_b = 1 (49 rows in the whole seed grid); above
+    # h_b = 4 the point's own row alone
     dsp.acoustic_root(1.0, 0.3, 8)
-    assert eig_batches == [9]
+    dsp.acoustic_root(5.0, 0.3, 8)
+    assert eig_batches == [6, 1]
 
 
 def secular_r(nu, theta, n):

@@ -37,6 +37,15 @@ def test_nonpositive_physical_fields_rejected(field):
         validate(ModelConfig(**{field: 0.0}))
 
 
+@pytest.mark.parametrize("field, value, needle", [
+    ("theta", math.nan, "theta must be finite"), ("theta", math.inf, "theta must be finite"),
+    ("theta", -math.inf, "theta must be finite"), ("B", math.nan, "B must be finite"),
+    ("B", math.inf, "B must be finite"), ("B", -math.inf, "B must be finite")])
+def test_non_finite_theta_or_b_rejected(field, value, needle):
+    with pytest.raises(DomainError, match=needle):
+        validate(ModelConfig(**{field: value}))
+
+
 def test_small_n_rejected():
     with pytest.raises(DomainError, match="n"):
         validate(ModelConfig(n=1))

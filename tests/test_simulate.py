@@ -293,6 +293,23 @@ def test_fit_wave_zero_field_fails():
         sim.fit_wave(zero, fit_window=(4.5, 11.5))
 
 
+def uneven(series):
+    """The series with one snapshot's time moved off the uniform spacing."""
+    moved = series[5]
+    series[5] = sim.WaveField(P=moved.P, dx=moved.dx, t=moved.t + 1e-3, config=moved.config)
+    return series
+
+
+@pytest.mark.parametrize("alter, window, needle", [
+    (lambda series: series[:1], (4.5, 11.5), "at least two snapshots"),
+    (uneven, (4.5, 11.5), "not uniformly spaced"),
+    (lambda series: series, (4.5, 4.6), "fewer than 8 cells"),
+], ids=["one-snapshot", "uneven", "narrow-window"])
+def test_fit_wave_rejects_a_series_it_cannot_fit(alter, window, needle):
+    with pytest.raises(FitError, match=needle):
+        sim.fit_wave(alter(synthetic_series()), fit_window=window)
+
+
 def test_fit_wave_window_must_exclude_inlet_and_outlet():
     series = synthetic_series()
     with pytest.raises(DomainError):
@@ -384,7 +401,13 @@ def test_forced_n3_linear_warns_extrapolated():
                                 {"cfl": 1.0},
                                 {"cfl": math.inf},
                                 {"transient_periods": -1},
-                                {"transient_periods": -5}])
+                                {"transient_periods": -5},
+                                {"points_per_wavelength": 10.5},
+                                {"wavelengths": 2.5},
+                                {"periods": 1.5},
+                                {"transient_periods": 1.5},
+                                {"mode": "implicit"},
+                                {"drive": "random"}])
 def test_forced_rejects_empty_grid_before_running(monkeypatch, kw):
     def no_stepping(*args):
         raise AssertionError("stepped before checking the arguments")
@@ -392,6 +415,14 @@ def test_forced_rejects_empty_grid_before_running(monkeypatch, kw):
     monkeypatch.setattr(sim, "_advection", no_stepping)
     with pytest.raises(DomainError, match=next(iter(kw))):
         sim.run_forced(make_config(), **kw)
+
+
+def test_forced_takes_numpy_integer_counts():
+    counts = dict(wavelengths=2, points_per_wavelength=8, periods=1, transient_periods=1)
+    want = sim.run_forced(make_config(), **counts)
+    got = sim.run_forced(make_config(), **{k: np.int64(v) for k, v in counts.items()})
+    assert [f.P.tobytes() for f in got] == [f.P.tobytes() for f in want]
+    assert [f.t for f in got] == [f.t for f in want]
 
 
 # ----------------------------------------------- second-order-form residual
@@ -453,6 +484,14 @@ def test_dump_snapshot_format_and_stride(tmp_path):
     path2 = tmp_path / "snap2.txt"
     sim.dump_snapshot(field, path2, stride=2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("stride", [0, -2, 1.5])
+def test_dump_snapshot_rejects_a_bad_stride(tmp_path, stride):
+    field = make_field(make_config(), M=4)
+    with pytest.raises(DomainError, match="stride"):
+        sim.dump_snapshot(field, tmp_path / "snap.txt", stride=stride)
+    assert not (tmp_path / "snap.txt").exists()
 
 
 def test_dump_snapshot_unwritable_path_is_a_domain_error(tmp_path):
