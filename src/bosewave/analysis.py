@@ -146,6 +146,39 @@ def _line_roots(h_b: np.ndarray, theta: float, n: int) -> np.ndarray:
     return out
 
 
+def _sweep_columns(theta_list, B_list, h_grid, n: int, branch_policy: str) -> list:
+    """The labelled columns of a sweep, one (points, counts, lam, residual) per angle.
+
+    points holds the (h, B, theta) of each point of the angle, as Python
+    floats, B-major and then h descending; counts, lam and residual are
+    that angle's columns of ``dispersion._label_branches``.  No record is
+    built here: :func:`sweep` builds its rows from these columns, and the
+    CLI writes its tables from them.  The checks and the solves are those
+    :func:`sweep` documents.
+    """
+    theta_list = list(theta_list)
+    B_list = list(B_list)
+    h_grid = np.asarray(sorted(set(float(h) for h in h_grid), reverse=True))
+    if len(theta_list) == 0 or len(B_list) == 0 or h_grid.size == 0:
+        raise DomainError("theta_list, B_list and h_grid must be nonempty")
+    if not np.all((h_grid > 0) & (h_grid < math.inf)):
+        raise DomainError("h_grid must be positive and finite")
+    h_b = np.array([dispersion._line(h_grid, B) for B in B_list])
+    if branch_policy not in ("acoustic", "all"):
+        raise DomainError("branch_policy must be 'acoustic' or 'all'")
+    for theta in theta_list:
+        dispersion._cos2(theta, n)   # DomainError for a bad n or theta
+
+    h_list, B_list = h_grid.tolist(), [float(B) for B in B_list]
+    columns = []
+    for theta in map(float, theta_list):
+        u, lam = dispersion._track_to(h_b, theta, n, _line_roots)
+        counts, lam, _, residual = dispersion._label_branches(u, lam, h_b, theta, n, branch_policy)
+        points = [(h, B, theta) for B in B_list for h in h_list]
+        columns.append((points, counts, lam, residual))
+    return columns
+
+
 def sweep(theta_list, B_list, h_grid, n: int,
           branch_policy: str = "acoustic") -> SweepTable:
     """Continuation-tracked roots for every (theta, B) line of the h grid.
@@ -162,25 +195,9 @@ def sweep(theta_list, B_list, h_grid, n: int,
     one explicit row (branch "error", NaN values) rather than being
     dropped; other exceptions propagate.
     """
-    theta_list = list(theta_list)
-    B_list = list(B_list)
-    h_grid = np.asarray(sorted(set(float(h) for h in h_grid), reverse=True))
-    if len(theta_list) == 0 or len(B_list) == 0 or h_grid.size == 0:
-        raise DomainError("theta_list, B_list and h_grid must be nonempty")
-    if not np.all((h_grid > 0) & (h_grid < math.inf)):
-        raise DomainError("h_grid must be positive and finite")
-    h_b = np.array([dispersion._line(h_grid, B) for B in B_list])
-    if branch_policy not in ("acoustic", "all"):
-        raise DomainError("branch_policy must be 'acoustic' or 'all'")
-    for theta in theta_list:
-        dispersion._cos2(theta, n)   # DomainError for a bad n or theta
-
-    h_list, B_list = h_grid.tolist(), [float(B) for B in B_list]
     rows = []
-    for theta in map(float, theta_list):
-        u, lam = dispersion._track_to(h_b, theta, n, _line_roots)
-        counts, lam, _, residual = dispersion._label_branches(u, lam, h_b, theta, n, branch_policy)
-        points = [(h, B, theta) for B in B_list for h in h_list]
+    for points, counts, lam, residual in _sweep_columns(theta_list, B_list, h_grid, n,
+                                                        branch_policy):
         rows += _sweep_rows(points, n, counts, lam, residual)
     return SweepTable(rows=tuple(rows))
 

@@ -20,6 +20,11 @@ is the same as leaving out --log.  Every number must be finite and in its
 flag's domain (e.g. --h > 0, --B > -1).  A value that starts with '-' and
 is not a plain decimal is attached with '=': --B=-0.5,0.5, --theta=-45deg.
 A warning is printed as one `Category: message` line on stderr.
+
+Tables: the `sweep` and `roots` tables are printed by one table writer
+(`_write_sweep`) straight from the solved columns, with no per-root record;
+`theta-scan` prints its records with `emit`.  A command given --out checks
+that it can write there before it solves anything.
 """
 
 from __future__ import annotations
@@ -161,7 +166,9 @@ def emit(rows, fmt: str, path, header=SWEEP_HEADER) -> None:
     one %-format call on its fields, read by one ``operator.attrgetter``;
     the template, "%.17g" for a float and "%s" otherwise, is cached per
     tuple of value types, so each row is the comma join of its `_fmt`
-    values, byte for byte.
+    values, byte for byte.  The CLI's `sweep` and `roots` tables do not
+    come here: `_write_sweep` writes them from their columns, with the
+    bytes this writes of the same table's ``analysis.SweepRow`` records.
     """
     if fmt == "csv":
         get = operator.attrgetter(*header)
@@ -176,15 +183,58 @@ def emit(rows, fmt: str, path, header=SWEEP_HEADER) -> None:
         text = json.dumps(records, indent=1) + "\n"
     else:
         raise DomainError("format must be 'csv' or 'json'")
+    _write(text, path)
+
+
+def _write(text: str, path) -> None:
+    """Write a table's text to stdout, or to the file at path when one is given."""
     if path is None:
         sys.stdout.write(text)
     else:
         simulate._write_text(text, path)
 
 
-def _roots_rows(h: float, B: float, theta: float, n: int, policy: str):
-    lam, _, residual = dispersion._branches_at(dispersion._line(h, B), theta, n, policy)
-    return analysis._sweep_rows([(h, B, theta)], n, [len(lam)], lam, residual)
+_ERROR_ROOT = ("error", complex(math.nan, math.nan), math.nan)
+
+
+def _labelled_points(tables, n: int):
+    """Each point of sweep columns with its roots, as (point, its (branch, lam, residual) triples).
+
+    tables holds one (points, counts, lam, residual) per angle, the columns
+    of ``analysis._sweep_columns``.  A point with no root (count 0: its
+    solve failed) has the one root ("error", NaN, NaN), as the "error" row
+    of ``analysis._sweep_rows``.
+    """
+    names = [dispersion._branch_name(j) for j in range(n)]
+    for points, counts, lam, residual in tables:
+        at = 0
+        for point, count in zip(points, counts):
+            end = at + count
+            yield point, zip(names, lam[at:end], residual[at:end]) if count else [_ERROR_ROOT]
+            at = end
+
+
+def _write_sweep(tables, n: int, fmt: str, path) -> None:
+    """Write the `sweep` and `roots` tables straight from their labelled columns.
+
+    The bytes are those :func:`emit` writes of the :class:`SweepRow` that
+    ``analysis.sweep`` builds from the same columns, but no record is
+    built: a CSV line is its point's "h,B,theta,n," prefix, formatted once
+    per point, then one %-format call on the branch name, lambda_r,
+    lambda_i and the residual; a JSON record is a dict of the same values.
+    """
+    if fmt == "csv":
+        lines = [",".join(SWEEP_HEADER)]
+        for point, roots in _labelled_points(tables, n):
+            head = "%.17g,%.17g,%.17g,%s," % (*point, n)
+            lines += [head + "%s,%.17g,%.17g,%.17g" % (name, z.real, z.imag, res)
+                      for name, z, res in roots]
+        text = "\n".join(lines) + "\n"
+    else:
+        records = [dict(zip(SWEEP_HEADER, (*point, n, name, z.real, z.imag, res)))
+                   for point, roots in _labelled_points(tables, n) for name, z, res in roots]
+        text = json.dumps(records, indent=1) + "\n"
+    _write(text, path)
 
 
 def _check_point(args, *keys) -> None:
@@ -196,19 +246,22 @@ def _check_point(args, *keys) -> None:
 
 def _cmd_roots(args) -> int:
     _check_point(args, "h", "theta")
-    emit(_roots_rows(args.h, args.B, args.theta, args.n, args.branch),
-         args.format, args.out)
+    _check_writable(args.out)
+    point = (args.h, args.B, args.theta)
+    lam, _, residual = dispersion._branches_at(dispersion._line(args.h, args.B), args.theta,
+                                               args.n, args.branch)
+    _write_sweep([([point], [len(lam)], lam, residual)], args.n, args.format, args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
+    _check_writable(args.out)
     # the default grid is log-spaced; an explicit --h-range is linear unless --log
     lo, hi, steps = args.h_range or DEFAULT_H_GRID
     log = args.h_range is None if args.log is None else args.log
     h_grid = (np.geomspace if log else np.linspace)(lo, hi, steps)
-    table = analysis.sweep(args.theta, args.B, h_grid, args.n,
-                           branch_policy=args.branch)
-    emit(table, args.format, args.out)
+    tables = analysis._sweep_columns(args.theta, args.B, h_grid, args.n, args.branch)
+    _write_sweep(tables, args.n, args.format, args.out)
     return 0
 
 
@@ -223,6 +276,7 @@ def _cmd_hmax(args) -> int:
 
 
 def _cmd_theta_scan(args) -> int:
+    _check_writable(args.out)
     grid = np.linspace(0.0, math.pi / 2.0, args.steps)
     grid[np.argmin(np.abs(grid - math.pi / 4.0))] = math.pi / 4.0  # exact
     rows = analysis.theta_scan(args.B, args.n, args.h_cap, grid)
@@ -231,11 +285,13 @@ def _cmd_theta_scan(args) -> int:
 
 
 def _check_writable(path) -> None:
-    """Raise the DomainError of an unwritable path now, before a long run.
+    """Raise the DomainError of an unwritable path now, before any solve or run.
 
     Appending nothing leaves an existing file as it was; a file this check
-    created is removed again.
+    created is removed again.  A path of None (stdout) is not checked.
     """
+    if path is None:
+        return
     existed = os.path.lexists(path)
     simulate._write_text("", path, mode="a")
     if not existed:
@@ -245,8 +301,7 @@ def _check_writable(path) -> None:
 def _cmd_simulate(args) -> int:
     _check_point(args, "h", "theta")
     cfg = ModelConfig.from_reduced(n=args.n, theta=args.theta, h=args.h, B=args.B)
-    if args.out is not None:
-        _check_writable(args.out)
+    _check_writable(args.out)
     series = simulate.run_forced(
         cfg, wavelengths=args.wavelengths, points_per_wavelength=args.ppw,
         periods=args.periods, mode="nonlinear" if args.nonlinear else "linear",
@@ -320,9 +375,9 @@ def _verify_checks(seed: int = VERIFY_SEED):
     def hb_collapse():
         for theta in (0.0, 0.3, math.pi / 8):
             for (h, B) in ((0.7, 0.7), (2.0, -0.4), (5.0, 0.3)):
-                r1 = _roots_rows(h, B, theta, 2, "acoustic")[0]
-                r2 = _roots_rows(h * (1.0 + B), 0.0, theta, 2, "acoustic")[0]
-                if (r1.lambda_r, r1.lambda_i) != (r2.lambda_r, r2.lambda_i):
+                (r1,), _, _ = dispersion._branches_at(dispersion._line(h, B), theta, 2)
+                (r2,), _, _ = dispersion._branches_at(h * (1.0 + B), theta, 2)
+                if r1 != r2:
                     return False
         return True
 

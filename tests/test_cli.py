@@ -169,6 +169,23 @@ def test_emit_csv_is_the_fmt_join_bytewise(tmp_path):
         want = [",".join(header)] + [",".join(cli._fmt(getattr(row, key)) for key in header)
                                      for row in rows]
         assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+    # the sweep/roots table writer, fed the floats as h, B, theta, lambda and
+    # residual columns, with points of no root (count 0) among them
+    floats = [v for v in values if isinstance(v, float)]
+    points = [tuple(floats[k] for k in rng.integers(0, len(floats), 3)) for _ in range(200)]
+    counts = [int(k) for k in rng.integers(0, 4, len(points))]
+    lam = [complex(*(floats[k] for k in pair))
+           for pair in rng.integers(0, len(floats), (sum(counts), 2))]
+    residual = [floats[k] for k in rng.integers(0, len(floats), sum(counts))]
+    roots = iter(zip(lam, residual))
+    want = [",".join(cli.SWEEP_HEADER)]
+    for (h, B, theta), count in zip(points, counts):
+        cells = [(cli.dispersion._branch_name(j), *next(roots)) for j in range(count)]
+        for name, z, res in cells or [("error", complex(math.nan, math.nan), math.nan)]:
+            want.append(",".join(cli._fmt(v) for v in (h, B, theta, 3, name, z.real, z.imag, res)))
+    path = tmp_path / "columns.csv"
+    cli._write_sweep([(points, counts, lam, residual)], 3, "csv", str(path))
+    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
 
 
 def test_sweep_rows_match_roots_rows_in_value_and_type():
@@ -178,12 +195,81 @@ def test_sweep_rows_match_roots_rows_in_value_and_type():
         for policy in ("acoustic", "all"):
             swept = list(analysis.sweep(np.array([theta]), np.array([B]), np.array([h]),
                                         n, branch_policy=policy))
-            point = cli._roots_rows(h, float(B), float(theta), n, policy)
+            lam, _, residual = dsp._branches_at(dsp._line(h, float(B)), float(theta), n, policy)
+            point = analysis._sweep_rows([(h, float(B), float(theta))], n, [len(lam)],
+                                         lam, residual)
             assert swept == point
             for got, want in zip(swept, point, strict=True):
                 assert [type(v) for v in vars(got).values()] == \
                     [type(v) for v in vars(want).values()]
                 assert (type(got.h), type(got.B), type(got.theta)) == (float, float, float)
+
+
+def table_commands():
+    """Seeded `sweep` and `roots` commands, each with the `analysis.sweep` call
+    whose records `emit` writes as the same table (a one-point sweep for roots)."""
+    rng = np.random.default_rng(28)
+    for k in range(48):
+        n, policy = 2 + k % 7, ("acoustic", "all")[k % 2]
+        thetas = [float(t) for t in rng.uniform(0.0, math.pi / 2, 1 + k % 3)]
+        if k % 4 == 0:
+            thetas[-1] = math.pi / 2   # a perpendicular velocity
+        Bs = [float(b) for b in rng.uniform(-0.9, 1.5, 1 + k % 2)]
+        lo, hi, steps = 10 ** rng.uniform(-4, 0), 10 ** rng.uniform(0.5, 5), 2 + k % 9
+        h = np.geomspace(lo, hi, steps)
+        fmt = ("csv", "json")[k // 2 % 2]
+        argv = ["sweep", f"--theta={','.join(map(repr, thetas))}",
+                f"--B={','.join(map(repr, Bs))}", f"--h-range={lo!r}:{hi!r}:{steps}",
+                "--log", f"--n={n}", f"--branch={policy}", f"--format={fmt}"]
+        yield argv, fmt, (thetas, Bs, h, n, policy)
+        argv = ["roots", f"--h={hi!r}", f"--B={Bs[0]!r}", f"--theta={thetas[-1]!r}",
+                f"--n={n}", f"--branch={policy}", f"--format={fmt}"]
+        yield argv, fmt, ([thetas[-1]], Bs[:1], [hi], n, policy)
+
+
+def test_sweep_and_roots_print_the_bytes_emit_writes_of_the_sweep_records(tmp_path, capsys):
+    for k, (argv, fmt, call) in enumerate(table_commands()):
+        rows = analysis.sweep(*call)
+        want = tmp_path / "want"
+        cli.emit(rows, fmt, str(want))
+        got = tmp_path / "got"
+        to_file = k % 3 == 0   # a third of the commands write with --out
+        code, out, err = run(capsys, *argv, *([f"--out={got}"] if to_file else []))
+        assert (code, err) == (0, ""), argv
+        assert (got.read_text() if to_file else out).encode() == want.read_bytes(), argv
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_error_rows_print_the_bytes_emit_writes(monkeypatch, tmp_path, capsys, fmt):
+    h = np.geomspace(0.1, 10.0, 5)
+    real = dsp._eig_roots
+
+    def eig_roots(h_b, theta, n):   # every batch that holds h[1] or h[3] fails
+        if np.isin(np.asarray(h_b, dtype=float), h[[1, 3]]).any():
+            raise errors.ConvergenceError("synthetic failure")
+        return real(h_b, theta, n)
+
+    monkeypatch.setattr(dsp, "_eig_roots", eig_roots)
+    rows = analysis.sweep([0.3, math.pi / 2], [0.0], h, 3, branch_policy="all")
+    assert [row.h for row in rows if row.branch == "error"] == list(h[[3, 1, 3, 1]])
+    want = tmp_path / "want"
+    cli.emit(rows, fmt, str(want))
+    code, out, err = run(capsys, "sweep", "--theta=0.3,90deg", "--h-range=0.1:10:5", "--log",
+                         "--n=3", "--branch=all", f"--format={fmt}")
+    assert (code, err) == (0, "")
+    assert out.encode() == want.read_bytes()
+
+
+def test_cli_sweep_and_roots_build_no_sweep_row(monkeypatch, capsys):
+    def no_row(*args, **kwargs):
+        raise AssertionError("SweepRow built")
+
+    monkeypatch.setattr(analysis, "SweepRow", no_row)
+    for argv in (["sweep", "--theta=0,0.3", "--B=0,0.5", "--n=3", "--branch=all"],
+                 ["roots", "--h=1", "--theta=0.3", "--n=3", "--branch=all"]):
+        for fmt in ("csv", "json"):
+            code, out, _ = run(capsys, *argv, f"--format={fmt}")
+            assert code == 0 and "acoustic" in out
 
 
 # --------------------------------------------------------------------- hmax
@@ -719,6 +805,19 @@ def test_simulate_faults_exit_1_without_traceback(tmp_path, capsys, argv, needle
     assert code == 1
     assert err.startswith("error: ") and needle in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--h", "1", "--theta", "0.3", "--n", "3", "--branch", "all"],
+    ["sweep", "--theta=0,0.3", "--n", "3", "--branch", "all"],
+    ["theta-scan", "--steps", "3"],
+    SIMULATE_SMALL,
+], ids=["roots", "sweep", "theta-scan", "simulate"])
+def test_unwritable_out_exits_1_before_any_solve(tmp_path, capsys, eig_batches, argv):
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "table"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot write ") and "Traceback" not in err
+    assert eig_batches == []
 
 
 # sha256 of each command's stdout, captured while root_residual still warned
