@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -104,27 +103,24 @@ def _coarse_lines(theta_list, B: float, n: int, grid: np.ndarray) -> _Lines:
     return _Lines(np.array(theta_list), B, grid, u, np.where(np.isnan(u), np.inf, lam.imag))
 
 
-def _sweep_rows(points, n: int, counts, lam, residual) -> list:
-    """The :class:`SweepRow` of every labelled root of some points, built once.
+_ERROR_ROOT = ("error", complex(math.nan, math.nan), math.nan)
 
-    points holds the (h, B, theta) of each point; counts, lam and residual
-    are columns of ``dispersion._label_branches``: counts[j] roots at
-    points[j], in label order.  A point with no root (count 0: its solve
-    failed) gets one "error" row of NaN values.  The branch names are
-    formed once, and each point's rows are built positionally by one
-    ``map`` over the columns.
+
+def _labelled_points(tables, n: int):
+    """Each point of sweep columns with its roots, as (point, its (branch, lam, residual) triples).
+
+    The one walk of the columns, for the records of :func:`sweep` and the
+    CLI tables alike.  tables holds one (points, counts, lam, residual) per
+    angle, the columns of :func:`_sweep_columns`.  A point with no root
+    (count 0: its solve failed) has the one root ("error", NaN, NaN).
     """
-    names = [dispersion._branch_name(j) for j in range(max(counts, default=0))]
-    lambda_r, lambda_i = [z.real for z in lam], [z.imag for z in lam]
-    rows, at = [], 0
-    for (h, B, theta), count in zip(points, counts):
-        if count == 0:
-            rows.append(SweepRow(h, B, theta, n, "error", math.nan, math.nan, math.nan))
-        end = at + count
-        rows += map(SweepRow, repeat(h), repeat(B), repeat(theta), repeat(n), names,
-                    lambda_r[at:end], lambda_i[at:end], residual[at:end])
-        at = end
-    return rows
+    names = [dispersion._branch_name(j) for j in range(n)]
+    for points, counts, lam, residual in tables:
+        at = 0
+        for point, count in zip(points, counts):
+            end = at + count
+            yield point, zip(names, lam[at:end], residual[at:end]) if count else [_ERROR_ROOT]
+            at = end
 
 
 def _line_roots(h_b: np.ndarray, theta: float, n: int) -> np.ndarray:
@@ -153,8 +149,8 @@ def _sweep_columns(theta_list, B_list, h_grid, n: int, branch_policy: str) -> li
     floats, B-major and then h descending; counts, lam and residual are
     that angle's columns of ``dispersion._label_branches``.  No record is
     built here: :func:`sweep` builds its rows from these columns, and the
-    CLI writes its tables from them.  The checks and the solves are those
-    :func:`sweep` documents.
+    CLI writes its tables from them, both through :func:`_labelled_points`.
+    The checks and the solves are those :func:`sweep` documents.
     """
     theta_list = list(theta_list)
     B_list = list(B_list)
@@ -193,13 +189,14 @@ def sweep(theta_list, B_list, h_grid, n: int,
     raises DomainError.  A point whose eigenvalue solve fails
     (ConvergenceError), in its angle's batch and again on its own, becomes
     one explicit row (branch "error", NaN values) rather than being
-    dropped; other exceptions propagate.
+    dropped, and so does every point of a line whose failed rows leave no
+    solved row above h_b = 4 to start its continuation (see
+    ``dispersion._track_to``); other exceptions propagate.
     """
-    rows = []
-    for points, counts, lam, residual in _sweep_columns(theta_list, B_list, h_grid, n,
-                                                        branch_policy):
-        rows += _sweep_rows(points, n, counts, lam, residual)
-    return SweepTable(rows=tuple(rows))
+    tables = _sweep_columns(theta_list, B_list, h_grid, n, branch_policy)
+    return SweepTable(rows=tuple([SweepRow(h, B, theta, n, name, z.real, z.imag, res)
+                                  for (h, B, theta), roots in _labelled_points(tables, n)
+                                  for name, z, res in roots]))
 
 
 def _slope(u: np.ndarray, h_b: np.ndarray, c2: np.ndarray) -> np.ndarray:

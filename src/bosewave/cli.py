@@ -21,10 +21,9 @@ flag's domain (e.g. --h > 0, --B > -1).  A value that starts with '-' and
 is not a plain decimal is attached with '=': --B=-0.5,0.5, --theta=-45deg.
 A warning is printed as one `Category: message` line on stderr.
 
-Tables: the `sweep` and `roots` tables are printed by one table writer
-(`_write_sweep`) straight from the solved columns, with no per-root record;
-`theta-scan` prints its records with `emit`.  A command given --out checks
-that it can write there before it solves anything.
+Tables: `sweep` and `roots` print one row per root, with the same columns;
+`theta-scan` prints one row per angle and branch.  A command given --out
+checks that it can write there before it solves anything.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import argparse
 import functools
 import json
 import math
-import operator
 import os
 import sys
 import warnings
@@ -62,12 +60,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(value) -> str:
     return format(value, ".17g") if isinstance(value, float) else str(value)
-
-
-@functools.cache
-def _csv_template(types: tuple) -> str:
-    """The %-format of a CSV row whose values have these types: each its `_fmt`."""
-    return ",".join("%.17g" if issubclass(t, float) else "%s" for t in types)
 
 
 def _finite(cast, above):
@@ -163,20 +155,14 @@ def emit(rows, fmt: str, path, header=SWEEP_HEADER) -> None:
 
     Output is byte-identical for identical inputs: fixed header, fixed float
     formatting, newline-terminated rows, no locale dependence.  A CSV row is
-    one %-format call on its fields, read by one ``operator.attrgetter``;
-    the template, "%.17g" for a float and "%s" otherwise, is cached per
-    tuple of value types, so each row is the comma join of its `_fmt`
-    values, byte for byte.  The CLI's `sweep` and `roots` tables do not
-    come here: `_write_sweep` writes them from their columns, with the
-    bytes this writes of the same table's ``analysis.SweepRow`` records.
+    the comma join of its `_fmt` values.  The CLI's `sweep` and `roots`
+    tables do not come here: `_write_sweep` writes them from their columns,
+    with the bytes this writes of the same table's ``analysis.SweepRow``
+    records.
     """
     if fmt == "csv":
-        get = operator.attrgetter(*header)
-        fields = get if len(header) > 1 else lambda row: (get(row),)
         lines = [",".join(header)]
-        for row in rows:
-            values = fields(row)
-            lines.append(_csv_template(tuple(map(type, values))) % values)
+        lines += [",".join([_fmt(getattr(row, key)) for key in header]) for row in rows]
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         records = [{key: getattr(row, key) for key in header} for row in rows]
@@ -194,45 +180,27 @@ def _write(text: str, path) -> None:
         simulate._write_text(text, path)
 
 
-_ERROR_ROOT = ("error", complex(math.nan, math.nan), math.nan)
-
-
-def _labelled_points(tables, n: int):
-    """Each point of sweep columns with its roots, as (point, its (branch, lam, residual) triples).
-
-    tables holds one (points, counts, lam, residual) per angle, the columns
-    of ``analysis._sweep_columns``.  A point with no root (count 0: its
-    solve failed) has the one root ("error", NaN, NaN), as the "error" row
-    of ``analysis._sweep_rows``.
-    """
-    names = [dispersion._branch_name(j) for j in range(n)]
-    for points, counts, lam, residual in tables:
-        at = 0
-        for point, count in zip(points, counts):
-            end = at + count
-            yield point, zip(names, lam[at:end], residual[at:end]) if count else [_ERROR_ROOT]
-            at = end
-
-
 def _write_sweep(tables, n: int, fmt: str, path) -> None:
     """Write the `sweep` and `roots` tables straight from their labelled columns.
 
     The bytes are those :func:`emit` writes of the :class:`SweepRow` that
-    ``analysis.sweep`` builds from the same columns, but no record is
-    built: a CSV line is its point's "h,B,theta,n," prefix, formatted once
-    per point, then one %-format call on the branch name, lambda_r,
-    lambda_i and the residual; a JSON record is a dict of the same values.
+    ``analysis.sweep`` builds from the same walk of the columns
+    (``analysis._labelled_points``), but no record is built: a CSV line
+    is its point's "h,B,theta,n," prefix, formatted once per point, then
+    one %-format call on the branch name, lambda_r, lambda_i and the
+    residual; a JSON record is a dict of the same values.
     """
     if fmt == "csv":
         lines = [",".join(SWEEP_HEADER)]
-        for point, roots in _labelled_points(tables, n):
+        for point, roots in analysis._labelled_points(tables, n):
             head = "%.17g,%.17g,%.17g,%s," % (*point, n)
             lines += [head + "%s,%.17g,%.17g,%.17g" % (name, z.real, z.imag, res)
                       for name, z, res in roots]
         text = "\n".join(lines) + "\n"
     else:
         records = [dict(zip(SWEEP_HEADER, (*point, n, name, z.real, z.imag, res)))
-                   for point, roots in _labelled_points(tables, n) for name, z, res in roots]
+                   for point, roots in analysis._labelled_points(tables, n)
+                   for name, z, res in roots]
         text = json.dumps(records, indent=1) + "\n"
     _write(text, path)
 

@@ -506,10 +506,13 @@ def _track_to(h_b, theta: float, n: int, solve=None) -> tuple:
     ``_follow`` from u = 0, so its first pick is its first solved row's
     root of smallest |u|: that row lies above h_b = 4, where this is the
     acoustic root (the top-of-line rule, see the module docstring).  A line
-    whose first solved row failed goes on from u = 0 at its next row.  Each
-    row is solved on its own, so a line's roots do not depend on the other
-    lines.  Returns (u, lam), each (L, K, n): every row in :func:`_order`,
-    the continued root first, NaN where dropped or where a solve failed.
+    whose first solved row failed (a ``solve`` that NaN-fills a row) goes on
+    from u = 0 at its first live row only where that row lies above
+    h_b = 4; otherwise the rule does not cover the pick, and the line comes
+    back all NaN.  Each row is solved on its own, so a line's roots do not
+    depend on the other lines.  Returns (u, lam), each (L, K, n): every row
+    in :func:`_order`, the continued root first, NaN where dropped or where
+    a solve failed.
     """
     h_b = np.asarray(h_b, dtype=float)
     size = h_b.shape[1]
@@ -525,12 +528,18 @@ def _track_to(h_b, theta: float, n: int, solve=None) -> tuple:
         steps = max(2, int(np.ceil(decades * CONTINUATION_PER_DECADE)) + 1)
         seed = np.geomspace(start, top, steps)   # its last point is the top
         parts += [seed[:-1][seed[1:] <= 4.0], line]   # from the last row above 4
-    batch = (solve or _eig_roots)(np.concatenate(parts), theta, n)
+    grid = np.concatenate(parts)
+    batch = (solve or _eig_roots)(grid, theta, n)
     rows, path, at = [], [], 0
     for tail in parts[::2]:
         line = batch[at:at + len(tail) + size]
+        picks = _follow(line, 0.0)
+        if picks[0] is None:   # a failed first row: start only above h_b = 4
+            first = next((j for j, k in enumerate(picks) if k is not None), None)
+            if first is not None and grid[at + first] <= 4.0:
+                line, picks = np.full_like(line, np.nan), [None] * len(picks)
         rows.append(line[-size:])
-        path += _follow(line, 0.0)[-size:]
+        path += picks[-size:]
         at += len(line)
     return tuple(part.reshape(len(h_b), size, -1) for part in _order(np.concatenate(rows), path))
 

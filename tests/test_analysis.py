@@ -210,8 +210,9 @@ def test_refine_picks_each_step_with_one_nearest_call(monkeypatch):
         assert picks[:, 0].tolist() == [dsp._follow(r[None], u_l)[0] for r, (u_l,) in zip(rows, u)]
 
 
-def test_sweep_rows_equal_rows_built_by_keyword():
-    # the positional rows, error row included, against the keyword form
+def test_sweep_rows_equal_rows_built_by_keyword(monkeypatch):
+    # the rows sweep builds from the one walk of the columns, error row
+    # included, against the keyword form
     points = [(2.0, 0.5, 0.3), (1.0, 0.5, 0.3), (0.5, 0.5, 0.3), (0.25, 0.5, 0.3)]
     counts = [3, 0, 2, 1]
     lam = [1 + 0.1j, 0.5 + 0.2j, 0.3 + 0.3j, 0.9 + 0.05j, 0.4 + 0.4j, 0.8 + 0.01j]
@@ -227,8 +228,20 @@ def test_sweep_rows_equal_rows_built_by_keyword():
                                    lambda_r=lam[at + j].real, lambda_i=lam[at + j].imag,
                                    residual=residual[at + j]) for j in range(count)]
         at += count
-    assert repr(analysis._sweep_rows(points, 3, counts, lam, residual)) == repr(want)
-    assert repr(analysis._sweep_rows(points[1:2], 3, [0], [], [])) == repr(want[3:4])
+
+    def swept(*columns):   # the rows sweep builds from these columns of one angle
+        monkeypatch.setattr(analysis, "_sweep_columns", lambda *args: [columns])
+        return list(analysis.sweep([0.3], [0.5], [1.0], 3, "all"))
+
+    assert repr(swept(points, counts, lam, residual)) == repr(want)
+    assert repr(swept(points[1:2], [0], [], [])) == repr(want[3:4])
+    # the walk: each point once, with its roots, and one "error" root where
+    # it has none
+    walked = [(point, [(name, z.real, z.imag, res) for name, z, res in roots])
+              for point, roots in analysis._labelled_points([(points, counts, lam, residual)], 3)]
+    assert [point for point, _ in walked] == points
+    assert repr([(*point, *root) for point, roots in walked for root in roots]) == \
+        repr([(r.h, r.B, r.theta, r.branch, r.lambda_r, r.lambda_i, r.residual) for r in want])
 
 
 def test_eigvals_failure_is_a_convergence_error_and_error_rows(monkeypatch):
@@ -243,6 +256,27 @@ def test_eigvals_failure_is_a_convergence_error_and_error_rows(monkeypatch):
     assert [(r.B, r.h, r.branch) for r in rows] == \
         [(B, h, "error") for B in (0.0, -0.9) for h in (10.0, 1.0)]
     assert all(math.isnan(r.lambda_r) and math.isnan(r.residual) for r in rows)
+
+
+def test_sweep_line_whose_failed_top_leaves_no_live_row_above_4_is_error_rows(monkeypatch):
+    # the B = 0 line's top, h_b = 7, fails in its batch and on its own; its
+    # next rows lie at or below h_b = 4, where the root of smallest |u| need
+    # not be the acoustic one, so each of its points is an "error" row; the
+    # B = 1 line, h_b from 14 down, is as it is without the failure
+    h = [7.0, 2.0, 0.5]
+    clean = list(analysis.sweep([0.3], [0.0, 1.0], h, 3, "all"))
+    real = dsp._eig_roots
+
+    def eig_roots(h_b, theta, n):
+        if 7.0 in np.asarray(h_b, dtype=float):
+            raise ConvergenceError("synthetic failure")
+        return real(h_b, theta, n)
+
+    monkeypatch.setattr(dsp, "_eig_roots", eig_roots)
+    rows = list(analysis.sweep([0.3], [0.0, 1.0], h, 3, "all"))
+    assert [(r.h, r.branch) for r in rows if r.B == 0.0] == [(h_i, "error") for h_i in h]
+    assert all(math.isnan(r.lambda_r) and math.isnan(r.residual) for r in rows if r.B == 0.0)
+    assert repr([r for r in rows if r.B == 1.0]) == repr([r for r in clean if r.B == 1.0])
 
 
 def test_theta_scan_of_flat_and_edge_lines_is_one_coarse_batch(eig_batches):

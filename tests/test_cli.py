@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -196,8 +197,10 @@ def test_sweep_rows_match_roots_rows_in_value_and_type():
             swept = list(analysis.sweep(np.array([theta]), np.array([B]), np.array([h]),
                                         n, branch_policy=policy))
             lam, _, residual = dsp._branches_at(dsp._line(h, float(B)), float(theta), n, policy)
-            point = analysis._sweep_rows([(h, float(B), float(theta))], n, [len(lam)],
-                                         lam, residual)
+            columns = [([(h, float(B), float(theta))], [len(lam)], lam, residual)]
+            point = [analysis.SweepRow(*where, n, name, z.real, z.imag, res)
+                     for where, roots in analysis._labelled_points(columns, n)
+                     for name, z, res in roots]
             assert swept == point
             for got, want in zip(swept, point, strict=True):
                 assert [type(v) for v in vars(got).values()] == \
@@ -270,6 +273,37 @@ def test_cli_sweep_and_roots_build_no_sweep_row(monkeypatch, capsys):
         for fmt in ("csv", "json"):
             code, out, _ = run(capsys, *argv, f"--format={fmt}")
             assert code == 0 and "acoustic" in out
+
+
+def test_sweep_records_and_tables_walk_the_columns_once(monkeypatch, capsys):
+    # analysis.sweep, CLI sweep and CLI roots each expand their columns by
+    # one call of the one walk
+    real, calls = analysis._labelled_points, []
+
+    def walk(tables, n):
+        calls.append(n)
+        return real(tables, n)
+
+    monkeypatch.setattr(analysis, "_labelled_points", walk)
+    analysis.sweep([0.0, 0.3], [0.0, 0.5], [0.1, 1.0, 10.0], 3, "all")
+    assert calls == [3]
+    for argv in (["sweep", "--theta=0,0.3", "--B=0,0.5", "--n=3", "--branch=all"],
+                 ["roots", "--h=1", "--theta=0.3", "--n=4", "--branch=all"]):
+        for fmt in ("csv", "json"):
+            calls.clear()
+            code, out, _ = run(capsys, *argv, f"--format={fmt}")
+            assert code == 0 and "acoustic" in out
+            assert len(calls) == 1, (argv, fmt)
+
+
+def test_help_shows_no_private_names(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert "usage: bosewave" in text and "--out" in text
+    assert re.search(r"(?<!\w)_\w", text) is None, text
+    assert "emit" not in text
 
 
 # --------------------------------------------------------------------- hmax

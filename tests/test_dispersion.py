@@ -1095,6 +1095,28 @@ def test_track_to_lines_with_a_failed_solve_equal_one_line_calls_bitwise(monkeyp
     assert_same_lines((u[2:, 1:], lam[2:, 1:]), tail)
 
 
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_track_to_starts_a_line_with_a_failed_top_only_above_4(n):
+    # a top in (4, 10] solves no seed row; with that row NaN-filled, a line
+    # whose next live row lies at or below h_b = 4 comes back all NaN (the
+    # top-of-line rule does not cover a pick there); a next row above 4
+    # starts the line as the line of its later points alone
+    def nan_top(grid, rows):
+        rows[0] = np.nan
+        return rows
+
+    for theta in (0.0, 0.3, math.pi / 4):
+        for top in (4.5, 7.0, 10.0):
+            for below in (4.0, 3.9, 1.0, 1e-3):
+                h_b = np.array([[top, below, below / 10.0]])
+                for part in dsp._track_to(h_b, theta, n, Recording(nan_top)):
+                    assert part.shape == (1, 3, n) and np.isnan(part).all(), (theta, top, below)
+            h_b = np.array([[top, 4.2, 1.0, 1e-3]])
+            u, lam = dsp._track_to(h_b, theta, n, Recording(nan_top))
+            assert np.isnan(u[0, 0]).all() and np.isnan(lam[0, 0]).all()
+            assert_same_lines((u[:, 1:], lam[:, 1:]), dsp._track_to(h_b[:, 1:], theta, n))
+
+
 def test_follow_never_picks_a_dropped_root():
     nan = complex(math.nan)
     rows = np.array([

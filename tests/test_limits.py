@@ -1,4 +1,5 @@
-"""The hydrodynamic limit of the acoustic root, h_b -> inf (ROADMAP item 15).
+"""The hydrodynamic limit of the acoustic root, h_b -> inf, and the decoupled
+roots at degenerate angles (ROADMAP item 15).
 
 With eps = 1/(i h_b), w_k = 2 cos^2[theta + (k-1)pi/n], p_k = 1 - w_k and
 u = lambda^2 = 1 + delta, every denominator is d_k = i h_b (1 + eps v_k),
@@ -97,3 +98,23 @@ def test_acoustic_root_approaches_the_hydrodynamic_limit(h_b):
     worst_i, worst_r = worst_errors(h_b)
     assert worst_i <= 1.0, worst_i
     assert worst_r <= 1.0, worst_r
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_coinciding_velocities_leave_the_decoupled_root(n):
+    # where m >= 2 of the w_j > 0 coincide (theta = 0 and pi/(2n)), m - 1
+    # amplitude patterns summing to zero over them solve
+    # (1 + i h_b - u w_j) a = 0 on their own, so u = (1 + i h_b)/w_j is a
+    # root at every h_b
+    h_b = np.geomspace(1e-6, 1e6, 25)
+    for theta in (0.0, math.pi / (2 * n)):
+        w = np.sort(2.0 * dsp._cos2(theta, n))
+        w = w[w > 1e-12]
+        same = np.isclose(w[1:], w[:-1], rtol=1e-12, atol=0.0)
+        groups = w[1:][same & ~np.append(False, same[:-1])]   # one w_j per group
+        assert len(groups) == ((n - 1) // 2 if theta == 0.0 or n % 2 else n // 2)
+        rows = dsp._eig_roots(h_b, theta, n)
+        for w_j in groups:
+            want = (1.0 + 1j * h_b) / w_j
+            err = np.nanmin(np.abs(rows - want[:, None]), axis=1) / np.abs(want)
+            assert err.max() <= 1e-10, (theta, w_j, err.max())
