@@ -20,10 +20,10 @@ the rational relation.  The cleared-denominator polynomial of degree <= n
 in u is kept as an independent oracle.
 
 The acoustic branch is the one continued from lambda = 1 as h_b -> inf
-(the hydrodynamic limit).  Above h_b = 4 it is the root of smallest |u|
-(the top-of-line rule).  With nu = (1 + i h_b)/u and w_k = 2 cos^2_k,
-every root solves R(nu) = sum_k w_k/(nu - w_k) = n/(i h_b).  On the
-circle nu = 2 e^{i phi}, with a_k = w_k/2 <= 1,
+(the hydrodynamic limit).  Above h_b = TOP_OF_LINE = 4 it is the root of
+smallest |u| (the top-of-line rule).  With nu = (1 + i h_b)/u and
+w_k = 2 cos^2_k, every root solves R(nu) = sum_k w_k/(nu - w_k) = n/(i h_b).
+On the circle nu = 2 e^{i phi}, with a_k = w_k/2 <= 1,
 
     Re(e^{i phi} R) = sum_k a_k (1 - a_k cos phi)/(1 - 2 a_k cos phi + a_k^2)
                    >= sum_k a_k/2 = n/4,
@@ -34,8 +34,9 @@ that circle as h_b falls from inf to 4, so it is the root continued from
 u = 1.  So each line is continued from u = 0 at its top if that lies
 above h_b = 4, and otherwise at the last row above 4 of a seed grid that
 runs from h_b = CONTINUATION_START down to it.  A point lookup labels
-that continuation's last row, the solve at the point itself: one batched
-solve, of the point's own row alone above h_b = 4.
+that continuation's last row, the roots at the point itself: the caller's
+roots when given (no solve above h_b = 4, the seed rows alone below it),
+otherwise the point's own row of the one batched solve.
 
 Conventions: forward wave exp(i(kx - wt)) with real omega > 0, so
 lambda_r >= 0 and lambda_i >= 0 means damped rightward propagation.
@@ -84,6 +85,7 @@ CONTRACT_RESIDUAL_TOL = 1e-9  # acceptance bound carried by DispersionRoot
 SINGULAR_TOL = 1e-14          # denominator magnitude treated as singular
 AMBIGUITY_TOL = 1e-8          # two roots this close at an endpoint: degenerate
 CONTINUATION_START = 1e6      # h_b where the acoustic seed grid starts
+TOP_OF_LINE = 4.0             # above this h_b the acoustic root is the one of smallest |u|
 CONTINUATION_PER_DECADE = 8
 
 
@@ -499,20 +501,24 @@ def _track_to(h_b, theta: float, n: int, solve=None) -> tuple:
     The one seeded solve.  h_b is an (L, K) array: L lines of K points on
     the one angle theta.  A line's seed grid runs from CONTINUATION_START
     (or 10 * its top above it) down to its top h_b[l, 0], without its last
-    point.  A line whose top lies above h_b = 4 solves no seed row; any
-    other solves the seed rows from the last one above 4 down.  Those rows,
-    then the line itself, in line order, are one batch of ``solve``
-    (``_eig_roots`` unless given).  Each line is continued on its own with
+    point.  A line whose top lies above TOP_OF_LINE builds no seed grid and
+    solves no seed row; any other solves the seed rows from the last one
+    above TOP_OF_LINE down.  Either way a top too far from
+    CONTINUATION_START for such a grid in floating point raises
+    DomainError.  Those rows, then the line itself, in line order, are one
+    batch of ``solve`` (``_eig_roots`` unless given), so a ``solve`` may
+    answer a line's rows with roots its caller already has, as
+    :func:`_branches_at` does.  Each line is continued on its own with
     ``_follow`` from u = 0, so its first pick is its first solved row's
-    root of smallest |u|: that row lies above h_b = 4, where this is the
+    root of smallest |u|: that row lies above TOP_OF_LINE, where this is the
     acoustic root (the top-of-line rule, see the module docstring).  A line
     whose first solved row failed (a ``solve`` that NaN-fills a row) goes on
     from u = 0 at its first live row only where that row lies above
-    h_b = 4; otherwise the rule does not cover the pick, and the line comes
-    back all NaN.  Each row is solved on its own, so a line's roots do not
-    depend on the other lines.  Returns (u, lam), each (L, K, n): every row
-    in :func:`_order`, the continued root first, NaN where dropped or where
-    a solve failed.
+    TOP_OF_LINE; otherwise the rule does not cover the pick, and the line
+    comes back all NaN.  Each row is solved on its own, so a line's roots
+    do not depend on the other lines.  Returns (u, lam), each (L, K, n):
+    every row in :func:`_order`, the continued root first, NaN where
+    dropped or where a solve failed.
     """
     h_b = np.asarray(h_b, dtype=float)
     size = h_b.shape[1]
@@ -525,18 +531,22 @@ def _track_to(h_b, theta: float, n: int, solve=None) -> tuple:
         if not decades < math.inf:
             raise DomainError(f"h_b = {top:.6g} is too far from {CONTINUATION_START:g} "
                               "for a continuation grid in floating point")
-        steps = max(2, int(np.ceil(decades * CONTINUATION_PER_DECADE)) + 1)
-        seed = np.geomspace(start, top, steps)   # its last point is the top
-        parts += [seed[:-1][seed[1:] <= 4.0], line]   # from the last row above 4
+        if top > TOP_OF_LINE:
+            seed = line[:0]
+        else:
+            steps = max(2, int(np.ceil(decades * CONTINUATION_PER_DECADE)) + 1)
+            seed = np.geomspace(start, top, steps)   # its last point is the top
+            seed = seed[:-1][seed[1:] <= TOP_OF_LINE]   # from the last row above it
+        parts += [seed, line]
     grid = np.concatenate(parts)
     batch = (solve or _eig_roots)(grid, theta, n)
     rows, path, at = [], [], 0
     for tail in parts[::2]:
         line = batch[at:at + len(tail) + size]
         picks = _follow(line, 0.0)
-        if picks[0] is None:   # a failed first row: start only above h_b = 4
+        if picks[0] is None:   # a failed first row: start only above TOP_OF_LINE
             first = next((j for j, k in enumerate(picks) if k is not None), None)
-            if first is not None and grid[at + first] <= 4.0:
+            if first is not None and grid[at + first] <= TOP_OF_LINE:
                 line, picks = np.full_like(line, np.nan), [None] * len(picks)
         rows.append(line[-size:])
         path += picks[-size:]
@@ -637,26 +647,47 @@ def _branches_at(h_b: float, theta: float, n: int, policy: str = "acoustic",
                  roots=None) -> tuple:
     """One row's columns of :func:`_label_branches` at h_b: (lam, u, residual).
 
-    The one point lookup: the continued root is column 0 of the
-    continuation's row at h_b, the solve at h_b itself (one batched solve),
-    and the acoustic root, first, is the root of ``roots`` (that row unless
-    given) nearest it.
+    The one point lookup: the row at h_b of a one-point :func:`_track_to`
+    line, in label order, the continued (acoustic) root first.  When
+    ``roots`` is given (a 1-D array of at most n values, taken to be the
+    roots at h_b), that row is ``roots`` NaN-padded to n columns: the
+    continuation runs into them, and only its seed rows are solved, none
+    above TOP_OF_LINE.  Otherwise the row is solved in the one batch with
+    the seed rows.  A second root of the row within AMBIGUITY_TOL of the
+    continued one raises BranchAmbiguityError.
     """
-    (u,), (lam,) = _track_to([[h_b]], theta, n)
-    k = _nearest_with_ambiguity_check(u[0] if roots is None else roots, complex(u[0, 0]))
-    ordered = (u, lam) if roots is None else _order(roots[None], [k])
-    return _label_branches(*ordered, [h_b], theta, n, policy)[1:]
+    solve = None
+    if roots is not None:
+        def solve(grid, theta, n):
+            _cos2(theta, n)   # n and theta are checked before roots is sized by n
+            if len(roots) > n:
+                raise DomainError(f"roots must hold at most n = {n} values")
+            row = np.full((1, n), np.nan, dtype=complex)
+            row[0, :len(roots)] = roots
+            if len(grid) == 1:
+                return row
+            return np.concatenate((_eig_roots(grid[:-1], theta, n), row))
+
+    (u,), (lam,) = _track_to([[h_b]], theta, n, solve)
+    _nearest_with_ambiguity_check(u[0], complex(u[0, 0]))
+    return _label_branches(u, lam, [h_b], theta, n, policy)[1:]
 
 
 def select_branch(roots, h_b: float, theta: float, n: int, policy: str = "acoustic"):
     """Classify roots into the acoustic branch and secondary branches.
 
-    The acoustic branch is the root connected by continuation to lambda = 1
-    as h_b -> infinity.  policy="acoustic" returns that single
+    ``roots`` are taken to be the roots u of the dispersion relation at
+    (h_b, theta, n), such as :func:`solve_roots` returns: a nonempty 1-D
+    array of at most n finite values, or DomainError.  The acoustic branch
+    is the root connected by continuation to lambda = 1 as h_b -> infinity;
+    the continuation runs into the given roots, so the point's own row is
+    not solved again.  policy="acoustic" returns that single
     :class:`DispersionRoot`; policy="all" returns every root, secondaries
     indexed in order of descending lambda_i.
     """
     roots = np.asarray(roots, dtype=complex)
+    if roots.ndim != 1:
+        raise DomainError("roots must be a 1-D array")
     if roots.size == 0:
         raise DomainError("roots must be nonempty")
     if not np.all(np.isfinite(roots)):

@@ -698,6 +698,40 @@ def test_select_branch_non_finite_roots_rejected(bad):
                           policy="all")
 
 
+@pytest.mark.parametrize("h_b", [1.0, 10.0])
+def test_select_branch_rejects_roots_not_1d_or_more_than_n(h_b):
+    # a 2-D array raised a bare TypeError, and 4 "roots" at n = 2 were
+    # labelled up to secondary(3)
+    roots = dsp.solve_roots(dsp.assemble_polynomial(h_b, 0.3, 2))
+    for bad in (roots[None], roots[:, None], np.complex128(roots[0])):
+        with pytest.raises(DomainError, match="roots must be a 1-D array"):
+            dsp.select_branch(bad, h_b, 0.3, 2)
+    with pytest.raises(DomainError, match="roots must hold at most n = 2 values"):
+        dsp.select_branch(np.concatenate([roots, roots + 1.0]), h_b, 0.3, 2, policy="all")
+
+
+def test_select_branch_labels_polynomial_oracle_roots_like_the_point_lookup():
+    # roots the lookup did not solve itself: np.roots of the cleared-
+    # denominator polynomial, which the continuation runs into; where the
+    # trim drops a root (degree below the lookup's root count) only the
+    # acoustic root is compared
+    rng = np.random.default_rng(30)
+    for i in range(1000):
+        n = int(rng.integers(2, 9))
+        theta = (int(rng.integers(0, 4 * n)) * math.pi / (2 * n) if i % 4 == 0
+                 else float(rng.uniform(0.0, math.pi)))
+        h_b = float(10.0 ** rng.uniform(-3, 6))
+        poly = dsp.assemble_polynomial(h_b, theta, n)
+        roots = dsp.solve_roots(poly)
+        want = dsp.select_branch(roots, h_b, theta, n, policy="all")
+        got = dsp.select_branch(np.roots(poly.coeffs), h_b, theta, n, policy="all")
+        if poly.degree < len(roots):
+            got, want = got[:1], want[:1]
+        assert [r.branch for r in got] == [r.branch for r in want], (h_b, theta, n)
+        for g, w in zip(got, want):
+            assert abs(g.u - w.u) <= 1e-9 * abs(w.u), (h_b, theta, n, g.branch)
+
+
 def test_select_branch_degenerate_crossing_reported():
     # at theta=pi/4 the two roots are 1 and 1+i*h_b: within 1e-8 of each
     # other for tiny h_b, which must be reported, not resolved silently
@@ -1135,6 +1169,67 @@ def test_point_lookup_solves_the_short_seed(eig_batches):
     dsp.acoustic_root(1.0, 0.3, 8)
     dsp.acoustic_root(5.0, 0.3, 8)
     assert eig_batches == [6, 1]
+
+
+def test_select_branch_above_top_of_line_solves_nothing(eig_batches):
+    # the continuation runs into the given roots: above h_b = 4 it takes
+    # their root of smallest |u| and makes no eigen batch
+    for h_b in (np.nextafter(dsp.TOP_OF_LINE, 5.0), 5.0, 1e3, 1e8):
+        for theta, n in ((0.3, 2), (0.0, 4), (math.pi / 2, 3), (0.7, 8)):
+            roots = dsp.solve_roots(dsp.assemble_polynomial(h_b, theta, n))
+            eig_batches.clear()
+            for policy in ("acoustic", "all"):
+                dsp.select_branch(roots, h_b, theta, n, policy)
+            assert eig_batches == [], (h_b, theta, n)
+
+
+def test_select_branch_at_or_below_top_of_line_solves_the_seed_rows_alone(monkeypatch):
+    # one batch, the seed rows of acoustic_root's batch without the point
+    real, grids = dsp._eig_roots, []
+
+    def recording(h_b, theta, n):
+        grids.append(np.array(h_b))
+        return real(h_b, theta, n)
+
+    monkeypatch.setattr(dsp, "_eig_roots", recording)
+    for h_b in (dsp.TOP_OF_LINE, 1.0, 1e-3):
+        for theta, n in ((0.3, 2), (math.pi / 2, 3), (0.7, 8)):
+            roots = dsp.solve_roots(dsp.assemble_polynomial(h_b, theta, n))
+            grids.clear()
+            dsp.acoustic_root(h_b, theta, n)
+            (lookup,) = grids
+            grids.clear()
+            dsp.select_branch(roots, h_b, theta, n, "all")
+            (seed,) = grids
+            assert len(seed) >= 1 and h_b not in seed
+            assert lookup.tobytes() == np.append(seed, h_b).tobytes()
+
+
+def test_line_above_top_of_line_builds_no_seed_grid(monkeypatch):
+    real, calls = np.geomspace, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dsp.np, "geomspace", counting)
+    dsp._track_to([[4.5, 1.0, 1e-3], [1e8, 1e3, 1.0]], 0.3, 3)
+    dsp.acoustic_root(np.nextafter(dsp.TOP_OF_LINE, 5.0), 0.3, 3)
+    dsp.continuation_track(0.3, 3, 0.0, [1e4, 1.0])
+    assert calls == []
+    dsp.acoustic_root(dsp.TOP_OF_LINE, 0.3, 3)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("lookup", [
+    lambda h_b: dsp.acoustic_root(h_b, 0.3, 2),
+    lambda h_b: dsp.select_branch(np.array([1.0 + 0j]), h_b, 0.3, 2),
+], ids=["acoustic_root", "select_branch"])
+def test_lookup_above_top_of_line_keeps_the_float_range_check(lookup):
+    # 10 * h_b overflows: no seed grid is built above h_b = 4, yet the
+    # check of the grid's range still runs
+    with pytest.raises(DomainError, match="h_b = 1e\\+308 is too far from 1e\\+06"):
+        lookup(1e308)
 
 
 def secular_r(nu, theta, n):
