@@ -27,10 +27,12 @@ one gather kernel for both boundaries.  Collisions are integrated with one
 RK4 substep.  For the linear collision operator L that substep is the
 matrix R = sum_{k=0..4} (dt L)^k / k!, applied as R @ P.  The nonlinear
 substep works on the 4n factors of the pair products, Z = [1 + P; b rolled
-to the next pair], kept as one (2, 2, n, M) array.  The rate is G @ Q with
+to the next pair], kept as one contiguous (4n, M) array whose four (n, M)
+blocks are Np_k, Np_{k+n}, b_{k+1} and b_{k+n+1}.  The rate is G @ Q with
 G = gain*11^T - loss*I, and a stage adds the same shift to both members of
-a pair, so each stage is one matrix product with a precomputed (2n, n)
-lift, one add onto Z and two products giving Q; the four stages' Q are
+a pair, so each stage is one matrix product with a precomputed (4n, n)
+lift giving all 4n rows of the shift, one contiguous add onto Z and one
+product reduction over the four blocks giving Q; the four stages' Q are
 combined by one more product, (dt/6)[G, 2G, 2G, G], added to both halves
 of P.  Q is centred on its first row before each product (G @ 1 = 0), so
 equilibrium is an exact fixed point for every n.
@@ -263,43 +265,46 @@ def _collision_substep(config: ModelConfig, dt: float):
     In pair form (module docstring) the term is G @ Q with
     G = gain*11^T - loss*I, added to both rows of a pair.  A stage adds its
     shift s = a*(G @ Q) to both members of each pair of Np = 1 + P, and
-    g N0 s of the next pair to the blocking factors, so one (2n, n) lift
-    [G; g N0 G(next)] moves all 4n factors Z = [Np; b(next)] at once.  Q is
-    centred on its first row before each product: G @ 1 = 0, so the term is
-    unchanged, and it is exactly 0 where all Q_k are equal (equilibrium).
-    Every intermediate is allocated per call.
+    g N0 s of the next pair to both blocking factors of a pair, so one
+    (4n, n) lift [G; G; g N0 G(next); g N0 G(next)] gives the shift of all
+    4n factors Z = [Np; b(next)], and one contiguous add moves them.  Q is
+    the product of Z's four (n, M) blocks, one reduction.  Q is centred on
+    its first row before each product: G @ 1 = 0, so the term is unchanged,
+    and it is exactly 0 where all Q_k are equal (equilibrium).  The combine
+    is one (n, 4n) product whose rows are added to both halves of P, so the
+    two rows of a pair get one bitwise-equal increment.  Every intermediate
+    is allocated per call.
     """
     n = config.n
     gN0 = config.gamma * config.N0
     loss = 2.0 * config.c * config.S * config.N0
     G = np.full((n, n), loss / n, dtype=float)
     G[np.diag_indices(n)] -= loss
-    lift = np.vstack([G, gN0 * np.roll(G, -1, axis=0)])
+    G_next = gN0 * np.roll(G, -1, axis=0)
+    lift = np.vstack([G, G, G_next, G_next])
     half = (0.5 * dt) * lift
     stages = (half, half, dt * lift)
     combine = (dt / 6.0) * np.hstack([G, 2 * G, 2 * G, G])
     for matrix in (*stages, combine):
         matrix.flags.writeable = False
+    p2 = 2 * n
 
     def collide(P: np.ndarray) -> np.ndarray:
         M = P.shape[1]
-        Z = np.empty((2, 2 * n, M))    # [Np; b rolled to the next pair]
-        np.add(P, 1.0, out=Z[0])
-        np.multiply(Z[0, 1:], gN0, out=Z[1, :-1])
-        np.multiply(Z[0, :1], gN0, out=Z[1, -1:])
-        np.add(Z[1], 1.0, out=Z[1])
-        Z = Z.reshape(2, 2, n, M)
+        Z = np.empty((2 * p2, M))      # [Np; b rolled to the next pair]
+        np.add(P, 1.0, out=Z[:p2])
+        np.multiply(Z[1:p2], gN0, out=Z[p2:-1])
+        np.multiply(Z[:1], gN0, out=Z[-1:])
+        np.add(Z[p2:], 1.0, out=Z[p2:])
         stage, shifted = Z, np.empty_like(Z)
         Qc = np.empty((4, n, M))       # the four stages' centred Q
         for i in range(4):
-            pairs = np.multiply(stage[:, 0], stage[:, 1])
-            Q = np.multiply(pairs[0], pairs[1], out=pairs[0])
+            Q = np.multiply.reduce(stage.reshape(4, n, M), axis=0)
             np.subtract(Q, Q[0], out=Qc[i])
             if i < 3:
-                shift = stages[i] @ Qc[i]
-                stage = np.add(Z, shift.reshape(2, 1, n, M), out=shifted)
+                stage = np.add(Z, stages[i] @ Qc[i], out=shifted)
         step = combine @ Qc.reshape(4 * n, M)
-        return np.add(P.reshape(2, n, M), step).reshape(2 * n, M)
+        return np.add(P.reshape(2, n, M), step).reshape(p2, M)
 
     return collide
 
@@ -446,7 +451,9 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
     advect, collide = _build_kernels(config, lattice.x_speeds, dt, dx, M, "open",
                                      mode)
     t_ramp = ramp_periods * T
+    inflow_rows = np.flatnonzero(inflow)
     drive_amp = 1j * weights[inflow]
+    minus_i_omega = -1j * omega     # -1j * omega * t groups as (-1j * omega) * t
     bound = INSTABILITY_FACTOR * eps
 
     P = np.zeros((2 * config.n, M))
@@ -455,8 +462,8 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
         P = collide(advect(P))
         t = step * dt
         envelope = 0.5 * (1.0 - math.cos(math.pi * t / t_ramp)) if t < t_ramp else 1.0
-        P[inflow, 0] = eps * envelope * np.real(
-            drive_amp * np.exp(-1j * omega * t))
+        P[inflow_rows, 0] = eps * envelope * (
+            drive_amp * np.exp(minus_i_omega * t)).real
         lo, hi = P.min(), P.max()
         if mode == "nonlinear" and lo <= -1.0:
             raise PositivityError("positivity lost during forced nonlinear run")
