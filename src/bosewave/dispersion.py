@@ -35,8 +35,10 @@ u = 1.  So each line is continued from u = 0 at its top if that lies
 above h_b = 4, and otherwise at the last row above 4 of a seed grid that
 runs from h_b = CONTINUATION_START down to it.  A point lookup labels
 that continuation's last row, the roots at the point itself: the caller's
-roots when given (no solve above h_b = 4, the seed rows alone below it),
-otherwise the point's own row of the one batched solve.
+roots when given (no solve above h_b = 4, the seed rows alone below it,
+without the Newton polish: the continuation only compares them by
+distance and never returns one), otherwise the point's own row of the
+one batched solve, polished with the rest.
 
 Conventions: forward wave exp(i(kx - wt)) with real omega > 0, so
 lambda_r >= 0 and lambda_i >= 0 means damped rightward propagation.
@@ -239,14 +241,17 @@ def _polish(u: np.ndarray, h_b: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return u
 
 
-def _eig_roots(h_b, theta, n: int) -> np.ndarray:
-    """Roots u at every h_b of a 1-D grid, one (K, n) array from one eigvals call.
+def _eig_step(h_b, theta, n: int) -> tuple:
+    """Unpolished roots u at every h_b of a 1-D grid: one eigvals call.
 
     theta is one angle for the whole grid or a (K,) array, one per h_b.
     u = 1/mu over the eigenvalues of the (K, n, n) stack of A^-1 C; mu below
     MU_CUT_REL of its row's largest |mu| is a root at infinity, dropped: its
     entry is NaN.  Each row is solved on its own, so a row's roots do not
-    depend on the other rows of the batch.
+    depend on the other rows of the batch.  Returns (u, h_b, c2), the
+    arguments of :func:`_polish`.  Only the seed rows of a given-roots
+    lookup (:func:`_branches_at`) go unpolished: they are only compared by
+    distance and never returned.
     """
     h_b = np.asarray(h_b, dtype=float)
     if not ((h_b > 0) & (h_b < math.inf)).all():
@@ -262,7 +267,12 @@ def _eig_roots(h_b, theta, n: int) -> np.ndarray:
     size = np.abs(mu)
     keep = size > MU_CUT_REL * size.max(axis=1, keepdims=True)
     u = np.divide(1.0, mu, out=np.full_like(mu, np.nan), where=keep)
-    return _polish(u, h_b, c2)
+    return u, h_b, c2
+
+
+def _eig_roots(h_b, theta, n: int) -> np.ndarray:
+    """Roots u at every h_b of a 1-D grid: the (K, n) :func:`_eig_step`, polished."""
+    return _polish(*_eig_step(h_b, theta, n))
 
 
 def solve_roots(poly: DispersionPolynomial, maxiter: int = 200) -> np.ndarray:
@@ -341,8 +351,11 @@ def residual(lam: complex, h_b: float, theta: float, n: int) -> complex:
     """Left side of the rational dispersion relation, evaluated exactly.
 
     Raises :class:`SingularDenominatorError` if any denominator is within
-    1e-14 of zero (e.g. the secondary root at theta = pi/4, n = 2).
+    1e-14 of zero (e.g. the secondary root at theta = pi/4, n = 2), and
+    DomainError for a NaN or infinite lam.
     """
+    if not cmath.isfinite(lam):
+        raise DomainError("lam must be finite")
     (denoms,) = _denominators([lam], [h_b], _cos2(theta, n))
     if np.any(np.abs(denoms) < SINGULAR_TOL):
         raise SingularDenominatorError(
@@ -421,8 +434,11 @@ def root_residual(lam: complex, h_b: float, theta: float, n: int) -> float:
 
     If the noise of that form still reaches CLEAR_POLE_NOISE (a second pole
     nearly coincides, e.g. the secondary root at theta = pi/4 for n = 2),
-    the next-nearest pole is cleared the same way, and so on.
+    the next-nearest pole is cleared the same way, and so on.  A NaN or
+    infinite lam raises DomainError.
     """
+    if not cmath.isfinite(lam):
+        raise DomainError("lam must be finite")
     return float(_certify([lam], [h_b], theta, n)[0])
 
 
@@ -652,9 +668,11 @@ def _branches_at(h_b: float, theta: float, n: int, policy: str = "acoustic",
     ``roots`` is given (a 1-D array of at most n values, taken to be the
     roots at h_b), that row is ``roots`` NaN-padded to n columns: the
     continuation runs into them, and only its seed rows are solved, none
-    above TOP_OF_LINE.  Otherwise the row is solved in the one batch with
-    the seed rows.  A second root of the row within AMBIGUITY_TOL of the
-    continued one raises BranchAmbiguityError.
+    above TOP_OF_LINE, by :func:`_eig_step` alone: they only steer the
+    continuation by distance and are never returned, so they get no Newton
+    polish.  Otherwise the row is solved and polished in the one batch
+    with the seed rows.  A second root of the row within AMBIGUITY_TOL of
+    the continued one raises BranchAmbiguityError.
     """
     solve = None
     if roots is not None:
@@ -666,7 +684,7 @@ def _branches_at(h_b: float, theta: float, n: int, policy: str = "acoustic",
             row[0, :len(roots)] = roots
             if len(grid) == 1:
                 return row
-            return np.concatenate((_eig_roots(grid[:-1], theta, n), row))
+            return np.concatenate((_eig_step(grid[:-1], theta, n)[0], row))
 
     (u,), (lam,) = _track_to([[h_b]], theta, n, solve)
     _nearest_with_ambiguity_check(u[0], complex(u[0, 0]))
@@ -681,9 +699,10 @@ def select_branch(roots, h_b: float, theta: float, n: int, policy: str = "acoust
     array of at most n finite values, or DomainError.  The acoustic branch
     is the root connected by continuation to lambda = 1 as h_b -> infinity;
     the continuation runs into the given roots, so the point's own row is
-    not solved again.  policy="acoustic" returns that single
-    :class:`DispersionRoot`; policy="all" returns every root, secondaries
-    indexed in order of descending lambda_i.
+    not solved again, and the seed rows it steers through below h_b = 4
+    are not polished, since none of them is returned.  policy="acoustic"
+    returns that single :class:`DispersionRoot`; policy="all" returns every
+    root, secondaries indexed in order of descending lambda_i.
     """
     roots = np.asarray(roots, dtype=complex)
     if roots.ndim != 1:

@@ -294,20 +294,13 @@ def test_secular_derivatives_match_finite_differences(n, theta, h_b):
     np.testing.assert_allclose(f_h, (fh_p - fh_m) / (2 * dh), rtol=1e-6)
 
 
-def test_continuation_is_one_batched_solve(monkeypatch):
-    real = dsp._eig_roots
-    sizes = []
-
-    def counting(h_b, theta, n):
-        sizes.append(len(h_b))
-        return real(h_b, theta, n)
-
-    monkeypatch.setattr(dsp, "_eig_roots", counting)
+def test_continuation_is_one_batched_solve(eig_batches):
     dsp.continuation_track(0.3, 3, 0.0, np.geomspace(1e4, 1e-2, 40))
-    assert sizes == [40]
-    sizes.clear()
-    dsp.select_branch(real(np.array([1.0]), 0.3, 3)[0], 1.0, 0.3, 3)
-    assert len(sizes) == 1 and sizes[0] > 1
+    assert eig_batches == [40]
+    roots = dsp._eig_roots(np.array([1.0]), 0.3, 3)[0]
+    eig_batches.clear()
+    dsp.select_branch(roots, 1.0, 0.3, 3)
+    assert len(eig_batches) == 1 and eig_batches[0] > 1
 
 
 # ------------------------------------------------------------- closed form
@@ -442,6 +435,14 @@ def test_lambda_form_functions_reject_a_bad_h_b(h_b):
             call(LAMBDA_H1_T0, h_b, 0.0, 2)
     with pytest.raises(DomainError, match="h_b must be positive and finite"):
         dsp._certify([LAMBDA_H1_T0, LAMBDA_H1_T0], [1.0, h_b], 0.0, 2)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [math.nan, math.inf, complex(1.0, math.nan)])
+def test_lambda_form_functions_reject_a_non_finite_lam(lam):
+    for call in (dsp.root_residual, dsp.residual, dsp.mode_shape):
+        with pytest.raises(DomainError, match="lam must be finite"):
+            call(lam, 1.0, 0.3, 2)
 
 
 # ------------------------------------------------------ batched certificate
@@ -636,7 +637,7 @@ def test_mode_shape_requires_a_root():
 
 @pytest.mark.filterwarnings("error")
 def test_mode_shape_rejects_a_nan_lambda():
-    with pytest.raises(DomainError, match="residual check failed"):
+    with pytest.raises(DomainError, match="lam must be finite"):
         dsp.mode_shape(complex(math.nan, 0.0), 1.0, 0.3, 2)
 
 
@@ -1184,14 +1185,14 @@ def test_select_branch_above_top_of_line_solves_nothing(eig_batches):
 
 
 def test_select_branch_at_or_below_top_of_line_solves_the_seed_rows_alone(monkeypatch):
-    # one batch, the seed rows of acoustic_root's batch without the point
-    real, grids = dsp._eig_roots, []
+    # one eigen batch, the seed rows of acoustic_root's batch without the point
+    real, grids = dsp._eig_step, []
 
     def recording(h_b, theta, n):
         grids.append(np.array(h_b))
         return real(h_b, theta, n)
 
-    monkeypatch.setattr(dsp, "_eig_roots", recording)
+    monkeypatch.setattr(dsp, "_eig_step", recording)
     for h_b in (dsp.TOP_OF_LINE, 1.0, 1e-3):
         for theta, n in ((0.3, 2), (math.pi / 2, 3), (0.7, 8)):
             roots = dsp.solve_roots(dsp.assemble_polynomial(h_b, theta, n))
@@ -1319,6 +1320,51 @@ def test_point_lookup_equals_a_single_point_solve_bitwise(policy):
         want = outcome(lambda: dsp.select_branch(
             row[~np.isnan(row)], h_b, theta, n, policy))
         assert outcome(lambda: lookup(h_b, theta, n)) == want, (h_b, theta, n)
+
+
+@pytest.mark.parametrize("h_b", [dsp.TOP_OF_LINE, 1.0, 1e-3, 1e-12])
+def test_select_branch_polishes_no_seed_row(monkeypatch, eig_batches, h_b):
+    # the seed rows only steer the continuation into the given roots and
+    # are never returned, so they get no Newton polish; acoustic_root
+    # polishes every row of its one batch
+    real, polished = dsp._polish, []
+
+    def counting(u, h_b, c2):
+        polished.append(len(u))
+        return real(u, h_b, c2)
+
+    monkeypatch.setattr(dsp, "_polish", counting)
+    for theta, n in ((0.3, 2), (0.5, 3), (0.7, 8)):
+        roots = dsp.solve_roots(dsp.assemble_polynomial(h_b, theta, n))
+        for policy in ("acoustic", "all"):
+            eig_batches.clear()
+            polished.clear()
+            dsp.select_branch(roots, h_b, theta, n, policy)
+            assert len(eig_batches) == 1 and polished == [], (theta, n, policy)
+        eig_batches.clear()
+        polished.clear()
+        dsp.acoustic_root(h_b, theta, n)
+        assert polished == eig_batches and len(polished) == 1, (theta, n)
+
+
+def test_select_branch_on_solve_roots_equals_acoustic_root_below_top_of_line():
+    # its unpolished seed rows steer the continuation into the same root
+    # as acoustic_root's polished ones, down to h_b = 1e-14 and next to
+    # the degenerate angles; an error is the same type (a degenerate
+    # crossing may quote the other of its two roots)
+    rng = np.random.default_rng(32)
+    for _ in range(2000):
+        n = int(rng.integers(2, 9))
+        h_b = float(10.0 ** rng.uniform(-14.0, math.log10(dsp.TOP_OF_LINE)))
+        theta = float(rng.uniform(0.0, math.pi / n))
+        if rng.random() < 0.25:
+            theta = (int(rng.integers(0, 2 * n)) * math.pi / (2 * n)
+                     + float(rng.choice([0.0, 1e-9, -1e-9, 1e-12, -1e-12])))
+        (row,) = dsp._eig_roots([h_b], theta, n)   # solve_roots, without its oracle polynomial
+        got = outcome(lambda: dsp.select_branch(row[~np.isnan(row)], h_b, theta, n))
+        want = outcome(lambda: dsp.acoustic_root(h_b, theta, n))
+        # a repr holds no ":", and an error compares by its type alone
+        assert got.partition(":")[0] == want.partition(":")[0], (h_b, theta, n)
 
 
 def test_point_lookup_reports_a_degenerate_crossing():
