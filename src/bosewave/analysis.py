@@ -124,19 +124,22 @@ def _labelled_points(tables, n: int):
 
 
 def _line_roots(h_b: np.ndarray, theta: float, n: int) -> np.ndarray:
-    """(K, n) roots at every h_b of one angle's sweep batch, from one batched solve.
+    """(K, n) unpolished roots at every h_b of one angle's sweep batch, from one batched solve.
 
-    If the batch's eigenvalue solve fails (ConvergenceError), the points are
-    solved one at a time and each point that fails again gets an all-NaN row.
+    The ``solve`` of ``dispersion._track_to``: ``dispersion._eig_step``'s
+    rows, which ``_track_to`` polishes where they are a line's own and
+    leaves as they are where they only steer (seed rows).  If the batch's
+    eigenvalue solve fails (ConvergenceError), the points are solved one at
+    a time and each point that fails again gets an all-NaN row.
     """
     try:
-        return dispersion._eig_roots(h_b, theta, n)
+        return dispersion._eig_step(h_b, theta, n)[0]
     except ConvergenceError:
         pass
     out = np.full((len(h_b), n), np.nan, dtype=complex)
     for row, hb in zip(out, h_b):
         try:
-            row[:] = dispersion._eig_roots([hb], theta, n)[0]
+            row[:] = dispersion._eig_step([hb], theta, n)[0][0]
         except ConvergenceError:
             pass
     return out

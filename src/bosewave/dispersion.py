@@ -35,10 +35,11 @@ u = 1.  So each line is continued from u = 0 at its top if that lies
 above h_b = 4, and otherwise at the last row above 4 of a seed grid that
 runs from h_b = CONTINUATION_START down to it.  A point lookup labels
 that continuation's last row, the roots at the point itself: the caller's
-roots when given (no solve above h_b = 4, the seed rows alone below it,
-without the Newton polish: the continuation only compares them by
-distance and never returns one), otherwise the point's own row of the
-one batched solve, polished with the rest.
+roots when given (no solve above h_b = 4, the seed rows alone below it),
+otherwise the point's own row of the one batched solve.  The one rule of
+the Newton polish: seed rows only steer the continuation by distance and
+are never returned, so they are never polished; a line's own rows are
+polished, or given.
 
 Conventions: forward wave exp(i(kx - wt)) with real omega > 0, so
 lambda_r >= 0 and lambda_i >= 0 means damped rightward propagation.
@@ -249,9 +250,9 @@ def _eig_step(h_b, theta, n: int) -> tuple:
     MU_CUT_REL of its row's largest |mu| is a root at infinity, dropped: its
     entry is NaN.  Each row is solved on its own, so a row's roots do not
     depend on the other rows of the batch.  Returns (u, h_b, c2), the
-    arguments of :func:`_polish`.  Only the seed rows of a given-roots
-    lookup (:func:`_branches_at`) go unpolished: they are only compared by
-    distance and never returned.
+    arguments of :func:`_polish`.  u is what a ``solve`` of
+    :func:`_track_to` returns: unpolished, since its seed rows only steer
+    the continuation; :func:`_track_to` polishes a line's own rows.
     """
     h_b = np.asarray(h_b, dtype=float)
     if not ((h_b > 0) & (h_b < math.inf)).all():
@@ -271,7 +272,11 @@ def _eig_step(h_b, theta, n: int) -> tuple:
 
 
 def _eig_roots(h_b, theta, n: int) -> np.ndarray:
-    """Roots u at every h_b of a 1-D grid: the (K, n) :func:`_eig_step`, polished."""
+    """Roots u at every h_b of a 1-D grid: the (K, n) :func:`_eig_step`, polished.
+
+    For rows that are returned; a continuation's seed rows, which only
+    steer it, take :func:`_eig_step` alone (see :func:`_track_to`).
+    """
     return _polish(*_eig_step(h_b, theta, n))
 
 
@@ -511,10 +516,11 @@ def _follow(rows, u: complex) -> list:
     return path
 
 
-def _track_to(h_b, theta: float, n: int, solve=None) -> tuple:
+def _track_to(h_b, theta: float, n: int, solve=None, roots=None) -> tuple:
     """The roots of each line of h_b in label order, continued from its top-of-line pick.
 
-    The one seeded solve.  h_b is an (L, K) array: L lines of K points on
+    The one seeded solve, and the one place that knows which rows of its
+    batch are seed rows.  h_b is an (L, K) array: L lines of K points on
     the one angle theta.  A line's seed grid runs from CONTINUATION_START
     (or 10 * its top above it) down to its top h_b[l, 0], without its last
     point.  A line whose top lies above TOP_OF_LINE builds no seed grid and
@@ -522,19 +528,25 @@ def _track_to(h_b, theta: float, n: int, solve=None) -> tuple:
     above TOP_OF_LINE down.  Either way a top too far from
     CONTINUATION_START for such a grid in floating point raises
     DomainError.  Those rows, then the line itself, in line order, are one
-    batch of ``solve`` (``_eig_roots`` unless given), so a ``solve`` may
-    answer a line's rows with roots its caller already has, as
-    :func:`_branches_at` does.  Each line is continued on its own with
-    ``_follow`` from u = 0, so its first pick is its first solved row's
-    root of smallest |u|: that row lies above TOP_OF_LINE, where this is the
-    acoustic root (the top-of-line rule, see the module docstring).  A line
-    whose first solved row failed (a ``solve`` that NaN-fills a row) goes on
-    from u = 0 at its first live row only where that row lies above
-    TOP_OF_LINE; otherwise the rule does not cover the pick, and the line
-    comes back all NaN.  Each row is solved on its own, so a line's roots
-    do not depend on the other lines.  Returns (u, lam), each (L, K, n):
-    every row in :func:`_order`, the continued root first, NaN where
-    dropped or where a solve failed.
+    batch of ``solve``, which returns the unpolished roots of every row
+    (``_eig_step``'s unless given).  The seed rows only steer the
+    continuation by distance and are never returned, so they are never
+    polished; the lines' own rows are polished in that array, by one
+    :func:`_polish` call.  ``roots``, given for a one-point line (a 1-D
+    array of at most n values, taken to be the roots at that point), is
+    that line's row, NaN-padded to n columns: it is neither solved nor
+    polished, and n and theta are checked before it is sized by n.  Each
+    line is continued on its own with ``_follow`` from u = 0, so its first
+    pick is its first solved row's root of smallest |u|: that row lies
+    above TOP_OF_LINE, where this is the acoustic root (the top-of-line
+    rule, see the module docstring).  A line whose first solved row failed
+    (a ``solve`` that NaN-fills a row) goes on from u = 0 at its first live
+    row only where that row lies above TOP_OF_LINE; otherwise the rule does
+    not cover the pick, and the line comes back all NaN.  Each row is
+    solved and polished on its own, so a line's roots do not depend on the
+    other lines.  Returns (u, lam), each (L, K, n): every row in
+    :func:`_order`, the continued root first, NaN where dropped or where a
+    solve failed.
     """
     h_b = np.asarray(h_b, dtype=float)
     size = h_b.shape[1]
@@ -555,7 +567,21 @@ def _track_to(h_b, theta: float, n: int, solve=None) -> tuple:
             seed = seed[:-1][seed[1:] <= TOP_OF_LINE]   # from the last row above it
         parts += [seed, line]
     grid = np.concatenate(parts)
-    batch = (solve or _eig_roots)(grid, theta, n)
+    solve = solve or (lambda h, t, k: _eig_step(h, t, k)[0])
+    if roots is None:
+        batch = solve(grid, theta, n)
+        # the lines' own rows: the batch's tail when only the first line has seed rows
+        steer = len(parts[0])
+        own = (slice(steer, None) if len(grid) - steer == h_b.size
+               else np.repeat([False, True] * len(h_b), [len(part) for part in parts]))
+        batch[own] = _polish(batch[own], grid[own], _cos2(theta, n))
+    else:   # one point, its row given; n and theta are checked before roots is sized by n
+        if len(roots) > len(_cos2(theta, n)):
+            raise DomainError(f"roots must hold at most n = {n} values")
+        batch = np.full((len(grid), n), np.nan, dtype=complex)
+        batch[-1, :len(roots)] = roots
+        if len(grid) > 1:
+            batch[:-1] = solve(grid[:-1], theta, n)
     rows, path, at = [], [], 0
     for tail in parts[::2]:
         line = batch[at:at + len(tail) + size]
@@ -586,17 +612,6 @@ def _line(h, B):
     if np.any(h_b == 0):
         raise DomainError("h_b must be positive and finite")
     return h_b
-
-
-def _nearest_with_ambiguity_check(roots: np.ndarray, u_target: complex) -> int:
-    order = np.argsort(np.abs(roots - u_target))
-    if len(order) > 1:
-        best, second = roots[order[0]], roots[order[1]]
-        if abs(best - second) < AMBIGUITY_TOL * max(1.0, abs(best)):
-            raise BranchAmbiguityError(
-                f"two roots within {AMBIGUITY_TOL} of each other near "
-                f"u = {u_target:.6g}: degenerate crossing")
-    return int(order[0])
 
 
 def _principal(u: np.ndarray) -> np.ndarray:
@@ -664,30 +679,19 @@ def _branches_at(h_b: float, theta: float, n: int, policy: str = "acoustic",
     """One row's columns of :func:`_label_branches` at h_b: (lam, u, residual).
 
     The one point lookup: the row at h_b of a one-point :func:`_track_to`
-    line, in label order, the continued (acoustic) root first.  When
-    ``roots`` is given (a 1-D array of at most n values, taken to be the
-    roots at h_b), that row is ``roots`` NaN-padded to n columns: the
-    continuation runs into them, and only its seed rows are solved, none
-    above TOP_OF_LINE, by :func:`_eig_step` alone: they only steer the
-    continuation by distance and are never returned, so they get no Newton
-    polish.  Otherwise the row is solved and polished in the one batch
-    with the seed rows.  A second root of the row within AMBIGUITY_TOL of
-    the continued one raises BranchAmbiguityError.
+    line, in label order, the continued (acoustic) root first.  That row is
+    ``roots`` when given (a 1-D array of at most n values, taken to be the
+    roots at h_b), which is neither solved nor polished; otherwise it is
+    solved in the one batch with the seed rows and polished alone.  The
+    seed rows only steer the continuation and are never polished.  Another
+    live root of the row within AMBIGUITY_TOL * max(1, |u_0|) of the
+    continued root u_0 raises BranchAmbiguityError.
     """
-    solve = None
-    if roots is not None:
-        def solve(grid, theta, n):
-            _cos2(theta, n)   # n and theta are checked before roots is sized by n
-            if len(roots) > n:
-                raise DomainError(f"roots must hold at most n = {n} values")
-            row = np.full((1, n), np.nan, dtype=complex)
-            row[0, :len(roots)] = roots
-            if len(grid) == 1:
-                return row
-            return np.concatenate((_eig_step(grid[:-1], theta, n)[0], row))
-
-    (u,), (lam,) = _track_to([[h_b]], theta, n, solve)
-    _nearest_with_ambiguity_check(u[0], complex(u[0, 0]))
+    (u,), (lam,) = _track_to([[h_b]], theta, n, roots=roots)
+    u_0 = u[0, 0]
+    if (np.abs(u[0, 1:] - u_0) < AMBIGUITY_TOL * max(1.0, abs(u_0))).any():
+        raise BranchAmbiguityError(f"two roots within {AMBIGUITY_TOL} of each other near "
+                                   f"u = {complex(u_0):.6g}: degenerate crossing")
     return _label_branches(u, lam, [h_b], theta, n, policy)[1:]
 
 
@@ -699,10 +703,11 @@ def select_branch(roots, h_b: float, theta: float, n: int, policy: str = "acoust
     array of at most n finite values, or DomainError.  The acoustic branch
     is the root connected by continuation to lambda = 1 as h_b -> infinity;
     the continuation runs into the given roots, so the point's own row is
-    not solved again, and the seed rows it steers through below h_b = 4
-    are not polished, since none of them is returned.  policy="acoustic"
-    returns that single :class:`DispersionRoot`; policy="all" returns every
-    root, secondaries indexed in order of descending lambda_i.
+    neither solved again nor polished, and the seed rows it steers through
+    below h_b = 4 are never polished, since none of them is returned.
+    policy="acoustic" returns that single :class:`DispersionRoot`;
+    policy="all" returns every root, secondaries indexed in order of
+    descending lambda_i.
     """
     roots = np.asarray(roots, dtype=complex)
     if roots.ndim != 1:

@@ -265,14 +265,14 @@ def test_sweep_line_whose_failed_top_leaves_no_live_row_above_4_is_error_rows(mo
     # B = 1 line, h_b from 14 down, is as it is without the failure
     h = [7.0, 2.0, 0.5]
     clean = list(analysis.sweep([0.3], [0.0, 1.0], h, 3, "all"))
-    real = dsp._eig_roots
+    real = dsp._eig_step
 
-    def eig_roots(h_b, theta, n):
+    def eig_step(h_b, theta, n):
         if 7.0 in np.asarray(h_b, dtype=float):
             raise ConvergenceError("synthetic failure")
         return real(h_b, theta, n)
 
-    monkeypatch.setattr(dsp, "_eig_roots", eig_roots)
+    monkeypatch.setattr(dsp, "_eig_step", eig_step)
     rows = list(analysis.sweep([0.3], [0.0, 1.0], h, 3, "all"))
     assert [(r.h, r.branch) for r in rows if r.B == 0.0] == [(h_i, "error") for h_i in h]
     assert all(math.isnan(r.lambda_r) and math.isnan(r.residual) for r in rows if r.B == 0.0)
@@ -323,14 +323,14 @@ def test_sweep_pi4_line_is_unit_undamped():
 
 
 def test_sweep_programming_errors_propagate(monkeypatch):
-    real = dsp._eig_roots
+    real = dsp._eig_step
 
     def broken(h_b, theta, n):
         if np.any(np.abs(np.asarray(h_b) - 1.0) < 1e-12):
             raise TypeError("synthetic programming error")
         return real(h_b, theta, n)
 
-    monkeypatch.setattr(analysis.dispersion, "_eig_roots", broken)
+    monkeypatch.setattr(analysis.dispersion, "_eig_step", broken)
     with pytest.raises(TypeError):
         analysis.sweep([0.2], [0.0], [10.0, 1.0, 0.1], 2)
 
@@ -343,11 +343,11 @@ def test_point_secondary_query_solves_once(eig_batches):
 
 
 def _eig_batches(monkeypatch, thetas=None):
-    """The h_b grids of the _eig_roots calls a test makes, in order.
+    """The h_b grids of the eigen batches (_eig_step calls) a test makes, in order.
 
     The angle (or per-row angles) of each call is appended to ``thetas``.
     """
-    real = dsp._eig_roots
+    real = dsp._eig_step
     grids = []
 
     def recording(h_b, theta, n):
@@ -356,7 +356,7 @@ def _eig_batches(monkeypatch, thetas=None):
             thetas.append(theta)
         return real(h_b, theta, n)
 
-    monkeypatch.setattr(analysis.dispersion, "_eig_roots", recording)
+    monkeypatch.setattr(analysis.dispersion, "_eig_step", recording)
     return grids
 
 
@@ -519,7 +519,7 @@ def test_sweep_empty_inputs_rejected():
 def test_sweep_failures_become_error_rows(monkeypatch):
     from bosewave.errors import ConvergenceError
 
-    real = dsp._eig_roots
+    real = dsp._eig_step
 
     def flaky(h_b, theta, n):
         # the line's one batch (its top h_b = 10 lies above 4, so it holds
@@ -529,7 +529,7 @@ def test_sweep_failures_become_error_rows(monkeypatch):
             raise ConvergenceError("synthetic failure")
         return real(h_b, theta, n)
 
-    monkeypatch.setattr(analysis.dispersion, "_eig_roots", flaky)
+    monkeypatch.setattr(analysis.dispersion, "_eig_step", flaky)
     table_rows = list(analysis.sweep([0.2], [0.0], [10.0, 1.0, 0.1], 2))
     assert len(table_rows) == 3
     bad = [r for r in table_rows if r.branch == "error"]

@@ -245,14 +245,14 @@ def test_sweep_and_roots_print_the_bytes_emit_writes_of_the_sweep_records(tmp_pa
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_error_rows_print_the_bytes_emit_writes(monkeypatch, tmp_path, capsys, fmt):
     h = np.geomspace(0.1, 10.0, 5)
-    real = dsp._eig_roots
+    real = dsp._eig_step
 
-    def eig_roots(h_b, theta, n):   # every batch that holds h[1] or h[3] fails
+    def eig_step(h_b, theta, n):   # every batch that holds h[1] or h[3] fails
         if np.isin(np.asarray(h_b, dtype=float), h[[1, 3]]).any():
             raise errors.ConvergenceError("synthetic failure")
         return real(h_b, theta, n)
 
-    monkeypatch.setattr(dsp, "_eig_roots", eig_roots)
+    monkeypatch.setattr(dsp, "_eig_step", eig_step)
     rows = analysis.sweep([0.3, math.pi / 2], [0.0], h, 3, branch_policy="all")
     assert [row.h for row in rows if row.branch == "error"] == list(h[[3, 1, 3, 1]])
     want = tmp_path / "want"
@@ -743,7 +743,7 @@ def test_numerical_error_keeps_its_builtin_base_and_exits_2(monkeypatch, capsys,
     def fail(*args, **kwargs):
         raise error("injected failure")
 
-    monkeypatch.setattr(cli.dispersion, "_eig_roots", fail)
+    monkeypatch.setattr(cli.dispersion, "_eig_step", fail)
     code, out, err = run(capsys, "roots", "--h", "1", "--theta", "0")
     assert code == 2
     assert out == ""

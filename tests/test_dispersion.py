@@ -993,7 +993,7 @@ class Recording:
 
     def __call__(self, grid, theta, n):
         self.batches.append(np.array(grid))
-        rows = dsp._eig_roots(grid, theta, n)
+        rows = dsp._eig_step(grid, theta, n)[0]
         if self.alter is not None:
             rows = self.alter(self.batches[-1], rows)
         self.results.append(rows)
@@ -1029,7 +1029,10 @@ def test_track_to_folds_the_seed_into_the_line_batch_bitwise(n, top):
             assert len(solve.batches) == 1
             assert solve.batches[0].tobytes() == \
                 np.concatenate([seed_grid[cut:], h_b]).tobytes()
-            for got_rows, want in zip(solve.results[0], np.concatenate([seed[cut:], line]),
+            # the seed rows only steer, unpolished; _track_to polishes the
+            # line's rows in place
+            steer = dsp._eig_step(seed_grid, theta, n)[0][cut:]
+            for got_rows, want in zip(solve.results[0], np.concatenate([steer, line]),
                                       strict=True):
                 assert got_rows.tobytes() == want.tobytes(), (theta, B)
             assert_in_label_order(got, line, path, (theta, B))
@@ -1112,14 +1115,14 @@ def test_track_to_lines_with_a_failed_solve_equal_one_line_calls_bitwise(monkeyp
     # row (its top lies above h_b = 4, so no seed row is solved), after
     # which line 2 goes on from u = 0 at its next row
     bad = {h_b[1, 4], h_b[2, 0]}
-    real = dsp._eig_roots
+    real = dsp._eig_step
 
     def failing(grid, theta, n):
         if bad & set(np.asarray(grid).tolist()):
             raise ConvergenceError("eigenvalue solve failed")
         return real(grid, theta, n)
 
-    monkeypatch.setattr(dsp, "_eig_roots", failing)
+    monkeypatch.setattr(dsp, "_eig_step", failing)
     u, lam = together = dsp._track_to(h_b, theta, n, analysis._line_roots)
     assert np.isnan(u[1, 4]).all() and np.isnan(lam[1, 4]).all()
     assert np.isnan(u[2, 0]).all() and np.isnan(lam[2, 0]).all()
@@ -1326,7 +1329,7 @@ def test_point_lookup_equals_a_single_point_solve_bitwise(policy):
 def test_select_branch_polishes_no_seed_row(monkeypatch, eig_batches, h_b):
     # the seed rows only steer the continuation into the given roots and
     # are never returned, so they get no Newton polish; acoustic_root
-    # polishes every row of its one batch
+    # polishes the one row of its one batch that it returns
     real, polished = dsp._polish, []
 
     def counting(u, h_b, c2):
@@ -1344,7 +1347,7 @@ def test_select_branch_polishes_no_seed_row(monkeypatch, eig_batches, h_b):
         eig_batches.clear()
         polished.clear()
         dsp.acoustic_root(h_b, theta, n)
-        assert polished == eig_batches and len(polished) == 1, (theta, n)
+        assert polished == [1] and len(eig_batches) == 1, (theta, n)
 
 
 def test_select_branch_on_solve_roots_equals_acoustic_root_below_top_of_line():
@@ -1365,6 +1368,112 @@ def test_select_branch_on_solve_roots_equals_acoustic_root_below_top_of_line():
         want = outcome(lambda: dsp.acoustic_root(h_b, theta, n))
         # a repr holds no ":", and an error compares by its type alone
         assert got.partition(":")[0] == want.partition(":")[0], (h_b, theta, n)
+
+
+@pytest.mark.parametrize("h_b", [dsp.TOP_OF_LINE, 1.0, 1e-3, 1e-12])
+def test_point_lookups_polish_only_their_row(monkeypatch, capsys, eig_batches, h_b):
+    # one place polishes: a point lookup's one batch is its seed rows and
+    # its point, and only the point's row, the one it returns, is polished;
+    # a sweep line polishes its own rows and none of its seed rows
+    from bosewave import analysis, cli
+    real, polished = dsp._polish, []
+
+    def counting(u, h_b, c2):
+        polished.append(len(u))
+        return real(u, h_b, c2)
+
+    monkeypatch.setattr(dsp, "_polish", counting)
+    lookups = {
+        "acoustic_root": lambda theta, n: dsp.acoustic_root(h_b, theta, n),
+        "_branches_at": lambda theta, n: dsp._branches_at(h_b, theta, n, "all"),
+        "roots": lambda theta, n: cli.main(["roots", f"--h={h_b!r}", f"--theta={theta!r}",
+                                            f"--n={n}", "--branch=all"]),
+    }
+    for theta, n in ((0.3, 2), (0.5, 3), (0.7, 8)):
+        for name, lookup in lookups.items():
+            eig_batches.clear()
+            polished.clear()
+            lookup(theta, n)
+            assert len(eig_batches) == 1 and eig_batches[0] > 1, (name, theta, n)
+            assert polished == [1], (name, theta, n)
+        eig_batches.clear()
+        polished.clear()
+        analysis.sweep([theta], [0.0, -0.5], np.geomspace(h_b, h_b * 1e-3, 5), n)
+        assert len(eig_batches) == 1 and eig_batches[0] > 10 and polished == [10], (theta, n)
+    capsys.readouterr()
+
+
+def test_select_branch_on_solve_roots_equals_acoustic_root_or_its_error():
+    # both lookups steer through the same unpolished seed rows, so they
+    # return the same record or raise the same error, message included;
+    # the listed points are degenerate crossings where a lookup steered by
+    # polished seed rows picks (and quotes) the other of its two roots
+    rng = np.random.default_rng(33)
+    points = [(3.341481095986718e-12, 2.91719317933338, 7),
+              (2.688800600365188e-14, -1e-09, 4),
+              (2.059634599802765e-14, 0.7853981643974483, 2),
+              (1e-9, math.pi / 4, 2)]
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        h_b = float(10.0 ** rng.uniform(-14.0, 2.0))
+        theta = float(rng.uniform(0.0, math.pi / n))
+        if rng.random() < 0.25:
+            theta = (int(rng.integers(0, 2 * n)) * math.pi / (2 * n)
+                     + float(rng.choice([0.0, 1e-9, -1e-9, 1e-12, -1e-12])))
+        points.append((h_b, theta, n))
+    errors = 0
+    for h_b, theta, n in points:
+        want = outcome(lambda: dsp.acoustic_root(h_b, theta, n))
+        got = outcome(lambda: dsp.select_branch(
+            dsp.solve_roots(dsp.assemble_polynomial(h_b, theta, n)), h_b, theta, n))
+        assert got == want, (h_b, theta, n)
+        errors += want.startswith("BranchAmbiguityError: ")
+    assert errors >= 4
+
+
+def nearest_with_ambiguity_check(roots, u_target):
+    """The nearest-root search that held the point lookups' ambiguity check."""
+    from bosewave.errors import BranchAmbiguityError
+    order = np.argsort(np.abs(roots - u_target))
+    if len(order) > 1:
+        best, second = roots[order[0]], roots[order[1]]
+        if abs(best - second) < dsp.AMBIGUITY_TOL * max(1.0, abs(best)):
+            raise BranchAmbiguityError(
+                f"two roots within {dsp.AMBIGUITY_TOL} of each other near "
+                f"u = {u_target:.6g}: degenerate crossing")
+    return int(order[0])
+
+
+def test_ambiguity_check_equals_the_nearest_root_search():
+    # a point lookup raises BranchAmbiguityError, with the same message,
+    # exactly where the nearest-root search on its labelled row did: rows
+    # NaN-padded (fewer roots than n), with an exact duplicate (of the
+    # continued root or of another), and on or next to degenerate angles
+    rng = np.random.default_rng(34)
+    seen = set()
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        h_b = float(10.0 ** rng.uniform(-14.0, 2.0))
+        theta = float(rng.uniform(0.0, math.pi / n))
+        if rng.random() < 0.25:
+            theta = (int(rng.integers(0, 2 * n)) * math.pi / (2 * n)
+                     + float(rng.choice([0.0, 1e-9, -1e-9, 1e-12, -1e-12])))
+        roots = dsp.solve_roots(dsp.assemble_polynomial(h_b, theta, n))
+        kind = int(rng.integers(3))
+        if kind == 1:   # a NaN-padded row
+            roots = roots[:int(rng.integers(1, len(roots) + 1))]
+        elif kind == 2:   # an exact duplicate, in place of the last root
+            roots = np.append(roots[:n - 1], roots[int(rng.integers(len(roots)))])
+        (u,), _ = dsp._track_to([[h_b]], theta, n, roots=roots)
+        want = outcome(lambda: nearest_with_ambiguity_check(u[0], complex(u[0, 0])))
+        got = outcome(lambda: dsp._branches_at(h_b, theta, n, "all", roots))
+        raised = want.startswith("BranchAmbiguityError: ")
+        assert got.startswith("BranchAmbiguityError: ") == raised, (h_b, theta, n, kind)
+        if raised:
+            assert got == want, (h_b, theta, n, kind)
+        seen.add((kind, raised, bool(np.isnan(u[0]).any())))
+    assert {(0, False), (0, True), (1, False), (2, True)} <= {key[:2] for key in seen}
+    assert (1, False, True) in seen
 
 
 def test_point_lookup_reports_a_degenerate_crossing():
