@@ -16,8 +16,10 @@ A^-1 = (I + (i*h_b/n) 11^T)/(1 + i*h_b).  So every root is u = 1/mu over
 the eigenvalues mu of A^-1 C, and a grid of h_b values is one stacked
 eigenvalue call; mu ~ 0 is a root at infinity (a velocity perpendicular to
 the wave) and is dropped, and the other roots get guarded Newton steps on
-the rational relation.  The cleared-denominator polynomial of degree <= n
-in u is kept as an independent oracle.
+the rational relation.  The cleared polynomial in u, an independent oracle,
+has u^k coefficient e_k(b) a^(n-k-1) (1 + i*h_b*k/n), a = 1 + i*h_b and
+b_m = -2 cos^2_m: prod_m (a + b_m u) = sum_k e_k(b) a^(n-k) u^k, and the
+skip-one sum is its derivative in a.
 
 The acoustic branch is the one continued from lambda = 1 as h_b -> inf
 (the hydrodynamic limit).  Above h_b = TOP_OF_LINE = 4 it is the root of
@@ -116,7 +118,7 @@ class DispersionPolynomial:
     coeffs are complex, ordered by descending degree, with leading
     coefficients of relative magnitude below TRIM_REL_TOL trimmed away
     (roots escaping to infinity at degenerate angles are dropped, not
-    fabricated).
+    fabricated).  The coefficients are finite for every finite h_b.
     """
 
     coeffs: np.ndarray
@@ -163,28 +165,21 @@ def assemble_polynomial(h_b: float, theta: float, n: int) -> DispersionPolynomia
     """Clear the denominators of the dispersion relation.
 
     Returns the monic polynomial prod_m d_m(u) - (i*h_b/n) sum_m prod_{j!=m} d_j(u)
-    with d_m(u) = 1 + i*h_b - 2*u*cos^2[theta+(m-1)pi/n].  For n=2 this is
+    with d_m(u) = a + b_m*u, a = 1 + i*h_b, b_m = -2*cos^2[theta+(m-1)pi/n].
+    prod_m d_m = sum_k e_k(b) a^(n-k) u^k (e_k elementary symmetric), whose
+    a-derivative is the skip-one sum; over a^(n-1), u^k has the O(1) factors
+    e_k(b) (1/a)^k (1 + i*h_b*(k/n)), so nothing overflows.  For n=2 this is
     sin^2(2*theta)*u^2 - (2+i*h_b)*u + (1+i*h_b) up to the monic scaling.
     """
     if not 0 < h_b < math.inf:
         raise DomainError("h_b must be positive and finite")
     z = 1j * h_b
-    factors = [np.array([-2.0 * c2, 1.0 + z], dtype=complex) for c2 in _cos2(theta, n)]
-    prefix = [np.array([1.0 + 0j])]   # prefix[m]: the product of factors[:m]
-    for f in factors:
-        prefix.append(np.convolve(prefix[-1], f))
-    tail = None
-    for m in range(n):
-        pm = prefix[m]   # the product skipping factor m, built left to right
-        for f in factors[m + 1:]:
-            pm = np.convolve(pm, f)
-        tail = pm if tail is None else np.polyadd(tail, pm)
-    poly = np.polyadd(prefix[n], -(z / n) * tail)
+    e = np.poly(2.0 * _cos2(theta, n))[::-1]   # e_k(b) at u^k, descending
+    deg = np.arange(n, -1, -1)
+    poly = e * (1.0 / (1.0 + z)) ** deg * (1.0 + z * (deg / n))
 
-    scale = np.max(np.abs(poly))
-    k = 0
-    while k < len(poly) - 1 and abs(poly[k]) < TRIM_REL_TOL * scale:
-        k += 1
+    mag = np.abs(poly)
+    k = int(np.argmax(mag >= TRIM_REL_TOL * mag.max()))
     poly = poly[k:] / poly[k]
     return DispersionPolynomial(coeffs=poly, degree=len(poly) - 1,
                                 params=(h_b, theta, n))
@@ -741,8 +736,8 @@ def continuation_track(theta: float, n: int, B: float, h_grid) -> list:
     violations, which indicate a branch crossing.
     """
     h_grid = np.asarray(h_grid, dtype=float)
-    if h_grid.size == 0 or np.any(np.diff(h_grid) >= 0):
-        raise DomainError("h_grid must be sorted strictly descending")
+    if h_grid.ndim != 1 or h_grid.size == 0 or np.any(np.diff(h_grid) >= 0):
+        raise DomainError("h_grid must be a 1-D array sorted strictly descending")
     if h_grid[0] < 1e4:
         raise DomainError("h_grid must start at h >= 1e4 for reliable seeding")
     h_b = _line(h_grid, B)

@@ -506,6 +506,8 @@ def fit_wave(series: list[WaveField], omega: float | None = None,
     config = series[0].config
     if omega is None:
         omega = config.omega
+    if not 0 < omega < math.inf:
+        raise DomainError("omega must be positive and finite")
     dx = series[0].dx
     M = series[0].P.shape[1]
     L = (M - 1) * dx
@@ -520,6 +522,8 @@ def fit_wave(series: list[WaveField], omega: float | None = None,
         x_lo, x_hi = _default_fit_window(config, L, dx)
     else:
         x_lo, x_hi = fit_window
+        if not x_lo < x_hi:
+            raise DomainError("fit_window must be (lo, hi) with lo < hi")
         if x_lo < lam_est - 1e-9:
             raise DomainError("fit_window must exclude the first (inlet) wavelength")
         if x_hi > L - dx + 1e-9:

@@ -310,6 +310,23 @@ def test_fit_wave_rejects_a_series_it_cannot_fit(alter, window, needle):
         sim.fit_wave(alter(synthetic_series()), fit_window=window)
 
 
+@pytest.mark.parametrize("omega, window, needle", [
+    (math.nan, (4.5, 11.5), "omega"),
+    (math.inf, (4.5, 11.5), "omega"),
+    (0.0, (4.5, 11.5), "omega"),
+    (-1.0, (4.5, 11.5), "omega"),
+    (1.0, (math.nan, 11.5), "fit_window"),
+    (1.0, (4.5, math.nan), "fit_window"),
+    (1.0, (11.5, 4.5), "fit_window"),
+    (1.0, (6.0, 6.0), "fit_window"),
+], ids=["omega-nan", "omega-inf", "omega-zero", "omega-negative",
+        "lo-nan", "hi-nan", "lo-above-hi", "lo-equals-hi"])
+@pytest.mark.filterwarnings("error")
+def test_fit_wave_rejects_bad_arguments_before_fitting(omega, window, needle):
+    with pytest.raises(DomainError, match=needle):
+        sim.fit_wave(synthetic_series(), omega=omega, fit_window=window)
+
+
 def test_fit_wave_window_must_exclude_inlet_and_outlet():
     series = synthetic_series()
     with pytest.raises(DomainError):
