@@ -522,20 +522,22 @@ def _track_to(h_b, theta: float, n: int, solve=None, roots=None) -> tuple:
     solves no seed row; any other solves the seed rows from the last one
     above TOP_OF_LINE down.  Either way a top too far from
     CONTINUATION_START for such a grid in floating point raises
-    DomainError.  Those rows, then the line itself, in line order, are one
-    batch of ``solve``, which returns the unpolished roots of every row
-    (``_eig_step``'s unless given).  The seed rows only steer the
-    continuation by distance and are never returned, so they are never
-    polished; the lines' own rows are polished in that array, by one
-    :func:`_polish` call.  ``roots``, given for a one-point line (a 1-D
-    array of at most n values, taken to be the roots at that point), is
-    that line's row, NaN-padded to n columns: it is neither solved nor
-    polished, and n and theta are checked before it is sized by n.  Each
-    line is continued on its own with ``_follow`` from u = 0, so its first
-    pick is its first solved row's root of smallest |u|: that row lies
-    above TOP_OF_LINE, where this is the acoustic root (the top-of-line
-    rule, see the module docstring).  A line whose first solved row failed
-    (a ``solve`` that NaN-fills a row) goes on from u = 0 at its first live
+    DomainError; then n and theta are checked.  One batch of ``solve``,
+    which returns the unpolished roots of every row (``_eig_step``'s unless
+    given), holds every line's seed rows, in line order, then the lines'
+    own rows: [seed_0, ..., seed_{L-1}, line_0, ..., line_{L-1}].  The seed
+    rows only steer the continuation by distance and are never returned,
+    so they are never polished; the own rows are the batch's tail,
+    polished in place by one :func:`_polish` call.  ``roots``, given for a
+    one-point line (a 1-D array of at most n values, taken to be the roots
+    at that point), is that tail's one row, NaN-padded to n columns: it is
+    neither solved nor polished, and n and theta are checked before it is
+    sized by n.  Each line is continued on its own with ``_follow`` from
+    u = 0 through its seed rows and then its own rows, so its first pick
+    is its first solved row's root of smallest |u|: that row lies above
+    TOP_OF_LINE, where this is the acoustic root (the top-of-line rule,
+    see the module docstring).  A line whose first solved row failed (a
+    ``solve`` that NaN-fills a row) goes on from u = 0 at its first live
     row only where that row lies above TOP_OF_LINE; otherwise the rule does
     not cover the pick, and the line comes back all NaN.  Each row is
     solved and polished on its own, so a line's roots do not depend on the
@@ -544,9 +546,8 @@ def _track_to(h_b, theta: float, n: int, solve=None, roots=None) -> tuple:
     solve failed.
     """
     h_b = np.asarray(h_b, dtype=float)
-    size = h_b.shape[1]
-    parts = []
-    for top, line in zip(h_b[:, 0].tolist(), h_b):
+    seeds = []
+    for top in h_b[:, 0].tolist():
         if not 0 < top < math.inf:
             raise DomainError("h_b must be positive and finite")
         start = CONTINUATION_START if top <= CONTINUATION_START else 10.0 * top
@@ -555,40 +556,37 @@ def _track_to(h_b, theta: float, n: int, solve=None, roots=None) -> tuple:
             raise DomainError(f"h_b = {top:.6g} is too far from {CONTINUATION_START:g} "
                               "for a continuation grid in floating point")
         if top > TOP_OF_LINE:
-            seed = line[:0]
+            seed = h_b[:0, 0]
         else:
             steps = max(2, int(np.ceil(decades * CONTINUATION_PER_DECADE)) + 1)
             seed = np.geomspace(start, top, steps)   # its last point is the top
             seed = seed[:-1][seed[1:] <= TOP_OF_LINE]   # from the last row above it
-        parts += [seed, line]
-    grid = np.concatenate(parts)
+        seeds.append(seed)
+    c2 = _cos2(theta, n)
+    grid = np.concatenate((*seeds, h_b.ravel()))
+    steer = len(grid) - h_b.size
     solve = solve or (lambda h, t, k: _eig_step(h, t, k)[0])
     if roots is None:
         batch = solve(grid, theta, n)
-        # the lines' own rows: the batch's tail when only the first line has seed rows
-        steer = len(parts[0])
-        own = (slice(steer, None) if len(grid) - steer == h_b.size
-               else np.repeat([False, True] * len(h_b), [len(part) for part in parts]))
-        batch[own] = _polish(batch[own], grid[own], _cos2(theta, n))
+        batch[steer:] = _polish(batch[steer:], grid[steer:], c2)
     else:   # one point, its row given; n and theta are checked before roots is sized by n
-        if len(roots) > len(_cos2(theta, n)):
+        if len(roots) > len(c2):
             raise DomainError(f"roots must hold at most n = {n} values")
         batch = np.full((len(grid), n), np.nan, dtype=complex)
-        batch[-1, :len(roots)] = roots
-        if len(grid) > 1:
-            batch[:-1] = solve(grid[:-1], theta, n)
-    rows, path, at = [], [], 0
-    for tail in parts[::2]:
-        line = batch[at:at + len(tail) + size]
-        picks = _follow(line, 0.0)
+        batch[steer, :len(roots)] = roots
+        if steer:
+            batch[:steer] = solve(grid[:steer], theta, n)
+    own, path, at = batch[steer:].reshape(*h_b.shape, -1), [], 0
+    for seed, line, h_line in zip(seeds, own, h_b):
+        picks = _follow(np.concatenate((batch[at:at + len(seed)], line)), 0.0)
         if picks[0] is None:   # a failed first row: start only above TOP_OF_LINE
             first = next((j for j, k in enumerate(picks) if k is not None), None)
-            if first is not None and grid[at + first] <= TOP_OF_LINE:
-                line, picks = np.full_like(line, np.nan), [None] * len(picks)
-        rows.append(line[-size:])
-        path += picks[-size:]
-        at += len(line)
-    return tuple(part.reshape(len(h_b), size, -1) for part in _order(np.concatenate(rows), path))
+            if first is not None and np.append(seed, h_line)[first] <= TOP_OF_LINE:
+                line[:] = np.nan
+                picks = [None] * len(picks)
+        path += picks[len(seed):]
+        at += len(seed)
+    return tuple(part.reshape(own.shape) for part in _order(batch[steer:], path))
 
 
 def _line(h, B):

@@ -242,6 +242,31 @@ def test_sweep_and_roots_print_the_bytes_emit_writes_of_the_sweep_records(tmp_pa
         assert (got.read_text() if to_file else out).encode() == want.read_bytes(), argv
 
 
+def table_body(text: str, fmt: str) -> str:
+    """A CSV table without its header line, or a JSON table without its brackets."""
+    return text.split("\n", 1)[1] if fmt == "csv" else text[len("[\n"):-len("\n]\n")]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_multi_b_sweep_body_is_its_single_b_bodies_joined(capsys, n, fmt):
+    # the tops h_b = 6, 1.5, 3.6 and 3e-5 lie on both sides of h_b = 4: the
+    # first line has no seed rows and the later ones have, so every line's
+    # own rows are continued through seed rows of its own, not its neighbours'
+    Bs = ["1", "-0.5", "0.2", "-0.99999"]
+    for theta in ("0.3", "90deg"):
+        argv = ["sweep", "--h-range=1e-3:3:5", "--log", f"--theta={theta}", f"--n={n}",
+                "--branch=all", f"--format={fmt}"]
+        bodies = []
+        for B in Bs:
+            code, out, err = run(capsys, *argv, f"--B={B}")
+            assert (code, err) == (0, ""), (theta, B)
+            bodies.append(table_body(out, fmt))
+        code, out, err = run(capsys, *argv, f"--B={','.join(Bs)}")
+        assert (code, err) == (0, ""), theta
+        assert table_body(out, fmt) == ("" if fmt == "csv" else ",\n").join(bodies), theta
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_error_rows_print_the_bytes_emit_writes(monkeypatch, tmp_path, capsys, fmt):
     h = np.geomspace(0.1, 10.0, 5)

@@ -142,7 +142,9 @@ def test_assemble_polynomial_matches_the_exact_cleared_product(seed, count, lo, 
 @pytest.mark.filterwarnings("error")
 def test_assemble_polynomial_is_finite_over_the_float_range():
     for n in range(2, 9):
-        for h_b in (*10.0 ** np.arange(-300, 308, 8), 1.7e308):
+        # the grid holds 1e-300 and 1e300; 1e30 and 1e160 complete the pairs
+        # (1e30, 8), (1e160, 2), (1e300, 3) and (1e-300, 5)
+        for h_b in (*10.0 ** np.arange(-300, 308, 8), 1e30, 1e160, 1.7e308):
             for theta in (0.3, 0.0, math.pi / 4, math.pi / 2):
                 poly = dsp.assemble_polynomial(float(h_b), theta, n)
                 assert np.isfinite(poly.coeffs).all() and poly.degree >= 1, (h_b, theta, n)
@@ -1408,10 +1410,9 @@ def test_select_branch_polishes_no_seed_row(monkeypatch, eig_batches, h_b):
 
 
 def test_select_branch_on_solve_roots_equals_acoustic_root_below_top_of_line():
-    # its unpolished seed rows steer the continuation into the same root
-    # as acoustic_root's polished ones, down to h_b = 1e-14 and next to
-    # the degenerate angles; an error is the same type (a degenerate
-    # crossing may quote the other of its two roots)
+    # select_branch and acoustic_root steer through the same unpolished
+    # seed rows into the same root, down to h_b = 1e-14 and next to the
+    # degenerate angles: the same record, or the same error and message
     rng = np.random.default_rng(32)
     for _ in range(2000):
         n = int(rng.integers(2, 9))
@@ -1423,8 +1424,7 @@ def test_select_branch_on_solve_roots_equals_acoustic_root_below_top_of_line():
         (row,) = dsp._eig_roots([h_b], theta, n)   # solve_roots, without its oracle polynomial
         got = outcome(lambda: dsp.select_branch(row[~np.isnan(row)], h_b, theta, n))
         want = outcome(lambda: dsp.acoustic_root(h_b, theta, n))
-        # a repr holds no ":", and an error compares by its type alone
-        assert got.partition(":")[0] == want.partition(":")[0], (h_b, theta, n)
+        assert got == want, (h_b, theta, n)
 
 
 @pytest.mark.parametrize("h_b", [dsp.TOP_OF_LINE, 1.0, 1e-3, 1e-12])
@@ -1463,13 +1463,16 @@ def test_point_lookups_polish_only_their_row(monkeypatch, capsys, eig_batches, h
 def test_select_branch_on_solve_roots_equals_acoustic_root_or_its_error():
     # both lookups steer through the same unpolished seed rows, so they
     # return the same record or raise the same error, message included;
-    # the listed points are degenerate crossings where a lookup steered by
-    # polished seed rows picks (and quotes) the other of its two roots
+    # the listed crossings are degenerate ones where a lookup steered by
+    # polished seed rows picks (and quotes) the other of its two roots; the
+    # listed records are points where both lookups return a record
     rng = np.random.default_rng(33)
+    records = [(0.1, 0.3, 4), (10.0, 0.3, 4), (1e-3, 0.3, 8), (1e-12, 0.3, 4)]
     points = [(3.341481095986718e-12, 2.91719317933338, 7),
               (2.688800600365188e-14, -1e-09, 4),
               (2.059634599802765e-14, 0.7853981643974483, 2),
-              (1e-9, math.pi / 4, 2)]
+              (1e-9, math.pi / 4, 2),
+              *records]
     for _ in range(300):
         n = int(rng.integers(2, 9))
         h_b = float(10.0 ** rng.uniform(-14.0, 2.0))
@@ -1484,6 +1487,7 @@ def test_select_branch_on_solve_roots_equals_acoustic_root_or_its_error():
         got = outcome(lambda: dsp.select_branch(
             dsp.solve_roots(dsp.assemble_polynomial(h_b, theta, n)), h_b, theta, n))
         assert got == want, (h_b, theta, n)
+        assert (h_b, theta, n) not in records or want.startswith("DispersionRoot("), want
         errors += want.startswith("BranchAmbiguityError: ")
     assert errors >= 4
 
