@@ -736,6 +736,8 @@ def continuation_track(theta: float, n: int, B: float, h_grid) -> list:
     h_grid = np.asarray(h_grid, dtype=float)
     if h_grid.ndim != 1 or h_grid.size == 0 or np.any(np.diff(h_grid) >= 0):
         raise DomainError("h_grid must be a 1-D array sorted strictly descending")
+    if not np.all((h_grid > 0) & (h_grid < math.inf)):   # NaN fails it too
+        raise DomainError("h_grid entries must be positive and finite")
     if h_grid[0] < 1e4:
         raise DomainError("h_grid must start at h >= 1e4 for reliable seeding")
     h_b = _line(h_grid, B)

@@ -92,6 +92,7 @@ ZERO_SPEED_TOL = 1e-14        # |cos| below this (times c) snaps to an exact zer
 KINETIC_CLEARANCE = 6.0       # e-foldings of the slowest secondary mode to skip
 AMP_FLOOR_RATIO = 1e-2        # fit keeps cells above this fraction of window start
 KERNEL_CACHE_SIZE = 4         # step kernels kept for reuse
+DRIVE_BLOCK_STEPS = 4096      # most steps whose drive a forced run computes at once
 
 
 @dataclass(frozen=True)
@@ -394,6 +395,15 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
     period.  `cfl`, in (0, CFL_LIMIT], is the Courant number the advective
     limit on dt allows.
 
+    The drive is computed per period, at most DRIVE_BLOCK_STEPS steps at
+    a time, with the operations of a per-step drive, so its values are
+    bitwise the same.  A step raises PositivityError (nonlinear, min P <=
+    -1) or InstabilityError (|P| > INSTABILITY_FACTOR * eps, or NaN); the
+    min and max are read only when the step's sum of squares does not
+    already prove them inside these bounds.  Each snapshot's P is the
+    array its step produced, not a copy; no later step writes into it, and
+    the caller owns it.
+
     The collision limit on dt asks for about 4*pi*h(1+B) steps per period, a
     count that must be a finite float for dt = T/count to exist: past
     h(1+B) ~ 1.4e307 (float max / 4*pi) a DomainError is raised before any
@@ -443,36 +453,61 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
     weights = weights / np.max(np.abs(weights[inflow]))
 
     if transient_periods is None:
-        v_min_in = float(np.min(lattice.x_speeds[inflow]))
-        transient_periods = max(10, math.ceil((L / v_min_in + 5.0 * T) / T))
+        transient_periods = _transient_periods(lattice.x_speeds, L, T)
     total_steps = (transient_periods + periods) * steps_per_period
     record_from = transient_periods * steps_per_period
 
     advect, collide = _build_kernels(config, lattice.x_speeds, dt, dx, M, "open",
                                      mode)
     t_ramp = ramp_periods * T
-    inflow_rows = np.flatnonzero(inflow)
+    inflow_cells = np.flatnonzero(inflow) * M     # cell 0 of each inflow row, flat
     drive_amp = 1j * weights[inflow]
     minus_i_omega = -1j * omega     # -1j * omega * t groups as (-1j * omega) * t
     bound = INSTABILITY_FACTOR * eps
+    block = min(steps_per_period, DRIVE_BLOCK_STEPS)
+    # A step whose sum of squares is at most half the square of the tighter
+    # bound has every |P| below both (a float sum of nonnegative terms loses
+    # far less than half), so its min and max need not be read.  The screen
+    # is off (-1) where that square is not a normal float.
+    limit = min(float(bound), 1.0) if mode == "nonlinear" else float(bound)
+    screen = 0.5 * limit * limit if 1e-150 < limit < 1e150 else -1.0
 
     P = np.zeros((2 * config.n, M))
     snapshots: list[WaveField] = []
-    for step in range(1, total_steps + 1):
-        P = collide(advect(P))
-        t = step * dt
-        envelope = 0.5 * (1.0 - math.cos(math.pi * t / t_ramp)) if t < t_ramp else 1.0
-        P[inflow_rows, 0] = eps * envelope * (
-            drive_amp * np.exp(minus_i_omega * t)).real
-        lo, hi = P.min(), P.max()
-        if mode == "nonlinear" and lo <= -1.0:
-            raise PositivityError("positivity lost during forced nonlinear run")
-        if not (-bound <= lo and hi <= bound):   # NaN trips this too
-            raise InstabilityError(f"field magnitude exceeded {INSTABILITY_FACTOR} "
-                                   f"* eps at t = {t:.6g}")
-        if step > record_from and (step - record_from) % stride == 0:
-            snapshots.append(WaveField(P=P.copy(), dx=dx, t=t, config=config))
+    for first in range(1, total_steps + 1, block):
+        # the drive of a period's steps in one pass, with a step's operations
+        # in its order, so each row is bitwise the per-step expression
+        last = min(first + block, total_steps + 1)
+        times = np.arange(first, last) * dt
+        ts = times.tolist()
+        scale = np.array([eps * (0.5 * (1.0 - math.cos(math.pi * t / t_ramp))
+                                 if t < t_ramp else 1.0) for t in ts])
+        drive = scale[:, None] * (
+            drive_amp * np.exp(minus_i_omega * times[:, None])).real
+        for step, t, values in zip(range(first, last), ts, drive):
+            P = collide(advect(P))
+            P.put(inflow_cells, values)
+            if not np.vdot(P, P) <= screen:       # NaN fails it too
+                lo, hi = np.minimum.reduce(P, None), np.maximum.reduce(P, None)
+                if mode == "nonlinear" and lo <= -1.0:
+                    raise PositivityError("positivity lost during forced nonlinear run")
+                if not (-bound <= lo and hi <= bound):   # NaN trips this too
+                    raise InstabilityError(f"field magnitude exceeded "
+                                           f"{INSTABILITY_FACTOR} * eps at t = {t:.6g}")
+            if step > record_from and (step - record_from) % stride == 0:
+                # every step makes a new P and no kernel writes into its input
+                snapshots.append(WaveField(P=P, dx=dx, t=t, config=config))
     return snapshots
+
+
+def _transient_periods(x_speeds: np.ndarray, L: float, T: float) -> int:
+    """Periods a forced run discards by default before recording.
+
+    The slowest inflow row's time to cross the domain of length L, plus 5
+    periods of length T, rounded up; at least 10.
+    """
+    v_min_in = float(np.min(x_speeds[x_speeds > 0]))
+    return max(10, math.ceil((L / v_min_in + 5.0 * T) / T))
 
 
 def _default_fit_window(config: ModelConfig, L: float, dx: float):

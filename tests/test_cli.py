@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from bosewave import analysis, cli, dispersion as dsp, errors
+from bosewave import analysis, cli, dispersion as dsp, errors, simulate
 
 PI4 = "0.7853981633974483"
 
@@ -803,6 +804,16 @@ def test_verify_solves_its_oracle_points_in_batches(eig_batches, capsys):
     assert code == 0 and out.endswith("all checks passed\n")
     assert len(eig_batches) <= 60
     assert max(eig_batches) == 1000  # the closed-form oracle's points
+
+
+def test_verify_h_b_collapse_fails_for_a_linear_model_that_sees_gamma(monkeypatch, capsys):
+    # the three runs share h_b = 1 and have gamma = 0, 1 and -1
+    real = simulate._linear_propagator
+    monkeypatch.setattr(simulate, "_linear_propagator", lambda config, dt: real(
+        dataclasses.replace(config, S=config.S * (1.0 + 0.1 * config.gamma)), dt))
+    code, out, _ = run(capsys, "verify")
+    assert code == 2
+    assert "h-b-collapse: FAIL\n" in out and out.endswith("1 check(s) failed\n")
 
 
 # (argv, text stderr must contain): finite flag values whose h_b grid or

@@ -5,10 +5,6 @@ stands and XPASSes (failing the suite, since the marks are strict) once a
 fix lands; that fix then drops the mark.  Each reason quotes the output
 the program gives today and the ROADMAP item that fixes it.  Every case
 fails in milliseconds.
-
-Left out: the forced run next to a perpendicular velocity (ROADMAP item
-21) never ends, so it cannot be an xfail; it waits for a transient rule
-that can be read without running.
 """
 
 import csv
@@ -18,7 +14,9 @@ import math
 import numpy as np
 import pytest
 
+from bosewave import ModelConfig
 from bosewave import dispersion as dsp
+from bosewave import simulate as sim
 from test_cli import run
 from test_limits import limit_terms
 
@@ -102,3 +100,18 @@ def test_sweep_at_huge_h_prints_only_certified_rows(capsys):
     assert code == 0
     residuals = np.array([float(row["residual"]) for row in table(out)])
     assert len(residuals) == 14 and (residuals < 1e-9).all(), residuals
+
+
+@pytest.mark.parametrize("n, theta", [
+    pytest.param(2, math.pi / 2 - 1e-9, marks=xfail(
+        "2,828,426,723 periods, from the transient rule (the run never ends); item 21")),
+    pytest.param(3, math.pi / 6 + 1e-9, marks=xfail(
+        "2,828,427,697 periods, from the transient rule (the run never ends); item 21")),
+])
+def test_forced_run_next_to_a_perpendicular_velocity_has_a_short_transient(n, theta):
+    # the transient run_forced chooses for 4 wavelengths at 10 points each,
+    # read from its rule without running
+    cfg = ModelConfig.from_reduced(n, theta, 1.2525285437021076, 0.0)
+    L = 4 * 10 * (sim.hydrodynamic_wavelength(cfg) / 10)
+    T = 2.0 * math.pi / cfg.omega
+    assert sim._transient_periods(sim.build_lattice(cfg).x_speeds, L, T) <= 100

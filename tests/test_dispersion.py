@@ -925,6 +925,13 @@ def test_continuation_rejects_an_h_grid_that_is_not_1d(h_grid):
         dsp.continuation_track(0.3, 2, 0.0, h_grid)
 
 
+@pytest.mark.parametrize("h_grid", [[1e5, math.nan], [1e5, -1.0], [math.inf, 1e5]],
+                         ids=["nan", "negative", "inf"])
+def test_continuation_names_h_grid_for_a_bad_entry(h_grid):
+    with pytest.raises(DomainError, match="h_grid entries must be positive and finite"):
+        dsp.continuation_track(0.3, 2, 0.0, h_grid)
+
+
 def test_continuation_starts_at_the_acoustic_root_near_full_blocking():
     # at B -> -1 the top h_b = 0.1 lies far below h_b = 4, where u = 1 alone
     # picks a secondary root (0.96424 + 0.03207i)

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 from dataclasses import replace
 
@@ -715,6 +717,46 @@ def test_forced_nan_field_trips_the_instability_guard(monkeypatch, mode):
                        periods=2, mode=mode)
 
 
+@pytest.mark.parametrize("mode, eps", [("linear", 1e-200), ("linear", 1e-3),
+                                       ("linear", 1e200), ("nonlinear", 1e-200),
+                                       ("linear", np.float32(1e30)),
+                                       ("nonlinear", 1e-3), ("nonlinear", 1e-2)])
+def test_forced_guard_trips_exactly_where_the_field_leaves_its_bounds(monkeypatch, mode,
+                                                                     eps):
+    """Every step's field is zero but for one value v at a cell the drive
+    does not write, and the drive's own values stay inside both bounds:
+    the run raises what the bounds say about v alone, with or without the
+    sum-of-squares screen (off at eps = 1e-200, where the bound's square
+    underflows, and at 1e200, where it overflows; a float32 bound's square
+    is taken in float64)."""
+    bound = sim.INSTABILITY_FACTOR * eps
+    above, below_minus_one = np.nextafter(bound, math.inf), np.nextafter(-1.0, -math.inf)
+    values = [0.0, 0.7 * bound, bound, -bound, above, -above, -1.0, below_minus_one,
+              math.inf, -math.inf, math.nan]
+    for v in values:
+        field = np.zeros((4, 41))
+        field[1, 20] = v
+
+        def kernels(*args):
+            return (lambda P: field.copy()), (lambda P: P)
+
+        monkeypatch.setattr(sim, "_build_kernels", kernels)
+        if mode == "nonlinear" and v <= -1.0:
+            want = PositivityError
+        elif not -bound <= v <= bound:
+            want = InstabilityError
+        else:
+            want = None
+        run = functools.partial(sim.run_forced, make_config(theta=0.3), wavelengths=4,
+                                points_per_wavelength=10, periods=1, mode=mode,
+                                eps=eps, transient_periods=0)
+        if want is None:
+            assert len(run()) == 32, v
+        else:
+            with pytest.raises(want):
+                run()
+
+
 def test_forced_rejects_a_step_count_past_the_float_range(monkeypatch):
     def no_stepping(*args):
         raise AssertionError("stepped before checking the step count")
@@ -741,15 +783,26 @@ def test_a_forced_run_builds_its_lattice_once(monkeypatch, mode):
     assert len(lattices) == 1
 
 
-@pytest.mark.filterwarnings("ignore:linear collision form")
-def test_linear_forced_run_is_bitwise_the_plain_loop():
-    """A linear forced run equals, bitwise, a loop that spells out the open
-    Beam-Warming update and the RK4 matrix:
-    R @ (P - w(P - up1) - cw(P - 2up1 + up2))."""
+# the options every plain-loop run is also made with: a ramp that ends
+# mid-period, no transient, the uniform drive, and a float32 eps (whose
+# product with a Python float stays float32)
+PLAIN_LOOP_OPTIONS = ({}, {"ramp_periods": 1.5}, {"transient_periods": 0},
+                      {"drive": "uniform"}, {"eps": np.float32(1e-3)})
+
+
+def assert_forced_run_is_the_plain_loop(mode, ramp_periods=2.0, transient_periods=3,
+                                        drive="mode", eps=1e-3):
+    """A forced run equals, bitwise, a loop that spells out each step: the
+    open Beam-Warming update P - w(P - up1) - cw(P - 2up1 + up2), then the
+    RK4 matrix R @ P or the nonlinear collision substep, then the drive of
+    that step alone and the bounds P.min(), P.max(); its snapshots are
+    copies.  The run's snapshots share no memory with each other."""
     cfg = make_config(theta=0.3, h=1.0, B=0.2, n=3)
-    ppw, wavelengths, periods, transient, eps = 12, 4, 2, 3, 1e-3
+    ppw, wavelengths, periods = 12, 4, 2
     series = sim.run_forced(cfg, wavelengths=wavelengths, points_per_wavelength=ppw,
-                            periods=periods, transient_periods=transient, eps=eps)
+                            periods=periods, mode=mode, eps=eps, drive=drive,
+                            ramp_periods=ramp_periods,
+                            transient_periods=transient_periods)
 
     speeds = sim.build_lattice(cfg).x_speeds
     T = 2.0 * math.pi / cfg.omega
@@ -770,26 +823,50 @@ def test_linear_forced_run_is_bitwise_the_plain_loop():
     cw[near == far] = 0.0
     rows = np.arange(2 * cfg.n)[:, None] * M
     near, far = near + rows, far + rows
-    R = sim._linear_propagator(cfg, dt)
+    if mode == "linear":
+        R = sim._linear_propagator(cfg, dt)
+        collide = lambda P: R @ P   # noqa: E731
+    else:
+        collide = sim._collision_substep(cfg, dt)
     inflow = speeds > 0
-    weights = sim._mode_drive_weights(cfg, sim.build_lattice(cfg))
+    if drive == "mode":
+        weights = sim._mode_drive_weights(cfg, sim.build_lattice(cfg))
+    else:
+        weights = np.where(inflow, 1.0 + 0j, 0.0 + 0j)
     drive_amp = 1j * (weights / np.max(np.abs(weights[inflow])))[inflow]
+    t_ramp = ramp_periods * T
 
     P = np.zeros((2 * cfg.n, M))
     want = []
-    for k in range(1, (transient + periods) * steps_per_period + 1):
+    for k in range(1, (transient_periods + periods) * steps_per_period + 1):
         up1, up2 = P.take(near), P.take(far)
-        P = R @ (P - w * (P - up1) - cw * (P - 2 * up1 + up2))
+        P = collide(P - w * (P - up1) - cw * (P - 2 * up1 + up2))
         t = k * dt
-        envelope = 0.5 * (1.0 - math.cos(math.pi * t / (2 * T))) if t < 2 * T else 1.0
+        envelope = 0.5 * (1.0 - math.cos(math.pi * t / t_ramp)) if t < t_ramp else 1.0
         P[inflow, 0] = eps * envelope * np.real(drive_amp * np.exp(-1j * cfg.omega * t))
-        if k > transient * steps_per_period and k % stride == 0:
+        lo, hi = P.min(), P.max()
+        assert not (mode == "nonlinear" and lo <= -1.0)
+        assert -sim.INSTABILITY_FACTOR * eps <= lo and hi <= sim.INSTABILITY_FACTOR * eps
+        if k > transient_periods * steps_per_period and k % stride == 0:
             want.append((t, P.copy()))
     assert len(series) == len(want) == 32 * periods
     for field, (t, P) in zip(series, want):
         assert field.t == t
         np.testing.assert_array_equal(field.P, P)
         np.testing.assert_array_equal(np.signbit(field.P), np.signbit(P))
+    assert not any(np.shares_memory(a.P, b.P)
+                   for a, b in itertools.combinations(series, 2))
+
+
+@pytest.mark.filterwarnings("ignore:linear collision form")
+def test_linear_forced_run_is_bitwise_the_plain_loop():
+    for options in PLAIN_LOOP_OPTIONS:
+        assert_forced_run_is_the_plain_loop("linear", **options)
+
+
+def test_nonlinear_forced_run_is_bitwise_the_plain_loop():
+    for options in PLAIN_LOOP_OPTIONS:
+        assert_forced_run_is_the_plain_loop("nonlinear", **options)
 
 
 def test_default_fit_window_is_one_batched_solve(eig_batches):
