@@ -400,7 +400,8 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
     bitwise the same.  A step raises PositivityError (nonlinear, min P <=
     -1) or InstabilityError (|P| > INSTABILITY_FACTOR * eps, or NaN); the
     min and max are read only when the step's sum of squares does not
-    already prove them inside these bounds.  Each snapshot's P is the
+    already prove them inside these bounds, and on every later step of a
+    drive block in which a sum did not.  Each snapshot's P is the
     array its step produced, not a copy; no later step writes into it, and
     the caller owns it.
 
@@ -468,7 +469,9 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
     # A step whose sum of squares is at most half the square of the tighter
     # bound has every |P| below both (a float sum of nonnegative terms loses
     # far less than half), so its min and max need not be read.  The screen
-    # is off (-1) where that square is not a normal float.
+    # is off (-1) where that square is not a normal float, and for the rest
+    # of a drive block once a step fails it, so that a field too large for
+    # it costs one dot product per block, not one per step.
     limit = min(float(bound), 1.0) if mode == "nonlinear" else float(bound)
     screen = 0.5 * limit * limit if 1e-150 < limit < 1e150 else -1.0
 
@@ -484,11 +487,13 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
                                  if t < t_ramp else 1.0) for t in ts])
         drive = scale[:, None] * (
             drive_amp * np.exp(minus_i_omega * times[:, None])).real
+        trusted = screen
         for step, t, values in zip(range(first, last), ts, drive):
             P = collide(advect(P))
             P.put(inflow_cells, values)
-            if not np.vdot(P, P) <= screen:       # NaN fails it too
-                lo, hi = np.minimum.reduce(P, None), np.maximum.reduce(P, None)
+            if trusted < 0 or not np.vdot(P, P) <= trusted:   # NaN fails it too
+                trusted = -1.0
+                lo, hi = P.min(), P.max()
                 if mode == "nonlinear" and lo <= -1.0:
                     raise PositivityError("positivity lost during forced nonlinear run")
                 if not (-bound <= lo and hi <= bound):   # NaN trips this too

@@ -757,6 +757,43 @@ def test_forced_guard_trips_exactly_where_the_field_leaves_its_bounds(monkeypatc
                 run()
 
 
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+@pytest.mark.parametrize("late", [False, True], ids=["same-block", "next-block"])
+def test_forced_guard_trips_on_the_step_after_a_failed_screen(monkeypatch, mode, late):
+    """Step 1's field is inside both bounds but too large for the
+    sum-of-squares screen; a later step's field is past the instability
+    bound.  The run raises on that very step, whether it falls in step 1's
+    drive block (where the screen is off after step 1) or in the next one
+    (where the screen is tried again)."""
+    calls = []
+    steps = []
+
+    def kernels(config, x_speeds, dt, dx, M, bc, mode):
+        steps.append(round(2.0 * math.pi / config.omega / dt))
+
+        def advect(P):
+            calls.append(None)
+            field = np.zeros_like(P)
+            if len(calls) == 1:
+                field[1, 20] = 0.9
+            elif len(calls) == bad:
+                field[1, 20] = 2.0
+            return field
+
+        return advect, (lambda P: P)
+
+    monkeypatch.setattr(sim, "_build_kernels", kernels)
+    run = functools.partial(sim.run_forced, make_config(theta=0.3), wavelengths=4,
+                            points_per_wavelength=10, periods=2, mode=mode,
+                            eps=1e-3, transient_periods=0)
+    bad = 0
+    run(periods=1)                               # learns the steps per period
+    bad, calls[:] = steps[0] + 2 if late else 3, []
+    with pytest.raises(InstabilityError):
+        run()
+    assert len(calls) == bad
+
+
 def test_forced_rejects_a_step_count_past_the_float_range(monkeypatch):
     def no_stepping(*args):
         raise AssertionError("stepped before checking the step count")
