@@ -93,6 +93,10 @@ KINETIC_CLEARANCE = 6.0       # e-foldings of the slowest secondary mode to skip
 AMP_FLOOR_RATIO = 1e-2        # fit keeps cells above this fraction of window start
 KERNEL_CACHE_SIZE = 4         # step kernels kept for reuse
 DRIVE_BLOCK_STEPS = 4096      # most steps whose drive a forced run computes at once
+# most row-cell updates (steps * M * 2n) a forced run may plan: about 90 s of
+# a linear n = 2 run at the 1.1e8 per second measured on a 2-vCPU host, and
+# over 400 times the largest run of the tests, the benchmark and the CI
+MAX_FORCED_WORK = 1e10
 
 
 @dataclass(frozen=True)
@@ -408,7 +412,12 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
     The collision limit on dt asks for about 4*pi*h(1+B) steps per period, a
     count that must be a finite float for dt = T/count to exist: past
     h(1+B) ~ 1.4e307 (float max / 4*pi) a DomainError is raised before any
-    step.  The run time grows with that count, so large finite h is slow.
+    step.  The run time grows with the planned row-cell updates, total
+    steps * M * 2n: large h asks for many steps per period, and an angle
+    next to a perpendicular velocity for a long transient.  A run that
+    plans more than MAX_FORCED_WORK of them raises DomainError, naming h,
+    theta and the step count, before any step and before the drive's
+    dispersion solve.
     """
     config = validate(config)
     if mode not in ("linear", "nonlinear"):
@@ -446,17 +455,25 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
     dt = T / steps_per_period
     stride = steps_per_period // SAMPLES_PER_PERIOD
 
+    if transient_periods is None:
+        transient_periods = _transient_periods(lattice.x_speeds, L, T)
+    total_steps = (transient_periods + periods) * steps_per_period
+    record_from = transient_periods * steps_per_period
+    work = total_steps * M * 2 * config.n
+    if work > MAX_FORCED_WORK:
+        raise DomainError(
+            f"h = {reduced_params(config).h:.6g}, theta = {config.theta!r}: the run "
+            f"plans {_count_text(total_steps)} steps ({transient_periods} transient and "
+            f"{periods} recorded periods of {_count_text(steps_per_period)} steps) on "
+            f"{2 * config.n} x {M} cells, {_count_text(work)} row-cell updates, more "
+            f"than MAX_FORCED_WORK = {MAX_FORCED_WORK:.3g}")
+
     inflow = lattice.x_speeds > 0
     if drive == "mode":
         weights = _mode_drive_weights(config, lattice)
     else:
         weights = np.where(inflow, 1.0 + 0j, 0.0 + 0j)
     weights = weights / np.max(np.abs(weights[inflow]))
-
-    if transient_periods is None:
-        transient_periods = _transient_periods(lattice.x_speeds, L, T)
-    total_steps = (transient_periods + periods) * steps_per_period
-    record_from = transient_periods * steps_per_period
 
     advect, collide = _build_kernels(config, lattice.x_speeds, dt, dx, M, "open",
                                      mode)
@@ -505,6 +522,14 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
     return snapshots
 
 
+def _count_text(count: int) -> str:
+    """A positive integer to 3 significant digits (truncated past the float range)."""
+    if count < 1e300:
+        return f"{count:.3g}"
+    digits = len(str(count))
+    return f"{count // 10 ** (digits - 3) / 100:.3g}e+{digits - 1}"
+
+
 def _transient_periods(x_speeds: np.ndarray, L: float, T: float) -> int:
     """Periods a forced run discards by default before recording.
 
@@ -530,6 +555,25 @@ def _default_fit_window(config: ModelConfig, L: float, dx: float):
     return x_lo, L - 2.0 * dx
 
 
+def _demodulate(series: list[WaveField], times: np.ndarray, omega: float) -> np.ndarray:
+    """Per-cell complex amplitude Z at omega of the snapshots' sum_i P_i.
+
+    The joint per-cell least squares on [1, t, cos wt, sin wt] is exact for
+    pure tones over whole periods, and separates slow drift from the tone.
+    Only the cos and sin coefficients are needed, so only their two rows of
+    the basis's minimum-norm pseudo-inverse are applied, one snapshot at a
+    time as it is read: memory is O(M), not O(T M).
+    """
+    tc = times - times.mean()
+    basis = np.vstack([np.ones_like(tc), tc,
+                       np.cos(omega * times), np.sin(omega * times)]).T
+    cos_row, sin_row = np.linalg.pinv(basis)[2:]
+    Z = np.zeros(np.shape(series[0].P)[1], dtype=complex)
+    for weight, f in zip((cos_row + 1j * sin_row).tolist(), series):
+        Z += weight * f.P.sum(axis=0)
+    return Z
+
+
 def fit_wave(series: list[WaveField], omega: float | None = None,
              fit_window: tuple[float, float] | None = None) -> FitResult:
     """Measure (k_r, k_i) of the settled forced wave by demodulation.
@@ -540,16 +584,29 @@ def fit_wave(series: list[WaveField], omega: float | None = None,
     transients cannot leak into the tone estimate).  Log-amplitude and
     unwrapped phase are then fit linearly in x;
     lambda_meas = (k_r + i k_i) * c / (sqrt(2) * omega).
+
+    The projection (_demodulate) is one pass over the snapshots, reading
+    each once, and its memory is O(M) whatever the number of snapshots.
+    Every snapshot must have the first one's P shape, dx and config
+    (DomainError otherwise).
     """
     if len(series) < 2:
         raise FitError("need at least two snapshots")
-    config = series[0].config
+    first = series[0]
+    config = first.config
+    shape = np.shape(first.P)
+    for i, f in enumerate(series):
+        if np.shape(f.P) != shape:
+            raise DomainError(f"snapshot {i} has P of shape {np.shape(f.P)}, "
+                              f"snapshot 0 {shape}")
+        if f.dx != first.dx or f.config != config:
+            raise DomainError(f"snapshot {i} differs from snapshot 0 in dx or config")
     if omega is None:
         omega = config.omega
     if not 0 < omega < math.inf:
         raise DomainError("omega must be positive and finite")
-    dx = series[0].dx
-    M = series[0].P.shape[1]
+    dx = first.dx
+    M = shape[1]
     L = (M - 1) * dx
     lam_est = hydrodynamic_wavelength(config)
 
@@ -569,14 +626,7 @@ def fit_wave(series: list[WaveField], omega: float | None = None,
         if x_hi > L - dx + 1e-9:
             raise DomainError("fit_window must exclude the outlet cell")
 
-    signal = np.stack([f.P.sum(axis=0) for f in series])   # (T, M)
-    tc = times - times.mean()
-    # joint per-cell least squares on [1, t, cos wt, sin wt]: exact for pure
-    # tones over whole periods, and separates slow drift from the tone
-    basis = np.vstack([np.ones_like(tc), tc,
-                       np.cos(omega * times), np.sin(omega * times)]).T
-    coef, *_ = np.linalg.lstsq(basis, signal, rcond=None)
-    Z = coef[2] + 1j * coef[3]     # P ~ Re[Z * exp(-i w t)] convention
+    Z = _demodulate(series, times, omega)     # P ~ Re[Z * exp(-i w t)]
 
     x = np.arange(M) * dx
     sel = np.where((x >= x_lo) & (x <= x_hi))[0]

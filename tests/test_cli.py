@@ -4,6 +4,7 @@ import json
 import math
 import re
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -474,6 +475,23 @@ def test_simulate_warning_is_one_line_without_a_source_location(capsys):
     assert code == 0
     assert err == ("RuntimeWarning: linear collision form for n > 2 is extrapolated "
                    "beyond the n = 2 derivation\n")
+
+
+@pytest.mark.parametrize("argv, needle", [
+    # about 1e13 steps per period: 4.6e17 row-cell updates
+    (["--h", "1e12", "--theta", "0"], "h = 1e+12, theta = 0.0"),
+    # a 2.8e9-period transient next to a perpendicular velocity: 1.5e13 updates
+    (["--h", "1.2525285437021076", "--theta", "1.5707963257948965", "--ppw", "10",
+      "--wavelengths", "4", "--periods", "2"], "2828426723 transient"),
+])
+def test_simulate_past_the_work_bound_exits_1_at_once(capsys, argv, needle):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "simulate", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and needle in err and "MAX_FORCED_WORK" in err
+    assert "Traceback" not in err
 
 
 def test_simulate_requires_h(capsys):

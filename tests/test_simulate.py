@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -262,14 +263,14 @@ def test_pair_averages_matches_definition_on_random_field():
 
 # --------------------------------------------------------------- wave fit
 
-def synthetic_series(k_r=2 * math.pi, k_i=0.1, M=481, dx=None, omega=1.0):
+def synthetic_series(k_r=2 * math.pi, k_i=0.1, M=481, dx=None, omega=1.0, snapshots=32):
     cfg = make_config(theta=0.0, h=1.0, B=0.0)
     if dx is None:
         dx = 12.0 / (M - 1)
     x = np.arange(M) * dx
     T = 2 * math.pi / omega
     fields = []
-    for s in range(32):
+    for s in range(snapshots):
         t = 100.0 + s * T / 32
         P = np.zeros((4, M))
         P[0] = np.exp(-k_i * x) * np.sin(k_r * x - omega * t)
@@ -342,6 +343,68 @@ def test_fit_wave_under_resolved_phase_fails():
     series = synthetic_series(M=41, dx=0.3)
     with pytest.raises(FitError, match="pi/2"):
         sim.fit_wave(series, fit_window=(4.5, 11.5))
+
+
+@pytest.mark.parametrize("alter", [
+    lambda f: replace(f, P=f.P[:, :-1]),
+    lambda f: replace(f, P=f.P[:2]),
+    lambda f: replace(f, dx=f.dx * (1 + 1e-12)),
+    lambda f: replace(f, config=replace(f.config, B=0.5)),
+], ids=["fewer-cells", "fewer-rows", "dx", "config"])
+def test_fit_wave_rejects_snapshots_that_differ_from_the_first(alter):
+    series = synthetic_series()
+    series[7] = alter(series[7])
+    with pytest.raises(DomainError, match="snapshot 7"):
+        sim.fit_wave(series, fit_window=(4.5, 11.5))
+
+
+def stacked_least_squares(series, omega):
+    """Z by the joint least squares on the stacked (T, M) table of cell sums."""
+    times = np.array([f.t for f in series])
+    signal = np.stack([f.P.sum(axis=0) for f in series])
+    tc = times - times.mean()
+    basis = np.vstack([np.ones_like(tc), tc,
+                       np.cos(omega * times), np.sin(omega * times)]).T
+    coef, *_ = np.linalg.lstsq(basis, signal, rcond=None)
+    return coef[2] + 1j * coef[3]
+
+
+@functools.lru_cache(maxsize=None)
+def small_forced_series(n, mode):
+    return tuple(sim.run_forced(make_config(theta=0.3, h=1.0, B=0.2, n=n), wavelengths=4,
+                                points_per_wavelength=12, periods=2, mode=mode))
+
+
+@pytest.mark.filterwarnings("ignore:linear collision form")
+@pytest.mark.parametrize("snapshots", [2, 3, 64])
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_pass_demodulation_is_the_stacked_least_squares(n, mode, snapshots):
+    """At 2 and 3 snapshots the (T, 4) basis is rank-deficient, and both
+    take its minimum-norm solution."""
+    series = list(small_forced_series(n, mode)[-snapshots:])
+    omega = series[0].config.omega
+    want = stacked_least_squares(series, omega)
+    got = sim._demodulate(series, np.array([f.t for f in series]), omega)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_fit_wave_memory_does_not_grow_with_the_snapshot_count():
+    """A snapshot of an n = 2, ppw 80 run holds 4 x 961 floats, 30.8 kB.
+    Ten times the snapshots add less than a tenth of one snapshot per
+    added snapshot to fit_wave's traced peak, and it stays below 0.5 MB."""
+    peaks = []
+    for snapshots in (32, 320):
+        series = synthetic_series(M=961, snapshots=snapshots)
+        sim.fit_wave(series, fit_window=(4.5, 11.5))
+        tracemalloc.start()
+        try:
+            sim.fit_wave(series, fit_window=(4.5, 11.5))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (320 - 32) < 0.1 * series[0].P.nbytes
+    assert peaks[1] < 0.5e6
 
 
 # -------------------------------------------------------------- forced runs
@@ -802,6 +865,52 @@ def test_forced_rejects_a_step_count_past_the_float_range(monkeypatch):
     with pytest.raises(DomainError, match=r"h = 1e\+308"):
         sim.run_forced(make_config(h=1e308), wavelengths=4, points_per_wavelength=10,
                        periods=2)
+
+
+@pytest.mark.filterwarnings("ignore:linear collision form")
+def test_forced_work_bound_is_the_planned_row_cell_updates(monkeypatch):
+    """A run planning exactly MAX_FORCED_WORK row-cell updates (steps * M *
+    2n) runs; one update fewer allowed raises before any step."""
+    steps = []
+
+    def advect(P):
+        steps.append(None)
+        return P.copy()
+
+    monkeypatch.setattr(sim, "_build_kernels", lambda *args: (advect, lambda P: P))
+    run = functools.partial(sim.run_forced, make_config(theta=0.3, n=3), wavelengths=4,
+                            points_per_wavelength=10, periods=1, transient_periods=2)
+    run()
+    total = len(steps)
+    assert total < 1000     # so the message prints it in full
+    monkeypatch.setattr(sim, "MAX_FORCED_WORK", total * 41 * 6)
+    assert len(run()) == 32
+    monkeypatch.setattr(sim, "MAX_FORCED_WORK", total * 41 * 6 - 1)
+    steps.clear()
+    with pytest.raises(DomainError, match=f"plans {total} steps"):
+        run()
+    assert steps == []
+
+
+@pytest.mark.filterwarnings("ignore:linear collision form")
+@pytest.mark.parametrize("n, theta, h, needle", [
+    (2, 0.0, 1e12, r"h = 1e\+12, theta = 0.0: the run plans 1.51e\+14 steps"),
+    # steps per period just inside the float range, counts past it
+    (2, 0.0, 1e307, r"plans 1.5e\+309 steps .* 2.47e\+311 row-cell updates"),
+    # the two near-perpendicular runs of the defect ledger: 2.8e9 periods
+    (2, math.pi / 2 - 1e-9, 1.2525285437021076, r"2828426723 transient"),
+    (3, math.pi / 6 + 1e-9, 1.2525285437021076, r"2828427697 transient"),
+])
+def test_forced_rejects_a_run_past_the_work_bound_before_its_drive(monkeypatch, n,
+                                                                   theta, h, needle):
+    def no_work(*args):
+        raise AssertionError("solved or stepped before checking the work bound")
+
+    monkeypatch.setattr(sim, "_mode_drive_weights", no_work)
+    monkeypatch.setattr(sim, "_build_kernels", no_work)
+    with pytest.raises(DomainError, match=needle):
+        sim.run_forced(make_config(theta=theta, h=h, n=n), wavelengths=4,
+                       points_per_wavelength=10, periods=2)
 
 
 @pytest.mark.filterwarnings("ignore:linear collision form")
