@@ -48,7 +48,7 @@ __all__ = ["main", "entry", "emit"]
 SWEEP_HEADER = ("h", "B", "theta", "n", "branch", "lambda_r", "lambda_i", "residual")
 THETA_SCAN_HEADER = ("theta", "branch", "max_lambda_i")
 VERIFY_SEED = 2718
-DEFAULT_H_GRID = (1e-2, 1e2, 40)         # sweep without --h-range: LO, HI, STEPS
+DEFAULT_H_GRID = (*analysis.DEFAULT_H_RANGE, 40)   # sweep without --h-range: LO, HI, STEPS
 SWITCHES = ("log", "nonlinear")          # store_true flags; in a config file
 TRUE_WORDS = ("1", "true", "yes", "on")  # these values switch them on
 
@@ -226,7 +226,7 @@ def _cmd_sweep(args) -> int:
     _check_writable(args.out)
     # the default grid is log-spaced; an explicit --h-range is linear unless --log
     lo, hi, steps = args.h_range or DEFAULT_H_GRID
-    log = args.h_range is None if args.log is None else args.log
+    log = args.log or args.h_range is None
     h_grid = (np.geomspace if log else np.linspace)(lo, hi, steps)
     tables = analysis._sweep_columns(args.theta, args.B, h_grid, args.n, args.branch)
     _write_sweep(tables, args.n, args.format, args.out)
@@ -412,7 +412,7 @@ def _parsers():
     p = add("sweep", "dispersion/attenuation table over h", _cmd_sweep,
             "n branch out format")
     p.add_argument("--h-range", type=_parse_range, metavar="LO:HI:STEPS")
-    p.add_argument("--log", action="store_true", default=None)
+    p.add_argument("--log", action="store_true")
     p.add_argument("--theta", type=_list_of(parse_angle), default=[0.0],
                    help="comma-separated angles")
     p.add_argument("--B", type=_list_of(_finite(float, -1.0)), default=[0.0],

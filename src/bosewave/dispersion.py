@@ -468,9 +468,8 @@ def _nearest(rows, u) -> np.ndarray:
     the picks have its shape.  A NaN root is dropped, at an infinite
     distance, and never picked: where the nearest distance lands on one
     (every live distance overflowed too) the row's first live root is
-    taken, and an all-NaN row (a failed solve) gets 0, which ``_order``
-    reads as it reads None.  A NaN u (a dropped root, in :func:`_follow`'s
-    table) gets a pick that is never read.
+    taken, and an all-NaN row gets 0.  A NaN u (a dropped root, in
+    :func:`_follow`'s table) gets a pick that is never read.
     """
     gone = np.isnan(rows)
     u = np.asarray(u)[:, :, None]
@@ -483,30 +482,20 @@ def _nearest(rows, u) -> np.ndarray:
     return picks
 
 
-def _follow(rows, u: complex) -> list:
-    """Nearest-root continuation from u through a (K, n) array of solved roots.
+def _follow(rows) -> list:
+    """Nearest-root continuation from u = 0 through a (K, n) array of solved roots.
 
     The one continuation: returns the index of the continued root in each
-    row, None in an all-NaN row (a failed solve), after which the path goes
-    on from the last root found (from u if none was found yet).  From u = 0
-    the first pick is the row's root of smallest |u|.  One :func:`_nearest`
-    pass gives, for every root of each row (and for u, before the first
-    row), the index of the nearest root of the next row; the path then
-    walks that (K, n) table.  Only a row after an all-NaN one is matched with u, the last
-    root found, on its own.
+    row, each row holding at least one live root.  The first pick is the
+    first row's root of smallest |u|.  One :func:`_nearest` pass gives, for
+    every root of each row (and for u = 0, before the first row), the index
+    of the nearest root of the next row; the path then walks that (K, n)
+    table.
     """
-    before = np.concatenate(([np.full(rows.shape[1], u, dtype=complex)], rows))[:-1]
-    table = _nearest(rows, before).tolist()
-    path, k = [], 0   # the first row of `before` is u, n times
-    for j, (picks, empty) in enumerate(zip(table, np.isnan(rows).all(axis=1).tolist())):
-        if empty:
-            if j and k is not None:
-                u = rows[j - 1, k]
-            k = None
-        elif k is None:
-            k = _nearest(rows[j:j + 1], [[u]]).item()
-        else:
-            k = picks[k]
+    before = np.concatenate((np.zeros((1, rows.shape[1]), dtype=complex), rows))[:-1]
+    path, k = [], 0   # the first row of `before` is u = 0, n times
+    for picks in _nearest(rows, before).tolist():
+        k = picks[k]
         path.append(k)
     return path
 
@@ -532,18 +521,21 @@ def _track_to(h_b, theta: float, n: int, solve=None, roots=None) -> tuple:
     one-point line (a 1-D array of at most n values, taken to be the roots
     at that point), is that tail's one row, NaN-padded to n columns: it is
     neither solved nor polished, and n and theta are checked before it is
-    sized by n.  Each line is continued on its own with ``_follow`` from
-    u = 0 through its seed rows and then its own rows, so its first pick
-    is its first solved row's root of smallest |u|: that row lies above
-    TOP_OF_LINE, where this is the acoustic root (the top-of-line rule,
-    see the module docstring).  A line whose first solved row failed (a
-    ``solve`` that NaN-fills a row) goes on from u = 0 at its first live
-    row only where that row lies above TOP_OF_LINE; otherwise the rule does
-    not cover the pick, and the line comes back all NaN.  Each row is
-    solved and polished on its own, so a line's roots do not depend on the
-    other lines.  Returns (u, lam), each (L, K, n): every row in
-    :func:`_order`, the continued root first, NaN where dropped or where a
-    solve failed.
+    sized by n.  A failed solve (a ``solve`` that NaN-fills a row) is an
+    all-NaN row, and this is the one place that knows it: each line is
+    continued on its own with ``_follow`` from u = 0 through the live rows
+    of its seed rows and then its own rows, so a row after a failed one is
+    matched to the last root found, and a failed row keeps the pick 0,
+    which :func:`_order` leaves all NaN.  The line's first pick is its
+    first live row's root of smallest |u|.  Its first row lies above
+    TOP_OF_LINE, where this is the acoustic root (the top-of-line rule, see
+    the module docstring); where that row failed, the line starts at its
+    first live row only if that row lies above TOP_OF_LINE too, and
+    otherwise the rule does not cover the pick, and the line comes back
+    all NaN.  Each row is solved and polished on its own, so a line's roots
+    do not depend on the other lines.  Returns (u, lam), each (L, K, n):
+    every row in :func:`_order`, the continued root first, NaN where
+    dropped or where a solve failed.
     """
     h_b = np.asarray(h_b, dtype=float)
     seeds = []
@@ -551,14 +543,14 @@ def _track_to(h_b, theta: float, n: int, solve=None, roots=None) -> tuple:
         if not 0 < top < math.inf:
             raise DomainError("h_b must be positive and finite")
         start = CONTINUATION_START if top <= CONTINUATION_START else 10.0 * top
-        decades = abs(np.log10(start / top))
+        decades = np.log10(start / top)
         if not decades < math.inf:
             raise DomainError(f"h_b = {top:.6g} is too far from {CONTINUATION_START:g} "
                               "for a continuation grid in floating point")
         if top > TOP_OF_LINE:
             seed = h_b[:0, 0]
         else:
-            steps = max(2, int(np.ceil(decades * CONTINUATION_PER_DECADE)) + 1)
+            steps = int(np.ceil(decades * CONTINUATION_PER_DECADE)) + 1
             seed = np.geomspace(start, top, steps)   # its last point is the top
             seed = seed[:-1][seed[1:] <= TOP_OF_LINE]   # from the last row above it
         seeds.append(seed)
@@ -578,13 +570,17 @@ def _track_to(h_b, theta: float, n: int, solve=None, roots=None) -> tuple:
             batch[:steer] = solve(grid[:steer], theta, n)
     own, path, at = batch[steer:].reshape(*h_b.shape, -1), [], 0
     for seed, line, h_line in zip(seeds, own, h_b):
-        picks = _follow(np.concatenate((batch[at:at + len(seed)], line)), 0.0)
-        if picks[0] is None:   # a failed first row: start only above TOP_OF_LINE
-            first = next((j for j, k in enumerate(picks) if k is not None), None)
-            if first is not None and np.append(seed, h_line)[first] <= TOP_OF_LINE:
+        rows = np.concatenate((batch[at:at + len(seed)], line))
+        (live,) = (~np.isnan(rows).all(axis=1)).nonzero()
+        if len(live) == len(rows):
+            picks = _follow(rows)
+        else:   # failed solves: walk the live rows, from the first only above TOP_OF_LINE
+            picks = np.zeros(len(rows), dtype=int)
+            if len(live) and np.append(seed, h_line)[live[0]] > TOP_OF_LINE:
+                picks[live] = _follow(rows[live])
+            else:
                 line[:] = np.nan
-                picks = [None] * len(picks)
-        path += picks[len(seed):]
+        path.extend(picks[len(seed):])
         at += len(seed)
     return tuple(part.reshape(own.shape) for part in _order(batch[steer:], path))
 
@@ -626,13 +622,13 @@ def _order(rows, path) -> tuple:
     The one ordering of a row's roots: root ``path[j]`` of row j (the
     continued, acoustic one) first, then the others by descending lambda_i,
     ties in column order, and the dropped (NaN) roots last.  Column 1 is
-    the largest-lambda_i secondary root.  A row whose path is None is all
-    NaN and stays so.
+    the largest-lambda_i secondary root.  An all-NaN row (a failed solve,
+    path 0) stays all NaN.
     """
     lam = _principal(rows)
     at = np.arange(len(rows))
     key = -lam.imag                     # NaN sorts last
-    key[at, [0 if k is None else k for k in path]] = -np.inf
+    key[at, path] = -np.inf
     order = key.argsort(axis=1, kind="stable")
     at = at[:, None]
     return rows[at, order], lam[at, order]

@@ -433,6 +433,7 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
         raise DomainError(f"cfl must satisfy 0 < cfl <= {CFL_LIMIT}")
     if transient_periods is not None:
         _check_count("transient_periods", transient_periods, 0)
+    eps, ramp_periods = float(eps), float(ramp_periods)
     if mode == "linear" and config.n > 2:
         warnings.warn("linear collision form for n > 2 is extrapolated beyond "
                       "the n = 2 derivation", RuntimeWarning, stacklevel=2)

@@ -5,6 +5,7 @@ import pytest
 
 from bosewave import analysis, dispersion as dsp
 from bosewave.errors import ConvergenceError, DomainError, NoInteriorMaximumError
+from test_dispersion import follow_row_by_row
 
 # frozen from a dense scan of the closed form u = (1+ih)/(2+ih):
 # argmax_h Im sqrt(u) and its value (the value is exactly 1/(4*sqrt(3)))
@@ -149,7 +150,7 @@ def test_coarse_branch_lambda_i_matches_the_row_by_row_form_bitwise():
             h_b = np.geomspace(1e8, 1e-5, 200)
             # the top lies above h_b = 4: continued from u = 0, unseeded
             rows = dsp._eig_roots(h_b, theta, n)
-            path = dsp._follow(rows, 0.0)
+            path = dsp._follow(rows)
             lines = analysis._coarse_lines([theta], 0.0, n, h_b[::-1])
             for j, branch in enumerate(("acoustic", "secondary")):
                 want = [reference_branch_lambda_i(r, k, branch) for r, k in zip(rows, path)]
@@ -197,7 +198,7 @@ def test_refine_picks_each_step_with_one_nearest_call(monkeypatch):
 
     def nearest(rows, u):
         picks = real_nearest(rows, u)
-        if any(rows is batch for batch in solved):   # not a _follow table or restart
+        if any(rows is batch for batch in solved):   # not a _follow table
             picked.append((rows, u, picks))
         return picks
 
@@ -207,7 +208,8 @@ def test_refine_picks_each_step_with_one_nearest_call(monkeypatch):
     assert len(solved) > 5 and len(picked) == len(solved)
     for rows, (seen, u, picks) in zip(solved, picked):
         assert seen is rows and np.shape(u) == picks.shape == (len(rows), 1)
-        assert picks[:, 0].tolist() == [dsp._follow(r[None], u_l)[0] for r, (u_l,) in zip(rows, u)]
+        assert picks[:, 0].tolist() == [follow_row_by_row(r[None], u_l)[0]
+                                        for r, (u_l,) in zip(rows, u)]
 
 
 def test_sweep_rows_equal_rows_built_by_keyword(monkeypatch):

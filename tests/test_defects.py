@@ -76,6 +76,24 @@ def test_roots_at_h_1e250_is_the_limit_or_exits_2(capsys):
     assert abs(float(row["h"]) * float(row["lambda_i"]) - limit) < 1e-10 * limit
 
 
+@pytest.mark.parametrize("h", [
+    pytest.param("1e14", marks=xfail(
+        "exits 0 with 2 rows, acoustic and secondary(1) = 5443667.41 + 5443667.41i: the "
+        "mu cut drops 2 secondaries as roots at infinity; item 7")),
+    pytest.param("1e16", marks=xfail(
+        "exits 0 with 1 row, the acoustic root: the mu cut drops 3 secondaries as roots "
+        "at infinity; item 7")),
+])
+def test_roots_at_large_h_prints_every_root_or_exits_2(capsys, h):
+    code, out, _ = run(capsys, "roots", "--h", h, "--theta", "0.3", "--n", "4",
+                       "--branch", "all")
+    if code == 2:
+        return
+    assert code == 0
+    residuals = [float(row["residual"]) for row in table(out)]
+    assert len(residuals) == 4 and all(r < 1e-9 for r in residuals), residuals
+
+
 @xfail("lambda_i = -4.3e-18; item 7")
 def test_acoustic_lambda_i_is_not_negative_next_to_45deg():
     assert dsp.acoustic_root(30.0, math.pi / 4 + 1e-9, 2).lam.imag >= 0.0

@@ -593,7 +593,7 @@ def test_labelled_lambda_is_principal_lambda_bitwise():
                  else float(rng.uniform(0.0, math.pi)))
         h_b = 10.0 ** np.sort(rng.uniform(-40, 300, 40))[::-1]
         rows = dsp._eig_roots(h_b, theta, n)
-        _, lams, us, _ = dsp._label_branches(*dsp._order(rows, dsp._follow(rows, 1.0)),
+        _, lams, us, _ = dsp._label_branches(*dsp._order(rows, follow_row_by_row(rows, 1.0)),
                                              h_b, theta, n, "all")
         for lam, u in zip(lams, us):
             want = dsp.principal_lambda(u)
@@ -848,28 +848,28 @@ def random_root_rows(rng, K: int, n: int) -> np.ndarray:
 
 
 def test_follow_equals_the_row_by_row_loop():
-    # every K from 0 to 80 with every n from 2 to 8; the pick table runs
-    # inf - inf (two dropped roots) and overflowing distances, quietly
+    # every K from 0 to 80 with every n from 2 to 8, on the live rows from
+    # u = 0 (the failed rows are _track_to's, tested there); the pick table
+    # runs inf - inf (two dropped roots) and overflowing distances, quietly
     rng = np.random.default_rng(25)
-    restarts = overflowed = 0
+    overflowed = 0
     for i in range(3402):
         K, n = i % 81, 2 + i % 7
         rows = random_root_rows(rng, K, n)
-        u = complex(*rng.normal(size=2)) if rng.random() < 0.5 else 1.0
+        rows = rows[~np.isnan(rows).all(axis=1)]
         with np.errstate(all="ignore"):
-            want = follow_row_by_row(rows, u)
+            want = follow_row_by_row(rows, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            path = dsp._follow(rows, u)
+            path = dsp._follow(rows)
         assert path == want, (i, K, n)
-        assert all(type(k) is int for k in path if k is not None)
-        restarts += None in want[:-1]
+        assert all(type(k) is int for k in path)
         overflowed += bool((np.abs(rows.real) >= 1e308).any())
-    assert restarts > 100 and overflowed > 500
+    assert overflowed > 500
 
 
 def test_nearest_on_one_row_lines_equals_the_row_by_row_loop():
-    # an all-NaN row, which the loop marks None, gets 0, as _order reads None
+    # an all-NaN row, which the loop marks None, gets 0
     rng = np.random.default_rng(26)
     for i in range(300):
         n = 2 + i % 7
@@ -1046,9 +1046,9 @@ def seed_then_line(h_b, theta, n):
                                * dsp.CONTINUATION_PER_DECADE)) + 1)
     seed_grid = np.geomspace(start, top, steps)
     seed = dsp._eig_roots(seed_grid, theta, n)
-    u_top = seed[-1][dsp._follow(seed, 1.0)[-1]]
+    u_top = seed[-1][follow_row_by_row(seed, 1.0)[-1]]
     line = dsp._eig_roots(h_b, theta, n)
-    return seed_grid[:-1], seed[:-1], line, dsp._follow(line, u_top)
+    return seed_grid[:-1], seed[:-1], line, follow_row_by_row(line, u_top)
 
 
 class Recording:
@@ -1143,9 +1143,9 @@ def record_follow(monkeypatch) -> list:
     """The bytes of the rows each ``_follow`` call continues through, in order."""
     real, followed = dsp._follow, []
 
-    def follow(rows, u):
+    def follow(rows):
         followed.append(rows.tobytes())
-        return real(rows, u)
+        return real(rows)
 
     monkeypatch.setattr(dsp, "_follow", follow)
     return followed
@@ -1225,11 +1225,71 @@ def test_follow_never_picks_a_dropped_root():
     nan = complex(math.nan)
     rows = np.array([
         [nan, 3.0, 2.0],           # np.argmin would pick the NaN of column 0
-        [nan, nan, nan],           # a failed solve
-        [1.0, nan, 2.5],           # nearer u = 2.0, the last root found, than 1.2
+        [1.0, nan, 2.5],           # nearer u = 2.0, the last root found, than 0
         [nan, -1.5e308 - 1.5e308j, nan],   # every live distance overflows
     ])
-    assert dsp._follow(rows, 1.2) == [2, None, 2, 1]
+    assert dsp._follow(rows) == [2, 2, 1]
+
+
+def test_track_to_matches_a_row_after_a_failed_one_to_the_last_root_found(monkeypatch):
+    # the rows above with a failed solve between the first two, on a line
+    # above h_b = 4 (no seed row), unpolished
+    nan = complex(math.nan)
+    rows = np.array([
+        [nan, 3.0, 2.0],
+        [nan, nan, nan],           # a failed solve
+        [1.0, nan, 2.5],           # nearer u = 2.0, the last root found, than 0
+        [nan, -1.5e308 - 1.5e308j, nan],
+    ])
+    monkeypatch.setattr(dsp, "_polish", lambda u, h_b, c2: u)
+    (u,), _ = dsp._track_to([[100.0, 50.0, 20.0, 10.0]], 0.3, 3, lambda h, t, k: rows.copy())
+    assert u[:, 0].tobytes() == np.array([2.0, nan, 2.5, rows[3, 1]]).tobytes()
+    assert np.isnan(u[1]).all()
+
+
+def test_track_to_walks_the_live_rows_as_the_row_by_row_loop():
+    # random failed solves (NaN-filled rows) in the seed part and in the
+    # line part, runs of consecutive ones and failed first rows: each line
+    # is the row-by-row loop from u = 0 through its seed and line rows,
+    # which marks a failed row None and goes on from the last root found;
+    # a line whose first row failed starts at its first live row only
+    # above h_b = 4, and otherwise comes back all NaN
+    rng = np.random.default_rng(39)
+    restarts = killed = failed_seeds = 0
+    for i in range(600):
+        n = 2 + i % 7
+        theta = float(rng.uniform(0.0, math.pi / n))
+        top = float(10.0 ** rng.uniform(-3, 1.5))
+        h_b = np.geomspace(top, top * 10.0 ** -rng.uniform(0, 3), int(rng.integers(1, 12)))
+
+        def fail(grid, rows):
+            failed = rng.random(len(rows)) < rng.choice([0.0, 0.1, 0.3])
+            if rng.random() < 0.5:   # a run of consecutive failed rows
+                at = int(rng.integers(len(rows)))
+                failed[at:at + int(rng.integers(2, 5))] = True
+            failed[0] |= rng.random() < 0.3
+            rows[failed] = np.nan
+            return rows
+
+        solve = Recording(fail)
+        got = dsp._track_to(h_b[None], theta, n, solve)
+        grid, solved = solve.batches[0], solve.results[0]
+        steer = len(grid) - len(h_b)
+        failed = np.isnan(solved).all(axis=1)
+        line = dsp._eig_roots(h_b, theta, n)
+        line[failed[steer:]] = np.nan
+        with np.errstate(all="ignore"):
+            want = follow_row_by_row(np.concatenate((solved[:steer], line)), 0.0)
+        live = [j for j, k in enumerate(want) if k is not None]
+        if not live or grid[live[0]] <= dsp.TOP_OF_LINE:
+            line[:] = np.nan
+            killed += 1
+        else:
+            restarts += None in want[live[0]:live[-1]]
+        failed_seeds += bool(failed[:steer].any())
+        path = [0 if k is None else k for k in want[steer:]]
+        assert_in_label_order(got, line, path, (i, n, theta, top))
+    assert restarts > 100 and killed > 50 and failed_seeds > 100
 
 
 def test_point_lookup_solves_the_short_seed(eig_batches):

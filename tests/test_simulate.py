@@ -790,8 +790,8 @@ def test_forced_guard_trips_exactly_where_the_field_leaves_its_bounds(monkeypatc
     does not write, and the drive's own values stay inside both bounds:
     the run raises what the bounds say about v alone, with or without the
     sum-of-squares screen (off at eps = 1e-200, where the bound's square
-    underflows, and at 1e200, where it overflows; a float32 bound's square
-    is taken in float64)."""
+    underflows, and at 1e200, where it overflows; a float32 eps is taken
+    as a Python float)."""
     bound = sim.INSTABILITY_FACTOR * eps
     above, below_minus_one = np.nextafter(bound, math.inf), np.nextafter(-1.0, -math.inf)
     values = [0.0, 0.7 * bound, bound, -bound, above, -above, -1.0, below_minus_one,
@@ -930,8 +930,8 @@ def test_a_forced_run_builds_its_lattice_once(monkeypatch, mode):
 
 
 # the options every plain-loop run is also made with: a ramp that ends
-# mid-period, no transient, the uniform drive, and a float32 eps (whose
-# product with a Python float stays float32)
+# mid-period, no transient, the uniform drive, and a float32 eps (which
+# the run, and so the loop, takes as a Python float)
 PLAIN_LOOP_OPTIONS = ({}, {"ramp_periods": 1.5}, {"transient_periods": 0},
                       {"drive": "uniform"}, {"eps": np.float32(1e-3)})
 
@@ -943,6 +943,7 @@ def assert_forced_run_is_the_plain_loop(mode, ramp_periods=2.0, transient_period
     RK4 matrix R @ P or the nonlinear collision substep, then the drive of
     that step alone and the bounds P.min(), P.max(); its snapshots are
     copies.  The run's snapshots share no memory with each other."""
+    eps = float(eps)
     cfg = make_config(theta=0.3, h=1.0, B=0.2, n=3)
     ppw, wavelengths, periods = 12, 4, 2
     series = sim.run_forced(cfg, wavelengths=wavelengths, points_per_wavelength=ppw,
@@ -1013,6 +1014,20 @@ def test_linear_forced_run_is_bitwise_the_plain_loop():
 def test_nonlinear_forced_run_is_bitwise_the_plain_loop():
     for options in PLAIN_LOOP_OPTIONS:
         assert_forced_run_is_the_plain_loop("nonlinear", **options)
+
+
+@pytest.mark.parametrize("option, value", [("eps", 1e-3), ("ramp_periods", 1.3),
+                                           ("cfl", 0.7)])
+def test_a_float32_forced_run_option_runs_like_its_float_twin(option, value):
+    # each option is taken as a Python float: a float32 eps or ramp_periods
+    # would otherwise carry float32 products into the drive
+    run = functools.partial(sim.run_forced, make_config(theta=0.3), wavelengths=4,
+                            points_per_wavelength=10, periods=2)
+    want = run(**{option: float(np.float32(value))})
+    got = run(**{option: np.float32(value)})
+    assert len(got) == len(want) == 64
+    for field, twin in zip(got, want):
+        assert_same_field(field, twin)
 
 
 def test_default_fit_window_is_one_batched_solve(eig_batches):
