@@ -348,15 +348,49 @@ def _refine(lines: _Lines, at: np.ndarray, column: np.ndarray, n: int) -> list:
     return [(float(hm), float(lm), (float(lo), float(hi))) for hm, lm, (lo, hi) in out]
 
 
+def _peaks(lines: _Lines, columns: list, n: int) -> tuple:
+    """The coarse peak of each wanted branch column of every line, classified.
+
+    columns picks branch columns of ``lines`` (0 acoustic, 1 secondary).
+    Each picked column of each line falls in the first of these classes
+    that holds, with the value :func:`theta_scan` reports for it:
+
+    - "escaped": lambda_i is inf somewhere on the grid, where the branch
+      has no root (a secondary at a degenerate angle, or one the mu cut of
+      ``dispersion._eig_step`` drops at large h_b); value inf;
+    - "flat": the coarse maximum is below LAMBDA_I_FLOOR; value 0;
+    - "edge": the coarse maximum is at an end of the grid; value that maximum;
+    - "interior": refined by :func:`_refine`; value the refined maximum.
+
+    Returns (kind, value, refined): kind and value are (L, len(columns))
+    arrays, and refined holds the (h_max, lambda_i_max, bracket) of each
+    interior column, in row-major order, all refined together.
+    """
+    li = lines.lambda_i[:, :, columns]
+    k, peak = li.argmax(axis=1), li.max(axis=1)
+    escaped, flat = np.isinf(li).any(axis=1), peak < LAMBDA_I_FLOOR
+    edge = (k == 0) | (k == len(lines.h) - 1)
+    kind = np.where(escaped, "escaped", np.where(flat, "flat", np.where(edge, "edge", "interior")))
+    at, column = np.nonzero(kind == "interior")
+    refined = _refine(lines, at, np.asarray(columns)[column], n)
+    value = np.where(escaped, math.inf, np.where(flat, 0.0, peak))
+    value[at, column] = [lam for _, lam, _ in refined]
+    return kind, value, refined
+
+
 def find_hmax(theta: float, B: float, n: int = 2, branch: str = "acoustic",
               h_range: tuple = DEFAULT_H_RANGE) -> PeakResult:
     """Locate the maximum-absorption state h_max on a branch.
 
     A coarse log-grid scan (SCAN_POINTS points, one batched solve) brackets
     the peak; :func:`_refine` then solves dlambda_i/dlog h = 0 on that
-    bracket to a few ulps of log h.  Raises
-    :class:`NoInteriorMaximumError` when lambda_i is monotone on the range
-    or the branch is unattenuated (e.g. the acoustic branch at theta=pi/4).
+    bracket to a few ulps of log h.  The coarse line is classified by
+    :func:`_peaks`, as :func:`theta_scan` classifies its lines, and every
+    class but an interior maximum raises :class:`NoInteriorMaximumError`:
+    where the branch's root is dropped somewhere on the range (lambda_i inf:
+    a secondary that escapes at a degenerate angle, or that the mu cut drops
+    at large h_b), where lambda_i is monotone on the range, or where the
+    branch is unattenuated (e.g. the acoustic branch at theta=pi/4).
     h_range must be a (lo, hi) pair with 0 < lo < hi < inf, and branch
     "acoustic" or "secondary"; B (-1 < B < inf) is checked after them, where
     the coarse grid forms its h_b (``dispersion._line``).
@@ -374,16 +408,13 @@ def find_hmax(theta: float, B: float, n: int = 2, branch: str = "acoustic",
         raise DomainError("branch must be 'acoustic' or 'secondary'")
     grid = np.geomspace(hi, lo, SCAN_POINTS)[::-1]   # visit descending, report ascending
     lines = _coarse_lines([theta], B, n, grid)
-    column = np.array([("acoustic", "secondary").index(branch)])
-    values = lines.lambda_i[0, :, column[0]]
-    k = int(np.argmax(values))
-    if values[k] < LAMBDA_I_FLOOR:
-        raise NoInteriorMaximumError(
-            "lambda_i is zero on the whole range (unattenuated branch)")
-    if k == 0 or k == len(grid) - 1:
-        raise NoInteriorMaximumError(
-            "lambda_i is monotone on the range: no interior maximum")
-    ((h_max, lambda_i_max, bracket),) = _refine(lines, np.zeros(1, int), column, n)
+    kind, _, refined = _peaks(lines, [("acoustic", "secondary").index(branch)], n)
+    if kind[0, 0] != "interior":
+        raise NoInteriorMaximumError({
+            "escaped": "lambda_i is inf on part of the range: the branch's root is dropped there",
+            "flat": "lambda_i is zero on the whole range (unattenuated branch)",
+            "edge": "lambda_i is monotone on the range: no interior maximum"}[kind[0, 0]])
+    ((h_max, lambda_i_max, bracket),) = refined
     return PeakResult(h_max=h_max, lambda_i_max=lambda_i_max, bracket=bracket)
 
 
@@ -412,13 +443,15 @@ def theta_scan(B: float, n: int, h_cap: float, theta_grid) -> list:
     an interior maximum refined between its grid neighbours, so no value
     comes from outside that range.  At
     theta = pi/4 (n = 2) the acoustic value is 0 while the secondary value
-    is Im sqrt(1 + i*h_cap*(1+B)), the resonance jump.  Angles where the
-    secondary root escapes to infinity report inf.  Each angle's coarse
-    grid is one batched solve; the interior maxima of all angles are
-    refined together (:func:`_refine`), and each row is built once, after
-    them.  h_cap and a nonempty theta_grid are checked first; B
-    (-1 < B < inf) is checked where the coarse grid forms its h_b
-    (``dispersion._line``).
+    is Im sqrt(1 + i*h_cap*(1+B)), the resonance jump.  A branch whose
+    root is dropped somewhere on the range reports inf: the secondary at a
+    degenerate angle, where it escapes to infinity, and a secondary that
+    the mu cut drops at large h_b.  Each angle's coarse grid is one batched
+    solve; :func:`_peaks` classifies its lines as it does for
+    :func:`find_hmax`, the interior maxima of all angles are refined
+    together (:func:`_refine`), and each row is built once, after them.
+    h_cap and a nonempty theta_grid are checked first; B (-1 < B < inf) is
+    checked where the coarse grid forms its h_b (``dispersion._line``).
     """
     h_lo = h_cap * 1e-4
     if not 0 < h_lo < h_cap < math.inf:
@@ -427,12 +460,7 @@ def theta_scan(B: float, n: int, h_cap: float, theta_grid) -> list:
     if not theta_grid:
         raise DomainError("theta_grid must be nonempty")
     lines = _coarse_lines(theta_grid, B, n, np.geomspace(h_lo, h_cap, SCAN_POINTS))
-    k = lines.lambda_i.argmax(axis=1)   # (L, 2): each angle's two columns
-    peak = np.take_along_axis(lines.lambda_i, k[:, None], axis=1)[:, 0]
-    escaped, flat = np.isinf(lines.lambda_i).any(axis=1), peak < LAMBDA_I_FLOOR
-    best = np.where(escaped, math.inf, np.where(flat, 0.0, peak))
-    at, column = np.nonzero(~escaped & ~flat & (k > 0) & (k < SCAN_POINTS - 1))
-    best[at, column] = [lam for _, lam, _ in _refine(lines, at, column, n)]
+    _, best, _ = _peaks(lines, [0, 1], n)
     return [ThetaScanRow(theta, branch, value)
             for theta, pair in zip(theta_grid, best.tolist())
             for branch, value in zip(("acoustic", "secondary"), pair)]

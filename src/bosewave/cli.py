@@ -49,8 +49,7 @@ SWEEP_HEADER = ("h", "B", "theta", "n", "branch", "lambda_r", "lambda_i", "resid
 THETA_SCAN_HEADER = ("theta", "branch", "max_lambda_i")
 VERIFY_SEED = 2718
 DEFAULT_H_GRID = (*analysis.DEFAULT_H_RANGE, 40)   # sweep without --h-range: LO, HI, STEPS
-SWITCHES = ("log", "nonlinear")          # store_true flags; in a config file
-TRUE_WORDS = ("1", "true", "yes", "on")  # these values switch them on
+TRUE_WORDS = ("1", "true", "yes", "on")  # a config file's on values for a switch
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,11 +111,12 @@ def _field(name: str, parse, text: str):
 
 
 def _parse_bounds(text: str) -> tuple:
-    """LO:HI as finite positive floats with LO < HI; fields after HI are not read."""
-    parts = text.split(":")
-    if len(parts) < 2:
-        raise ArgumentTypeError(f"invalid range {text!r}: expected LO:HI")
-    lo, hi = _field("LO", _positive, parts[0]), _field("HI", _positive, parts[1])
+    """LO:HI[:STEPS] read as :func:`_parse_range` reads it, as (lo, hi) with LO < HI.
+
+    A STEPS field is checked and not used, so one config file's h-range
+    serves `sweep` and `hmax` alike.
+    """
+    lo, hi, _ = _parse_range(text)
     if not lo < hi:
         raise ArgumentTypeError(f"invalid range {text!r}: LO must be below HI")
     return lo, hi
@@ -440,16 +440,17 @@ def _config_tokens(args) -> list:
     """The --config file's values as flags of this subcommand, in option order.
 
     A key names a long option without its dashes; any other key is ignored.
-    A switch is given when its value is one of TRUE_WORDS and left out
+    A switch (a store_true flag: the one kind of flag whose parsed value is
+    a bool) is given when its value is one of TRUE_WORDS and left out
     otherwise, as on the command line.
     """
     values = _read_config_file(args.config)
     tokens = []
-    for dest in vars(args):
+    for dest, parsed in vars(args).items():
         key = dest.replace("_", "-")
         if key not in values or dest in ("subcommand", "command"):
             continue
-        if dest not in SWITCHES:
+        if not isinstance(parsed, bool):
             tokens.append(f"--{key}={values[key]}")
         elif values[key].lower() in TRUE_WORDS:
             tokens.append(f"--{key}")

@@ -390,7 +390,8 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
 
     Inflow components (x_speed > 0) are forced at x=0 with the acoustic mode
     shape restricted to inflow entries (drive="uniform" forces them all
-    equally instead), ramped on with a half cosine over `ramp_periods`.
+    equally instead), ramped on with a half cosine over `ramp_periods`
+    (0 <= ramp_periods < inf; 0 drives at full amplitude from the start).
     Outflow is zeroth-order extrapolated at both ends; zero-speed components
     evolve freely.  The transient discarded before recording covers the
     domain-crossing time of the slowest inflow component plus 5 periods
@@ -429,6 +430,8 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
     _check_count("periods", periods, 1)
     if not 0 < eps < math.inf:
         raise DomainError("eps must satisfy 0 < eps < inf")
+    if not 0 <= ramp_periods < math.inf:
+        raise DomainError("ramp_periods must satisfy 0 <= ramp_periods < inf")
     if not 0 < cfl <= CFL_LIMIT:
         raise DomainError(f"cfl must satisfy 0 < cfl <= {CFL_LIMIT}")
     if transient_periods is not None:

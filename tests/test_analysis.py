@@ -44,6 +44,35 @@ def test_hmax_monotone_secondary_reports_no_interior_maximum():
         analysis.find_hmax(math.pi / 4, 0.0, n=2, branch="secondary")
 
 
+# secondaries that the mu cut drops at large h_b, and the one at the
+# degenerate angle theta = 0, n = 2, which escapes at every h
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.0])
+def test_hmax_where_the_branch_root_is_dropped_raises_no_interior_maximum(theta, n):
+    lines = analysis._coarse_lines([theta], 0.0, n, np.geomspace(1e-2, 1e17, analysis.SCAN_POINTS))
+    assert np.isinf(lines.lambda_i[0, :, 1]).any()
+    with pytest.raises(NoInteriorMaximumError, match="lambda_i is inf"):
+        analysis.find_hmax(theta, 0.0, n=n, branch="secondary", h_range=(1e-2, 1e17))
+
+
+def test_peaks_classifies_each_column_by_the_first_rule_that_holds(eig_batches):
+    # escaped (an inf at the coarse argmax), flat (below LAMBDA_I_FLOOR),
+    # edge (the argmax at the grid's top) and interior; the interior line
+    # has no secondary root (NaN u), so its refinement keeps the coarse peak
+    h = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    lambda_i = np.array([[[0.1, 0.0], [0.2, 1e-13], [np.inf, 0.0], [0.1, 0.0], [0.1, 0.0]],
+                         [[0.1, 0.1], [0.2, 0.3], [0.3, 0.2], [0.4, 0.1], [0.5, 0.05]]])
+    u = np.stack([np.full((2, 5), 0.5 + 0.1j), np.full((2, 5), np.nan + 0j)], axis=-1)
+    lines = analysis._Lines(theta=np.array([0.3, 0.4]), B=0.0, h=h, u=u, lambda_i=lambda_i)
+    kind, value, refined = analysis._peaks(lines, [0, 1], 3)
+    assert kind.tolist() == [["escaped", "flat"], ["edge", "interior"]]
+    assert value.tolist() == [[math.inf, 0.0], [0.5, 0.3]]
+    assert refined == [(2.0, 0.3, (1.0, 3.0))]
+    kind, value, refined = analysis._peaks(lines, [1], 3)
+    assert kind.tolist() == [["flat"], ["interior"]] and refined == [(2.0, 0.3, (1.0, 3.0))]
+    assert eig_batches == []
+
+
 def test_hmax_bad_range_rejected():
     with pytest.raises(DomainError):
         analysis.find_hmax(0.0, 0.0, h_range=(1.0, 0.1))

@@ -345,6 +345,12 @@ def test_hmax_output(capsys):
     assert float(lines["lambda_i_max"]) == pytest.approx(0.14434, abs=5e-4)
 
 
+def test_hmax_reads_a_steps_field_and_leaves_it_unused(capsys):
+    code, out, _ = run(capsys, "hmax", "--theta", "0", "--h-range=1e-2:1e2:40")
+    assert code == 0
+    assert run(capsys, "hmax", "--theta", "0", "--h-range=1e-2:1e2") == (0, out, "")
+
+
 @pytest.mark.filterwarnings("error")
 def test_hmax_over_the_whole_float_range_runs_quietly(capsys):
     # the peak search works in log h, so a range near the float limits is
@@ -676,6 +682,12 @@ ERRORS = [
     (["hmax"], None, 1, "--theta"),
     (["hmax", "--theta", "0", "--h-range", "a:b"], None, 1, "--h-range"),
     (["hmax", "--theta", PI4], None, 2, "lambda_i"),
+    # a secondary that the mu cut drops at large h_b
+    (["hmax", "--theta", "0.3", "--n", "4", "--branch", "secondary", "--h-range=1e-2:1e17"],
+     None, 2, "lambda_i"),
+    # the range grammar of sweep: a STEPS field is checked, and no field follows it
+    (["hmax", "--theta", "0", "--h-range=1e-2:1e2:junk"], None, 1, "--h-range"),
+    (["hmax", "--theta", "0", "--h-range=1e-2:1e2:40:9"], None, 1, "--h-range"),
     (["theta-scan", "--steps", "2"], None, 1, "--steps"),
     (["theta-scan", "--steps", "3.5"], None, 1, "--steps"),
     (["theta-scan", "--B", "x"], None, 1, "--B"),

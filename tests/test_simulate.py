@@ -771,6 +771,24 @@ def test_forced_rejects_eps_outside_its_domain(monkeypatch, eps):
                        periods=2, eps=eps)
 
 
+@pytest.mark.parametrize("ramp_periods, error, needle", [
+    (-1.0, DomainError, "ramp_periods"), (math.nan, DomainError, "ramp_periods"),
+    (math.inf, DomainError, "ramp_periods"), ("2", TypeError, None)])
+def test_forced_rejects_ramp_periods_outside_its_domain(monkeypatch, ramp_periods, error,
+                                                        needle):
+    def no_stepping(*args):
+        raise AssertionError("stepped before checking ramp_periods")
+
+    monkeypatch.setattr(sim, "_advection", no_stepping)
+    with pytest.raises(error, match=needle):
+        sim.run_forced(make_config(), wavelengths=4, points_per_wavelength=10,
+                       periods=2, ramp_periods=ramp_periods)
+
+
+def test_forced_run_with_no_ramp_is_bitwise_the_plain_loop():
+    assert_forced_run_is_the_plain_loop("nonlinear", ramp_periods=0)
+
+
 @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
 def test_forced_nan_field_trips_the_instability_guard(monkeypatch, mode):
     monkeypatch.setattr(sim, "_advection",
