@@ -214,7 +214,7 @@ def _slope(u: np.ndarray, h_b: np.ndarray, c2: np.ndarray) -> np.ndarray:
     NaN or inf where g does not exist in floating point.
     """
     with np.errstate(all="ignore"):
-        _, inv, _, f_u = dispersion._secular(u[:, None], h_b, c2)
+        inv, _, f_u = dispersion._secular(u[:, None], h_b, c2)
         n = c2.shape[-1]
         f_h = -(1j / n) * inv.sum(axis=2) - (h_b[:, None] / n) * (inv * inv).sum(axis=2)
         return (h_b * (-f_h[:, 0] / f_u[:, 0]) / (2.0 * dispersion._principal(u))).imag

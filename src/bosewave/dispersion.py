@@ -82,7 +82,6 @@ __all__ = [
 
 TRIM_REL_TOL = 1e-13          # leading-coefficient trim, relative to max |coeff|
 MU_CUT_REL = 1e-14            # eigenvalue mu = 1/u dropped below this * max |mu|
-NEAR_POLE_REL = 1e-12         # denominator within this of its scale: at a pole
 CLEAR_POLE_NOISE = 1e-10      # rational-form rounding above this: clear the pole
 EPS = np.finfo(float).eps
 NEWTON_STEPS = 2              # polish steps on the rational relation
@@ -188,9 +187,9 @@ def assemble_polynomial(h_b: float, theta: float, n: int) -> DispersionPolynomia
 def _secular(u: np.ndarray, h_b: np.ndarray, c2: np.ndarray):
     """The rational relation f and its u-derivative for (K, m) roots u.
 
-    h_b has shape (K,) and c2 shape (n,) or (K, n).  Returns d (K, m, n),
-    with d_k = 1 + i h_b - 2 u cos^2_k, 1/d, and f and f_u = df/du, each
-    (K, m):
+    h_b has shape (K,) and c2 shape (n,) or (K, n).  Returns inv = 1/d
+    (K, m, n), with d_k = 1 + i h_b - 2 u cos^2_k, and f and f_u = df/du,
+    each (K, m):
 
         f   = 1 - (i h_b/n) sum_k 1/d_k
         f_u = -(i h_b/n) sum_k 2 cos^2_k/d_k^2
@@ -202,38 +201,35 @@ def _secular(u: np.ndarray, h_b: np.ndarray, c2: np.ndarray):
     n = c2.shape[-1]
     c2 = c2[..., None, :]
     z = 1j * h_b[:, None]
-    d = 1.0 + z[:, :, None] - 2.0 * u[:, :, None] * c2
-    inv = 1.0 / d
+    inv = 1.0 / (1.0 + z[:, :, None] - 2.0 * u[:, :, None] * c2)
     f = 1.0 - (z / n) * inv.sum(axis=2)
     f_u = -(2.0 * z / n) * (inv * inv * c2).sum(axis=2)
-    return d, inv, f, f_u
+    return inv, f, f_u
 
 
 def _polish(u: np.ndarray, h_b: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """Guarded Newton steps on the rational relation f for (K, n) roots u.
 
     Newton runs on d_j d_k f, d_j and d_k the two denominators nearest zero,
-    so roots next to a pole or on two coinciding poles converge too.  NaN
-    (dropped) roots stay NaN; a root at a pole is left alone; a step longer
-    than a quarter of the distance to the nearest other root is not taken.
-    c2 has shape (n,), or (K, n) for one angle per row.
+    so roots next to a pole or on two coinciding poles converge too.  A
+    step is taken only where it is finite and shorter than a quarter of the
+    distance to the nearest other root; so NaN (dropped) roots stay NaN, and
+    a root exactly on a pole, whose step is not finite, is left alone.  c2
+    has shape (n,), or (K, n) for one angle per row.
     """
     n = c2.shape[-1]
     gap = np.abs(u[:, :, None] - u[:, None, :]) + np.diag(np.full(n, np.inf))
     reach = 0.25 * np.fmin.reduce(gap, axis=2)   # fmin skips the NaN roots
     c2_rows = c2[..., None, :]
-    one_h = 1.0 + h_b[:, None, None]
     row, root = np.arange(len(u))[:, None], np.arange(n)
     with np.errstate(all="ignore"):
         for _ in range(NEWTON_STEPS):
-            d, inv, f, fp = _secular(u, h_b, c2)
-            scale = one_h + 2.0 * np.abs(u[:, :, None]) * c2_rows
-            clear = (np.abs(d) > NEAR_POLE_REL * scale).all(axis=2)
+            inv, f, fp = _secular(u, h_b, c2)
             j = np.argsort(np.abs(inv), axis=2)   # the two nearest poles last
             weighted = c2_rows * inv
             poles = weighted[row, root, j[..., -2]] + weighted[row, root, j[..., -1]]
             step = f / (fp - 2.0 * poles * f)
-            u = np.where(clear & (np.abs(step) < reach), u - step, u)
+            u = np.where(np.abs(step) < reach, u - step, u)
     return u
 
 
@@ -280,9 +276,10 @@ def solve_roots(poly: DispersionPolynomial, maxiter: int = 200) -> np.ndarray:
 
     The roots come from (h_b, theta, n), not from the trimmed coefficients:
     u = 1/mu over the eigenvalues mu of A^-1 C, then NEWTON_STEPS guarded
-    Newton steps on the rational relation (none at a pole).  mu below
-    MU_CUT_REL of the largest |mu| is a root at infinity and is dropped,
-    leaving n roots, or n - 1 when a velocity is perpendicular to the wave.
+    Newton steps on the rational relation (none from exactly on a pole).
+    mu below MU_CUT_REL of the largest |mu| is a root at infinity and is
+    dropped, leaving n roots, or n - 1 when a velocity is perpendicular to
+    the wave.
     ``maxiter`` is kept for compatibility and unused.
     """
     if poly.degree < 1:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import re
@@ -844,6 +845,55 @@ def test_verify_h_b_collapse_fails_for_a_linear_model_that_sees_gamma(monkeypatc
     code, out, _ = run(capsys, "verify")
     assert code == 2
     assert "h-b-collapse: FAIL\n" in out and out.endswith("1 check(s) failed\n")
+
+
+def shifted_root(real, where):
+    """acoustic_root with lambda moved by 1e-3 at the points ``where`` accepts."""
+    def root(h_b, theta, n):
+        got = real(h_b, theta, n)
+        return dataclasses.replace(got, lam=got.lam + 1e-3) if where(h_b) else got
+    return root
+
+
+def symmetry_broken(real):
+    """_eig_roots with every root of a 10-row batch (theta-symmetry's) scaled by its angle."""
+    def eig_roots(h_b, theta, n):
+        rows = real(h_b, theta, n)
+        return rows * (1.0 + 1e-6 * np.asarray(theta))[:, None] if len(rows) == 10 else rows
+    return eig_roots
+
+
+@pytest.mark.parametrize("check, target, wrong", [
+    ("closed-form-oracle", "closed_form_n2", lambda real: lambda h_b, t: real(h_b, t)[:1]),
+    ("theta-pi4-identity", "acoustic_root", lambda real: shifted_root(real, lambda h: h < 1e6)),
+    ("hydrodynamic-limit", "acoustic_root", lambda real: shifted_root(real, lambda h: h == 1e6)),
+    ("theta-symmetry", "_eig_roots", symmetry_broken),
+])
+def test_verify_check_fails_on_a_wrong_subject(monkeypatch, capsys, check, target, wrong):
+    # only the check under test runs; its subject in dispersion is made wrong
+    real_checks = cli._verify_checks
+    monkeypatch.setattr(cli, "_verify_checks",
+                        lambda seed: [c for c in real_checks(seed) if c[0] == check])
+    monkeypatch.setattr(dsp, target, wrong(getattr(dsp, target)))
+    code, out, _ = run(capsys, "verify")
+    assert code == 2
+    assert out == f"{check}: FAIL\n1 check(s) failed\n"
+
+
+def test_main_without_a_subcommand_prints_the_help_and_exits_1(capsys):
+    code, out, err = run(capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("usage: bosewave") and "roots" in err
+
+
+def test_emit_writes_to_a_file_object(tmp_path):
+    buf = io.StringIO()
+    row = analysis.SweepRow(h=1.0, B=0.0, theta=0.0, n=2, branch="acoustic",
+                            lambda_r=0.5, lambda_i=0.25, residual=0.0)
+    cli.emit([row], "csv", buf)
+    path = tmp_path / "row.csv"
+    cli.emit([row], "csv", str(path))
+    assert buf.getvalue() == path.read_text()
 
 
 # (argv, text stderr must contain): finite flag values whose h_b grid or

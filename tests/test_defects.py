@@ -99,6 +99,16 @@ def test_acoustic_lambda_i_is_not_negative_next_to_45deg():
     assert dsp.acoustic_root(30.0, math.pi / 4 + 1e-9, 2).lam.imag >= 0.0
 
 
+@xfail("lambda_i = 0.0 with residual 4.4e-101, a certified wrong attenuation; item 7")
+def test_acoustic_lambda_i_keeps_the_free_streaming_identity_at_h_b_1e_100():
+    # lambda_i = (1 - 1/n) h_b/(2 sqrt(w_j)) = 3.4976e-101 (test_limits)
+    lam = dsp.acoustic_root(1e-100, 0.3, 8).lam
+    w = 2.0 * dsp._cos2(0.3, 8)
+    w_j = w[np.argmin(np.abs(lam.real - 1.0 / np.sqrt(w)))]
+    want = (1.0 - 1.0 / 8) * 1e-100 / (2.0 * math.sqrt(w_j))
+    assert abs(lam.imag - want) <= 1e-12 * want
+
+
 @pytest.mark.parametrize("h_b, theta, n, want", [
     pytest.param(0.4, 0.58934, 4, 0.75197 + 0.10467j,
                  marks=xfail("0.85810 + 0.12142i, the neighbouring root; items 5 and 17")),

@@ -303,6 +303,35 @@ def test_polish_keeps_close_pair_apart():
     assert roots[1] == pytest.approx(1.0 + 1e-9j, abs=1e-15)
 
 
+@pytest.mark.parametrize("h_b", [1e-12, 1.0, 1e6])
+def test_polish_leaves_a_root_on_a_pole_and_a_dropped_root(h_b):
+    # c2 = 1/2 twice puts both poles at u = 1 + i h_b, where d = 0 exactly:
+    # the step there is not finite, and the NaN root has none either
+    u = np.array([[1.0 + 1j * h_b, np.nan]])
+    out = dsp._polish(u, np.array([h_b]), np.array([0.5, 0.5]))
+    assert out.tobytes() == u.tobytes()
+
+
+def test_polynomial_vanishes_at_the_solved_roots():
+    for h_b, theta, n in [(0.3, 0.4, 2), (2.0, 0.7, 5), (1.0, 1.1, 8)]:
+        poly = dsp.assemble_polynomial(h_b, theta, n)
+        for u in dsp.solve_roots(poly):
+            size = np.polyval(np.abs(poly.coeffs), abs(u))   # the terms' scale
+            assert abs(poly(u)) < 1e-12 * size, (h_b, theta, n, u)
+
+
+def test_solve_roots_checks_the_params_h_b():
+    poly = dsp.DispersionPolynomial(coeffs=np.array([1.0, 0j]), degree=1,
+                                    params=(math.nan, 0.3, 2))
+    with pytest.raises(DomainError, match="h_b"):
+        dsp.solve_roots(poly)
+
+
+def test_dispersion_root_lambda_r_is_the_real_part():
+    root = dsp.acoustic_root(1.0, 0.3, 3)
+    assert root.lambda_r == root.lam.real and root.lambda_i == root.lam.imag
+
+
 def test_batched_solve_matches_pointwise():
     h_b = np.geomspace(1e6, 1e-3, 50)
     for roots, hb in zip(dsp._eig_roots(h_b, 0.3, 4), h_b):
@@ -333,14 +362,14 @@ def test_theta_per_row_needs_one_angle_per_h_b():
 def test_secular_derivatives_match_finite_differences(n, theta, h_b):
     c2 = dsp._cos2(theta, n)
     u = dsp._eig_roots([h_b], theta, n)[0][None, :]
-    _, inv, f, f_u = dsp._secular(u, np.array([h_b]), c2)
+    inv, f, f_u = dsp._secular(u, np.array([h_b]), c2)
     # f_h = df/dh_b as analysis._slope forms it from 1/d
     f_h = -(1j / n) * inv.sum(axis=2) - (h_b / n) * (inv * inv).sum(axis=2)
     du, dh = 1e-6 * np.abs(u), 1e-6 * h_b
-    _, _, fu_p, _ = dsp._secular(u + du, np.array([h_b]), c2)
-    _, _, fu_m, _ = dsp._secular(u - du, np.array([h_b]), c2)
-    _, _, fh_p, _ = dsp._secular(u, np.array([h_b + dh]), c2)
-    _, _, fh_m, _ = dsp._secular(u, np.array([h_b - dh]), c2)
+    _, fu_p, _ = dsp._secular(u + du, np.array([h_b]), c2)
+    _, fu_m, _ = dsp._secular(u - du, np.array([h_b]), c2)
+    _, fh_p, _ = dsp._secular(u, np.array([h_b + dh]), c2)
+    _, fh_m, _ = dsp._secular(u, np.array([h_b - dh]), c2)
     np.testing.assert_allclose(f, 0.0, atol=1e-12)
     np.testing.assert_allclose(f_u, (fu_p - fu_m) / (2 * du), rtol=1e-6)
     np.testing.assert_allclose(f_h, (fh_p - fh_m) / (2 * dh), rtol=1e-6)

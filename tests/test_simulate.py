@@ -236,6 +236,16 @@ def test_positivity_loss_detected():
         sim.step_nonlinear(field, 0.01, bc="periodic")
 
 
+def test_positivity_lost_in_the_step_is_detected():
+    # every density positive at the start; the huge first velocity's
+    # collisions drain the others below N = 0 within the step
+    cfg = make_config(theta=0.3, h=10.0)
+    P = np.full((4, 16), -0.999)
+    P[0] = 1000.0
+    with pytest.raises(PositivityError, match="during nonlinear step"):
+        sim.step_nonlinear(make_field(cfg, M=16, P=P), 0.01, bc="periodic")
+
+
 # ------------------------------------------------------------ pair averages
 
 def test_pair_averages_identity_and_cancellation():
@@ -286,6 +296,11 @@ def test_fit_wave_synthetic_oracle():
     lam = (fit.k_r + 1j * fit.k_i) / SQRT2
     assert fit.lambda_meas == pytest.approx(lam, rel=1e-12)
     assert fit.rms_residual < 1e-8
+
+
+def test_fit_wave_rejects_a_backward_wave():
+    with pytest.raises(FitError, match="k_r is not positive"):
+        sim.fit_wave(synthetic_series(k_r=-2 * math.pi), fit_window=(4.5, 11.5))
 
 
 def test_fit_wave_zero_field_fails():
