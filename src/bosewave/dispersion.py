@@ -214,12 +214,17 @@ def _polish(u: np.ndarray, h_b: np.ndarray, c2: np.ndarray) -> np.ndarray:
     so roots next to a pole or on two coinciding poles converge too.  A
     step is taken only where it is finite and shorter than a quarter of the
     distance to the nearest other root; so NaN (dropped) roots stay NaN, and
-    a root exactly on a pole, whose step is not finite, is left alone.  c2
-    has shape (n,), or (K, n) for one angle per row.
+    a root exactly on a pole, whose step is not finite, is left alone.  In a
+    row above TOP_OF_LINE the live root of smallest |u|, the acoustic root,
+    is held: f_u is about 1/h_b there, so a step of rounding-level f would
+    move its eigenvalue by about eps h_b.  c2 has shape (n,), or (K, n) for
+    one angle per row.
     """
     n = c2.shape[-1]
     gap = np.abs(u[:, :, None] - u[:, None, :]) + np.diag(np.full(n, np.inf))
     reach = 0.25 * np.fmin.reduce(gap, axis=2)   # fmin skips the NaN roots
+    held = h_b > TOP_OF_LINE
+    reach[held, np.fmin(np.abs(u[held]), np.inf).argmin(axis=1)] = 0.0   # NaN |u| -> inf
     c2_rows = c2[..., None, :]
     row, root = np.arange(len(u))[:, None], np.arange(n)
     with np.errstate(all="ignore"):

@@ -5,6 +5,7 @@ import pytest
 
 from bosewave import analysis, dispersion as dsp
 from bosewave.errors import ConvergenceError, DomainError, NoInteriorMaximumError
+from conftest import bits, seed_grid
 from test_dispersion import follow_row_by_row
 
 # frozen from a dense scan of the closed form u = (1+ih)/(2+ih):
@@ -55,7 +56,7 @@ def test_hmax_where_the_branch_root_is_dropped_raises_no_interior_maximum(theta,
         analysis.find_hmax(theta, 0.0, n=n, branch="secondary", h_range=(1e-2, 1e17))
 
 
-def test_peaks_classifies_each_column_by_the_first_rule_that_holds(eig_batches):
+def test_peaks_classifies_each_column_by_the_first_rule_that_holds(eig_calls):
     # escaped (an inf at the coarse argmax), flat (below LAMBDA_I_FLOOR),
     # edge (the argmax at the grid's top) and interior; the interior line
     # has no secondary root (NaN u), so its refinement keeps the coarse peak
@@ -70,7 +71,7 @@ def test_peaks_classifies_each_column_by_the_first_rule_that_holds(eig_batches):
     assert refined == [(2.0, 0.3, (1.0, 3.0))]
     kind, value, refined = analysis._peaks(lines, [1], 3)
     assert kind.tolist() == [["flat"], ["interior"]] and refined == [(2.0, 0.3, (1.0, 3.0))]
-    assert eig_batches == []
+    assert eig_calls.sizes == []
 
 
 def test_hmax_bad_range_rejected():
@@ -202,14 +203,14 @@ def test_slope_matches_a_finite_difference_of_lambda_i(n, theta, B):
             assert g[0] == pytest.approx((li[2] - li[0]) / (2 * step), rel=1e-6, abs=1e-9)
 
 
-def test_refine_keeps_the_coarse_peak_where_the_slope_is_not_finite(eig_batches):
+def test_refine_keeps_the_coarse_peak_where_the_slope_is_not_finite(eig_calls):
     # no secondary root there (NaN): no slope, so no search and no solve
     u = np.stack([np.full(3, 0.5 + 0.1j), np.full(3, np.nan + 0j)], axis=-1)
     lambda_i = np.stack([np.full(3, 0.05), [0.1, 0.3, 0.2]], axis=-1)
     lines = analysis._Lines(theta=np.array([0.3]), B=0.0, h=np.array([1.0, 2.0, 3.0]),
                             u=u[None], lambda_i=lambda_i[None])
     assert analysis._refine(lines, np.array([0]), np.array([1]), 3) == [(2.0, 0.3, (1.0, 3.0))]
-    assert eig_batches == []
+    assert eig_calls.sizes == []
 
 
 def test_refine_picks_each_step_with_one_nearest_call(monkeypatch):
@@ -289,34 +290,27 @@ def test_eigvals_failure_is_a_convergence_error_and_error_rows(monkeypatch):
     assert all(math.isnan(r.lambda_r) and math.isnan(r.residual) for r in rows)
 
 
-def test_sweep_line_whose_failed_top_leaves_no_live_row_above_4_is_error_rows(monkeypatch):
+def test_sweep_line_whose_failed_top_leaves_no_live_row_above_4_is_error_rows(eig_calls):
     # the B = 0 line's top, h_b = 7, fails in its batch and on its own; its
     # next rows lie at or below h_b = 4, where the root of smallest |u| need
     # not be the acoustic one, so each of its points is an "error" row; the
     # B = 1 line, h_b from 14 down, is as it is without the failure
     h = [7.0, 2.0, 0.5]
     clean = list(analysis.sweep([0.3], [0.0, 1.0], h, 3, "all"))
-    real = dsp._eig_step
-
-    def eig_step(h_b, theta, n):
-        if 7.0 in np.asarray(h_b, dtype=float):
-            raise ConvergenceError("synthetic failure")
-        return real(h_b, theta, n)
-
-    monkeypatch.setattr(dsp, "_eig_step", eig_step)
+    eig_calls.fail(ConvergenceError, "synthetic failure", at=[7.0])
     rows = list(analysis.sweep([0.3], [0.0, 1.0], h, 3, "all"))
     assert [(r.h, r.branch) for r in rows if r.B == 0.0] == [(h_i, "error") for h_i in h]
     assert all(math.isnan(r.lambda_r) and math.isnan(r.residual) for r in rows if r.B == 0.0)
     assert repr([r for r in rows if r.B == 1.0]) == repr([r for r in clean if r.B == 1.0])
 
 
-def test_theta_scan_of_flat_and_edge_lines_is_one_coarse_batch(eig_batches):
+def test_theta_scan_of_flat_and_edge_lines_is_one_coarse_batch(eig_calls):
     # at pi/4 the acoustic line is flat (0) and the secondary peaks at the
     # grid's top edge: nothing to refine, so the coarse batch is the only one
     rows = analysis.theta_scan(0.5, 2, 10.0, [math.pi / 4])
     assert [r.max_lambda_i for r in rows] == [
         0.0, pytest.approx(np.sqrt(1 + 1j * 10.0 * 1.5).imag, rel=1e-12)]
-    assert len(eig_batches) == 1
+    assert len(eig_calls.grids) == 1
 
 
 # ---------------------------------------------------------------------- sweep
@@ -353,58 +347,22 @@ def test_sweep_pi4_line_is_unit_undamped():
         assert abs(row.lambda_i) < 1e-10
 
 
-def test_sweep_programming_errors_propagate(monkeypatch):
-    real = dsp._eig_step
-
-    def broken(h_b, theta, n):
-        if np.any(np.abs(np.asarray(h_b) - 1.0) < 1e-12):
-            raise TypeError("synthetic programming error")
-        return real(h_b, theta, n)
-
-    monkeypatch.setattr(analysis.dispersion, "_eig_step", broken)
+def test_sweep_programming_errors_propagate(eig_calls):
+    eig_calls.fail(TypeError, "synthetic programming error", at=[1.0], tol=1e-12)
     with pytest.raises(TypeError):
         analysis.sweep([0.2], [0.0], [10.0, 1.0, 0.1], 2)
 
 
-def test_point_secondary_query_solves_once(eig_batches):
+def test_point_secondary_query_solves_once(eig_calls):
     roots = dsp.solve_roots(dsp.assemble_polynomial(1.0, 0.3, 3))
-    eig_batches.clear()
+    eig_calls.clear()
     assert dsp.select_branch(roots, 1.0, 0.3, 3, policy="all")[1].lambda_i > 0
-    assert len(eig_batches) == 1
-
-
-def _eig_batches(monkeypatch, thetas=None):
-    """The h_b grids of the eigen batches (_eig_step calls) a test makes, in order.
-
-    The angle (or per-row angles) of each call is appended to ``thetas``.
-    """
-    real = dsp._eig_step
-    grids = []
-
-    def recording(h_b, theta, n):
-        grids.append(np.array(h_b, dtype=float))
-        if thetas is not None:
-            thetas.append(theta)
-        return real(h_b, theta, n)
-
-    monkeypatch.setattr(analysis.dispersion, "_eig_step", recording)
-    return grids
+    assert len(eig_calls.grids) == 1
 
 
 def _seed_then(h_b):
-    """The seed grid's tail from its last row above h_b = 4, then h_b.
-
-    The seed grid runs from CONTINUATION_START (or 10*h_b[0]) down to h_b[0],
-    without its last point; a top h_b[0] above 4 takes no seed row.
-    """
-    top = h_b[0]
-    if top > 4.0:
-        return h_b
-    start = dsp.CONTINUATION_START
-    steps = max(2, int(np.ceil(abs(np.log10(start / top))
-                               * dsp.CONTINUATION_PER_DECADE)) + 1)
-    seed = np.geomspace(start, top, steps)[:-1]
-    return np.concatenate([seed[seed > 4.0][-1:], seed[seed <= 4.0], h_b])
+    """The seed grid's tail from its last row above h_b = 4 (none for a top above 4), then h_b."""
+    return np.concatenate([seed_grid(h_b[0])[1], h_b])
 
 
 def _is_seed_then(batch, h_b):
@@ -412,8 +370,8 @@ def _is_seed_then(batch, h_b):
     return batch.tobytes() == _seed_then(h_b).tobytes()
 
 
-def test_find_hmax_coarse_grid_is_one_batched_solve(monkeypatch):
-    grids = _eig_batches(monkeypatch)
+def test_find_hmax_coarse_grid_is_one_batched_solve(eig_calls):
+    grids = eig_calls.grids
     theta, B, n = 0.3, -0.2, 3
     analysis.find_hmax(theta, B, n=n)
     # one batch (the seed grid's tail, then the whole coarse grid), then at
@@ -423,9 +381,8 @@ def test_find_hmax_coarse_grid_is_one_batched_solve(monkeypatch):
     assert 1 <= len(grids) - 1 <= 16 and {len(g) for g in grids[1:]} == {1}
 
 
-def test_theta_scan_branches_share_one_batch_per_angle(monkeypatch):
-    thetas = []
-    grids = _eig_batches(monkeypatch, thetas)
+def test_theta_scan_branches_share_one_batch_per_angle(eig_calls):
+    grids, thetas = eig_calls.grids, eig_calls.thetas
     theta_grid, B, h_cap = [0.2, math.pi / 4, 0.9], 0.4, 10.0
     analysis.theta_scan(B, 2, h_cap, theta_grid)
     coarse = np.geomspace(h_cap * 1e-4, h_cap, analysis.SCAN_POINTS)[::-1] * (1.0 + B)
@@ -452,8 +409,8 @@ def test_theta_scan_lockstep_equals_one_angle_at_a_time():
             [(r.theta, r.branch, float(r.max_lambda_i).hex()) for r in alone]
 
 
-def test_sweep_line_is_one_batched_solve(monkeypatch):
-    grids = _eig_batches(monkeypatch)
+def test_sweep_line_is_one_batched_solve(eig_calls):
+    grids = eig_calls.grids
     h_grid = np.geomspace(1e-2, 1e2, 7)
     Bs = [0.0, -0.3]
     table = analysis.sweep([0.1, 0.5], Bs, h_grid, 3, branch_policy="all")
@@ -495,10 +452,6 @@ def test_sweep_acoustic_rows_agree_bitwise_with_point_and_track(n):
             lam = complex(row.lambda_r, row.lambda_i)
             assert lam == dsp.acoustic_root(h * (1.0 + B), theta, n).lam
             assert lam == tracked.lam
-
-
-def bits(values):
-    return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -547,20 +500,11 @@ def test_sweep_empty_inputs_rejected():
         analysis.sweep([0.0], [0.0], [-1.0], 2)
 
 
-def test_sweep_failures_become_error_rows(monkeypatch):
-    from bosewave.errors import ConvergenceError
-
-    real = dsp._eig_step
-
-    def flaky(h_b, theta, n):
-        # the line's one batch (its top h_b = 10 lies above 4, so it holds
-        # no seed row) and its point h_b = 1 fail; the other points solve
-        # one at a time
-        if np.any(np.abs(np.asarray(h_b) - 1.0) < 1e-12):
-            raise ConvergenceError("synthetic failure")
-        return real(h_b, theta, n)
-
-    monkeypatch.setattr(analysis.dispersion, "_eig_step", flaky)
+def test_sweep_failures_become_error_rows(monkeypatch, eig_calls):
+    # the line's one batch (its top h_b = 10 lies above 4, so it holds no
+    # seed row) and its point h_b = 1 fail; the other points solve one at
+    # a time
+    eig_calls.fail(ConvergenceError, "synthetic failure", at=[1.0], tol=1e-12)
     table_rows = list(analysis.sweep([0.2], [0.0], [10.0, 1.0, 0.1], 2))
     assert len(table_rows) == 3
     bad = [r for r in table_rows if r.branch == "error"]

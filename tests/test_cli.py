@@ -271,16 +271,10 @@ def test_multi_b_sweep_body_is_its_single_b_bodies_joined(capsys, n, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_sweep_error_rows_print_the_bytes_emit_writes(monkeypatch, tmp_path, capsys, fmt):
+def test_sweep_error_rows_print_the_bytes_emit_writes(eig_calls, tmp_path, capsys, fmt):
     h = np.geomspace(0.1, 10.0, 5)
-    real = dsp._eig_step
-
-    def eig_step(h_b, theta, n):   # every batch that holds h[1] or h[3] fails
-        if np.isin(np.asarray(h_b, dtype=float), h[[1, 3]]).any():
-            raise errors.ConvergenceError("synthetic failure")
-        return real(h_b, theta, n)
-
-    monkeypatch.setattr(dsp, "_eig_step", eig_step)
+    # every batch that holds h[1] or h[3] fails
+    eig_calls.fail(errors.ConvergenceError, "synthetic failure", at=h[[1, 3]])
     rows = analysis.sweep([0.3, math.pi / 2], [0.0], h, 3, branch_policy="all")
     assert [row.h for row in rows if row.branch == "error"] == list(h[[3, 1, 3, 1]])
     want = tmp_path / "want"
@@ -791,16 +785,11 @@ def test_numerical_errors_list_is_complete():
 
 @pytest.mark.parametrize("error, builtin", NUMERICAL_ERRORS,
                          ids=[e.__name__ for e, _ in NUMERICAL_ERRORS])
-def test_numerical_error_keeps_its_builtin_base_and_exits_2(monkeypatch, capsys,
-                                                            error, builtin):
+def test_numerical_error_keeps_its_builtin_base_and_exits_2(eig_calls, capsys, error, builtin):
     assert issubclass(error, errors.NumericalError)
     assert issubclass(error, builtin)
     assert not issubclass(error, errors.DomainError)
-
-    def fail(*args, **kwargs):
-        raise error("injected failure")
-
-    monkeypatch.setattr(cli.dispersion, "_eig_step", fail)
+    eig_calls.fail(error, "injected failure")
     code, out, err = run(capsys, "roots", "--h", "1", "--theta", "0")
     assert code == 2
     assert out == ""
@@ -830,11 +819,11 @@ def test_verify_passes_and_is_deterministic(capsys):
     assert "theta-pi4-identity" in names
 
 
-def test_verify_solves_its_oracle_points_in_batches(eig_batches, capsys):
+def test_verify_solves_its_oracle_points_in_batches(eig_calls, capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0 and out.endswith("all checks passed\n")
-    assert len(eig_batches) <= 60
-    assert max(eig_batches) == 1000  # the closed-form oracle's points
+    assert len(eig_calls.grids) <= 60
+    assert max(eig_calls.sizes) == 1000  # the closed-form oracle's points
 
 
 def test_verify_h_b_collapse_fails_for_a_linear_model_that_sees_gamma(monkeypatch, capsys):
@@ -938,11 +927,11 @@ def test_sweep_still_accepts_a_descending_linear_range(capsys):
 
 # ----------------------------------------------------- point lookups, errors
 
-def test_roots_all_branches_is_one_batched_solve(eig_batches, capsys):
+def test_roots_all_branches_is_one_batched_solve(eig_calls, capsys):
     code, out, _ = run(capsys, "roots", "--h", "1", "--theta", "0.3", "--n", "3",
                        "--branch", "all")
     assert code == 0 and len(out.splitlines()) == 1 + 3
-    assert len(eig_batches) == 1 and eig_batches[0] > 1
+    assert len(eig_calls.grids) == 1 and eig_calls.sizes[0] > 1
 
 
 @pytest.mark.parametrize("argv, needle", [
@@ -963,11 +952,11 @@ def test_simulate_faults_exit_1_without_traceback(tmp_path, capsys, argv, needle
     ["theta-scan", "--steps", "3"],
     SIMULATE_SMALL,
 ], ids=["roots", "sweep", "theta-scan", "simulate"])
-def test_unwritable_out_exits_1_before_any_solve(tmp_path, capsys, eig_batches, argv):
+def test_unwritable_out_exits_1_before_any_solve(tmp_path, capsys, eig_calls, argv):
     code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "table"))
     assert (code, out) == (1, "")
     assert err.startswith("error: cannot write ") and "Traceback" not in err
-    assert eig_batches == []
+    assert eig_calls.sizes == []
 
 
 # sha256 of each command's stdout, captured while root_residual still warned

@@ -49,7 +49,6 @@ def test_acoustic_root_at_theta_0_n_8_is_the_coupled_sector_root():
     assert abs(dsp.acoustic_root(0.1, 0.0, 8).lam - (0.76619 + 0.02851j)) < 1e-4
 
 
-@xfail("prints lambda_r = 7450580.6: the polish spoils the hydrodynamic end; item 20")
 def test_roots_at_huge_h_prints_lambda_r_1(capsys):
     code, out, _ = run(capsys, "roots", "--h=1e30", "--theta", "0")
     assert code == 0
@@ -57,7 +56,6 @@ def test_roots_at_huge_h_prints_lambda_r_1(capsys):
     assert abs(float(row["lambda_r"]) - 1.0) < 1e-12
 
 
-@xfail("prints h_max = 4.37e123, a spurious peak of the spoiled hydrodynamic end; item 20")
 def test_hmax_over_the_float_range_finds_the_exact_peak(capsys):
     code, out, _ = run(capsys, "hmax", "--theta", "0", "--h-range=1e-150:1e150")
     assert code == 0
@@ -65,7 +63,8 @@ def test_hmax_over_the_float_range_finds_the_exact_peak(capsys):
     assert abs(h_max - math.sqrt(20.0 / 7.0)) < 1e-10 * math.sqrt(20.0 / 7.0)
 
 
-@xfail("prints lambda = 5.77e124 (1 + i) with residual 1.8e15; items 7 and 20")
+@xfail("prints lambda_i = 7.5e-251, 3 times the limit 2.5e-251, with residual "
+       "1.1e-16; item 7")
 def test_roots_at_h_1e250_is_the_limit_or_exits_2(capsys):
     code, out, _ = run(capsys, "roots", "--h", "1e250", "--theta", "30deg", "--n", "3")
     if code == 2:
@@ -119,8 +118,23 @@ def test_acoustic_root_keeps_its_branch_across_the_ep_annulus(h_b, theta, n, wan
     assert abs(dsp.acoustic_root(h_b, theta, n).lam - want) < 1e-4
 
 
-@xfail("exits 0 with 7 of its 14 rows uncertified: 3 residuals NaN and 4 about 1.4e15; "
-       "items 7 and 20")
+@xfail("exits 0 with the double root printed twice: acoustic 2.8e-9 and secondary(2) "
+       "5.1e-9 relative from it, 1.4e-8 apart in u; item 5")
+def test_roots_at_an_exact_ep_prints_the_double_root_or_exits_2(capsys):
+    # n = 4, theta = 0: w = (2, 1, 0, 1), R'(nu) = 0 at nu_c = 1.5 + 0.5i
+    # with R(nu_c) = -4i, so h_EP = 1 and the acoustic root is the double
+    # root u = (1 + i)/nu_c = 0.8 + 0.4i
+    code, out, _ = run(capsys, "roots", "--h", "1", "--theta", "0", "--n", "4",
+                       "--branch", "all")
+    if code == 2:
+        return
+    assert code == 0
+    row = table(out)[0]
+    want = complex(0.8 + 0.4j) ** 0.5
+    lam = complex(float(row["lambda_r"]), float(row["lambda_i"]))
+    assert row["branch"] == "acoustic" and abs(lam - want) < 1e-12 * abs(want)
+
+
 def test_sweep_at_huge_h_prints_only_certified_rows(capsys):
     code, out, _ = run(capsys, "sweep",
                        "--h-range=3.6360953919047033e+199:1.6390517086262711e+286:14", "--log",

@@ -14,6 +14,7 @@ from bosewave.errors import (
     NoInteriorMaximumError,  # noqa: F401  (re-exported path check)
     SingularDenominatorError,
 )
+from conftest import bits, seed_grid
 
 # frozen oracle values (computed from the closed forms; see test bodies)
 LAMBDA_H1_T0 = 0.7850017617921874 + 0.1273882491316916j      # sqrt(0.6+0.2j)
@@ -375,13 +376,13 @@ def test_secular_derivatives_match_finite_differences(n, theta, h_b):
     np.testing.assert_allclose(f_h, (fh_p - fh_m) / (2 * dh), rtol=1e-6)
 
 
-def test_continuation_is_one_batched_solve(eig_batches):
+def test_continuation_is_one_batched_solve(eig_calls):
     dsp.continuation_track(0.3, 3, 0.0, np.geomspace(1e4, 1e-2, 40))
-    assert eig_batches == [40]
+    assert eig_calls.sizes == [40]
     roots = dsp._eig_roots(np.array([1.0]), 0.3, 3)[0]
-    eig_batches.clear()
+    eig_calls.clear()
     dsp.select_branch(roots, 1.0, 0.3, 3)
-    assert len(eig_batches) == 1 and eig_batches[0] > 1
+    assert len(eig_calls.grids) == 1 and eig_calls.sizes[0] > 1
 
 
 # ------------------------------------------------------------- closed form
@@ -605,10 +606,6 @@ def pole_lines():
     h_b, theta, n = NEAR_POLE_POINT
     lams = [dsp.principal_lambda(u) for u in dsp._eig_roots([h_b], theta, n)[0]]
     yield lams, [h_b] * len(lams), theta, n
-
-
-def bits(values):
-    return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
 def test_labelled_lambda_is_principal_lambda_bitwise():
@@ -1066,18 +1063,15 @@ def test_theta_normalization_does_not_move_roots():
 def seed_then_line(h_b, theta, n):
     """Reference: the seed continuation to h_b[0], then h_b continued from its u.
 
-    Two separate solves, the seed grid and h_b; returns the seed grid without
-    its last point (h_b[0]), the roots of each solve and the line's path.
+    Two separate solves, the seed grid (conftest.seed_grid) with h_b[0] and
+    h_b; returns the seed grid and its solved rows, both without h_b[0], the
+    line's roots and its path.
     """
-    top = float(h_b[0])
-    start = dsp.CONTINUATION_START if top <= dsp.CONTINUATION_START else 10.0 * top
-    steps = max(2, int(np.ceil(abs(np.log10(start / top))
-                               * dsp.CONTINUATION_PER_DECADE)) + 1)
-    seed_grid = np.geomspace(start, top, steps)
-    seed = dsp._eig_roots(seed_grid, theta, n)
+    grid, solved = seed_grid(float(h_b[0]))
+    seed = dsp._eig_roots(np.append(grid, h_b[0]), theta, n)
     u_top = seed[-1][follow_row_by_row(seed, 1.0)[-1]]
     line = dsp._eig_roots(h_b, theta, n)
-    return seed_grid[:-1], seed[:-1], line, follow_row_by_row(line, u_top)
+    return grid, solved, line, follow_row_by_row(line, u_top)
 
 
 class Recording:
@@ -1116,17 +1110,14 @@ def test_track_to_folds_the_seed_into_the_line_batch_bitwise(n, top):
     for theta in (0.0, 0.3, math.pi / 4, math.pi / 2):
         for B in (0.0, 0.5, -0.5):
             h_b = np.geomspace(top, top * 1e-5, 33) * (1.0 + B)
-            seed_grid, seed, line, path = seed_then_line(h_b, theta, n)
-            cut = (len(seed_grid) if h_b[0] > 4.0
-                   else int(np.count_nonzero(seed_grid > 4.0)) - 1)
+            grid, solved, line, path = seed_then_line(h_b, theta, n)
             solve = Recording()
             got = dsp._track_to(h_b[None], theta, n, solve)
             assert len(solve.batches) == 1
-            assert solve.batches[0].tobytes() == \
-                np.concatenate([seed_grid[cut:], h_b]).tobytes()
+            assert solve.batches[0].tobytes() == np.concatenate([solved, h_b]).tobytes()
             # the seed rows only steer, unpolished; _track_to polishes the
             # line's rows in place
-            steer = dsp._eig_step(seed_grid, theta, n)[0][cut:]
+            steer = dsp._eig_step(grid, theta, n)[0][len(grid) - len(solved):]
             for got_rows, want in zip(solve.results[0], np.concatenate([steer, line]),
                                       strict=True):
                 assert got_rows.tobytes() == want.tobytes(), (theta, B)
@@ -1201,7 +1192,7 @@ def test_track_to_lines_equal_one_line_calls_bitwise(n, monkeypatch):
             assert (np.isnan(together[0]).sum(axis=2) == 1).all()
 
 
-def test_track_to_lines_with_a_failed_solve_equal_one_line_calls_bitwise(monkeypatch):
+def test_track_to_lines_with_a_failed_solve_equal_one_line_calls_bitwise(eig_calls):
     from bosewave import analysis
 
     theta, n = 0.4, 3
@@ -1209,15 +1200,7 @@ def test_track_to_lines_with_a_failed_solve_equal_one_line_calls_bitwise(monkeyp
     # a failed point inside line 1, and the top of line 2, its first solved
     # row (its top lies above h_b = 4, so no seed row is solved), after
     # which line 2 goes on from u = 0 at its next row
-    bad = {h_b[1, 4], h_b[2, 0]}
-    real = dsp._eig_step
-
-    def failing(grid, theta, n):
-        if bad & set(np.asarray(grid).tolist()):
-            raise ConvergenceError("eigenvalue solve failed")
-        return real(grid, theta, n)
-
-    monkeypatch.setattr(dsp, "_eig_step", failing)
+    eig_calls.fail(ConvergenceError, "eigenvalue solve failed", at=[h_b[1, 4], h_b[2, 0]])
     u, lam = together = dsp._track_to(h_b, theta, n, analysis._line_roots)
     assert np.isnan(u[1, 4]).all() and np.isnan(lam[1, 4]).all()
     assert np.isnan(u[2, 0]).all() and np.isnan(lam[2, 0]).all()
@@ -1321,36 +1304,30 @@ def test_track_to_walks_the_live_rows_as_the_row_by_row_loop():
     assert restarts > 100 and killed > 50 and failed_seeds > 100
 
 
-def test_point_lookup_solves_the_short_seed(eig_batches):
+def test_point_lookup_solves_the_short_seed(eig_calls):
     # 5 seed rows from 10**(5/8) ~ 4.2, the last above h_b = 4, down to
     # 10**(1/8), then h_b = 1 (49 rows in the whole seed grid); above
     # h_b = 4 the point's own row alone
     dsp.acoustic_root(1.0, 0.3, 8)
     dsp.acoustic_root(5.0, 0.3, 8)
-    assert eig_batches == [6, 1]
+    assert eig_calls.sizes == [6, 1]
 
 
-def test_select_branch_above_top_of_line_solves_nothing(eig_batches):
+def test_select_branch_above_top_of_line_solves_nothing(eig_calls):
     # the continuation runs into the given roots: above h_b = 4 it takes
     # their root of smallest |u| and makes no eigen batch
     for h_b in (np.nextafter(dsp.TOP_OF_LINE, 5.0), 5.0, 1e3, 1e8):
         for theta, n in ((0.3, 2), (0.0, 4), (math.pi / 2, 3), (0.7, 8)):
             roots = dsp.solve_roots(dsp.assemble_polynomial(h_b, theta, n))
-            eig_batches.clear()
+            eig_calls.clear()
             for policy in ("acoustic", "all"):
                 dsp.select_branch(roots, h_b, theta, n, policy)
-            assert eig_batches == [], (h_b, theta, n)
+            assert eig_calls.sizes == [], (h_b, theta, n)
 
 
-def test_select_branch_at_or_below_top_of_line_solves_the_seed_rows_alone(monkeypatch):
+def test_select_branch_at_or_below_top_of_line_solves_the_seed_rows_alone(eig_calls):
     # one eigen batch, the seed rows of acoustic_root's batch without the point
-    real, grids = dsp._eig_step, []
-
-    def recording(h_b, theta, n):
-        grids.append(np.array(h_b))
-        return real(h_b, theta, n)
-
-    monkeypatch.setattr(dsp, "_eig_step", recording)
+    grids = eig_calls.grids
     for h_b in (dsp.TOP_OF_LINE, 1.0, 1e-3):
         for theta, n in ((0.3, 2), (math.pi / 2, 3), (0.7, 8)):
             roots = dsp.solve_roots(dsp.assemble_polynomial(h_b, theta, n))
@@ -1440,9 +1417,9 @@ def test_continuation_grid_out_of_float_range_raises_domain_error(h_b):
 
 # --------------------------------------------------------- point lookups
 
-def test_acoustic_root_is_one_batched_solve(eig_batches):
+def test_acoustic_root_is_one_batched_solve(eig_calls):
     dsp.acoustic_root(1.0, 0.3, 3)
-    assert len(eig_batches) == 1 and eig_batches[0] > 1
+    assert len(eig_calls.grids) == 1 and eig_calls.sizes[0] > 1
 
 
 def lookup_points(count, seed):
@@ -1481,7 +1458,7 @@ def test_point_lookup_equals_a_single_point_solve_bitwise(policy):
 
 
 @pytest.mark.parametrize("h_b", [dsp.TOP_OF_LINE, 1.0, 1e-3, 1e-12])
-def test_select_branch_polishes_no_seed_row(monkeypatch, eig_batches, h_b):
+def test_select_branch_polishes_no_seed_row(monkeypatch, eig_calls, h_b):
     # the seed rows only steer the continuation into the given roots and
     # are never returned, so they get no Newton polish; acoustic_root
     # polishes the one row of its one batch that it returns
@@ -1495,14 +1472,14 @@ def test_select_branch_polishes_no_seed_row(monkeypatch, eig_batches, h_b):
     for theta, n in ((0.3, 2), (0.5, 3), (0.7, 8)):
         roots = dsp.solve_roots(dsp.assemble_polynomial(h_b, theta, n))
         for policy in ("acoustic", "all"):
-            eig_batches.clear()
+            eig_calls.clear()
             polished.clear()
             dsp.select_branch(roots, h_b, theta, n, policy)
-            assert len(eig_batches) == 1 and polished == [], (theta, n, policy)
-        eig_batches.clear()
+            assert len(eig_calls.grids) == 1 and polished == [], (theta, n, policy)
+        eig_calls.clear()
         polished.clear()
         dsp.acoustic_root(h_b, theta, n)
-        assert polished == [1] and len(eig_batches) == 1, (theta, n)
+        assert polished == [1] and len(eig_calls.grids) == 1, (theta, n)
 
 
 def test_select_branch_on_solve_roots_equals_acoustic_root_below_top_of_line():
@@ -1524,7 +1501,7 @@ def test_select_branch_on_solve_roots_equals_acoustic_root_below_top_of_line():
 
 
 @pytest.mark.parametrize("h_b", [dsp.TOP_OF_LINE, 1.0, 1e-3, 1e-12])
-def test_point_lookups_polish_only_their_row(monkeypatch, capsys, eig_batches, h_b):
+def test_point_lookups_polish_only_their_row(monkeypatch, capsys, eig_calls, h_b):
     # one place polishes: a point lookup's one batch is its seed rows and
     # its point, and only the point's row, the one it returns, is polished;
     # a sweep line polishes its own rows and none of its seed rows
@@ -1544,15 +1521,16 @@ def test_point_lookups_polish_only_their_row(monkeypatch, capsys, eig_batches, h
     }
     for theta, n in ((0.3, 2), (0.5, 3), (0.7, 8)):
         for name, lookup in lookups.items():
-            eig_batches.clear()
+            eig_calls.clear()
             polished.clear()
             lookup(theta, n)
-            assert len(eig_batches) == 1 and eig_batches[0] > 1, (name, theta, n)
+            assert len(eig_calls.grids) == 1 and eig_calls.sizes[0] > 1, (name, theta, n)
             assert polished == [1], (name, theta, n)
-        eig_batches.clear()
+        eig_calls.clear()
         polished.clear()
         analysis.sweep([theta], [0.0, -0.5], np.geomspace(h_b, h_b * 1e-3, 5), n)
-        assert len(eig_batches) == 1 and eig_batches[0] > 10 and polished == [10], (theta, n)
+        assert len(eig_calls.grids) == 1 and eig_calls.sizes[0] > 10, (theta, n)
+        assert polished == [10], (theta, n)
     capsys.readouterr()
 
 

@@ -1063,9 +1063,9 @@ def test_a_float32_forced_run_option_runs_like_its_float_twin(option, value):
         assert_same_field(field, twin)
 
 
-def test_default_fit_window_is_one_batched_solve(eig_batches):
+def test_default_fit_window_is_one_batched_solve(eig_calls):
     sim._default_fit_window(make_config(theta=0.3, n=3), 40.0, 0.1)
-    assert len(eig_batches) == 1 and eig_batches[0] > 1
+    assert len(eig_calls.grids) == 1 and eig_calls.sizes[0] > 1
 
 
 # ------------------------------------------------------------ kernel reuse
