@@ -672,7 +672,7 @@ ERRORS = [
     (["roots", "--h", "1", "--theta", "0", "--branch", "foo"], None, 1, "--branch"),
     (["roots", "--h", "1", "--theta", "0", "--format", "xml"], None, 1, "--format"),
     (["sweep", "--h-range", "oops"], None, 1, "--h-range"),
-    (["sweep", "--h-range", "1:2:1"], None, 1, "argument --h-range: STEPS '1'"),
+    (["sweep", "--h-range", "1:2:1"], None, 1, "--h-range"),
     (["sweep", "--h-range=0:2:3"], None, 1, "--h-range"),
     (["sweep", "--h-range", "0:2:3"], None, 1, "argument --h-range: LO '0'"),
     (["sweep", "--theta", "a,b"], None, 1, "--theta"),
@@ -912,6 +912,16 @@ def test_emit_writes_to_a_file_object(tmp_path):
     path = tmp_path / "row.csv"
     cli.emit([row], "csv", str(path))
     assert buf.getvalue() == path.read_text()
+
+
+# the whole error line names the faulty part of the range
+@pytest.mark.parametrize("argv", [["sweep", "--h-range", "1:2:1"]], ids=" ".join)
+@pytest.mark.filterwarnings("error")
+def test_out_of_range_magnitudes_and_ranges_exit_1_naming_the_part(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: argument --h-range: STEPS '1' is not an integer >= 2\n"
 
 
 def test_sweep_still_accepts_a_descending_linear_range(capsys):
