@@ -592,7 +592,10 @@ def fit_wave(series: list[WaveField], omega: float | None = None,
     The projection (_demodulate) is one pass over the snapshots, reading
     each once, and its memory is O(M) whatever the number of snapshots.
     Every snapshot must have the first one's P shape, dx and config
-    (DomainError otherwise).
+    (DomainError otherwise).  A given ``fit_window`` must skip the first
+    hydrodynamic wavelength and the outlet cell: lo >= lambda_est and
+    hi <= L - dx, each to within 1e-9 of that length, at any scale
+    (DomainError otherwise); the default window does both.
     """
     if len(series) < 2:
         raise FitError("need at least two snapshots")
@@ -625,9 +628,9 @@ def fit_wave(series: list[WaveField], omega: float | None = None,
         x_lo, x_hi = fit_window
         if not x_lo < x_hi:
             raise DomainError("fit_window must be (lo, hi) with lo < hi")
-        if x_lo < lam_est - 1e-9:
+        if x_lo < lam_est * (1.0 - 1e-9):
             raise DomainError("fit_window must exclude the first (inlet) wavelength")
-        if x_hi > L - dx + 1e-9:
+        if x_hi > L - dx * (1.0 - 1e-9):
             raise DomainError("fit_window must exclude the outlet cell")
 
     Z = _demodulate(series, times, omega)     # P ~ Re[Z * exp(-i w t)]

@@ -1,10 +1,13 @@
 """Shared test helpers: the one stand-in for the eigen solve (fixture ``eig_calls``),
-the reference seed grid and the bit patterns of floats."""
+the reference seed grid, the one reference for a continued line, the
+hydrodynamic-limit terms, a CLI runner and the bit patterns of floats."""
+
+import math
 
 import numpy as np
 import pytest
 
-from bosewave import dispersion as dsp
+from bosewave import cli, dispersion as dsp
 
 
 class EigCalls:
@@ -34,7 +37,8 @@ class EigCalls:
         if at is None:
             self.hit = lambda grid: True
         elif tol is None:
-            self.hit = lambda grid: np.isin(grid, at).any()
+            at = set(np.asarray(at, dtype=float).tolist())
+            self.hit = lambda grid: not at.isdisjoint(grid.tolist())
         else:
             self.hit = lambda grid: (np.abs(grid[:, None] - np.asarray(at)) < tol).any()
 
@@ -70,6 +74,83 @@ def seed_grid(top):
     if top > dsp.TOP_OF_LINE:
         return grid, grid[:0]
     return grid, grid[np.count_nonzero(grid > dsp.TOP_OF_LINE) - 1:]
+
+
+def follow_row_by_row(rows, u):
+    """Reference: nearest-root continuation from u, one row at a time.
+
+    The pick of each row is its live root nearest the last root found; an
+    all-NaN row (a failed solve) gets None and is skipped.
+    """
+    dropped = np.isnan(rows)
+    rows = np.where(dropped, np.inf, rows)   # at an infinite distance
+    path = []
+    for roots, gone in zip(rows, dropped.tolist()):
+        k = int(np.abs(roots - u).argmin())
+        if gone[k]:   # every live distance overflowed too, or the row is all NaN
+            if all(gone):
+                path.append(None)
+                continue
+            k = gone.index(False)
+        u = roots[k]
+        path.append(k)
+    return path
+
+
+_EIG_STEP = dsp._eig_step   # the real solve, whatever a test stands in for it
+
+
+def reference_line(h_b, theta, n, failed=(), full_seed=False):
+    """Reference for one line of dispersion._track_to: (grid, u, lam).
+
+    grid, the line's batch, is the solved rows of :func:`seed_grid` (h_b[0])
+    and then h_b.  Its rows are _eig_step's, polished (dispersion._polish)
+    on the line's own; a row whose h_b is in ``failed`` is all NaN.
+    follow_row_by_row continues from u = 0 through the live rows, and a
+    line whose first live row lies at or below TOP_OF_LINE is all NaN; with
+    ``full_seed``, from u = 1 through the whole seed grid instead.  u and
+    lam, each (K, n), are the line's own rows in dispersion._order.
+    """
+    h_b = np.asarray(h_b, dtype=float)
+    whole, solved = seed_grid(float(h_b[0]))
+    seed = whole if full_seed else solved
+    batch = np.concatenate((seed, h_b))
+    rows, _, c2 = _EIG_STEP(batch, theta, n)
+    rows[len(seed):] = dsp._polish(rows[len(seed):], h_b, c2)
+    rows[np.isin(batch, failed)] = np.nan
+    with np.errstate(all="ignore"):
+        path = follow_row_by_row(rows, 1.0 if full_seed else 0.0)
+    live = [h for h, k in zip(batch, path) if k is not None]
+    line = rows[len(seed):]
+    if not live or live[0] <= dsp.TOP_OF_LINE:
+        line[:] = np.nan
+    u, lam = dsp._order(line, [0 if k is None else k for k in path[len(seed):]])
+    return np.concatenate((solved, h_b)), u, lam
+
+
+def limit_terms(theta: float, n: int) -> tuple:
+    """(h_b lambda_i limit, its h_b^-2 coefficient, lambda_r's h_b^-2 coefficient).
+
+    The hydrodynamic expansion of the acoustic root, derived in the
+    docstring of test_limits.py.
+    """
+    w = 2.0 * dsp._cos2(theta, n)
+    p = 1.0 - w
+    pw = np.mean(p * w)
+    a1 = -np.mean(p ** 2)
+    a2 = 2.0 * a1 * pw + np.mean(p ** 3)
+    a3 = (2.0 * a2 * pw - a1 ** 2 * np.mean(w ** 2) - 3.0 * a1 * np.mean(p ** 2 * w)
+          - np.mean(p ** 4))
+    limit = 0.25 if n >= 3 else math.cos(2.0 * theta) ** 2 / 2.0
+    assert -a1 / 2.0 == pytest.approx(limit, rel=1e-12, abs=1e-15)
+    return limit, a3 / 2.0 - a1 * a2 / 4.0 + a1 ** 3 / 16.0, a1 ** 2 / 8.0 - a2 / 2.0
+
+
+def run(capsys, *argv):
+    """cli.main on argv: (exit code, stdout, stderr)."""
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def bits(values):

@@ -5,8 +5,7 @@ import pytest
 
 from bosewave import analysis, dispersion as dsp
 from bosewave.errors import ConvergenceError, DomainError, NoInteriorMaximumError
-from conftest import bits, seed_grid
-from test_dispersion import follow_row_by_row
+from conftest import bits, follow_row_by_row, reference_line
 
 # frozen from a dense scan of the closed form u = (1+ih)/(2+ih):
 # argmax_h Im sqrt(u) and its value (the value is exactly 1/(4*sqrt(3)))
@@ -157,35 +156,25 @@ def test_hmax_is_at_least_a_fine_golden_section_search():
         assert peak.h_max == pytest.approx(h_ref, rel=1e-7)
 
 
-def reference_branch_lambda_i(roots, k: int, branch: str) -> float:
-    """lambda_i of root k (acoustic), or the largest lambda_i of the other
-    live (non-NaN) roots.
-
-    The one-row-at-a-time form the coarse peak grids used before.
-    """
-    if branch == "acoustic":
-        return dsp.principal_lambda(roots[k]).imag
-    return max((dsp.principal_lambda(u).imag
-                for j, u in enumerate(roots) if j != k and not np.isnan(u)),
-               default=math.inf)
-
-
-def test_coarse_branch_lambda_i_matches_the_row_by_row_form_bitwise():
-    # columns 0 and 1 of dispersion._order, as the coarse grids read them
+def test_coarse_branch_lambda_i_matches_the_row_by_row_form_bitwise(monkeypatch):
+    # columns 0 and 1 of the coarse grids, as _peaks reads them, are the
+    # lambda_i of the public sweep rows at each point: the acoustic one,
+    # and secondary(1), or inf where the point has no other root; the
+    # rows' certificates are not read, so none is computed
+    monkeypatch.setattr(dsp, "_certify", lambda lam, h_b, theta, n: np.zeros(len(lam)))
     rng = np.random.default_rng(15)
     count = 0
     for n in (2, 3, 4, 6, 8):
         degenerate = [j * math.pi / (2 * n) for j in range(2 * n)] + [math.pi / 4]
         for theta in degenerate + list(rng.uniform(0.0, math.pi, 4)):
             h_b = np.geomspace(1e8, 1e-5, 200)
-            # the top lies above h_b = 4: continued from u = 0, unseeded
-            rows = dsp._eig_roots(h_b, theta, n)
-            path = dsp._follow(rows)
             lines = analysis._coarse_lines([theta], 0.0, n, h_b[::-1])
-            for j, branch in enumerate(("acoustic", "secondary")):
-                want = [reference_branch_lambda_i(r, k, branch) for r, k in zip(rows, path)]
-                assert np.array(want).tobytes() == lines.lambda_i[0, ::-1, j].tobytes()
-            count += len(rows)
+            want = {(r.h, r.branch): r.lambda_i
+                    for r in analysis.sweep([theta], [0.0], h_b, n, "all")}
+            for j, branch in enumerate(("acoustic", "secondary(1)")):
+                column = [want.get((h, branch), math.inf) for h in h_b.tolist()]
+                assert np.array(column).tobytes() == lines.lambda_i[0, ::-1, j].tobytes()
+            count += len(h_b)
     assert count >= 10_000
 
 
@@ -360,16 +349,6 @@ def test_point_secondary_query_solves_once(eig_calls):
     assert len(eig_calls.grids) == 1
 
 
-def _seed_then(h_b):
-    """The seed grid's tail from its last row above h_b = 4 (none for a top above 4), then h_b."""
-    return np.concatenate([seed_grid(h_b[0])[1], h_b])
-
-
-def _is_seed_then(batch, h_b):
-    """batch is the seed grid's tail from its last row above h_b = 4, then h_b."""
-    return batch.tobytes() == _seed_then(h_b).tobytes()
-
-
 def test_find_hmax_coarse_grid_is_one_batched_solve(eig_calls):
     grids = eig_calls.grids
     theta, B, n = 0.3, -0.2, 3
@@ -377,7 +356,7 @@ def test_find_hmax_coarse_grid_is_one_batched_solve(eig_calls):
     # one batch (the seed grid's tail, then the whole coarse grid), then at
     # most 16 refinement batches of the one line's point
     coarse = np.geomspace(1e2, 1e-2, analysis.SCAN_POINTS) * (1.0 + B)
-    assert _is_seed_then(grids[0], coarse)
+    assert grids[0].tobytes() == reference_line(coarse, theta, n)[0].tobytes()
     assert 1 <= len(grids) - 1 <= 16 and {len(g) for g in grids[1:]} == {1}
 
 
@@ -390,7 +369,8 @@ def test_theta_scan_branches_share_one_batch_per_angle(eig_calls):
     # branches; then at most 16 refinement batches shared by all angles,
     # each holding at most the two branches of every angle, one angle per row
     L = len(theta_grid)
-    assert all(_is_seed_then(g, coarse) for g in grids[:L])
+    assert all(g.tobytes() == reference_line(coarse, theta, 2)[0].tobytes()
+               for g, theta in zip(grids[:L], theta_grid))
     assert thetas[:L] == theta_grid
     refine = grids[L:]
     assert 1 <= len(refine) <= 16
@@ -416,11 +396,11 @@ def test_sweep_line_is_one_batched_solve(eig_calls):
     table = analysis.sweep([0.1, 0.5], Bs, h_grid, 3, branch_policy="all")
     assert len(table) == 2 * 2 * 7 * 3
     # per theta: one batch, each line's seed grid tail and then the line,
-    # in B order
+    # in B order (both tops lie above h_b = 4: no seed rows)
     assert len(grids) == 2
-    want = np.concatenate([_seed_then(h_grid[::-1] * (1.0 + B)) for B in Bs])
-    for g in grids:
-        assert g.tobytes() == want.tobytes()
+    for g, theta in zip(grids, (0.1, 0.5)):
+        want = [reference_line(h_grid[::-1] * (1.0 + B), theta, 3)[0] for B in Bs]
+        assert g.tobytes() == np.concatenate(want).tobytes()
 
 
 def test_sweep_secondaries_match_select_branch():

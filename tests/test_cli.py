@@ -11,14 +11,9 @@ import numpy as np
 import pytest
 
 from bosewave import analysis, cli, dispersion as dsp, errors, simulate
+from conftest import run
 
 PI4 = "0.7853981633974483"
-
-
-def run(capsys, *argv):
-    code = cli.main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 # -------------------------------------------------------------------- roots

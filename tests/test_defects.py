@@ -17,8 +17,7 @@ import pytest
 from bosewave import ModelConfig
 from bosewave import dispersion as dsp
 from bosewave import simulate as sim
-from test_cli import run
-from test_limits import limit_terms
+from conftest import limit_terms, run
 
 
 def xfail(reason: str):
@@ -61,6 +60,22 @@ def test_hmax_over_the_float_range_finds_the_exact_peak(capsys):
     assert code == 0
     h_max = float(out.splitlines()[0].split("=")[1])
     assert abs(h_max - math.sqrt(20.0 / 7.0)) < 1e-10 * math.sqrt(20.0 / 7.0)
+
+
+@xfail("exits 0 with lambda_i_max = 0.19494474512960308, where acoustic_root at the "
+       "printed h_max (1 + B) gives lambda_i = 0.12453837549335264, 36 % below it; "
+       "items 5 and 17")
+def test_wide_range_hmax_prints_the_point_lookups_lambda_i_or_exits_2(capsys):
+    theta, B = 1.8837411675069937, 0.42797398096906025
+    code, out, _ = run(capsys, "hmax", f"--theta={theta!r}", f"--B={B!r}", "--n=8",
+                       "--branch=acoustic",
+                       "--h-range=7.336642078597943e-33:1.1693379618500136e+108")
+    if code == 2:
+        return
+    assert code == 0
+    printed = dict(line.split(" = ") for line in out.splitlines())
+    want = dsp.acoustic_root(float(printed["h_max"]) * (1.0 + B), theta, 8).lam.imag
+    assert abs(float(printed["lambda_i_max"]) - want) <= 1e-9 * abs(want)
 
 
 @xfail("prints lambda_i = 7.5e-251, 3 times the limit 2.5e-251, with residual "

@@ -14,7 +14,7 @@ from bosewave.errors import (
     NoInteriorMaximumError,  # noqa: F401  (re-exported path check)
     SingularDenominatorError,
 )
-from conftest import bits, seed_grid
+from conftest import bits, follow_row_by_row, reference_line, seed_grid
 
 # frozen oracle values (computed from the closed forms; see test bodies)
 LAMBDA_H1_T0 = 0.7850017617921874 + 0.1273882491316916j      # sqrt(0.6+0.2j)
@@ -619,7 +619,7 @@ def test_labelled_lambda_is_principal_lambda_bitwise():
                  else float(rng.uniform(0.0, math.pi)))
         h_b = 10.0 ** np.sort(rng.uniform(-40, 300, 40))[::-1]
         rows = dsp._eig_roots(h_b, theta, n)
-        _, lams, us, _ = dsp._label_branches(*dsp._order(rows, follow_row_by_row(rows, 1.0)),
+        _, lams, us, _ = dsp._label_branches(*dsp._order(rows, dsp._follow(rows)),
                                              h_b, theta, n, "all")
         for lam, u in zip(lams, us):
             want = dsp.principal_lambda(u)
@@ -739,6 +739,10 @@ def test_select_all_orders_secondary_by_attenuation():
     out = dsp.select_branch(roots, 1.0, math.pi / 4, 2, policy="all")
     assert [r.branch for r in out] == ["acoustic", "secondary(1)"]
     assert out[1].lam == pytest.approx(LAMBDA_1PLUS1J, rel=1e-12)
+    out = dsp.select_branch(dsp.solve_roots(dsp.assemble_polynomial(1.0, 0.3, 8)), 1.0, 0.3, 8,
+                            policy="all")
+    lambda_i = [r.lam.imag for r in out[1:]]   # secondary(1) attenuates most
+    assert len(lambda_i) == 7 and lambda_i == sorted(lambda_i, reverse=True)
 
 
 def test_select_acoustic_hydrodynamic():
@@ -830,23 +834,6 @@ def test_dispersion_root_u_is_lambda_squared():
 
 
 # ------------------------------------------------------------- continuation
-
-def follow_row_by_row(rows, u):
-    """Reference: the row-by-row loop ``_follow`` ran before its pick table."""
-    dropped = np.isnan(rows)
-    rows = np.where(dropped, np.inf, rows)   # at an infinite distance
-    path = []
-    for roots, gone in zip(rows, dropped.tolist()):
-        k = int(np.abs(roots - u).argmin())
-        if gone[k]:   # every live distance overflowed too, or the row is all NaN
-            if all(gone):
-                path.append(None)
-                continue
-            k = gone.index(False)
-        u = roots[k]
-        path.append(k)
-    return path
-
 
 def random_root_rows(rng, K: int, n: int) -> np.ndarray:
     """(K, n) roots: O(1), of magnitude 1e-300 to 1e300, or at +-1e308 (1 + i).
@@ -1060,46 +1047,21 @@ def test_theta_normalization_does_not_move_roots():
     assert roots_multiset_close(got, other, tol=1e-10)
 
 
-def seed_then_line(h_b, theta, n):
-    """Reference: the seed continuation to h_b[0], then h_b continued from its u.
-
-    Two separate solves, the seed grid (conftest.seed_grid) with h_b[0] and
-    h_b; returns the seed grid and its solved rows, both without h_b[0], the
-    line's roots and its path.
-    """
-    grid, solved = seed_grid(float(h_b[0]))
-    seed = dsp._eig_roots(np.append(grid, h_b[0]), theta, n)
-    u_top = seed[-1][follow_row_by_row(seed, 1.0)[-1]]
-    line = dsp._eig_roots(h_b, theta, n)
-    return grid, solved, line, follow_row_by_row(line, u_top)
+def track_one(h_b, theta, n, solve=None):
+    """One line through dispersion._track_to: its (u, lam), each (K, n)."""
+    (u,), (lam,) = dsp._track_to(np.asarray(h_b)[None], theta, n, solve)
+    return u, lam
 
 
-class Recording:
-    """A ``solve`` for ``_track_to`` that keeps every grid and its rows."""
-
-    def __init__(self, alter=None):
-        self.batches, self.results, self.alter = [], [], alter
-
-    def __call__(self, grid, theta, n):
-        self.batches.append(np.array(grid))
-        rows = dsp._eig_step(grid, theta, n)[0]
-        if self.alter is not None:
-            rows = self.alter(self.batches[-1], rows)
-        self.results.append(rows)
-        return rows
-
-
-def assert_in_label_order(got, line, path, where=None):
-    """got, a one-line ``_track_to`` result, is ``_order`` of the line's rows and path."""
-    (u,), (lam,) = got
-    want_u, want_lam = dsp._order(line, path)
-    assert u.tobytes() == want_u.tobytes(), where
-    assert lam.tobytes() == want_lam.tobytes(), where
+def assert_same_lines(got, want, where=None):
+    for part, want_part in zip(got, want, strict=True):
+        assert part.shape == want_part.shape, where
+        assert part.tobytes() == want_part.tobytes(), where
 
 
 @pytest.mark.parametrize("top", [1e-1, 4.0, 5.0, 1e1, 1e2, 1e8])
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
-def test_track_to_folds_the_seed_into_the_line_batch_bitwise(n, top):
+def test_track_to_folds_the_seed_into_the_line_batch_bitwise(n, top, eig_calls):
     # the one batch is the seed grid from its last row above h_b = 4 (none
     # for a top above 4), then the line; at top = 4 * (1 + B) the line
     # starts at, above and below 4, and at top = 5 * (1 + B) above it or,
@@ -1110,21 +1072,15 @@ def test_track_to_folds_the_seed_into_the_line_batch_bitwise(n, top):
     for theta in (0.0, 0.3, math.pi / 4, math.pi / 2):
         for B in (0.0, 0.5, -0.5):
             h_b = np.geomspace(top, top * 1e-5, 33) * (1.0 + B)
-            grid, solved, line, path = seed_then_line(h_b, theta, n)
-            solve = Recording()
-            got = dsp._track_to(h_b[None], theta, n, solve)
-            assert len(solve.batches) == 1
-            assert solve.batches[0].tobytes() == np.concatenate([solved, h_b]).tobytes()
-            # the seed rows only steer, unpolished; _track_to polishes the
-            # line's rows in place
-            steer = dsp._eig_step(grid, theta, n)[0][len(grid) - len(solved):]
-            for got_rows, want in zip(solve.results[0], np.concatenate([steer, line]),
-                                      strict=True):
-                assert got_rows.tobytes() == want.tobytes(), (theta, B)
-            assert_in_label_order(got, line, path, (theta, B))
+            eig_calls.clear()
+            got = track_one(h_b, theta, n)
+            grid, *want = reference_line(h_b, theta, n)
+            (batch,) = eig_calls.grids
+            assert batch.tobytes() == grid.tobytes(), (theta, B)
+            assert_same_lines(got, want, (theta, B))
 
 
-def test_short_seed_equals_the_full_seed_on_random_lines_bitwise():
+def test_short_seed_equals_the_full_seed_on_random_lines_bitwise(eig_calls):
     # the pick of smallest |u| at the first solved row, the last one above
     # h_b = 4 (the line's top if above 4), against the whole seed grid
     # continued from u = 1, in label order; tops from 1e-4 to 1e300, most
@@ -1139,24 +1095,17 @@ def test_short_seed_equals_the_full_seed_on_random_lines_bitwise():
         exponent = rng.uniform(-4, 8) if rng.random() < 0.8 else rng.uniform(8, 300)
         top = float(10.0 ** exponent)
         h_b = np.geomspace(top, top * 10.0 ** -rng.uniform(0, 6), int(rng.integers(1, 20)))
-        _, _, line, path = seed_then_line(h_b, theta, n)
-        solve = Recording()
-        got = dsp._track_to(h_b[None], theta, n, solve)
+        eig_calls.clear()
+        got = track_one(h_b, theta, n)
         where = (n, theta, top)
-        assert len(solve.batches) == 1, where
-        assert_in_label_order(got, line, path, where)
+        assert len(eig_calls.grids) == 1, where
+        assert_same_lines(got, reference_line(h_b, theta, n, full_seed=True)[1:], where)
 
 
 def track_alone(h_b, theta, n, solve=None):
     """Each line of h_b through its own one-line ``_track_to`` call."""
     lines = [dsp._track_to(line[None], theta, n, solve) for line in h_b]
     return tuple(np.concatenate(part) for part in zip(*lines))
-
-
-def assert_same_lines(got, want):
-    for part, want_part in zip(got, want, strict=True):
-        assert part.shape == want_part.shape
-        assert part.tobytes() == want_part.tobytes()
 
 
 def record_follow(monkeypatch) -> list:
@@ -1172,16 +1121,16 @@ def record_follow(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
-def test_track_to_lines_equal_one_line_calls_bitwise(n, monkeypatch):
+def test_track_to_lines_equal_one_line_calls_bitwise(n, monkeypatch, eig_calls):
     # tops below h_b = 4, between 4 and CONTINUATION_START, and above it;
     # theta = pi/2 leaves a velocity perpendicular to the wave, so each row
     # has n - 1 roots and one NaN
     followed = record_follow(monkeypatch)
     h_b = np.outer([0.01, 1.0, 3e3, 1e8], np.geomspace(1.0, 1e-4, 17))
     for theta in (0.3, math.pi / 4, math.pi / 2):
-        solve = Recording()
-        together = dsp._track_to(h_b, theta, n, solve)
-        assert len(solve.batches) == 1
+        eig_calls.clear()
+        together = dsp._track_to(h_b, theta, n)
+        assert len(eig_calls.grids) == 1
         followed_together = followed[:]
         followed.clear()
         # each line is continued through the seed rows and line it has alone
@@ -1212,25 +1161,22 @@ def test_track_to_lines_with_a_failed_solve_equal_one_line_calls_bitwise(eig_cal
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])
-def test_track_to_starts_a_line_with_a_failed_top_only_above_4(n):
-    # a top in (4, 10] solves no seed row; with that row NaN-filled, a line
+def test_track_to_starts_a_line_with_a_failed_top_only_above_4(n, eig_calls):
+    # a top in (4, 10] solves no seed row; with that row failed, a line
     # whose next live row lies at or below h_b = 4 comes back all NaN (the
     # top-of-line rule does not cover a pick there); a next row above 4
     # starts the line as the line of its later points alone
-    def nan_top(grid, rows):
-        rows[0] = np.nan
-        return rows
+    from bosewave import analysis
 
     for theta in (0.0, 0.3, math.pi / 4):
         for top in (4.5, 7.0, 10.0):
-            for below in (4.0, 3.9, 1.0, 1e-3):
-                h_b = np.array([[top, below, below / 10.0]])
-                for part in dsp._track_to(h_b, theta, n, Recording(nan_top)):
-                    assert part.shape == (1, 3, n) and np.isnan(part).all(), (theta, top, below)
-            h_b = np.array([[top, 4.2, 1.0, 1e-3]])
-            u, lam = dsp._track_to(h_b, theta, n, Recording(nan_top))
-            assert np.isnan(u[0, 0]).all() and np.isnan(lam[0, 0]).all()
-            assert_same_lines((u[:, 1:], lam[:, 1:]), dsp._track_to(h_b[:, 1:], theta, n))
+            eig_calls.fail(ConvergenceError, "eigenvalue solve failed", at=[top])
+            for below in (4.0, 3.9, 1.0, 1e-3, 4.2):
+                h_b = [top, below, below / 10.0]
+                got = track_one(h_b, theta, n, analysis._line_roots)
+                assert_same_lines(got, reference_line(h_b, theta, n, failed=[top])[1:],
+                                  (theta, top, below))
+                assert np.isnan(got[0]).all() == (below <= dsp.TOP_OF_LINE)
 
 
 def test_follow_never_picks_a_dropped_root():
@@ -1259,13 +1205,15 @@ def test_track_to_matches_a_row_after_a_failed_one_to_the_last_root_found(monkey
     assert np.isnan(u[1]).all()
 
 
-def test_track_to_walks_the_live_rows_as_the_row_by_row_loop():
-    # random failed solves (NaN-filled rows) in the seed part and in the
-    # line part, runs of consecutive ones and failed first rows: each line
-    # is the row-by-row loop from u = 0 through its seed and line rows,
-    # which marks a failed row None and goes on from the last root found;
-    # a line whose first row failed starts at its first live row only
-    # above h_b = 4, and otherwise comes back all NaN
+def test_track_to_walks_the_live_rows_as_the_row_by_row_loop(eig_calls):
+    # random failed solves (all-NaN rows, through analysis._line_roots) in
+    # the seed part and in the line part, runs of consecutive ones and
+    # failed first rows: each line is the row-by-row loop from u = 0
+    # through its seed and line rows, which skips a failed row and goes on
+    # from the last root found; a line whose first row failed starts at its
+    # first live row only above h_b = 4, and otherwise comes back all NaN
+    from bosewave import analysis
+
     rng = np.random.default_rng(39)
     restarts = killed = failed_seeds = 0
     for i in range(600):
@@ -1273,34 +1221,22 @@ def test_track_to_walks_the_live_rows_as_the_row_by_row_loop():
         theta = float(rng.uniform(0.0, math.pi / n))
         top = float(10.0 ** rng.uniform(-3, 1.5))
         h_b = np.geomspace(top, top * 10.0 ** -rng.uniform(0, 3), int(rng.integers(1, 12)))
-
-        def fail(grid, rows):
-            failed = rng.random(len(rows)) < rng.choice([0.0, 0.1, 0.3])
-            if rng.random() < 0.5:   # a run of consecutive failed rows
-                at = int(rng.integers(len(rows)))
-                failed[at:at + int(rng.integers(2, 5))] = True
-            failed[0] |= rng.random() < 0.3
-            rows[failed] = np.nan
-            return rows
-
-        solve = Recording(fail)
-        got = dsp._track_to(h_b[None], theta, n, solve)
-        grid, solved = solve.batches[0], solve.results[0]
-        steer = len(grid) - len(h_b)
-        failed = np.isnan(solved).all(axis=1)
-        line = dsp._eig_roots(h_b, theta, n)
-        line[failed[steer:]] = np.nan
-        with np.errstate(all="ignore"):
-            want = follow_row_by_row(np.concatenate((solved[:steer], line)), 0.0)
-        live = [j for j, k in enumerate(want) if k is not None]
-        if not live or grid[live[0]] <= dsp.TOP_OF_LINE:
-            line[:] = np.nan
+        grid = np.concatenate((seed_grid(top)[1], h_b))
+        failed = rng.random(len(grid)) < rng.choice([0.0, 0.1, 0.3])
+        if rng.random() < 0.5:   # a run of consecutive failed rows
+            at = int(rng.integers(len(grid)))
+            failed[at:at + int(rng.integers(2, 5))] = True
+        failed[0] |= rng.random() < 0.3
+        eig_calls.fail(ConvergenceError, "eigenvalue solve failed", at=grid[failed])
+        got = track_one(h_b, theta, n, analysis._line_roots)
+        want = reference_line(h_b, theta, n, failed=grid[failed])[1:]
+        assert_same_lines(got, want, (i, n, theta, top))
+        live = np.flatnonzero(~failed)
+        if np.isnan(want[0]).all():
             killed += 1
         else:
-            restarts += None in want[live[0]:live[-1]]
-        failed_seeds += bool(failed[:steer].any())
-        path = [0 if k is None else k for k in want[steer:]]
-        assert_in_label_order(got, line, path, (i, n, theta, top))
+            restarts += bool(failed[live[0]:live[-1]].any())
+        failed_seeds += bool(failed[:len(grid) - len(h_b)].any())
     assert restarts > 100 and killed > 50 and failed_seeds > 100
 
 
@@ -1435,33 +1371,80 @@ def lookup_points(count, seed):
         yield h_b, theta, n
 
 
+def crossing_points(count, seed, top):
+    """Seeded (h_b, theta, n), h_b from 1e-14 to 10**top; one in four on, or
+    1e-9 / 1e-12 off, a degenerate angle."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 9))
+        h_b = float(10.0 ** rng.uniform(-14.0, top))
+        theta = float(rng.uniform(0.0, math.pi / n))
+        if rng.random() < 0.25:
+            theta = (int(rng.integers(0, 2 * n)) * math.pi / (2 * n)
+                     + float(rng.choice([0.0, 1e-9, -1e-9, 1e-12, -1e-12])))
+        yield h_b, theta, n
+
+
 def outcome(call):
+    """call's result, or its error as the string "Type: message"."""
     try:
-        return repr(call())
+        return call()
     except Exception as exc:  # the reference's error must be raised too
         return f"{type(exc).__name__}: {exc}"
 
 
-@pytest.mark.parametrize("policy", ["acoustic", "all"])
-def test_point_lookup_equals_a_single_point_solve_bitwise(policy):
-    def labelled(h_b, theta, n):   # the lookup's columns as select_branch's records
+def test_select_branch_on_a_points_own_roots_equals_the_point_lookup():
+    # select_branch on the point's own roots and the lookups steer through
+    # the same unpolished seed rows into the same roots: the same records,
+    # bit for bit, or the same error and message.  Seed 8 (h_b 1e-4 to 1e7)
+    # checks every record against the "all" lookup, and every point checks
+    # acoustic_root against the first record; seeds 32 (below h_b = 4) and
+    # 33 (to 1e2) run down to 1e-14, next to the degenerate angles.  At the
+    # listed crossings a lookup steered by polished seed rows picks (and
+    # quotes) the other of two roots; the listed records are records
+    def labelled(h_b, theta, n):   # the "all" lookup's columns as records
         lam, u, res = dsp._branches_at(h_b, theta, n, "all")
-        return [dsp.DispersionRoot(lam[j], u[j], "acoustic" if j == 0 else f"secondary({j})",
-                                   res[j]) for j in range(len(lam))]
+        return [dsp.DispersionRoot(lam[j], u[j], dsp._branch_name(j), res[j])
+                for j in range(len(lam))]
 
-    lookup = dsp.acoustic_root if policy == "acoustic" else labelled
-    for h_b, theta, n in lookup_points(1000, seed=8):
-        (row,) = dsp._eig_roots([h_b], theta, n)
-        want = outcome(lambda: dsp.select_branch(
-            row[~np.isnan(row)], h_b, theta, n, policy))
-        assert outcome(lambda: lookup(h_b, theta, n)) == want, (h_b, theta, n)
+    records = [(0.1, 0.3, 4), (10.0, 0.3, 4), (1e-3, 0.3, 8), (1e-12, 0.3, 4)]
+    seed_33 = [(3.341481095986718e-12, 2.91719317933338, 7),
+               (2.688800600365188e-14, -1e-09, 4),
+               (2.059634599802765e-14, 0.7853981643974483, 2),
+               (1e-9, math.pi / 4, 2),
+               *records, *crossing_points(300, seed=33, top=2.0)]
+    points = [*lookup_points(1000, seed=8),
+              *crossing_points(2000, seed=32, top=math.log10(dsp.TOP_OF_LINE)), *seed_33]
+    assert len(points) == 3308
+    # each point's own row (solve_roots without its oracle polynomial),
+    # solved once in one theta-per-row batch per n
+    rows = {}
+    for n in {n for _, _, n in points}:
+        at = [i for i, point in enumerate(points) if point[2] == n]
+        h_b, theta = np.array([points[i][:2] for i in at]).T
+        rows.update(zip(at, dsp._eig_roots(h_b, theta, n)))
+    errors = 0
+    for i, (h_b, theta, n) in enumerate(points):
+        roots = rows[i][~np.isnan(rows[i])]
+        if i < 1000:
+            got = outcome(lambda: dsp.select_branch(roots, h_b, theta, n, "all"))
+            assert repr(outcome(lambda: labelled(h_b, theta, n))) == repr(got), (h_b, theta, n)
+            got = got if isinstance(got, str) else got[0]
+        else:
+            got = outcome(lambda: dsp.select_branch(roots, h_b, theta, n))
+        want = outcome(lambda: dsp.acoustic_root(h_b, theta, n))
+        assert repr(want) == repr(got), (h_b, theta, n)
+        if i >= len(points) - len(seed_33):
+            assert (h_b, theta, n) not in records or not isinstance(want, str), want
+            errors += str(want).startswith("BranchAmbiguityError: ")
+    assert errors >= 4
 
 
 @pytest.mark.parametrize("h_b", [dsp.TOP_OF_LINE, 1.0, 1e-3, 1e-12])
 def test_select_branch_polishes_no_seed_row(monkeypatch, eig_calls, h_b):
     # the seed rows only steer the continuation into the given roots and
-    # are never returned, so they get no Newton polish; acoustic_root
-    # polishes the one row of its one batch that it returns
+    # are never returned, so they get no Newton polish (acoustic_root's one
+    # polished row: test_point_lookups_polish_only_their_row)
     real, polished = dsp._polish, []
 
     def counting(u, h_b, c2):
@@ -1476,28 +1459,6 @@ def test_select_branch_polishes_no_seed_row(monkeypatch, eig_calls, h_b):
             polished.clear()
             dsp.select_branch(roots, h_b, theta, n, policy)
             assert len(eig_calls.grids) == 1 and polished == [], (theta, n, policy)
-        eig_calls.clear()
-        polished.clear()
-        dsp.acoustic_root(h_b, theta, n)
-        assert polished == [1] and len(eig_calls.grids) == 1, (theta, n)
-
-
-def test_select_branch_on_solve_roots_equals_acoustic_root_below_top_of_line():
-    # select_branch and acoustic_root steer through the same unpolished
-    # seed rows into the same root, down to h_b = 1e-14 and next to the
-    # degenerate angles: the same record, or the same error and message
-    rng = np.random.default_rng(32)
-    for _ in range(2000):
-        n = int(rng.integers(2, 9))
-        h_b = float(10.0 ** rng.uniform(-14.0, math.log10(dsp.TOP_OF_LINE)))
-        theta = float(rng.uniform(0.0, math.pi / n))
-        if rng.random() < 0.25:
-            theta = (int(rng.integers(0, 2 * n)) * math.pi / (2 * n)
-                     + float(rng.choice([0.0, 1e-9, -1e-9, 1e-12, -1e-12])))
-        (row,) = dsp._eig_roots([h_b], theta, n)   # solve_roots, without its oracle polynomial
-        got = outcome(lambda: dsp.select_branch(row[~np.isnan(row)], h_b, theta, n))
-        want = outcome(lambda: dsp.acoustic_root(h_b, theta, n))
-        assert got == want, (h_b, theta, n)
 
 
 @pytest.mark.parametrize("h_b", [dsp.TOP_OF_LINE, 1.0, 1e-3, 1e-12])
@@ -1534,56 +1495,13 @@ def test_point_lookups_polish_only_their_row(monkeypatch, capsys, eig_calls, h_b
     capsys.readouterr()
 
 
-def test_select_branch_on_solve_roots_equals_acoustic_root_or_its_error():
-    # both lookups steer through the same unpolished seed rows, so they
-    # return the same record or raise the same error, message included;
-    # the listed crossings are degenerate ones where a lookup steered by
-    # polished seed rows picks (and quotes) the other of its two roots; the
-    # listed records are points where both lookups return a record
-    rng = np.random.default_rng(33)
-    records = [(0.1, 0.3, 4), (10.0, 0.3, 4), (1e-3, 0.3, 8), (1e-12, 0.3, 4)]
-    points = [(3.341481095986718e-12, 2.91719317933338, 7),
-              (2.688800600365188e-14, -1e-09, 4),
-              (2.059634599802765e-14, 0.7853981643974483, 2),
-              (1e-9, math.pi / 4, 2),
-              *records]
-    for _ in range(300):
-        n = int(rng.integers(2, 9))
-        h_b = float(10.0 ** rng.uniform(-14.0, 2.0))
-        theta = float(rng.uniform(0.0, math.pi / n))
-        if rng.random() < 0.25:
-            theta = (int(rng.integers(0, 2 * n)) * math.pi / (2 * n)
-                     + float(rng.choice([0.0, 1e-9, -1e-9, 1e-12, -1e-12])))
-        points.append((h_b, theta, n))
-    errors = 0
-    for h_b, theta, n in points:
-        want = outcome(lambda: dsp.acoustic_root(h_b, theta, n))
-        got = outcome(lambda: dsp.select_branch(
-            dsp.solve_roots(dsp.assemble_polynomial(h_b, theta, n)), h_b, theta, n))
-        assert got == want, (h_b, theta, n)
-        assert (h_b, theta, n) not in records or want.startswith("DispersionRoot("), want
-        errors += want.startswith("BranchAmbiguityError: ")
-    assert errors >= 4
-
-
-def nearest_with_ambiguity_check(roots, u_target):
-    """The nearest-root search that held the point lookups' ambiguity check."""
-    from bosewave.errors import BranchAmbiguityError
-    order = np.argsort(np.abs(roots - u_target))
-    if len(order) > 1:
-        best, second = roots[order[0]], roots[order[1]]
-        if abs(best - second) < dsp.AMBIGUITY_TOL * max(1.0, abs(best)):
-            raise BranchAmbiguityError(
-                f"two roots within {dsp.AMBIGUITY_TOL} of each other near "
-                f"u = {u_target:.6g}: degenerate crossing")
-    return int(order[0])
-
-
 def test_ambiguity_check_equals_the_nearest_root_search():
-    # a point lookup raises BranchAmbiguityError, with the same message,
-    # exactly where the nearest-root search on its labelled row did: rows
-    # NaN-padded (fewer roots than n), with an exact duplicate (of the
-    # continued root or of another), and on or next to degenerate angles
+    # the rule _branches_at documents: where another live root of the
+    # labelled row lies within AMBIGUITY_TOL * max(1, |u_0|) of the
+    # continued root u_0, a point lookup raises BranchAmbiguityError quoting
+    # u_0, and nowhere else; rows NaN-padded (fewer roots than n), with an
+    # exact duplicate (of the continued root or of another), and on or next
+    # to degenerate angles
     rng = np.random.default_rng(34)
     seen = set()
     for _ in range(300):
@@ -1600,12 +1518,15 @@ def test_ambiguity_check_equals_the_nearest_root_search():
         elif kind == 2:   # an exact duplicate, in place of the last root
             roots = np.append(roots[:n - 1], roots[int(rng.integers(len(roots)))])
         (u,), _ = dsp._track_to([[h_b]], theta, n, roots=roots)
-        want = outcome(lambda: nearest_with_ambiguity_check(u[0], complex(u[0, 0])))
+        u_0 = complex(u[0, 0])
+        raised = bool((np.abs(u[0, 1:] - u_0) < dsp.AMBIGUITY_TOL * max(1.0, abs(u_0))).any())
         got = outcome(lambda: dsp._branches_at(h_b, theta, n, "all", roots))
-        raised = want.startswith("BranchAmbiguityError: ")
-        assert got.startswith("BranchAmbiguityError: ") == raised, (h_b, theta, n, kind)
+        where = (h_b, theta, n, kind)
         if raised:
-            assert got == want, (h_b, theta, n, kind)
+            assert got == (f"BranchAmbiguityError: two roots within {dsp.AMBIGUITY_TOL} of each "
+                           f"other near u = {u_0:.6g}: degenerate crossing"), where
+        else:
+            assert not str(got).startswith("BranchAmbiguityError: "), where
         seen.add((kind, raised, bool(np.isnan(u[0]).any())))
     assert {(0, False), (0, True), (1, False), (2, True)} <= {key[:2] for key in seen}
     assert (1, False, True) in seen

@@ -47,22 +47,9 @@ import numpy as np
 import pytest
 
 from bosewave import dispersion as dsp
+from conftest import limit_terms
 
 ROUNDING = 5e-14   # measured worst 8.1e-15, a margin of 6
-
-
-def limit_terms(theta: float, n: int) -> tuple:
-    """(h_b lambda_i limit, its h_b^-2 coefficient, lambda_r's h_b^-2 coefficient)."""
-    w = 2.0 * dsp._cos2(theta, n)
-    p = 1.0 - w
-    pw = np.mean(p * w)
-    a1 = -np.mean(p ** 2)
-    a2 = 2.0 * a1 * pw + np.mean(p ** 3)
-    a3 = (2.0 * a2 * pw - a1 ** 2 * np.mean(w ** 2) - 3.0 * a1 * np.mean(p ** 2 * w)
-          - np.mean(p ** 4))
-    limit = 0.25 if n >= 3 else math.cos(2.0 * theta) ** 2 / 2.0
-    assert -a1 / 2.0 == pytest.approx(limit, rel=1e-12, abs=1e-15)
-    return limit, a3 / 2.0 - a1 * a2 / 4.0 + a1 ** 3 / 16.0, a1 ** 2 / 8.0 - a2 / 2.0
 
 
 def angles(n: int, rng) -> list:

@@ -274,16 +274,17 @@ def test_pair_averages_matches_definition_on_random_field():
 # --------------------------------------------------------------- wave fit
 
 def synthetic_series(k_r=2 * math.pi, k_i=0.1, M=481, dx=None, omega=1.0, snapshots=32):
-    cfg = make_config(theta=0.0, h=1.0, B=0.0)
+    """A damped tone on a config driven at omega: k_r and k_i in units of
+    omega, the default dx (L = 12 / omega) and the times in units of 1/omega."""
+    cfg = ModelConfig.from_reduced(n=2, theta=0.0, h=1.0, B=0.0, omega=omega)
     if dx is None:
-        dx = 12.0 / (M - 1)
+        dx = 12.0 / (M - 1) / omega
     x = np.arange(M) * dx
-    T = 2 * math.pi / omega
     fields = []
     for s in range(snapshots):
-        t = 100.0 + s * T / 32
+        t = (100.0 + s * 2 * math.pi / 32) / omega
         P = np.zeros((4, M))
-        P[0] = np.exp(-k_i * x) * np.sin(k_r * x - omega * t)
+        P[0] = np.exp(-k_i * omega * x) * np.sin(k_r * omega * x - omega * t)
         fields.append(sim.WaveField(P=P, dx=dx, t=t, config=cfg))
     return fields
 
@@ -351,6 +352,22 @@ def test_fit_wave_window_must_exclude_inlet_and_outlet():
         sim.fit_wave(series, fit_window=(0.5, 11.5))
     with pytest.raises(DomainError):
         sim.fit_wave(series, fit_window=(4.5, 12.0))
+
+
+@pytest.mark.parametrize("omega", [1e-9, 1.0, 1e9])
+def test_fit_wave_window_checks_scale_with_the_wavelength(omega):
+    # L = 24 / omega holds 5.4 hydrodynamic wavelengths of 178 cells each;
+    # a window from 0.9 wavelength, or ending half a cell before L, is
+    # refused at every scale, and verify's (1, 3.5) wavelengths is fitted
+    series = synthetic_series(M=961, dx=0.025 / omega, omega=omega)
+    lam, dx = sim.hydrodynamic_wavelength(series[0].config), series[0].dx
+    with pytest.raises(DomainError, match="inlet"):
+        sim.fit_wave(series, fit_window=(0.9 * lam, 4.5 * lam))
+    with pytest.raises(DomainError, match="outlet"):
+        sim.fit_wave(series, fit_window=(lam, 960 * dx - 0.5 * dx))
+    fit = sim.fit_wave(series, fit_window=(lam, 3.5 * lam))
+    assert fit.k_r == pytest.approx(2 * math.pi * omega, rel=1e-6)
+    assert fit.k_i == pytest.approx(0.1 * omega, rel=1e-4)
 
 
 def test_fit_wave_under_resolved_phase_fails():
