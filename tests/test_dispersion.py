@@ -1358,30 +1358,17 @@ def test_acoustic_root_is_one_batched_solve(eig_calls):
     assert len(eig_calls.grids) == 1 and eig_calls.sizes[0] > 1
 
 
-def lookup_points(count, seed):
-    """Seeded (h_b, theta, n); one in five on, or 1e-9 / 1e-7 off, a degenerate angle."""
+def sample_points(count, seed, draw_n, exponents, degenerate, offset):
+    """Seeded (h_b, theta, n), log10 h_b uniform in exponents; a share
+    ``degenerate`` on, or 1e-9 / offset off, a degenerate angle."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        n = int(rng.choice([2, 3, 4, 6, 8]))
-        h_b = float(10.0 ** rng.uniform(-4, 7))
+        n = int(draw_n(rng))
+        h_b = float(10.0 ** rng.uniform(*exponents))
         theta = float(rng.uniform(0.0, math.pi / n))
-        if rng.random() < 0.2:
+        if rng.random() < degenerate:
             theta = (int(rng.integers(0, 2 * n)) * math.pi / (2 * n)
-                     + float(rng.choice([0.0, 1e-9, -1e-9, 1e-7, -1e-7])))
-        yield h_b, theta, n
-
-
-def crossing_points(count, seed, top):
-    """Seeded (h_b, theta, n), h_b from 1e-14 to 10**top; one in four on, or
-    1e-9 / 1e-12 off, a degenerate angle."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        n = int(rng.integers(2, 9))
-        h_b = float(10.0 ** rng.uniform(-14.0, top))
-        theta = float(rng.uniform(0.0, math.pi / n))
-        if rng.random() < 0.25:
-            theta = (int(rng.integers(0, 2 * n)) * math.pi / (2 * n)
-                     + float(rng.choice([0.0, 1e-9, -1e-9, 1e-12, -1e-12])))
+                     + float(rng.choice([0.0, 1e-9, -1e-9, offset, -offset])))
         yield h_b, theta, n
 
 
@@ -1393,50 +1380,65 @@ def outcome(call):
         return f"{type(exc).__name__}: {exc}"
 
 
-def test_select_branch_on_a_points_own_roots_equals_the_point_lookup():
-    # select_branch on the point's own roots and the lookups steer through
-    # the same unpolished seed rows into the same roots: the same records,
-    # bit for bit, or the same error and message.  Seed 8 (h_b 1e-4 to 1e7)
-    # checks every record against the "all" lookup, and every point checks
-    # acoustic_root against the first record; seeds 32 (below h_b = 4) and
-    # 33 (to 1e2) run down to 1e-14, next to the degenerate angles.  At the
-    # listed crossings a lookup steered by polished seed rows picks (and
-    # quotes) the other of two roots; the listed records are records
-    def labelled(h_b, theta, n):   # the "all" lookup's columns as records
+LISTED_RECORDS = [(0.1, 0.3, 4), (10.0, 0.3, 4), (1e-3, 0.3, 8), (1e-12, 0.3, 4)]
+
+
+@pytest.fixture(scope="module")
+def own_root_lookups():
+    """Per seed, (point, select_branch on its own roots): "all" for seed 8 (h_b 1e-4 to
+    1e7), "acoustic" for 32 (h_b below 4) and 33 (to 1e2, after 4 listed crossings and
+    the listed records).  Each own row (solve_roots, no oracle polynomial) is solved once."""
+    def crossings(count, seed, top):   # n from 2 to 8, h_b from 1e-14
+        return sample_points(count, seed, lambda rng: rng.integers(2, 9), (-14.0, top),
+                             0.25, 1e-12)
+
+    samples = {8: list(sample_points(1000, 8, lambda rng: rng.choice([2, 3, 4, 6, 8]), (-4, 7),
+                                     0.2, 1e-7)),
+               32: list(crossings(2000, 32, math.log10(dsp.TOP_OF_LINE))),
+               33: [(3.341481095986718e-12, 2.91719317933338, 7),
+                    (2.688800600365188e-14, -1e-9, 4),
+                    (2.059634599802765e-14, 0.7853981643974483, 2), (1e-9, math.pi / 4, 2),
+                    *LISTED_RECORDS, *crossings(300, 33, 2.0)]}
+    assert [len(sample) for sample in samples.values()] == [1000, 2000, 308]
+    points, rows = [point for sample in samples.values() for point in sample], {}
+    for n in {n for _, _, n in points}:
+        h_b, theta = np.array([point[:2] for point in points if point[2] == n]).T
+        for h, t, row in zip(h_b.tolist(), theta.tolist(), dsp._eig_roots(h_b, theta, n)):
+            rows[h, t, n] = row[~np.isnan(row)]
+    return {seed: [(p, outcome(lambda: dsp.select_branch(rows[p], *p, "all" if seed == 8 else
+                                                         "acoustic"))) for p in sample]
+            for seed, sample in samples.items()}
+
+
+@pytest.mark.parametrize("policy", ["acoustic", "all"])
+def test_point_lookup_equals_a_single_point_solve_bitwise(policy, own_root_lookups):
+    # select_branch on a point's own roots steers through the same unpolished
+    # seed rows as the lookups: the same records, bit for bit, or the same
+    # error; acoustic_root against the first record, as _certify is per root
+    def lookup(h_b, theta, n):   # the "all" lookup's columns as records
+        if policy == "acoustic":
+            return dsp.acoustic_root(h_b, theta, n)
         lam, u, res = dsp._branches_at(h_b, theta, n, "all")
         return [dsp.DispersionRoot(lam[j], u[j], dsp._branch_name(j), res[j])
                 for j in range(len(lam))]
 
-    records = [(0.1, 0.3, 4), (10.0, 0.3, 4), (1e-3, 0.3, 8), (1e-12, 0.3, 4)]
-    seed_33 = [(3.341481095986718e-12, 2.91719317933338, 7),
-               (2.688800600365188e-14, -1e-09, 4),
-               (2.059634599802765e-14, 0.7853981643974483, 2),
-               (1e-9, math.pi / 4, 2),
-               *records, *crossing_points(300, seed=33, top=2.0)]
-    points = [*lookup_points(1000, seed=8),
-              *crossing_points(2000, seed=32, top=math.log10(dsp.TOP_OF_LINE)), *seed_33]
-    assert len(points) == 3308
-    # each point's own row (solve_roots without its oracle polynomial),
-    # solved once in one theta-per-row batch per n
-    rows = {}
-    for n in {n for _, _, n in points}:
-        at = [i for i, point in enumerate(points) if point[2] == n]
-        h_b, theta = np.array([points[i][:2] for i in at]).T
-        rows.update(zip(at, dsp._eig_roots(h_b, theta, n)))
+    for point, got in own_root_lookups[8]:
+        got = got[0] if policy == "acoustic" and not isinstance(got, str) else got
+        assert repr(outcome(lambda: lookup(*point))) == repr(got), point
+
+
+def test_select_branch_on_solve_roots_equals_acoustic_root_below_top_of_line(own_root_lookups):
+    for point, got in own_root_lookups[32]:   # down to h_b = 1e-14
+        assert repr(outcome(lambda: dsp.acoustic_root(*point))) == repr(got), point
+
+
+def test_select_branch_on_solve_roots_equals_acoustic_root_or_its_error(own_root_lookups):
     errors = 0
-    for i, (h_b, theta, n) in enumerate(points):
-        roots = rows[i][~np.isnan(rows[i])]
-        if i < 1000:
-            got = outcome(lambda: dsp.select_branch(roots, h_b, theta, n, "all"))
-            assert repr(outcome(lambda: labelled(h_b, theta, n))) == repr(got), (h_b, theta, n)
-            got = got if isinstance(got, str) else got[0]
-        else:
-            got = outcome(lambda: dsp.select_branch(roots, h_b, theta, n))
-        want = outcome(lambda: dsp.acoustic_root(h_b, theta, n))
-        assert repr(want) == repr(got), (h_b, theta, n)
-        if i >= len(points) - len(seed_33):
-            assert (h_b, theta, n) not in records or not isinstance(want, str), want
-            errors += str(want).startswith("BranchAmbiguityError: ")
+    for point, got in own_root_lookups[33]:
+        want = outcome(lambda: dsp.acoustic_root(*point))
+        assert repr(want) == repr(got), point
+        assert point not in LISTED_RECORDS or not isinstance(want, str), want
+        errors += str(want).startswith("BranchAmbiguityError: ")
     assert errors >= 4
 
 
