@@ -129,20 +129,19 @@ def _line_roots(h_b: np.ndarray, theta: float, n: int) -> np.ndarray:
     The ``solve`` of ``dispersion._track_to``: ``dispersion._eig_step``'s
     rows, which ``_track_to`` polishes where they are a line's own and
     leaves as they are where they only steer (seed rows).  If the batch's
-    eigenvalue solve fails (ConvergenceError), the points are solved one at
-    a time and each point that fails again gets an all-NaN row.
+    eigenvalue solve fails (ConvergenceError), each half of it is solved
+    the same way, so a row that fails alone gets an all-NaN row and one
+    failed row of K costs about 2 log2(K) more solves.  A row's roots do
+    not depend on its batch, so every other row is the one-batch row.
     """
     try:
         return dispersion._eig_step(h_b, theta, n)[0]
     except ConvergenceError:
-        pass
-    out = np.full((len(h_b), n), np.nan, dtype=complex)
-    for row, hb in zip(out, h_b):
-        try:
-            row[:] = dispersion._eig_step([hb], theta, n)[0][0]
-        except ConvergenceError:
-            pass
-    return out
+        if len(h_b) <= 1:
+            return np.full((len(h_b), n), np.nan, dtype=complex)
+    half = len(h_b) // 2
+    return np.concatenate([_line_roots(h_b[:half], theta, n),
+                           _line_roots(h_b[half:], theta, n)])
 
 
 def _sweep_columns(theta_list, B_list, h_grid, n: int, branch_policy: str) -> list:

@@ -49,6 +49,8 @@ intermediate is allocated per call.
 Using the same RK4 map for the linear and nonlinear right-hand sides keeps
 the nonlinear stepper linearization-consistent with the linear one to
 O(eps^2) per step.
+A default linear forced run takes no step: it solves for the state the
+stepped run settles to (_settled_state), at a cost that does not grow with h.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -244,6 +247,7 @@ def _advection(courant: np.ndarray, M: int, bc: str):
         np.add(up1, up2, out=up1)
         return np.subtract(out, np.multiply(cw, up1), out=out)
 
+    advect.stencil = near, far, w, cw     # read by _settled_state, not written
     return advect
 
 
@@ -390,25 +394,29 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
 
     Inflow components (x_speed > 0) are forced at x=0 with the acoustic mode
     shape restricted to inflow entries (drive="uniform" forces them all
-    equally instead), ramped on with a half cosine over `ramp_periods`
-    (0 <= ramp_periods < inf; 0 drives at full amplitude from the start).
-    Outflow is zeroth-order extrapolated at both ends; zero-speed components
-    evolve freely.  The transient discarded before recording covers the
-    domain-crossing time of the slowest inflow component plus 5 periods
-    (at least 10 periods) unless `transient_periods` (>= 0) is given;
-    snapshots then cover the final `periods` periods at 32 samples per
-    period.  `cfl`, in (0, CFL_LIMIT], is the Courant number the advective
+    equally instead).  Outflow is zeroth-order extrapolated at both ends;
+    zero-speed components evolve freely.  Snapshots cover the last
+    `periods` periods at 32 samples per period, after a transient that
+    covers the domain-crossing time of the slowest inflow component plus 5
+    periods (at least 10 periods) unless `transient_periods` (>= 0) is
+    given.  `cfl`, in (0, CFL_LIMIT], is the Courant number the advective
     limit on dt allows.
 
-    The drive is computed per period, at most DRIVE_BLOCK_STEPS steps at
-    a time, with the operations of a per-step drive, so its values are
-    bitwise the same.  A step raises PositivityError (nonlinear, min P <=
-    -1) or InstabilityError (|P| > INSTABILITY_FACTOR * eps, or NaN); the
-    min and max are read only when the step's sum of squares does not
-    already prove them inside these bounds, and on every later step of a
-    drive block in which a sum did not.  Each snapshot's P is the
-    array its step produced, not a copy; no later step writes into it, and
-    the caller owns it.
+    A linear run with no `transient_periods` takes no step and ignores
+    `ramp_periods`: its snapshots, each a new array, are the exact settled
+    state of the stepped scheme, Re(P_hat exp(-i omega t)) (_settled_state).
+
+    Every other run steps from rest, with the drive ramped on by a half
+    cosine over `ramp_periods` (0 <= ramp_periods < inf; 0 drives at full
+    amplitude from the start).  The drive is computed per period, at most
+    DRIVE_BLOCK_STEPS steps at a time, with the operations of a per-step
+    drive, so its values are bitwise the same.  A step raises
+    PositivityError (nonlinear, min P <= -1) or InstabilityError (|P| >
+    INSTABILITY_FACTOR * eps, or NaN); the min and max are read only when
+    the step's sum of squares does not already prove them inside these
+    bounds, and on every later step of a drive block in which a sum did
+    not.  Each snapshot's P is the array its step produced, not a copy; no
+    later step writes into it, and the caller owns it.
 
     The collision limit on dt asks for about 4*pi*h(1+B) steps per period, a
     count that must be a finite float for dt = T/count to exist: past
@@ -416,77 +424,30 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
     step.  The run time grows with the planned row-cell updates, total
     steps * M * 2n: large h asks for many steps per period, and an angle
     next to a perpendicular velocity for a long transient.  A run that
-    plans more than MAX_FORCED_WORK of them raises DomainError, naming h,
-    theta and the step count, before any step and before the drive's
-    dispersion solve.
+    plans more than MAX_FORCED_WORK of them, stepped or not, raises
+    DomainError, naming h, theta and the step count, before any step or
+    solve and before the drive's dispersion solve.
     """
-    config = validate(config)
-    if mode not in ("linear", "nonlinear"):
-        raise DomainError("mode must be 'linear' or 'nonlinear'")
-    if drive not in ("mode", "uniform"):
-        raise DomainError("drive must be 'mode' or 'uniform'")
-    _check_count("points_per_wavelength", points_per_wavelength, 1)
-    _check_count("wavelengths", wavelengths, 1)
-    _check_count("periods", periods, 1)
-    if not 0 < eps < math.inf:
-        raise DomainError("eps must satisfy 0 < eps < inf")
-    if not 0 <= ramp_periods < math.inf:
-        raise DomainError("ramp_periods must satisfy 0 <= ramp_periods < inf")
-    if not 0 < cfl <= CFL_LIMIT:
-        raise DomainError(f"cfl must satisfy 0 < cfl <= {CFL_LIMIT}")
-    if transient_periods is not None:
-        _check_count("transient_periods", transient_periods, 0)
-    eps, ramp_periods = float(eps), float(ramp_periods)
-    if mode == "linear" and config.n > 2:
-        warnings.warn("linear collision form for n > 2 is extrapolated beyond "
-                      "the n = 2 derivation", RuntimeWarning, stacklevel=2)
+    plan = _plan_forced(config, wavelengths, points_per_wavelength, periods, mode,
+                        eps, drive, cfl, ramp_periods, transient_periods)
+    config, dt, eps = plan.config, plan.dt, plan.eps
+    if mode == "linear" and transient_periods is None:
+        P_hat = _settled_state(config, plan.x_speeds, dt, plan.dx, plan.M,
+                               plan.weights, eps)
+        re, im, omega = P_hat.real.copy(), P_hat.imag.copy(), config.omega
+        return [WaveField(P=re * math.cos(omega * t) + im * math.sin(omega * t),
+                          dx=plan.dx, t=t, config=config)
+                for t in (step * dt for step in plan.record)]
 
-    lattice = build_lattice(config)
-    omega = config.omega
-    T = 2.0 * math.pi / omega
-    lam_est = hydrodynamic_wavelength(config)
-    dx = lam_est / points_per_wavelength
-    M = wavelengths * points_per_wavelength + 1
-    L = (M - 1) * dx
-
-    vmax = float(np.max(np.abs(lattice.x_speeds)))
-    dt_max = min(cfl * dx / vmax, COLLISION_DT_LIMIT / _collision_rate(config))
-    per_sample = T / (SAMPLES_PER_PERIOD * dt_max)
-    if not SAMPLES_PER_PERIOD * per_sample < math.inf:
-        raise DomainError(f"h = {reduced_params(config).h:.6g}: the time steps "
-                          "per period exceed the float range")
-    steps_per_period = SAMPLES_PER_PERIOD * int(math.ceil(per_sample))
-    dt = T / steps_per_period
-    stride = steps_per_period // SAMPLES_PER_PERIOD
-
-    if transient_periods is None:
-        transient_periods = _transient_periods(lattice.x_speeds, L, T)
-    total_steps = (transient_periods + periods) * steps_per_period
-    record_from = transient_periods * steps_per_period
-    work = total_steps * M * 2 * config.n
-    if work > MAX_FORCED_WORK:
-        raise DomainError(
-            f"h = {reduced_params(config).h:.6g}, theta = {config.theta!r}: the run "
-            f"plans {_count_text(total_steps)} steps ({transient_periods} transient and "
-            f"{periods} recorded periods of {_count_text(steps_per_period)} steps) on "
-            f"{2 * config.n} x {M} cells, {_count_text(work)} row-cell updates, more "
-            f"than MAX_FORCED_WORK = {MAX_FORCED_WORK:.3g}")
-
-    inflow = lattice.x_speeds > 0
-    if drive == "mode":
-        weights = _mode_drive_weights(config, lattice)
-    else:
-        weights = np.where(inflow, 1.0 + 0j, 0.0 + 0j)
-    weights = weights / np.max(np.abs(weights[inflow]))
-
-    advect, collide = _build_kernels(config, lattice.x_speeds, dt, dx, M, "open",
-                                     mode)
-    t_ramp = ramp_periods * T
+    dx, M, record = plan.dx, plan.M, plan.record
+    advect, collide = _build_kernels(config, plan.x_speeds, dt, dx, M, "open", mode)
+    inflow = plan.x_speeds > 0
     inflow_cells = np.flatnonzero(inflow) * M     # cell 0 of each inflow row, flat
-    drive_amp = 1j * weights[inflow]
-    minus_i_omega = -1j * omega     # -1j * omega * t groups as (-1j * omega) * t
+    drive_amp = 1j * plan.weights[inflow]
+    minus_i_omega = -1j * config.omega   # -1j * omega * t groups as (-1j * omega) * t
     bound = INSTABILITY_FACTOR * eps
-    block = min(steps_per_period, DRIVE_BLOCK_STEPS)
+    t_ramp, total_steps = plan.t_ramp, plan.total_steps
+    block = min(plan.steps_per_period, DRIVE_BLOCK_STEPS)
     # A step whose sum of squares is at most half the square of the tighter
     # bound has every |P| below both (a float sum of nonnegative terms loses
     # far less than half), so its min and max need not be read.  The screen
@@ -520,10 +481,151 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
                 if not (-bound <= lo and hi <= bound):   # NaN trips this too
                     raise InstabilityError(f"field magnitude exceeded "
                                            f"{INSTABILITY_FACTOR} * eps at t = {t:.6g}")
-            if step > record_from and (step - record_from) % stride == 0:
+            if step in record:
                 # every step makes a new P and no kernel writes into its input
                 snapshots.append(WaveField(P=P, dx=dx, t=t, config=config))
     return snapshots
+
+
+class _ForcedPlan(NamedTuple):
+    """A forced run's grid, time step, snapshot steps and drive."""
+
+    config: ModelConfig
+    x_speeds: np.ndarray
+    dx: float
+    M: int
+    dt: float
+    steps_per_period: int
+    total_steps: int
+    record: range              # the steps that are snapshots
+    weights: np.ndarray
+    eps: float
+    t_ramp: float
+
+
+def _plan_forced(config, wavelengths, points_per_wavelength, periods, mode, eps,
+                 drive, cfl, ramp_periods, transient_periods) -> _ForcedPlan:
+    """Check run_forced's arguments, in order, and plan its run."""
+    config = validate(config)
+    if mode not in ("linear", "nonlinear"):
+        raise DomainError("mode must be 'linear' or 'nonlinear'")
+    if drive not in ("mode", "uniform"):
+        raise DomainError("drive must be 'mode' or 'uniform'")
+    _check_count("points_per_wavelength", points_per_wavelength, 1)
+    _check_count("wavelengths", wavelengths, 1)
+    _check_count("periods", periods, 1)
+    if not 0 < eps < math.inf:
+        raise DomainError("eps must satisfy 0 < eps < inf")
+    if not 0 <= ramp_periods < math.inf:
+        raise DomainError("ramp_periods must satisfy 0 <= ramp_periods < inf")
+    if not 0 < cfl <= CFL_LIMIT:
+        raise DomainError(f"cfl must satisfy 0 < cfl <= {CFL_LIMIT}")
+    if transient_periods is not None:
+        _check_count("transient_periods", transient_periods, 0)
+    eps, ramp_periods = float(eps), float(ramp_periods)
+    if mode == "linear" and config.n > 2:
+        warnings.warn("linear collision form for n > 2 is extrapolated beyond "
+                      "the n = 2 derivation", RuntimeWarning, stacklevel=3)
+
+    lattice = build_lattice(config)
+    T = 2.0 * math.pi / config.omega
+    dx = hydrodynamic_wavelength(config) / points_per_wavelength
+    M = wavelengths * points_per_wavelength + 1
+    L = (M - 1) * dx
+
+    vmax = float(np.max(np.abs(lattice.x_speeds)))
+    dt_max = min(cfl * dx / vmax, COLLISION_DT_LIMIT / _collision_rate(config))
+    per_sample = T / (SAMPLES_PER_PERIOD * dt_max)
+    if not SAMPLES_PER_PERIOD * per_sample < math.inf:
+        raise DomainError(f"h = {reduced_params(config).h:.6g}: the time steps "
+                          "per period exceed the float range")
+    steps_per_period = SAMPLES_PER_PERIOD * int(math.ceil(per_sample))
+    stride = steps_per_period // SAMPLES_PER_PERIOD
+
+    if transient_periods is None:
+        transient_periods = _transient_periods(lattice.x_speeds, L, T)
+    total_steps = (transient_periods + periods) * steps_per_period
+    record_from = transient_periods * steps_per_period
+    work = total_steps * M * 2 * config.n
+    if work > MAX_FORCED_WORK:
+        raise DomainError(
+            f"h = {reduced_params(config).h:.6g}, theta = {config.theta!r}: the run "
+            f"plans {_count_text(total_steps)} steps ({transient_periods} transient and "
+            f"{periods} recorded periods of {_count_text(steps_per_period)} steps) on "
+            f"{2 * config.n} x {M} cells, {_count_text(work)} row-cell updates, more "
+            f"than MAX_FORCED_WORK = {MAX_FORCED_WORK:.3g}")
+
+    inflow = lattice.x_speeds > 0
+    if drive == "mode":
+        weights = _mode_drive_weights(config, lattice)
+    else:
+        weights = np.where(inflow, 1.0 + 0j, 0.0 + 0j)
+    return _ForcedPlan(
+        config=config, x_speeds=lattice.x_speeds, dx=dx, M=M,
+        dt=T / steps_per_period, steps_per_period=steps_per_period,
+        total_steps=total_steps,
+        record=range(record_from + stride, total_steps + 1, stride),
+        weights=weights / np.max(np.abs(weights[inflow])), eps=eps,
+        t_ramp=ramp_periods * T)
+
+
+def _settled_state(config: ModelConfig, x_speeds: np.ndarray, dt: float, dx: float,
+                   M: int, weights: np.ndarray, eps: float) -> np.ndarray:
+    """P_hat (2n, M), the settled state Re(P_hat e^{-i omega t}) of a linear forced run.
+
+    A step is P -> Pi R A P + drive: A the open advection, R the RK4 matrix,
+    Pi zeroes the inflow rows of cell 0, which the drive eps Re(i w
+    e^{-i omega t}) writes.  So (I - e^{i omega dt} Pi R A) P_hat = d, with
+    d = eps i w on those rows: block tridiagonal over pairs of cells (an odd
+    M gets a padding cell, x = 0), assembled in place as rows of blocks
+    [L | D | U | rhs] and solved by block LU (Golub & Van Loan, Matrix
+    Computations).  InstabilityError: a singular block, or max|P_hat| above
+    INSTABILITY_FACTOR * eps.
+    """
+    p2, q = len(x_speeds), 2 * len(x_speeds)
+    nb = (M + 1) // 2
+    near, far, w, cw = _advection(x_speeds * dt / dx, M, "open").stencil
+    # advect is (1 - w - cw) P + (w + 2 cw) up1 - cw up2 per row; E[b, c, off,
+    # c2, s] sums the weights cell 2b + c of row s takes from 2(b + off - 1) + c2
+    cell = np.arange(M)
+    src = np.stack([np.broadcast_to(cell, near.shape), near % M, far % M])
+    off = src // 2 - cell // 2 + 1
+    index = ((cell * 3 + off) * 2 + src % 2) * p2 + np.arange(p2)[:, None]
+    E = np.bincount(index.ravel(), np.stack([1.0 - w - cw, w + 2.0 * cw, -cw]).ravel(),
+                    minlength=nb * 12 * p2).reshape(nb, 2, 1, 3, 2, p2)
+    phase = complex(math.cos(config.omega * dt), math.sin(config.omega * dt))
+    S = np.empty((nb, q, 3 * q + 1), dtype=complex)
+    np.multiply(E, -phase * _linear_propagator(config, dt)[:, None, None, :],
+                out=S[:, :, :-1].reshape(nb, 2, p2, 3, 2, p2))
+    S[:, range(q), range(q, 2 * q)] += 1.0
+    S[:, :, -1] = 0.0
+    inflow = np.flatnonzero(x_speeds > 0)
+    S[0, inflow] = 0.0
+    S[0, inflow, q + inflow] = 1.0
+    S[0, inflow, -1] = eps * 1j * weights[inflow]
+
+    with np.errstate(all="ignore"):
+        try:
+            for b in range(nb):
+                row = S[b]
+                if b:
+                    LU = row[:, :q] @ S[b - 1, :, 2 * q:]     # L_b [U | rhs]_{b-1}
+                    row[:, q:2 * q] -= LU[:, :q]
+                    row[:, -1] -= LU[:, -1]
+                row[:, 2 * q:] = np.linalg.solve(row[:, q:2 * q], row[:, 2 * q:])
+        except np.linalg.LinAlgError:
+            raise InstabilityError("settled state: a block of the linear system "
+                                   "is singular") from None
+        X = S[:, :, -1]
+        for b in range(nb - 2, -1, -1):
+            X[b] -= S[b, :, 2 * q:-1] @ X[b + 1]
+        # a copy: the reshape is a view of S, which it would keep alive
+        P_hat = X.reshape(nb, 2, p2).transpose(2, 0, 1).reshape(p2, 2 * nb)[:, :M].copy()
+        peak = np.max(np.abs(P_hat))
+    if not peak <= INSTABILITY_FACTOR * eps:     # NaN trips this too
+        raise InstabilityError(f"settled state magnitude {peak:.6g} exceeds "
+                               f"{INSTABILITY_FACTOR} * eps")
+    return P_hat
 
 
 def _count_text(count: int) -> str:

@@ -482,8 +482,8 @@ def test_sweep_empty_inputs_rejected():
 
 def test_sweep_failures_become_error_rows(monkeypatch, eig_calls):
     # the line's one batch (its top h_b = 10 lies above 4, so it holds no
-    # seed row) and its point h_b = 1 fail; the other points solve one at
-    # a time
+    # seed row) and its point h_b = 1 fail; the batch is solved in halves
+    # until the failed point is alone
     eig_calls.fail(ConvergenceError, "synthetic failure", at=[1.0], tol=1e-12)
     table_rows = list(analysis.sweep([0.2], [0.0], [10.0, 1.0, 0.1], 2))
     assert len(table_rows) == 3
@@ -496,6 +496,24 @@ def test_sweep_failures_become_error_rows(monkeypatch, eig_calls):
     monkeypatch.undo()
     clean = list(analysis.sweep([0.2], [0.0], [10.0, 1.0, 0.1], 2))
     assert [table_rows[0], table_rows[2]] == [clean[0], clean[2]]
+
+
+def test_one_failed_row_of_a_64_row_batch_costs_13_solves(eig_calls):
+    """A failed batch is solved in halves: one failed row of 64 costs the
+    batch and two halves at each of six levels, 13 solves (it was 65, one
+    per row after the batch).  The failed row is all NaN and every other
+    row is bitwise its row of the whole batch."""
+    h_b = np.geomspace(1e2, 1e-3, 64)
+    for at in (0, 37, 63):
+        want = dsp._eig_step(h_b, 0.3, 3)[0]
+        eig_calls.clear()
+        eig_calls.fail(ConvergenceError, "synthetic failure", at=[h_b[at]])
+        got = analysis._line_roots(h_b, 0.3, 3)
+        assert len(eig_calls.grids) == 13
+        assert np.isnan(got[at]).all()
+        keep = np.arange(64) != at
+        assert got[keep].tobytes() == want[keep].tobytes()
+        eig_calls.error = None
 
 
 # -------------------------------------------------------- localization length

@@ -493,6 +493,16 @@ def test_simulate_past_the_work_bound_exits_1_at_once(capsys, argv, needle):
     assert "Traceback" not in err
 
 
+def test_simulate_at_h_1e4_is_solved_without_a_step(capsys, monkeypatch):
+    """A default linear run at h = 1e4 plans 9.4e9 row-cell updates, just
+    inside MAX_FORCED_WORK, and takes no step: its settled state is solved."""
+    monkeypatch.setattr(simulate, "_build_kernels", no_run)
+    code, out, err = run(capsys, "simulate", "--h", "1e4", "--theta", "0.3")
+    assert (code, err) == (0, "")
+    assert [line.split(" = ")[0] for line in out.splitlines()] == [
+        "k_r", "k_i", "lambda_meas", "lambda_root", "rms_residual"]
+
+
 def test_simulate_requires_h(capsys):
     code, _, err = run(capsys, "simulate", "--theta", "0")
     assert code == 1

@@ -17,6 +17,7 @@ from bosewave.errors import (
     PositivityError,
 )
 from bosewave.model import ModelConfig
+from conftest import run as cli_run
 
 SQRT2 = math.sqrt(2.0)
 
@@ -481,8 +482,11 @@ def test_forced_grid_convergence_order():
 
 
 def test_forced_nonlinear_approaches_linear():
-    lam_lin = fitted_lambda(0.0, 1.0, 0.0)
-    diffs = [abs(fitted_lambda(0.0, 1.0, 0.0, mode="nonlinear", eps=e) - lam_lin)
+    # both modes step through the same 14-period transient (the default
+    # here), so their difference is the nonlinearity's alone
+    lam_lin = fitted_lambda(0.0, 1.0, 0.0, transient_periods=14)
+    diffs = [abs(fitted_lambda(0.0, 1.0, 0.0, mode="nonlinear", eps=e,
+                               transient_periods=14) - lam_lin)
              for e in (1e-2, 1e-3, 1e-4)]
     assert diffs[0] > diffs[1] > diffs[2]
     slopes = np.diff(np.log(diffs)) / np.diff(np.log([1e-2, 1e-3, 1e-4]))
@@ -770,13 +774,15 @@ def test_periodic_advection_is_bitwise_the_per_row_roll(n, theta, bc, reference)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
-# lambda_meas of four small forced runs (4 wavelengths, 2 periods), captured
-# with the four-stage RK4 and per-row stepping the simulator had before it
-# used the pair form and the one-matrix propagator
+# lambda_meas of four small forced runs (4 wavelengths, 2 periods).  The
+# nonlinear ones were captured with the four-stage RK4 and per-row stepping
+# the simulator had before it used the pair form and the one-matrix
+# propagator.  The linear ones are the settled state, 5.9e-12 and 3.4e-11
+# from runs stepped through a 200-period transient
 FROZEN_FORCED = [
-    ((2, 0.3, 1.0, 0.2), "linear", 16, 0.8445044509593453 + 0.1296275051234465j),
+    ((2, 0.3, 1.0, 0.2), "linear", 16, 0.8445045465087578 + 0.12962743521360517j),
     ((2, 0.3, 1.0, 0.2), "nonlinear", 16, 0.8445045039938656 + 0.12962752709435005j),
-    ((3, 0.05, 1.5, -0.3), "linear", 12, 0.8222341660043008 + 0.16947045850322437j),
+    ((3, 0.05, 1.5, -0.3), "linear", 12, 0.8222346894154168 + 0.16946980078884286j),
     ((3, 0.05, 1.5, -0.3), "nonlinear", 12, 0.7987652827302579 + 0.17441664697212095j),
 ]
 
@@ -823,11 +829,12 @@ def test_forced_run_with_no_ramp_is_bitwise_the_plain_loop():
 
 @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
 def test_forced_nan_field_trips_the_instability_guard(monkeypatch, mode):
+    # a stepped run (10 transient periods, the default here) in both modes
     monkeypatch.setattr(sim, "_advection",
                         lambda courant, M, bc: lambda P: np.full_like(P, math.nan))
     with pytest.raises(InstabilityError):
         sim.run_forced(make_config(), wavelengths=4, points_per_wavelength=10,
-                       periods=2, mode=mode)
+                       periods=2, mode=mode, transient_periods=10)
 
 
 @pytest.mark.parametrize("mode, eps", [("linear", 1e-200), ("linear", 1e-3),
@@ -1070,14 +1077,157 @@ def test_nonlinear_forced_run_is_bitwise_the_plain_loop():
                                            ("cfl", 0.7)])
 def test_a_float32_forced_run_option_runs_like_its_float_twin(option, value):
     # each option is taken as a Python float: a float32 eps or ramp_periods
-    # would otherwise carry float32 products into the drive
+    # would otherwise carry float32 products into the drive.  The ramp acts
+    # only on a stepped run: that one steps through the 15 transient
+    # periods a default run plans here
+    stepped = {"transient_periods": 15} if option == "ramp_periods" else {}
     run = functools.partial(sim.run_forced, make_config(theta=0.3), wavelengths=4,
-                            points_per_wavelength=10, periods=2)
+                            points_per_wavelength=10, periods=2, **stepped)
     want = run(**{option: float(np.float32(value))})
     got = run(**{option: np.float32(value)})
     assert len(got) == len(want) == 64
     for field, twin in zip(got, want):
         assert_same_field(field, twin)
+
+
+# ---------------------------------------------------- the settled linear state
+
+def settled_plan(n=2, theta=0.3, h=1.0, B=0.0, wavelengths=4, ppw=10, drive="mode"):
+    """The plan of a default linear run and its settled state P_hat."""
+    plan = sim._plan_forced(make_config(theta=theta, h=h, B=B, n=n), wavelengths, ppw,
+                            2, "linear", 1e-3, drive, sim.CFL_LIMIT, 2.0, None)
+    P_hat = sim._settled_state(plan.config, plan.x_speeds, plan.dt, plan.dx, plan.M,
+                               plan.weights, plan.eps)
+    return plan, P_hat
+
+
+@pytest.mark.filterwarnings("ignore:linear collision form")
+@pytest.mark.parametrize("n, theta", [(2, 0.3), (2, 0.0), (3, 0.3), (8, 0.1)])
+@pytest.mark.parametrize("h", [0.2, 1.0, 1e2, 1e4])
+def test_one_step_maps_the_settled_state_to_itself(n, theta, h):
+    """One step of the run's own kernels, then its drive, maps the settled
+    state at a snapshot time t to the settled state at t + dt, and the
+    run's snapshots are that state."""
+    plan, P_hat = settled_plan(n, theta, h)
+    config, dt, omega = plan.config, plan.dt, plan.config.omega
+    series = sim.run_forced(config, wavelengths=4, points_per_wavelength=10, periods=2)
+    advect, collide = sim._build_kernels(config, plan.x_speeds, dt, plan.dx, plan.M,
+                                         "open", "linear")
+    inflow = plan.x_speeds > 0
+    drive_amp = plan.eps * 1j * plan.weights[inflow]
+    scale = np.max(np.abs(P_hat))
+    for field in (series[0], series[17], series[-1]):
+        want = (P_hat * np.exp(-1j * omega * field.t)).real
+        assert np.max(np.abs(field.P - want)) <= 1e-15 * scale
+        P = collide(advect(field.P))
+        P[inflow, 0] = (drive_amp * np.exp(-1j * omega * (field.t + dt))).real
+        after = (P_hat * np.exp(-1j * omega * (field.t + dt))).real
+        assert np.max(np.abs(P - after)) <= 1e-13 * scale
+
+
+@pytest.mark.filterwarnings("ignore:linear collision form")
+@pytest.mark.parametrize("point, ppw", [((2, 0.3, 1.0, 0.2), 16), ((2, 0.0, 1.0, 0.0), 10),
+                                        ((3, 0.05, 1.5, -0.3), 12)])
+def test_a_default_linear_run_is_a_long_stepped_run(point, ppw):
+    """lambda_meas of a default linear run equals that of a run stepped
+    through 120 more periods than the default transient: measured within
+    6.5e-12, 5.8e-16 and 1.5e-10 relative.  The default run's snapshots
+    have the stepped default's count, times, dx and config, and each is a
+    new C-contiguous float64 array."""
+    n, theta, h, B = point
+    config = make_config(theta=theta, h=h, B=B, n=n)
+    plan, _ = settled_plan(n, theta, h, B, ppw=ppw)
+    transient = plan.record[0] // plan.steps_per_period
+    run = functools.partial(sim.run_forced, config, wavelengths=4,
+                            points_per_wavelength=ppw, periods=2)
+    got, stepped = run(), run(transient_periods=transient)
+    settled = run(transient_periods=transient + 120)
+    lam, want = (sim.fit_wave(s).lambda_meas for s in (got, settled))
+    assert abs(lam - want) <= 5e-10 * abs(want)
+    assert len(got) == len(stepped) == 64
+    for field, twin in zip(got, stepped):
+        assert (field.t, field.dx, field.config) == (twin.t, twin.dx, twin.config)
+        assert field.P.dtype == np.float64 and field.P.flags.c_contiguous
+        assert field.P.shape == twin.P.shape and field.P.flags.owndata
+    assert not any(np.shares_memory(a.P, b.P) for a, b in itertools.combinations(got, 2))
+
+
+@pytest.mark.filterwarnings("ignore:linear collision form")
+@pytest.mark.parametrize("M", [40, 41, 7])
+@pytest.mark.parametrize("n, theta", [(2, 0.3), (2, 0.0), (3, 0.05), (3, math.pi / 6)])
+def test_the_block_solve_is_the_dense_solve(n, theta, M):
+    """The block tridiagonal solve equals np.linalg.solve on the dense
+    (2nM)^2 system, whose columns are the run's own step (advection, R,
+    then the inflow rows of cell 0 zeroed) applied to each unit field; at
+    theta = 0 (n = 2) and pi/6 (n = 3) two rows have zero speed."""
+    plan, _ = settled_plan(n, theta, ppw=10)
+    config, dt = plan.config, plan.dt
+    P_hat = sim._settled_state(config, plan.x_speeds, dt, plan.dx, M, plan.weights,
+                               plan.eps)
+    advect, collide = sim._build_kernels(config, plan.x_speeds, dt, plan.dx, M, "open",
+                                         "linear")
+    size = 2 * n * M
+    inflow = plan.x_speeds > 0
+    step = np.empty((size, size))
+    for i in range(size):
+        P = collide(advect(np.eye(1, size, i).reshape(2 * n, M)))
+        P[inflow, 0] = 0.0
+        step[:, i] = P.ravel()
+    d = np.zeros((2 * n, M), dtype=complex)
+    d[inflow, 0] = plan.eps * 1j * plan.weights[inflow]
+    want = np.linalg.solve(np.eye(size) - np.exp(1j * config.omega * dt) * step, d.ravel())
+    assert P_hat.shape == (2 * n, M)
+    assert np.max(np.abs(P_hat.ravel() - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_a_default_linear_run_takes_no_step(monkeypatch):
+    def no_stepping(*args):
+        raise AssertionError("stepped a default linear run")
+
+    monkeypatch.setattr(sim, "_build_kernels", no_stepping)
+    monkeypatch.setattr(sim, "_collision_substep", no_stepping)
+    series = sim.run_forced(make_config(theta=0.3), wavelengths=4, points_per_wavelength=10,
+                            periods=2)
+    assert len(series) == 64
+    with pytest.raises(AssertionError, match="stepped"):
+        sim.run_forced(make_config(theta=0.3), wavelengths=4, points_per_wavelength=10,
+                       periods=2, transient_periods=0)
+
+
+def nan_propagator(config, dt):
+    return np.full((2 * config.n, 2 * config.n), math.nan)
+
+
+def singular_block(a, b):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@pytest.mark.parametrize("fault", ["non-finite", "singular"])
+def test_a_failed_settled_solve_is_an_instability_error(monkeypatch, capsys, fault):
+    if fault == "non-finite":
+        monkeypatch.setattr(sim, "_linear_propagator", nan_propagator)
+    else:
+        monkeypatch.setattr(np.linalg, "solve", singular_block)
+    with pytest.raises(InstabilityError):
+        sim.run_forced(make_config(theta=0.3), wavelengths=4, points_per_wavelength=10,
+                       periods=2, drive="uniform")
+    code, out, err = cli_run(capsys, "simulate", "--h", "1", "--theta", "0.3", "--ppw", "10",
+                         "--wavelengths", "4", "--periods", "2")
+    assert (code, out) == (2, "") and err.startswith("numerical error: settled state")
+
+
+def test_the_settled_state_is_bounded_by_the_instability_factor(monkeypatch):
+    """max|P_hat| just above INSTABILITY_FACTOR * eps raises; at just below it
+    the run returns."""
+    _, P_hat = settled_plan(theta=0.3)
+    peak = np.max(np.abs(P_hat)) / 1e-3
+    run = functools.partial(sim.run_forced, make_config(theta=0.3), wavelengths=4,
+                            points_per_wavelength=10, periods=2)
+    monkeypatch.setattr(sim, "INSTABILITY_FACTOR", peak * (1 + 1e-9))
+    assert len(run()) == 64
+    monkeypatch.setattr(sim, "INSTABILITY_FACTOR", peak * (1 - 1e-9))
+    with pytest.raises(InstabilityError, match="settled state magnitude"):
+        run()
 
 
 def test_default_fit_window_is_one_batched_solve(eig_calls):
