@@ -51,6 +51,8 @@ the nonlinear stepper linearization-consistent with the linear one to
 O(eps^2) per step.
 A default linear forced run takes no step: it solves for the state the
 stepped run settles to (_settled_state), at a cost that does not grow with h.
+A default nonlinear run steps from that state for its collision substep
+linearized at equilibrium (_collision_operator).
 """
 
 from __future__ import annotations
@@ -100,6 +102,10 @@ DRIVE_BLOCK_STEPS = 4096      # most steps whose drive a forced run computes at 
 # a linear n = 2 run at the 1.1e8 per second measured on a 2-vCPU host, and
 # over 400 times the largest run of the tests, the benchmark and the CI
 MAX_FORCED_WORK = 1e10
+# periods a default nonlinear run steps before it records: no point of
+# run_forced's grid needs one, and 2 to 10 record more of the start's
+# O(eps^2) start-up (lambda_meas up to 2e-5 off at n = 3, against 6e-7)
+SETTLED_TRANSIENT_PERIODS = 0
 
 
 @dataclass(frozen=True)
@@ -180,7 +186,7 @@ def _build_kernels(config: ModelConfig, x_speeds: np.ndarray, dt: float,
                        f"exceeds {COLLISION_DT_LIMIT}")
     advect = _advection(x_speeds * dt / dx, M, bc)
     if mode == "linear":
-        R = _linear_propagator(config, dt)
+        R = _linear_propagator(_collision_operator(config, mode), dt)
         R.flags.writeable = False
         return advect, lambda P: R @ P
     return advect, _collision_substep(config, dt)
@@ -251,17 +257,36 @@ def _advection(courant: np.ndarray, M: int, bc: str):
     return advect
 
 
-def _linear_propagator(config: ModelConfig, dt: float) -> np.ndarray:
-    """R = sum_{k=0..4} (dt L)^k / k!, the RK4 map of dP/dt = L P, as one matrix."""
+def _collision_operator(config: ModelConfig, mode: str) -> np.ndarray:
+    """L = kron([[1, 1], [1, 1]], G C), the (2n, 2n) linear collision operator.
+
+    G = rate*(11^T/n - I) acts on the pair sums.  Linear model: C = I, rate
+    2cSN0(1+B).  Nonlinear (the term's Jacobian at equilibrium): rate 2cSN0,
+    C = (1+B)^2 I + B(1+B) S with S[k, k+1 mod n] = 1, the linearized pair
+    products.  The two are equal at n = 2 and at B = 0.
+    """
     n = config.n
-    p2 = 2 * n
-    kappa = 0.5 * _collision_rate(config)       # 2cSN0(1+B)
-    L = np.full((p2, p2), kappa / n)
-    for m in range(p2):
-        L[m, m] -= kappa
-        L[m, (m + n) % p2] -= kappa
+    if mode == "linear":
+        rate = 0.5 * _collision_rate(config)        # 2cSN0(1+B)
+    else:
+        rate = 2.0 * config.c * config.S * config.N0
+    G = np.full((n, n), rate / n)
+    G[np.diag_indices(n)] -= rate
+    if mode == "nonlinear":
+        gN0 = config.gamma * config.N0
+        b = 1.0 + gN0
+        G = G @ (b * b * np.eye(n) + gN0 * b * np.roll(np.eye(n), 1, axis=1))
+    return np.kron(np.ones((2, 2)), G)
+
+
+def _linear_propagator(L: np.ndarray, dt: float) -> np.ndarray:
+    """R = sum_{k=0..4} (dt L)^k / k!, the RK4 map of dP/dt = L P, as one matrix.
+
+    RK4 linearized at a fixed point is the RK4 map of the linearized term: with
+    the nonlinear L, R is one _collision_substep linearized at equilibrium.
+    """
     A = dt * L
-    R = term = np.eye(p2)
+    R = term = np.eye(len(L))
     for k in range(1, 5):
         term = term @ A / k
         R = R + term
@@ -395,51 +420,62 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
     Inflow components (x_speed > 0) are forced at x=0 with the acoustic mode
     shape restricted to inflow entries (drive="uniform" forces them all
     equally instead).  Outflow is zeroth-order extrapolated at both ends;
-    zero-speed components evolve freely.  Snapshots cover the last
-    `periods` periods at 32 samples per period, after a transient that
-    covers the domain-crossing time of the slowest inflow component plus 5
-    periods (at least 10 periods) unless `transient_periods` (>= 0) is
-    given.  `cfl`, in (0, CFL_LIMIT], is the Courant number the advective
-    limit on dt allows.
+    zero-speed components evolve freely.  Snapshots cover `periods` periods
+    at 32 samples per period, after `transient_periods` (>= 0) periods when
+    it is given.  `cfl`, in (0, CFL_LIMIT], is the Courant number the
+    advective limit on dt allows.
 
-    A linear run with no `transient_periods` takes no step and ignores
-    `ramp_periods`: its snapshots, each a new array, are the exact settled
-    state of the stepped scheme, Re(P_hat exp(-i omega t)) (_settled_state).
+    A run with no `transient_periods` starts settled at t = 0, with the
+    drive at full amplitude, so `ramp_periods` has no effect on it.  A
+    linear one takes no step: its snapshots, each a new array, are the exact
+    settled state of the stepped scheme, Re(P_hat exp(-i omega t))
+    (_settled_state), over the first `periods` periods.  A nonlinear one
+    steps from Re(P_hat) for its collision substep linearized at equilibrium
+    (_collision_operator), SETTLED_TRANSIENT_PERIODS periods before it
+    records; a start with min P <= -1 raises PositivityError.  At eps = 1e-3
+    its lambda_meas is within 1e-6 relative of a run stepped from rest
+    through 200 periods on a measured grid (n = 2, 3, 4; theta = 0.3 and
+    next to a perpendicular velocity; h from 0.3 to 100; B = -0.5, 0, 0.5;
+    4 and 12 wavelengths).  The gap is O(eps), the start's missing O(eps^2).
 
-    Every other run steps from rest, with the drive ramped on by a half
-    cosine over `ramp_periods` (0 <= ramp_periods < inf; 0 drives at full
-    amplitude from the start).  The drive is computed per period, at most
-    DRIVE_BLOCK_STEPS steps at a time, with the operations of a per-step
-    drive, so its values are bitwise the same.  A step raises
-    PositivityError (nonlinear, min P <= -1) or InstabilityError (|P| >
-    INSTABILITY_FACTOR * eps, or NaN); the min and max are read only when
-    the step's sum of squares does not already prove them inside these
-    bounds, and on every later step of a drive block in which a sum did
-    not.  Each snapshot's P is the array its step produced, not a copy; no
-    later step writes into it, and the caller owns it.
+    A run given `transient_periods` steps from rest, with the drive ramped
+    on by a half cosine over `ramp_periods` (0 <= ramp_periods < inf; 0
+    drives at full amplitude from the start).  The drive of a stepped run
+    is computed per period, at most DRIVE_BLOCK_STEPS steps at a time, with
+    the operations of a per-step drive, so its values are bitwise the same.
+    A step raises PositivityError (nonlinear, min P <= -1) or
+    InstabilityError (|P| > INSTABILITY_FACTOR * eps, or NaN); the min and
+    max are read only when the step's sum of squares does not already prove
+    them inside these bounds, and on every later step of a drive block in
+    which a sum did not.  Each snapshot's P is the array its step produced,
+    not a copy; no later step writes into it, and the caller owns it.
 
     The collision limit on dt asks for about 4*pi*h(1+B) steps per period, a
     count that must be a finite float for dt = T/count to exist: past
     h(1+B) ~ 1.4e307 (float max / 4*pi) a DomainError is raised before any
-    step.  The run time grows with the planned row-cell updates, total
-    steps * M * 2n: large h asks for many steps per period, and an angle
-    next to a perpendicular velocity for a long transient.  A run that
-    plans more than MAX_FORCED_WORK of them, stepped or not, raises
-    DomainError, naming h, theta and the step count, before any step or
-    solve and before the drive's dispersion solve.
+    step.  The run time grows with the planned row-cell updates, steps *
+    M * 2n over the transient and recorded periods: large h asks for many
+    steps per period.  A run that plans more than MAX_FORCED_WORK of them
+    raises DomainError, naming h, theta and the step count, before any step
+    or solve and before the drive's dispersion solve.
     """
     plan = _plan_forced(config, wavelengths, points_per_wavelength, periods, mode,
                         eps, drive, cfl, ramp_periods, transient_periods)
     config, dt, eps = plan.config, plan.dt, plan.eps
-    if mode == "linear" and transient_periods is None:
-        P_hat = _settled_state(config, plan.x_speeds, dt, plan.dx, plan.M,
-                               plan.weights, eps)
-        re, im, omega = P_hat.real.copy(), P_hat.imag.copy(), config.omega
-        return [WaveField(P=re * math.cos(omega * t) + im * math.sin(omega * t),
-                          dx=plan.dx, t=t, config=config)
-                for t in (step * dt for step in plan.record)]
-
     dx, M, record = plan.dx, plan.M, plan.record
+    if transient_periods is None:
+        R = _linear_propagator(_collision_operator(config, mode), dt)
+        P_hat = _settled_state(config, R, plan.x_speeds, dt, dx, M, plan.weights, eps)
+        P = P_hat.real.copy()     # at t = 0; |P_hat| is inside the instability bound
+        if mode == "linear":
+            im, omega = P_hat.imag.copy(), config.omega
+            return [WaveField(P=P * math.cos(omega * t) + im * math.sin(omega * t),
+                              dx=dx, t=t, config=config)
+                    for t in (step * dt for step in record)]
+        if P.min() <= -1.0:
+            raise PositivityError("settled start of a forced nonlinear run not positive")
+    else:
+        P = np.zeros((2 * config.n, M))
     advect, collide = _build_kernels(config, plan.x_speeds, dt, dx, M, "open", mode)
     inflow = plan.x_speeds > 0
     inflow_cells = np.flatnonzero(inflow) * M     # cell 0 of each inflow row, flat
@@ -457,7 +493,6 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
     limit = min(float(bound), 1.0) if mode == "nonlinear" else float(bound)
     screen = 0.5 * limit * limit if 1e-150 < limit < 1e150 else -1.0
 
-    P = np.zeros((2 * config.n, M))
     snapshots: list[WaveField] = []
     for first in range(1, total_steps + 1, block):
         # the drive of a period's steps in one pass, with a step's operations
@@ -531,7 +566,6 @@ def _plan_forced(config, wavelengths, points_per_wavelength, periods, mode, eps,
     T = 2.0 * math.pi / config.omega
     dx = hydrodynamic_wavelength(config) / points_per_wavelength
     M = wavelengths * points_per_wavelength + 1
-    L = (M - 1) * dx
 
     vmax = float(np.max(np.abs(lattice.x_speeds)))
     dt_max = min(cfl * dx / vmax, COLLISION_DT_LIMIT / _collision_rate(config))
@@ -542,8 +576,9 @@ def _plan_forced(config, wavelengths, points_per_wavelength, periods, mode, eps,
     steps_per_period = SAMPLES_PER_PERIOD * int(math.ceil(per_sample))
     stride = steps_per_period // SAMPLES_PER_PERIOD
 
-    if transient_periods is None:
-        transient_periods = _transient_periods(lattice.x_speeds, L, T)
+    if transient_periods is None:      # a settled start, with the full drive
+        transient_periods = 0 if mode == "linear" else SETTLED_TRANSIENT_PERIODS
+        ramp_periods = 0.0
     total_steps = (transient_periods + periods) * steps_per_period
     record_from = transient_periods * steps_per_period
     work = total_steps * M * 2 * config.n
@@ -569,11 +604,11 @@ def _plan_forced(config, wavelengths, points_per_wavelength, periods, mode, eps,
         t_ramp=ramp_periods * T)
 
 
-def _settled_state(config: ModelConfig, x_speeds: np.ndarray, dt: float, dx: float,
-                   M: int, weights: np.ndarray, eps: float) -> np.ndarray:
+def _settled_state(config: ModelConfig, R: np.ndarray, x_speeds: np.ndarray, dt: float,
+                   dx: float, M: int, weights: np.ndarray, eps: float) -> np.ndarray:
     """P_hat (2n, M), the settled state Re(P_hat e^{-i omega t}) of a linear forced run.
 
-    A step is P -> Pi R A P + drive: A the open advection, R the RK4 matrix,
+    A step is P -> Pi R A P + drive: A the open advection, R the collision map,
     Pi zeroes the inflow rows of cell 0, which the drive eps Re(i w
     e^{-i omega t}) writes.  So (I - e^{i omega dt} Pi R A) P_hat = d, with
     d = eps i w on those rows: block tridiagonal over pairs of cells (an odd
@@ -595,7 +630,7 @@ def _settled_state(config: ModelConfig, x_speeds: np.ndarray, dt: float, dx: flo
                     minlength=nb * 12 * p2).reshape(nb, 2, 1, 3, 2, p2)
     phase = complex(math.cos(config.omega * dt), math.sin(config.omega * dt))
     S = np.empty((nb, q, 3 * q + 1), dtype=complex)
-    np.multiply(E, -phase * _linear_propagator(config, dt)[:, None, None, :],
+    np.multiply(E, -phase * R[:, None, None, :],
                 out=S[:, :, :-1].reshape(nb, 2, p2, 3, 2, p2))
     S[:, range(q), range(q, 2 * q)] += 1.0
     S[:, :, -1] = 0.0
@@ -634,16 +669,6 @@ def _count_text(count: int) -> str:
         return f"{count:.3g}"
     digits = len(str(count))
     return f"{count // 10 ** (digits - 3) / 100:.3g}e+{digits - 1}"
-
-
-def _transient_periods(x_speeds: np.ndarray, L: float, T: float) -> int:
-    """Periods a forced run discards by default before recording.
-
-    The slowest inflow row's time to cross the domain of length L, plus 5
-    periods of length T, rounded up; at least 10.
-    """
-    v_min_in = float(np.min(x_speeds[x_speeds > 0]))
-    return max(10, math.ceil((L / v_min_in + 5.0 * T) / T))
 
 
 def _default_fit_window(config: ModelConfig, L: float, dx: float):

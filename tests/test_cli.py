@@ -478,9 +478,8 @@ def test_simulate_warning_is_one_line_without_a_source_location(capsys):
 @pytest.mark.parametrize("argv, needle", [
     # about 1e13 steps per period: 4.6e17 row-cell updates
     (["--h", "1e12", "--theta", "0"], "h = 1e+12, theta = 0.0"),
-    # a 2.8e9-period transient next to a perpendicular velocity: 1.5e13 updates
-    (["--h", "1.2525285437021076", "--theta", "1.5707963257948965", "--ppw", "10",
-      "--wavelengths", "4", "--periods", "2"], "2828426723 transient"),
+    # a stepped run: 1.26e6 steps per period, 1.2e10 updates
+    (["--nonlinear", "--h", "1e5", "--theta", "0.3"], "(0 transient and 5 recorded"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_simulate_past_the_work_bound_exits_1_at_once(capsys, argv, needle):
@@ -498,6 +497,22 @@ def test_simulate_at_h_1e4_is_solved_without_a_step(capsys, monkeypatch):
     inside MAX_FORCED_WORK, and takes no step: its settled state is solved."""
     monkeypatch.setattr(simulate, "_build_kernels", no_run)
     code, out, err = run(capsys, "simulate", "--h", "1e4", "--theta", "0.3")
+    assert (code, err) == (0, "")
+    assert [line.split(" = ")[0] for line in out.splitlines()] == [
+        "k_r", "k_i", "lambda_meas", "lambda_root", "rms_residual"]
+
+
+@pytest.mark.parametrize("argv", [
+    # next to a perpendicular velocity, where the retired transient rule
+    # planned 2.8e9 periods
+    ["--h", "1.2525285437021076", "--theta", "1.5707963257948965", "--ppw", "10",
+     "--wavelengths", "4", "--periods", "2"],
+    # 251,328 steps a period: 2.4e9 planned row-cell updates
+    ["--h", "2e4", "--theta", "0.3"],
+])
+def test_a_default_linear_simulate_plans_no_transient(capsys, monkeypatch, argv):
+    monkeypatch.setattr(simulate, "_build_kernels", no_run)
+    code, out, err = run(capsys, "simulate", *argv)
     assert (code, err) == (0, "")
     assert [line.split(" = ")[0] for line in out.splitlines()] == [
         "k_r", "k_i", "lambda_meas", "lambda_root", "rms_residual"]
@@ -862,9 +877,9 @@ def test_verify_solves_its_oracle_points_in_batches(eig_calls, capsys):
 
 def test_verify_h_b_collapse_fails_for_a_linear_model_that_sees_gamma(monkeypatch, capsys):
     # the three runs share h_b = 1 and have gamma = 0, 1 and -1
-    real = simulate._linear_propagator
-    monkeypatch.setattr(simulate, "_linear_propagator", lambda config, dt: real(
-        dataclasses.replace(config, S=config.S * (1.0 + 0.1 * config.gamma)), dt))
+    real = simulate._collision_operator
+    monkeypatch.setattr(simulate, "_collision_operator", lambda config, mode: real(
+        dataclasses.replace(config, S=config.S * (1.0 + 0.1 * config.gamma)), mode))
     code, out, _ = run(capsys, "verify")
     assert code == 2
     assert "h-b-collapse: FAIL\n" in out and out.endswith("1 check(s) failed\n")

@@ -159,16 +159,11 @@ def test_sweep_at_huge_h_prints_only_certified_rows(capsys):
     assert len(residuals) == 14 and (residuals < 1e-9).all(), residuals
 
 
-@pytest.mark.parametrize("n, theta", [
-    pytest.param(2, math.pi / 2 - 1e-9, marks=xfail(
-        "2,828,426,723 periods, from the transient rule (the run never ends); item 21")),
-    pytest.param(3, math.pi / 6 + 1e-9, marks=xfail(
-        "2,828,427,697 periods, from the transient rule (the run never ends); item 21")),
-])
+@pytest.mark.parametrize("n, theta", [(2, math.pi / 2 - 1e-9), (3, math.pi / 6 + 1e-9)])
 def test_forced_run_next_to_a_perpendicular_velocity_has_a_short_transient(n, theta):
-    # the transient run_forced chooses for 4 wavelengths at 10 points each,
-    # read from its rule without running
+    # the transient a default nonlinear run plans for 4 wavelengths at 10
+    # points each, read from its plan without running
     cfg = ModelConfig.from_reduced(n, theta, 1.2525285437021076, 0.0)
-    L = 4 * 10 * (sim.hydrodynamic_wavelength(cfg) / 10)
-    T = 2.0 * math.pi / cfg.omega
-    assert sim._transient_periods(sim.build_lattice(cfg).x_speeds, L, T) <= 100
+    plan = sim._plan_forced(cfg, 4, 10, 2, "nonlinear", 1e-3, "mode", sim.CFL_LIMIT,
+                            2.0, None)
+    assert plan.record[0] // plan.steps_per_period <= 100
