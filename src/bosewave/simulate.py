@@ -50,7 +50,8 @@ Using the same RK4 map for the linear and nonlinear right-hand sides keeps
 the nonlinear stepper linearization-consistent with the linear one to
 O(eps^2) per step.
 A default linear forced run takes no step: it solves for the state the
-stepped run settles to (_settled_state), at a cost that does not grow with h.
+stepped run settles to (_settled_state, by block cyclic reduction), at a
+cost that does not grow with h.
 A default nonlinear run steps from that state for its collision substep
 linearized at equilibrium (_collision_operator).
 """
@@ -612,13 +613,17 @@ def _settled_state(config: ModelConfig, R: np.ndarray, x_speeds: np.ndarray, dt:
     Pi zeroes the inflow rows of cell 0, which the drive eps Re(i w
     e^{-i omega t}) writes.  So (I - e^{i omega dt} Pi R A) P_hat = d, with
     d = eps i w on those rows: block tridiagonal over pairs of cells (an odd
-    M gets a padding cell, x = 0), assembled in place as rows of blocks
-    [L | D | U | rhs] and solved by block LU (Golub & Van Loan, Matrix
-    Computations).  InstabilityError: a singular block, or max|P_hat| above
-    INSTABILITY_FACTOR * eps.
+    M gets a padding cell, x = 0).  Unknowns ordered right-going, left-going,
+    zero-speed, row b is [D | L_r | U_l] by columns, solved by odd-even
+    cyclic reduction (Buzbee, Golub & Nielson 1970), a batched solve a level;
+    d is in block 0, which is never eliminated.  InstabilityError: a
+    singular block, or max|P_hat| above INSTABILITY_FACTOR * eps.
     """
     p2, q = len(x_speeds), 2 * len(x_speeds)
     nb = (M + 1) // 2
+    order = np.argsort(np.tile((x_speeds <= 0) + 2 * (x_speeds == 0), 2), kind="stable")
+    r, k = 2 * np.count_nonzero(x_speeds > 0), 2 * np.count_nonzero(x_speeds)
+    L, U = slice(r), slice(r, k)
     near, far, w, cw = _advection(x_speeds * dt / dx, M, "open").stencil
     # advect is (1 - w - cw) P + (w + 2 cw) up1 - cw up2 per row; E[b, c, off,
     # c2, s] sums the weights cell 2b + c of row s takes from 2(b + off - 1) + c2
@@ -627,35 +632,44 @@ def _settled_state(config: ModelConfig, R: np.ndarray, x_speeds: np.ndarray, dt:
     off = src // 2 - cell // 2 + 1
     index = ((cell * 3 + off) * 2 + src % 2) * p2 + np.arange(p2)[:, None]
     E = np.bincount(index.ravel(), np.stack([1.0 - w - cw, w + 2.0 * cw, -cw]).ravel(),
-                    minlength=nb * 12 * p2).reshape(nb, 2, 1, 3, 2, p2)
+                    minlength=nb * 12 * p2).reshape(nb, 2, 3 * q)
+    cols = np.r_[q + order, order[L], 2 * q + order[U]]   # [D | L_r | U_l] in E
     phase = complex(math.cos(config.omega * dt), math.sin(config.omega * dt))
-    S = np.empty((nb, q, 3 * q + 1), dtype=complex)
-    np.multiply(E, -phase * R[:, None, None, :],
-                out=S[:, :, :-1].reshape(nb, 2, p2, 3, 2, p2))
-    S[:, range(q), range(q, 2 * q)] += 1.0
-    S[:, :, -1] = 0.0
-    inflow = np.flatnonzero(x_speeds > 0)
-    S[0, inflow] = 0.0
-    S[0, inflow, q + inflow] = 1.0
-    S[0, inflow, -1] = eps * 1j * weights[inflow]
+    S = (E[..., cols].swapaxes(1, 2)[..., None]
+         * (-phase * R[:, cols % p2].T[:, None])).reshape(nb, q + k, q)
+    S[:, range(q), order] += 1.0
+    inflow = np.flatnonzero(x_speeds > 0)      # the first unknowns
+    S[0, :, inflow] = 0.0
+    S[0, range(len(inflow)), inflow] = 1.0
+    X = np.zeros((nb, q), dtype=complex)
+    X[0, inflow] = eps * 1j * weights[inflow]
 
     with np.errstate(all="ignore"):
         try:
-            for b in range(nb):
-                row = S[b]
-                if b:
-                    LU = row[:, :q] @ S[b - 1, :, 2 * q:]     # L_b [U | rhs]_{b-1}
-                    row[:, q:2 * q] -= LU[:, :q]
-                    row[:, -1] -= LU[:, -1]
-                row[:, 2 * q:] = np.linalg.solve(row[:, q:2 * q], row[:, 2 * q:])
+            size = 1
+            while size < nb:      # the blocks left are S[::size]
+                even, odd = S[::2 * size], S[size::2 * size]
+                Y = odd[:, q:].swapaxes(1, 2)     # becomes -D^-1 [L_r | U_l]
+                np.negative(np.linalg.solve(odd[:, :q].swapaxes(1, 2), Y), out=Y)
+                # fold into the even neighbours
+                for e, y, own, cross in ((even[1:], Y[:len(even) - 1], L, U),
+                                         (even[:len(odd)], Y, U, L)):
+                    F = y[:, own].swapaxes(1, 2) @ e[:, q:][:, own]
+                    e[:, q:][:, own] = F[:, own]
+                    e[:, cross] += F[:, cross]
+                size *= 2
+            X[0] = np.linalg.solve(S[0, :q].T, X[0])
         except np.linalg.LinAlgError:
             raise InstabilityError("settled state: a block of the linear system "
                                    "is singular") from None
-        X = S[:, :, -1]
-        for b in range(nb - 2, -1, -1):
-            X[b] -= S[b, :, 2 * q:-1] @ X[b + 1]
-        # a copy: the reshape is a view of S, which it would keep alive
-        P_hat = X.reshape(nb, 2, p2).transpose(2, 0, 1).reshape(p2, 2 * nb)[:, :M].copy()
+        while size > 1:
+            size //= 2
+            Y = S[size::2 * size, q:].swapaxes(1, 2)
+            x, x_odd = X[::2 * size, :, None], X[size::2 * size, :, None]
+            np.matmul(Y[:, :, L], x[:len(Y), L], out=x_odd)
+            x_odd[:len(x) - 1] += Y[:len(x) - 1, :, U] @ x[1:, U]
+        P_hat = (X[:, np.argsort(order)].reshape(nb, 2, p2).transpose(2, 0, 1)
+                 .reshape(p2, 2 * nb)[:, :M])
         peak = np.max(np.abs(P_hat))
     if not peak <= INSTABILITY_FACTOR * eps:     # NaN trips this too
         raise InstabilityError(f"settled state magnitude {peak:.6g} exceeds "

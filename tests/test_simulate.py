@@ -1118,9 +1118,22 @@ def test_one_step_maps_the_settled_state_to_itself(n, theta, h):
     """One step of the run's own kernels, then its drive, maps the settled
     state at a snapshot time t to the settled state at t + dt, and the
     run's snapshots are that state."""
-    plan, P_hat = settled_plan(n, theta, h)
+    check_one_step_maps_the_settled_state_to_itself(n, theta, h, 4, 10)
+
+
+@pytest.mark.filterwarnings("ignore:linear collision form")
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_step_maps_the_settled_state_to_itself_on_the_benchmark_grid(n):
+    """The same on 12 wavelengths at ppw 80: M = 961, nine levels of the
+    reduction."""
+    check_one_step_maps_the_settled_state_to_itself(n, 0.3, 1.0, 12, 80)
+
+
+def check_one_step_maps_the_settled_state_to_itself(n, theta, h, wavelengths, ppw):
+    plan, P_hat = settled_plan(n, theta, h, wavelengths=wavelengths, ppw=ppw)
     config, dt, omega = plan.config, plan.dt, plan.config.omega
-    series = sim.run_forced(config, wavelengths=4, points_per_wavelength=10, periods=2)
+    series = sim.run_forced(config, wavelengths=wavelengths, points_per_wavelength=ppw,
+                            periods=2)
     advect, collide = sim._build_kernels(config, plan.x_speeds, dt, plan.dx, plan.M,
                                          "open", "linear")
     inflow = plan.x_speeds > 0
@@ -1162,32 +1175,64 @@ def test_a_default_linear_run_is_a_long_stepped_run(point, ppw):
     assert not any(np.shares_memory(a.P, b.P) for a, b in itertools.combinations(got, 2))
 
 
-@pytest.mark.filterwarnings("ignore:linear collision form")
-@pytest.mark.parametrize("M", [40, 41, 7])
-@pytest.mark.parametrize("n, theta", [(2, 0.3), (2, 0.0), (3, 0.05), (3, math.pi / 6)])
-def test_the_block_solve_is_the_dense_solve(n, theta, M):
-    """The block tridiagonal solve equals np.linalg.solve on the dense
-    (2nM)^2 system, whose columns are the run's own step (advection, R,
-    then the inflow rows of cell 0 zeroed) applied to each unit field; at
-    theta = 0 (n = 2) and pi/6 (n = 3) two rows have zero speed."""
-    plan, _ = settled_plan(n, theta, ppw=10)
-    config, dt = plan.config, plan.dt
-    P_hat = sim._settled_state(config, propagator(plan), plan.x_speeds, dt, plan.dx, M,
-                               plan.weights, plan.eps)
-    advect, collide = sim._build_kernels(config, plan.x_speeds, dt, plan.dx, M, "open",
-                                         "linear")
+def dense_settled_state(plan, M):
+    """np.linalg.solve (pivoted LU) on the dense (2nM)^2 system of the plan's
+    settled state, I - e^{i omega dt} Pi R A, whose columns are the run's own
+    advection, then R times the phase, then the inflow rows of cell 0 zeroed,
+    applied to each unit field."""
+    config, dt, n = plan.config, plan.dt, plan.config.n
+    advect, _ = sim._build_kernels(config, plan.x_speeds, dt, plan.dx, M, "open", "linear")
+    phase = complex(math.cos(config.omega * dt), math.sin(config.omega * dt))
+    phase_R = phase * propagator(plan)
     size = 2 * n * M
     inflow = plan.x_speeds > 0
-    step = np.empty((size, size))
+    step = np.empty((size, size), dtype=complex)
     for i in range(size):
-        P = collide(advect(np.eye(1, size, i).reshape(2 * n, M)))
+        P = phase_R @ advect(np.eye(1, size, i).reshape(2 * n, M))
         P[inflow, 0] = 0.0
         step[:, i] = P.ravel()
     d = np.zeros((2 * n, M), dtype=complex)
     d[inflow, 0] = plan.eps * 1j * plan.weights[inflow]
-    want = np.linalg.solve(np.eye(size) - np.exp(1j * config.omega * dt) * step, d.ravel())
+    return np.linalg.solve(np.eye(size) - step, d.ravel()).reshape(2 * n, M)
+
+
+@pytest.mark.filterwarnings("ignore:linear collision form")
+@pytest.mark.parametrize("M", [40, 41, 7, 2, 3, 5])
+@pytest.mark.parametrize("n, theta", [(2, 0.3), (2, 0.0), (3, 0.05), (3, math.pi / 6),
+                                      (8, 0.1)])
+def test_the_block_solve_is_the_dense_solve(n, theta, M):
+    """The block tridiagonal solve equals the dense solve; at theta = 0
+    (n = 2) and pi/6 (n = 3) two rows have zero speed.  M = 2, 3 and 5 are
+    one, two and three blocks: the reduction's single block and odd counts."""
+    plan, _ = settled_plan(n, theta, ppw=10)
+    P_hat = sim._settled_state(plan.config, propagator(plan), plan.x_speeds, plan.dt,
+                               plan.dx, M, plan.weights, plan.eps)
+    want = dense_settled_state(plan, M)
     assert P_hat.shape == (2 * n, M)
-    assert np.max(np.abs(P_hat.ravel() - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(P_hat - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.filterwarnings("ignore:linear collision form")
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("h", [1e2, 1e3, 1e4])
+def test_the_block_solve_is_the_dense_solve_at_large_h(n, h):
+    """The system's condition number grows as h (about 2e5 at h = 1e4, n = 2);
+    the reduction stays within 1e-11 of the pivoted dense solve: measured
+    1.5e-12 at worst (n = 3, h = 1e4); a block-LU solve reads 2.1e-12."""
+    plan, P_hat = settled_plan(n, 0.3, h)
+    want = dense_settled_state(plan, plan.M)
+    assert np.max(np.abs(P_hat - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+def test_the_settled_state_takes_one_batched_solve_a_level(monkeypatch):
+    """M = 961 is 481 blocks: nine levels of the reduction and the last
+    block, ten solves (a block-by-block solve makes 481)."""
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(None) or solve(a, b))
+    plan, P_hat = settled_plan(2, 0.3, wavelengths=12, ppw=80)
+    assert plan.M == 961 and P_hat.shape == (4, 961)
+    assert len(calls) <= 10
 
 
 def test_a_default_linear_run_takes_no_step(monkeypatch):
