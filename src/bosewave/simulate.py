@@ -98,15 +98,10 @@ ZERO_SPEED_TOL = 1e-14        # |cos| below this (times c) snaps to an exact zer
 KINETIC_CLEARANCE = 6.0       # e-foldings of the slowest secondary mode to skip
 AMP_FLOOR_RATIO = 1e-2        # fit keeps cells above this fraction of window start
 KERNEL_CACHE_SIZE = 4         # step kernels kept for reuse
-DRIVE_BLOCK_STEPS = 4096      # most steps whose drive a forced run computes at once
 # most row-cell updates (steps * M * 2n) a forced run may plan: about 90 s of
 # a linear n = 2 run at the 1.1e8 per second measured on a 2-vCPU host, and
 # over 400 times the largest run of the tests, the benchmark and the CI
 MAX_FORCED_WORK = 1e10
-# periods a default nonlinear run steps before it records: no point of
-# run_forced's grid needs one, and 2 to 10 record more of the start's
-# O(eps^2) start-up (lambda_meas up to 2e-5 off at n = 3, against 6e-7)
-SETTLED_TRANSIENT_PERIODS = 0
 
 
 @dataclass(frozen=True)
@@ -216,16 +211,17 @@ def _checked_step_kernels(field: WaveField, dt: float, bc: str, mode: str):
     return _step_kernels(config, float(dt), float(field.dx), shape[1], bc, mode)
 
 
-def _advection(courant: np.ndarray, M: int, bc: str):
-    """Beam-Warming update of all 2n rows of an M-cell field, as advect(P).
+def _stencil(courant: np.ndarray, M: int, bc: str):
+    """Beam-Warming weights of all 2n rows of an M-cell field, (near, far, w, cw).
 
     courant is signed and bc is "periodic" or "open", which the callers
-    check.  A boundary condition is a rule for each row's two upwind
-    neighbour indices (LeVeque 2002, ch. 7): periodic wraps them, open
-    clamps them to the grid.  Where a row's two neighbours coincide the
-    curvature weight is zeroed: on an open row these are the upwind end
-    node, which then keeps P, and the node next to it, which is first
-    order.  A zero-speed row is its own neighbour and keeps P.
+    check.  near and far are each row's two upwind neighbours, as cell
+    indices: a boundary condition is a rule for them (LeVeque 2002, ch. 7),
+    periodic wraps them, open clamps them to the grid.  w is the Courant
+    weight and cw the curvature weight, zeroed where a row's two neighbours
+    coincide: on an open row these are the upwind end node, which then
+    keeps P, and the node next to it, which is first order.  A zero-speed
+    row is its own neighbour and keeps P.
     """
     step = np.sign(courant).astype(np.intp)[:, None]
     cells = np.arange(M)
@@ -237,6 +233,16 @@ def _advection(courant: np.ndarray, M: int, bc: str):
     w = np.repeat(np.abs(courant)[:, None], M, axis=1)
     cw = 0.5 * w * (1 - w)
     cw[near == far] = 0.0
+    return near, far, w, cw
+
+
+def _advection(courant: np.ndarray, M: int, bc: str):
+    """Beam-Warming update of all 2n rows of an M-cell field, as advect(P).
+
+    The weights are _stencil's; its neighbour indices are offset to each
+    row of the flat field.
+    """
+    near, far, w, cw = _stencil(courant, M, bc)
     rows = np.arange(len(courant))[:, None] * M
     near, far = near + rows, far + rows
     # the weights are read-only; the indices stay writeable, because take()
@@ -254,8 +260,14 @@ def _advection(courant: np.ndarray, M: int, bc: str):
         np.add(up1, up2, out=up1)
         return np.subtract(out, np.multiply(cw, up1), out=out)
 
-    advect.stencil = near, far, w, cw     # read by _settled_state, not written
     return advect
+
+
+def _pair_rates(n: int, rate: float) -> np.ndarray:
+    """G = rate*(11^T/n - I), the (n, n) collision rates of the pair sums."""
+    G = np.full((n, n), rate / n)
+    G[np.diag_indices(n)] -= rate
+    return G
 
 
 def _collision_operator(config: ModelConfig, mode: str) -> np.ndarray:
@@ -271,8 +283,7 @@ def _collision_operator(config: ModelConfig, mode: str) -> np.ndarray:
         rate = 0.5 * _collision_rate(config)        # 2cSN0(1+B)
     else:
         rate = 2.0 * config.c * config.S * config.N0
-    G = np.full((n, n), rate / n)
-    G[np.diag_indices(n)] -= rate
+    G = _pair_rates(n, rate)
     if mode == "nonlinear":
         gN0 = config.gamma * config.N0
         b = 1.0 + gN0
@@ -312,9 +323,7 @@ def _collision_substep(config: ModelConfig, dt: float):
     """
     n = config.n
     gN0 = config.gamma * config.N0
-    loss = 2.0 * config.c * config.S * config.N0
-    G = np.full((n, n), loss / n, dtype=float)
-    G[np.diag_indices(n)] -= loss
+    G = _pair_rates(n, 2.0 * config.c * config.S * config.N0)
     G_next = gN0 * np.roll(G, -1, axis=0)
     lift = np.vstack([G, G, G_next, G_next])
     half = (0.5 * dt) * lift
@@ -432,24 +441,23 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
     settled state of the stepped scheme, Re(P_hat exp(-i omega t))
     (_settled_state), over the first `periods` periods.  A nonlinear one
     steps from Re(P_hat) for its collision substep linearized at equilibrium
-    (_collision_operator), SETTLED_TRANSIENT_PERIODS periods before it
-    records; a start with min P <= -1 raises PositivityError.  At eps = 1e-3
-    its lambda_meas is within 1e-6 relative of a run stepped from rest
-    through 200 periods on a measured grid (n = 2, 3, 4; theta = 0.3 and
-    next to a perpendicular velocity; h from 0.3 to 100; B = -0.5, 0, 0.5;
-    4 and 12 wavelengths).  The gap is O(eps), the start's missing O(eps^2).
+    (_collision_operator) and records from its first step; a start with
+    min P <= -1 raises PositivityError.  At eps = 1e-3 its lambda_meas is
+    within 1e-6 relative of a run stepped from rest through 200 periods on
+    a measured grid (n = 2, 3, 4; theta = 0.3 and next to a perpendicular
+    velocity; h from 0.3 to 100; B = -0.5, 0, 0.5; 4 and 12 wavelengths).
+    The gap is O(eps), the start's missing O(eps^2).
 
     A run given `transient_periods` steps from rest, with the drive ramped
     on by a half cosine over `ramp_periods` (0 <= ramp_periods < inf; 0
-    drives at full amplitude from the start).  The drive of a stepped run
-    is computed per period, at most DRIVE_BLOCK_STEPS steps at a time, with
-    the operations of a per-step drive, so its values are bitwise the same.
-    A step raises PositivityError (nonlinear, min P <= -1) or
-    InstabilityError (|P| > INSTABILITY_FACTOR * eps, or NaN); the min and
-    max are read only when the step's sum of squares does not already prove
-    them inside these bounds, and on every later step of a drive block in
-    which a sum did not.  Each snapshot's P is the array its step produced,
-    not a copy; no later step writes into it, and the caller owns it.
+    drives at full amplitude from the start).
+
+    Each step advects, collides, writes that step's drive and reads the
+    field's min and max: the step that leaves a bound raises
+    PositivityError (nonlinear, min P <= -1) or InstabilityError
+    (|P| > INSTABILITY_FACTOR * eps, or NaN).  Each snapshot's P is the
+    array its step produced, not a copy; no later step writes into it, and
+    the caller owns it.
 
     The collision limit on dt asks for about 4*pi*h(1+B) steps per period, a
     count that must be a finite float for dt = T/count to exist: past
@@ -483,43 +491,22 @@ def run_forced(config: ModelConfig, wavelengths: int = 12,
     drive_amp = 1j * plan.weights[inflow]
     minus_i_omega = -1j * config.omega   # -1j * omega * t groups as (-1j * omega) * t
     bound = INSTABILITY_FACTOR * eps
-    t_ramp, total_steps = plan.t_ramp, plan.total_steps
-    block = min(plan.steps_per_period, DRIVE_BLOCK_STEPS)
-    # A step whose sum of squares is at most half the square of the tighter
-    # bound has every |P| below both (a float sum of nonnegative terms loses
-    # far less than half), so its min and max need not be read.  The screen
-    # is off (-1) where that square is not a normal float, and for the rest
-    # of a drive block once a step fails it, so that a field too large for
-    # it costs one dot product per block, not one per step.
-    limit = min(float(bound), 1.0) if mode == "nonlinear" else float(bound)
-    screen = 0.5 * limit * limit if 1e-150 < limit < 1e150 else -1.0
-
+    t_ramp = plan.t_ramp
     snapshots: list[WaveField] = []
-    for first in range(1, total_steps + 1, block):
-        # the drive of a period's steps in one pass, with a step's operations
-        # in its order, so each row is bitwise the per-step expression
-        last = min(first + block, total_steps + 1)
-        times = np.arange(first, last) * dt
-        ts = times.tolist()
-        scale = np.array([eps * (0.5 * (1.0 - math.cos(math.pi * t / t_ramp))
-                                 if t < t_ramp else 1.0) for t in ts])
-        drive = scale[:, None] * (
-            drive_amp * np.exp(minus_i_omega * times[:, None])).real
-        trusted = screen
-        for step, t, values in zip(range(first, last), ts, drive):
-            P = collide(advect(P))
-            P.put(inflow_cells, values)
-            if trusted < 0 or not np.vdot(P, P) <= trusted:   # NaN fails it too
-                trusted = -1.0
-                lo, hi = P.min(), P.max()
-                if mode == "nonlinear" and lo <= -1.0:
-                    raise PositivityError("positivity lost during forced nonlinear run")
-                if not (-bound <= lo and hi <= bound):   # NaN trips this too
-                    raise InstabilityError(f"field magnitude exceeded "
-                                           f"{INSTABILITY_FACTOR} * eps at t = {t:.6g}")
-            if step in record:
-                # every step makes a new P and no kernel writes into its input
-                snapshots.append(WaveField(P=P, dx=dx, t=t, config=config))
+    for step in range(1, plan.total_steps + 1):
+        P = collide(advect(P))
+        t = step * dt
+        envelope = 0.5 * (1.0 - math.cos(math.pi * t / t_ramp)) if t < t_ramp else 1.0
+        P.put(inflow_cells, eps * envelope * (drive_amp * np.exp(minus_i_omega * t)).real)
+        lo, hi = P.min(), P.max()
+        if mode == "nonlinear" and lo <= -1.0:
+            raise PositivityError("positivity lost during forced nonlinear run")
+        if not (-bound <= lo and hi <= bound):   # NaN trips this too
+            raise InstabilityError(f"field magnitude exceeded "
+                                   f"{INSTABILITY_FACTOR} * eps at t = {t:.6g}")
+        if step in record:
+            # every step makes a new P and no kernel writes into its input
+            snapshots.append(WaveField(P=P, dx=dx, t=t, config=config))
     return snapshots
 
 
@@ -578,8 +565,7 @@ def _plan_forced(config, wavelengths, points_per_wavelength, periods, mode, eps,
     stride = steps_per_period // SAMPLES_PER_PERIOD
 
     if transient_periods is None:      # a settled start, with the full drive
-        transient_periods = 0 if mode == "linear" else SETTLED_TRANSIENT_PERIODS
-        ramp_periods = 0.0
+        transient_periods, ramp_periods = 0, 0.0
     total_steps = (transient_periods + periods) * steps_per_period
     record_from = transient_periods * steps_per_period
     work = total_steps * M * 2 * config.n
@@ -624,11 +610,11 @@ def _settled_state(config: ModelConfig, R: np.ndarray, x_speeds: np.ndarray, dt:
     order = np.argsort(np.tile((x_speeds <= 0) + 2 * (x_speeds == 0), 2), kind="stable")
     r, k = 2 * np.count_nonzero(x_speeds > 0), 2 * np.count_nonzero(x_speeds)
     L, U = slice(r), slice(r, k)
-    near, far, w, cw = _advection(x_speeds * dt / dx, M, "open").stencil
+    near, far, w, cw = _stencil(x_speeds * dt / dx, M, "open")
     # advect is (1 - w - cw) P + (w + 2 cw) up1 - cw up2 per row; E[b, c, off,
     # c2, s] sums the weights cell 2b + c of row s takes from 2(b + off - 1) + c2
     cell = np.arange(M)
-    src = np.stack([np.broadcast_to(cell, near.shape), near % M, far % M])
+    src = np.stack([np.broadcast_to(cell, near.shape), near, far])
     off = src // 2 - cell // 2 + 1
     index = ((cell * 3 + off) * 2 + src % 2) * p2 + np.arange(p2)[:, None]
     E = np.bincount(index.ravel(), np.stack([1.0 - w - cw, w + 2.0 * cw, -cw]).ravel(),

@@ -845,10 +845,9 @@ def test_forced_guard_trips_exactly_where_the_field_leaves_its_bounds(monkeypatc
                                                                      eps):
     """Every step's field is zero but for one value v at a cell the drive
     does not write, and the drive's own values stay inside both bounds:
-    the run raises what the bounds say about v alone, with or without the
-    sum-of-squares screen (off at eps = 1e-200, where the bound's square
-    underflows, and at 1e200, where it overflows; a float32 eps is taken
-    as a Python float)."""
+    the run raises what the bounds say about v alone, at any eps: from
+    1e-200, whose bound squared underflows, to 1e200, whose bound squared
+    overflows (a float32 eps is taken as a Python float)."""
     bound = sim.INSTABILITY_FACTOR * eps
     above, below_minus_one = np.nextafter(bound, math.inf), np.nextafter(-1.0, -math.inf)
     values = [0.0, 0.7 * bound, bound, -bound, above, -above, -1.0, below_minus_one,
@@ -880,11 +879,10 @@ def test_forced_guard_trips_exactly_where_the_field_leaves_its_bounds(monkeypatc
 @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
 @pytest.mark.parametrize("late", [False, True], ids=["same-block", "next-block"])
 def test_forced_guard_trips_on_the_step_after_a_failed_screen(monkeypatch, mode, late):
-    """Step 1's field is inside both bounds but too large for the
-    sum-of-squares screen; a later step's field is past the instability
-    bound.  The run raises on that very step, whether it falls in step 1's
-    drive block (where the screen is off after step 1) or in the next one
-    (where the screen is tried again)."""
+    """Step 1's field is inside both bounds but far larger than the drive;
+    a later step's field is past the instability bound, within step 1's
+    period or in the next one.  The run raises on that very step: a large
+    field inside its bounds does not hide a later one outside them."""
     calls = []
     steps = []
 
@@ -1000,15 +998,15 @@ PLAIN_LOOP_OPTIONS = ({}, {"ramp_periods": 1.5}, {"transient_periods": 0},
 
 
 def assert_forced_run_is_the_plain_loop(mode, ramp_periods=2.0, transient_periods=3,
-                                        drive="mode", eps=1e-3):
+                                        drive="mode", eps=1e-3, h=1.0, ppw=12,
+                                        wavelengths=4, periods=2):
     """A forced run equals, bitwise, a loop that spells out each step: the
     open Beam-Warming update P - w(P - up1) - cw(P - 2up1 + up2), then the
     RK4 matrix R @ P or the nonlinear collision substep, then the drive of
     that step alone and the bounds P.min(), P.max(); its snapshots are
     copies.  The run's snapshots share no memory with each other."""
     eps = float(eps)
-    cfg = make_config(theta=0.3, h=1.0, B=0.2, n=3)
-    ppw, wavelengths, periods = 12, 4, 2
+    cfg = make_config(theta=0.3, h=h, B=0.2, n=3)
     series = sim.run_forced(cfg, wavelengths=wavelengths, points_per_wavelength=ppw,
                             periods=periods, mode=mode, eps=eps, drive=drive,
                             ramp_periods=ramp_periods,
@@ -1077,6 +1075,15 @@ def test_linear_forced_run_is_bitwise_the_plain_loop():
 def test_nonlinear_forced_run_is_bitwise_the_plain_loop():
     for options in PLAIN_LOOP_OPTIONS:
         assert_forced_run_is_the_plain_loop("nonlinear", **options)
+
+
+def test_a_forced_run_of_many_steps_per_period_is_bitwise_the_plain_loop():
+    # h = 400 asks for over 4096 steps per period, on a grid of 9 cells
+    plan = sim._plan_forced(make_config(theta=0.3, h=400.0, B=0.2, n=3), 2, 4, 1,
+                            "nonlinear", 1e-3, "mode", sim.CFL_LIMIT, 0.5, 0)
+    assert plan.steps_per_period > 4096
+    assert_forced_run_is_the_plain_loop("nonlinear", ramp_periods=0.5, transient_periods=0,
+                                        h=400.0, ppw=4, wavelengths=2, periods=1)
 
 
 @pytest.mark.parametrize("option, value", [("eps", 1e-3), ("ramp_periods", 1.3),
@@ -1326,10 +1333,9 @@ def test_a_default_nonlinear_run_steps_its_transient_and_its_periods(monkeypatch
                             mode="nonlinear")
     plan = sim._plan_forced(cfg, 4, 10, 3, "nonlinear", 1e-3, "mode", sim.CFL_LIMIT,
                             2.0, None)
-    assert len(calls) == (sim.SETTLED_TRANSIENT_PERIODS + 3) * plan.steps_per_period
+    assert len(calls) == 3 * plan.steps_per_period
     assert len(series) == 96
-    assert series[0].t == (sim.SETTLED_TRANSIENT_PERIODS * plan.steps_per_period
-                           + plan.steps_per_period // 32) * plan.dt
+    assert series[0].t == plan.steps_per_period // 32 * plan.dt
 
 
 @pytest.mark.parametrize("n, theta, B", [(2, 0.3, 0.2), (3, 0.3, 0.5), (4, 0.2, -0.5),
@@ -1353,7 +1359,7 @@ def test_a_default_nonlinear_run_at_small_eps_stays_on_its_settled_start(n, thet
 
 
 @pytest.mark.parametrize("n, theta, h, B", [
-    # the worst point of the grid SETTLED_TRANSIENT_PERIODS was chosen from
+    # the worst point of the grid a default run's start was measured on
     (4, math.pi / 4 + 1e-9, 1.0, 0.0),
     (2, math.pi / 2 - 1e-9, 1.0, 0.5),
     (3, 0.3, 1.0, -0.5),
