@@ -38,10 +38,11 @@ above h_b = 4, and otherwise at the last row above 4 of a seed grid that
 runs from h_b = CONTINUATION_START down to it.  A point lookup labels
 that continuation's last row, the roots at the point itself: the caller's
 roots when given (no solve above h_b = 4, the seed rows alone below it),
-otherwise the point's own row of the one batched solve.  The one rule of
-the Newton polish: seed rows only steer the continuation by distance and
-are never returned, so they are never polished; a line's own rows are
-polished, or given.
+otherwise the point's own row of the one batched solve, whose line a
+small cache keeps, so the lookups of one point share one solve.  The one
+rule of the Newton polish: seed rows only steer the continuation by
+distance and are never returned, so they are never polished; a line's
+own rows are polished, or given.
 
 Conventions: forward wave exp(i(kx - wt)) with real omega > 0, so
 lambda_r >= 0 and lambda_i >= 0 means damped rightward propagation.
@@ -50,6 +51,7 @@ lambda_r >= 0 and lambda_i >= 0 means damped rightward propagation.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -91,6 +93,7 @@ AMBIGUITY_TOL = 1e-8          # two roots this close at an endpoint: degenerate
 CONTINUATION_START = 1e6      # h_b where the acoustic seed grid starts
 TOP_OF_LINE = 4.0             # above this h_b the acoustic root is the one of smallest |u|
 CONTINUATION_PER_DECADE = 8
+POINT_CACHE_SIZE = 4          # one-point continuations kept for reuse
 
 
 def _cos2(theta, n: int) -> np.ndarray:
@@ -665,6 +668,25 @@ def _label_branches(u, lam, h_b, theta: float, n: int, policy: str) -> tuple:
     return counts.tolist(), lam.tolist(), u[live].tolist(), residual.tolist()
 
 
+@functools.lru_cache(maxsize=POINT_CACHE_SIZE)
+def _point_track(h_b: float, theta: float, n: int) -> tuple:
+    """The one-point :func:`_track_to` line (u, lam) at h_b, read-only, reused per key.
+
+    Only plain int and float keys reach it (:func:`_branches_at`), and an
+    int and a float of one value solve the same batch, so equal keys share
+    one entry.  A lookup that raises caches nothing.
+    """
+    track = _track_to([[h_b]], theta, n)
+    for part in track:
+        part.flags.writeable = False
+    return track
+
+
+def _plain(value, kinds=(int, float)) -> bool:
+    """A Python int or float scalar, not a bool (np.float64 is a float)."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _branches_at(h_b: float, theta: float, n: int, policy: str = "acoustic",
                  roots=None) -> tuple:
     """One row's columns of :func:`_label_branches` at h_b: (lam, u, residual).
@@ -673,12 +695,17 @@ def _branches_at(h_b: float, theta: float, n: int, policy: str = "acoustic",
     line, in label order, the continued (acoustic) root first.  That row is
     ``roots`` when given (a 1-D array of at most n values, taken to be the
     roots at h_b), which is neither solved nor polished; otherwise it is
-    solved in the one batch with the seed rows and polished alone.  The
-    seed rows only steer the continuation and are never polished.  Another
-    live root of the row within AMBIGUITY_TOL * max(1, |u_0|) of the
-    continued root u_0 raises BranchAmbiguityError.
+    solved in the one batch with the seed rows and polished alone, a line
+    that :func:`_point_track` keeps when h_b and theta are int or float
+    scalars and n an int.  The seed rows only steer the continuation and
+    are never polished.  The check below, the labels and the certificates
+    run on every call.  Another live root of the row within AMBIGUITY_TOL
+    * max(1, |u_0|) of the continued root u_0 raises BranchAmbiguityError.
     """
-    (u,), (lam,) = _track_to([[h_b]], theta, n, roots=roots)
+    if roots is None and _plain(h_b) and _plain(theta) and _plain(n, int):
+        (u,), (lam,) = _point_track(h_b, theta, n)
+    else:
+        (u,), (lam,) = _track_to([[h_b]], theta, n, roots=roots)
     u_0 = u[0, 0]
     if (np.abs(u[0, 1:] - u_0) < AMBIGUITY_TOL * max(1.0, abs(u_0))).any():
         raise BranchAmbiguityError(f"two roots within {AMBIGUITY_TOL} of each other near "

@@ -50,8 +50,9 @@ Using the same RK4 map for the linear and nonlinear right-hand sides keeps
 the nonlinear stepper linearization-consistent with the linear one to
 O(eps^2) per step.
 A default linear forced run takes no step: it solves for the state the
-stepped run settles to (_settled_state, by block cyclic reduction), at a
-cost that does not grow with h.
+stepped run settles to (_settled_state, by block cyclic reduction over the
+grid's few distinct blocks: O(log M) block solves), at a cost that does
+not grow with h.
 A default nonlinear run steps from that state for its collision substep
 linearized at equilibrium (_collision_operator).
 """
@@ -59,6 +60,7 @@ linearized at equilibrium (_collision_operator).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -335,18 +337,22 @@ def _collision_substep(config: ModelConfig, dt: float):
 
     def collide(P: np.ndarray) -> np.ndarray:
         M = P.shape[1]
-        Z = np.empty((2 * p2, M))      # [Np; b rolled to the next pair]
+        # Z = [Np; b rolled to the next pair], the shifted stage and the four
+        # stages' centred Q: one work array a call, which also takes each
+        # stage's product
+        Z, shifted, Qc = np.empty((3, 2 * p2, M))
+        Qc = Qc.reshape(4, n, M)
         np.add(P, 1.0, out=Z[:p2])
         np.multiply(Z[1:p2], gN0, out=Z[p2:-1])
         np.multiply(Z[:1], gN0, out=Z[-1:])
         np.add(Z[p2:], 1.0, out=Z[p2:])
-        stage, shifted = Z, np.empty_like(Z)
-        Qc = np.empty((4, n, M))       # the four stages' centred Q
+        stage = Z
         for i in range(4):
             Q = np.multiply.reduce(stage.reshape(4, n, M), axis=0)
             np.subtract(Q, Q[0], out=Qc[i])
             if i < 3:
-                stage = np.add(Z, stages[i] @ Qc[i], out=shifted)
+                stage = np.matmul(stages[i], Qc[i], out=shifted)
+                np.add(Z, stage, out=stage)
         step = combine @ Qc.reshape(4 * n, M)
         return np.add(P.reshape(2, n, M), step).reshape(p2, M)
 
@@ -601,66 +607,99 @@ def _settled_state(config: ModelConfig, R: np.ndarray, x_speeds: np.ndarray, dt:
     d = eps i w on those rows: block tridiagonal over pairs of cells (an odd
     M gets a padding cell, x = 0).  Unknowns ordered right-going, left-going,
     zero-speed, row b is [D | L_r | U_l] by columns, solved by odd-even
-    cyclic reduction (Buzbee, Golub & Nielson 1970), a batched solve a level;
-    d is in block 0, which is never eliminated.  InstabilityError: a
-    singular block, or max|P_hat| above INSTABILITY_FACTOR * eps.
+    cyclic reduction (Buzbee, Golub & Nielson 1970); d is in block 0, which
+    is never eliminated.  The grid is uniform, so every block but block 0
+    (the inflow rows) and the last one or two (the outflow clamp and the
+    padding cell) is one interior block, bitwise: the blocks are built on a
+    grid of at most 13 cells with the same ends, each level keeps them as
+    runs of equal blocks, and it factors and folds each distinct block
+    once, at most 3 a level.  InstabilityError: a singular block, or
+    max|P_hat| above INSTABILITY_FACTOR * eps.
     """
     p2, q = len(x_speeds), 2 * len(x_speeds)
-    nb = (M + 1) // 2
+    nb, m = (M + 1) // 2, min(M, 12 + M % 2)
     order = np.argsort(np.tile((x_speeds <= 0) + 2 * (x_speeds == 0), 2), kind="stable")
     r, k = 2 * np.count_nonzero(x_speeds > 0), 2 * np.count_nonzero(x_speeds)
     L, U = slice(r), slice(r, k)
-    near, far, w, cw = _stencil(x_speeds * dt / dx, M, "open")
+    near, far, w, cw = _stencil(x_speeds * dt / dx, m, "open")
     # advect is (1 - w - cw) P + (w + 2 cw) up1 - cw up2 per row; E[b, c, off,
     # c2, s] sums the weights cell 2b + c of row s takes from 2(b + off - 1) + c2
-    cell = np.arange(M)
+    cell = np.arange(m)
     src = np.stack([np.broadcast_to(cell, near.shape), near, far])
     off = src // 2 - cell // 2 + 1
     index = ((cell * 3 + off) * 2 + src % 2) * p2 + np.arange(p2)[:, None]
     E = np.bincount(index.ravel(), np.stack([1.0 - w - cw, w + 2.0 * cw, -cw]).ravel(),
-                    minlength=nb * 12 * p2).reshape(nb, 2, 3 * q)
+                    minlength=(m + 1) // 2 * 12 * p2).reshape(-1, 2, 3 * q)
     cols = np.r_[q + order, order[L], 2 * q + order[U]]   # [D | L_r | U_l] in E
     phase = complex(math.cos(config.omega * dt), math.sin(config.omega * dt))
     S = (E[..., cols].swapaxes(1, 2)[..., None]
-         * (-phase * R[:, cols % p2].T[:, None])).reshape(nb, q + k, q)
+         * (-phase * R[:, cols % p2].T[:, None])).reshape(len(E), q + k, q)
     S[:, range(q), order] += 1.0
     inflow = np.flatnonzero(x_speeds > 0)      # the first unknowns
     S[0, :, inflow] = 0.0
     S[0, range(len(inflow)), inflow] = 1.0
-    X = np.zeros((nb, q), dtype=complex)
-    X[0, inflow] = eps * 1j * weights[inflow]
-
+    # the blocks as runs [block, count]: block 0, the interior, the last ends
+    tail = 1 + M % 2
+    runs = [[b, 1] for b in range(len(S))] if m == M else (
+        [[0, 1], [1, nb - 1 - tail]] + [[b, 1] for b in range(len(S) - tail, len(S))])
+    levels = []       # each level's stride, -D^-1 [L_r | U_l] and its odd blocks' runs
     with np.errstate(all="ignore"):
         try:
             size = 1
-            while size < nb:      # the blocks left are S[::size]
-                even, odd = S[::2 * size], S[size::2 * size]
-                Y = odd[:, q:].swapaxes(1, 2)     # becomes -D^-1 [L_r | U_l]
-                np.negative(np.linalg.solve(odd[:, :q].swapaxes(1, 2), Y), out=Y)
-                # fold into the even neighbours
-                for e, y, own, cross in ((even[1:], Y[:len(even) - 1], L, U),
-                                         (even[:len(odd)], Y, U, L)):
-                    F = y[:, own].swapaxes(1, 2) @ e[:, q:][:, own]
-                    e[:, q:][:, own] = F[:, own]
-                    e[:, cross] += F[:, cross]
+            while size < nb:
+                odd, even, start = [], [], 0
+                kinds = [None] + [b for b, _ in runs] + [None]
+                for i, (b, c) in enumerate(runs):
+                    # a run's even positions, (left, own, right) blocks; only
+                    # its end positions have a neighbour in another run
+                    evens = (c + 1 - start % 2) // 2
+                    left = kinds[i] if start % 2 == 0 else b
+                    right = kinds[i + 2] if (start + c) % 2 else b
+                    ends = [(left, b, right)] if evens == 1 else [(left, b, b), (b, b, right)]
+                    even += [(ends[0], min(evens, 1)), ((b, b, b), evens - 2),
+                             (ends[-1], int(evens > 1))]
+                    odd.append((b, c - evens))
+                    start += c
+                odd, even = _runs(odd), _runs(even)
+                used = sorted({b for b, _ in odd})
+                Y = np.linalg.solve(S[used, :q].swapaxes(1, 2), S[used, q:].swapaxes(1, 2))
+                np.negative(Y, out=Y)         # -D^-1 [L_r | U_l] of each distinct odd block
+                triples = list(dict.fromkeys(t for t, _ in even))
+                S = S[[b for _, b, _ in triples]]
+                for e, (left, _, right) in zip(S, triples):   # fold into the even blocks
+                    for nbr, own, cross in ((left, L, U), (right, U, L)):
+                        if nbr is not None:
+                            F = Y[used.index(nbr), own].T @ e[q:][own]
+                            e[q:][own] = F[own]
+                            e[cross] += F[cross]
+                levels.append((size, Y, [(used.index(b), c) for b, c in odd]))
+                runs = [[triples.index(t), c] for t, c in even]
                 size *= 2
-            X[0] = np.linalg.solve(S[0, :q].T, X[0])
+            X = np.zeros((2 * nb, q), dtype=complex)   # rows from nb on: zero, past the end
+            X[0, inflow] = eps * 1j * weights[inflow]
+            X[0] = np.linalg.solve(S[runs[0][0], :q].T, X[0])
         except np.linalg.LinAlgError:
             raise InstabilityError("settled state: a block of the linear system "
                                    "is singular") from None
-        while size > 1:
-            size //= 2
-            Y = S[size::2 * size, q:].swapaxes(1, 2)
-            x, x_odd = X[::2 * size, :, None], X[size::2 * size, :, None]
-            np.matmul(Y[:, :, L], x[:len(Y), L], out=x_odd)
-            x_odd[:len(x) - 1] += Y[:len(x) - 1, :, U] @ x[1:, U]
-        P_hat = (X[:, np.argsort(order)].reshape(nb, 2, p2).transpose(2, 0, 1)
+        for size, Y, odd in reversed(levels):
+            x_odd, x = X[size:nb:2 * size], X[::2 * size]
+            x, at = np.concatenate((x[:len(x_odd), L], x[1:len(x_odd) + 1, U]), 1), 0
+            for i, c in odd:
+                np.matmul(Y[i], x[at:at + c, :, None], out=x_odd[at:at + c, :, None])
+                at += c
+        P_hat = (X[:nb, np.argsort(order)].reshape(nb, 2, p2).transpose(2, 0, 1)
                  .reshape(p2, 2 * nb)[:, :M])
         peak = np.max(np.abs(P_hat))
     if not peak <= INSTABILITY_FACTOR * eps:     # NaN trips this too
         raise InstabilityError(f"settled state magnitude {peak:.6g} exceeds "
                                f"{INSTABILITY_FACTOR} * eps")
     return P_hat
+
+
+def _runs(pairs) -> list:
+    """(key, count) pairs as runs [key, count]: empty ones dropped, equal neighbours merged."""
+    pairs = itertools.groupby((p for p in pairs if p[1] > 0), key=lambda p: p[0])
+    return [[key, sum(c for _, c in group)] for key, group in pairs]
 
 
 def _count_text(count: int) -> str:
@@ -719,10 +758,12 @@ def fit_wave(series: list[WaveField], omega: float | None = None,
     The projection (_demodulate) is one pass over the snapshots, reading
     each once, and its memory is O(M) whatever the number of snapshots.
     Every snapshot must have the first one's P shape, dx and config
-    (DomainError otherwise).  A given ``fit_window`` must skip the first
-    hydrodynamic wavelength and the outlet cell: lo >= lambda_est and
-    hi <= L - dx, each to within 1e-9 of that length, at any scale
-    (DomainError otherwise); the default window does both.
+    (DomainError otherwise), and their times must be evenly spaced, to
+    within 1e-9 of the first spacing, relative (FitError).  A given
+    ``fit_window`` must skip the first hydrodynamic wavelength and the
+    outlet cell: lo >= lambda_est and hi <= L - dx, each to within 1e-9 of
+    that length, at any scale (DomainError otherwise); the default window
+    does both.
     """
     if len(series) < 2:
         raise FitError("need at least two snapshots")
@@ -733,7 +774,7 @@ def fit_wave(series: list[WaveField], omega: float | None = None,
         if np.shape(f.P) != shape:
             raise DomainError(f"snapshot {i} has P of shape {np.shape(f.P)}, "
                               f"snapshot 0 {shape}")
-        if f.dx != first.dx or f.config != config:
+        if f.dx != first.dx or (f.config is not config and f.config != config):
             raise DomainError(f"snapshot {i} differs from snapshot 0 in dx or config")
     if omega is None:
         omega = config.omega
@@ -746,7 +787,7 @@ def fit_wave(series: list[WaveField], omega: float | None = None,
 
     times = np.array([f.t for f in series])
     steps = np.diff(times)
-    if not np.allclose(steps, steps[0], rtol=1e-9):
+    if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         raise FitError("snapshots are not uniformly spaced in time")
 
     if fit_window is None:

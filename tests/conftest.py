@@ -1,6 +1,7 @@
 """Shared test helpers: the one stand-in for the eigen solve (fixture ``eig_calls``),
-the reference seed grid, the one reference for a continued line, the
-hydrodynamic-limit terms, a CLI runner and the bit patterns of floats."""
+an empty point-lookup cache for every test, the reference seed grid, the one
+reference for a continued line, the hydrodynamic-limit terms, a CLI runner and
+the bit patterns of floats."""
 
 import math
 
@@ -47,8 +48,17 @@ class EigCalls:
         return [len(grid) for grid in self.grids]
 
     def clear(self):
+        """Forget the recorded calls and the cached point lookups: the next lookup solves."""
         self.grids.clear()
         self.thetas.clear()
+        dsp._point_track.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_point_lookups():
+    """Every test starts with an empty point-lookup cache (dispersion._point_track),
+    so a lookup's solves and patched helpers are the test's own."""
+    dsp._point_track.cache_clear()
 
 
 @pytest.fixture

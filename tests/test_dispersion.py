@@ -1249,6 +1249,28 @@ def test_point_lookup_solves_the_short_seed(eig_calls):
     assert eig_calls.sizes == [6, 1]
 
 
+def test_a_cached_point_lookup_is_bitwise_a_cold_one():
+    # random points of both policies: a second lookup is served by the
+    # point cache and returns the first one's columns bit for bit, and a
+    # key that is not a plain scalar (n a numpy integer) takes the uncached
+    # path to the same bits; the cached line is read-only
+    rng = np.random.default_rng(50)
+    for _ in range(24):
+        n = int(rng.integers(2, 9))
+        theta = float(rng.uniform(0.0, math.pi))
+        h_b = float(10.0 ** rng.uniform(-3.0, 6.0))
+        for policy in ("acoustic", "all"):
+            dsp._point_track.cache_clear()
+            cold = dsp._branches_at(h_b, theta, n, policy)
+            hit = dsp._branches_at(h_b, theta, n, policy)
+            uncached = dsp._branches_at(h_b, theta, np.int64(n), policy)
+            assert dsp._point_track.cache_info()[:2] == (1, 1)   # (hits, misses)
+            for got in (hit, uncached):
+                assert [np.asarray(c).tobytes() for c in got] == \
+                    [np.asarray(c).tobytes() for c in cold], (h_b, theta, n, policy)
+        assert not any(part.flags.writeable for part in dsp._point_track(h_b, theta, n))
+
+
 def test_select_branch_above_top_of_line_solves_nothing(eig_calls):
     # the continuation runs into the given roots: above h_b = 4 it takes
     # their root of smallest |u| and makes no eigen batch

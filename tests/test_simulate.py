@@ -330,6 +330,20 @@ def test_fit_wave_rejects_a_series_it_cannot_fit(alter, window, needle):
         sim.fit_wave(alter(synthetic_series()), fit_window=window)
 
 
+@pytest.mark.parametrize("omega", [1.0, 1e9])
+def test_fit_wave_refuses_a_snapshot_off_the_uniform_spacing_at_any_omega(omega):
+    """A snapshot moved by a tenth of the spacing is refused whatever the
+    time scale: at omega = 1e9 the snapshots are 2e-10 apart, and an
+    absolute tolerance would take the move."""
+    config = ModelConfig.from_reduced(n=2, theta=0.3, h=1.0, B=0.0, omega=omega)
+    series = sim.run_forced(config, wavelengths=4, points_per_wavelength=10, periods=2)
+    assert sim.fit_wave(series).k_r > 0
+    moved = series[5]
+    series[5] = replace(moved, t=moved.t + 0.1 * (series[1].t - series[0].t))
+    with pytest.raises(FitError, match="not uniformly spaced"):
+        sim.fit_wave(series)
+
+
 @pytest.mark.parametrize("omega, window, needle", [
     (math.nan, (4.5, 11.5), "omega"),
     (math.inf, (4.5, 11.5), "omega"),
@@ -1204,13 +1218,16 @@ def dense_settled_state(plan, M):
 
 
 @pytest.mark.filterwarnings("ignore:linear collision form")
-@pytest.mark.parametrize("M", [40, 41, 7, 2, 3, 5])
+@pytest.mark.parametrize("M", [40, 41, 2, 3, 5, *range(6, 15)])
 @pytest.mark.parametrize("n, theta", [(2, 0.3), (2, 0.0), (3, 0.05), (3, math.pi / 6),
                                       (8, 0.1)])
 def test_the_block_solve_is_the_dense_solve(n, theta, M):
     """The block tridiagonal solve equals the dense solve; at theta = 0
     (n = 2) and pi/6 (n = 3) two rows have zero speed.  M = 2, 3 and 5 are
-    one, two and three blocks: the reduction's single block and odd counts."""
+    one, two and three blocks: the reduction's single block and odd counts.
+    M = 6 to 14 are where the inflow block, the interior and the last one
+    or two blocks meet: up to 13 cells every block is built, from 14 on
+    the interior ones are one block."""
     plan, _ = settled_plan(n, theta, ppw=10)
     P_hat = sim._settled_state(plan.config, propagator(plan), plan.x_speeds, plan.dt,
                                plan.dx, M, plan.weights, plan.eps)
@@ -1240,6 +1257,25 @@ def test_the_settled_state_takes_one_batched_solve_a_level(monkeypatch):
     plan, P_hat = settled_plan(2, 0.3, wavelengths=12, ppw=80)
     assert plan.M == 961 and P_hat.shape == (4, 961)
     assert len(calls) <= 10
+
+
+@pytest.mark.filterwarnings("ignore:linear collision form")
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("ppw", [80, 320])
+def test_the_settled_state_factors_at_most_three_blocks_a_level(monkeypatch, n, ppw):
+    """M = 961 and 3841 (481 and 1921 blocks): each level's one batched solve
+    factors at most 3 matrices, its distinct odd blocks, and the last block
+    is one more (a solve of every odd block factors 240 and 960 at the
+    first level)."""
+    sizes = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: sizes.append(np.shape(a)[:-2]) or solve(a, b))
+    plan, P_hat = settled_plan(n, 0.3, wavelengths=12, ppw=ppw)
+    assert P_hat.shape == (2 * n, plan.M) and plan.M == 12 * ppw + 1
+    assert len(sizes) == math.ceil(math.log2((plan.M + 1) // 2)) + 1
+    assert [math.prod(size) <= 3 for size in sizes] == [True] * len(sizes)
+    assert sizes[-1] == ()
 
 
 def test_a_default_linear_run_takes_no_step(monkeypatch):
@@ -1394,6 +1430,26 @@ def test_a_settled_start_past_positivity_raises_before_its_first_step(monkeypatc
 def test_default_fit_window_is_one_batched_solve(eig_calls):
     sim._default_fit_window(make_config(theta=0.3, n=3), 40.0, 0.1)
     assert len(eig_calls.grids) == 1 and eig_calls.sizes[0] > 1
+
+
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+def test_a_forced_run_its_fit_and_its_reference_root_make_one_solve(eig_calls, capsys, mode):
+    """The drive, the default fit window and the caller's acoustic_root look
+    up one point, so one continuation serves all three: one eigen batch,
+    in process and through the CLI (three without the point cache)."""
+    h, B = 1.3, 0.2
+    config = make_config(theta=0.3, h=h, B=B)
+    assert sim.reduced_params(config).h_b == dsp._line(h, B)   # the run's h_b is the caller's
+    series = sim.run_forced(config, wavelengths=4, points_per_wavelength=10, periods=2,
+                            mode=mode)
+    sim.fit_wave(series)
+    dsp.acoustic_root(h * (1.0 + B), config.theta, config.n)
+    assert len(eig_calls.grids) == 1
+    eig_calls.clear()
+    code, _, _ = cli_run(capsys, "simulate", "--h", "1.3", "--B", "0.2", "--theta", "0.3",
+                         "--ppw", "10", "--wavelengths", "4", "--periods", "2",
+                         *(["--nonlinear"] if mode == "nonlinear" else []))
+    assert code == 0 and len(eig_calls.grids) == 1
 
 
 # ------------------------------------------------------------ kernel reuse
